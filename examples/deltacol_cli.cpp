@@ -8,13 +8,14 @@
 // runs the chosen Delta-coloring algorithm, prints the coloring summary and
 // the per-phase round ledger, and optionally writes a colored DOT file.
 // Exit code 0 iff a valid Delta-coloring was produced.
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "core/api.h"
+#include "flag_parse.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
 #include "net/socket_transport.h"
@@ -26,7 +27,7 @@ namespace {
 void usage(std::ostream& out) {
   out << "usage: deltacol_cli <edge-list> [--alg small|large|det|ps|naive]"
          " [--seed S] [--threads T] [--shards S] [--congest-bits B]"
-         " [--partition contiguous|cluster] [--mode deterministic|fast]"
+         " [--partition contiguous|cluster]"
          " [--exchange replicated|owner] [--paper-constants] [--dot out.dot]\n"
          "       [--transport inproc|tcp] [--rank R --world W"
          " (--endpoints host:port,... | --port-base P)]\n"
@@ -41,16 +42,9 @@ void usage(std::ostream& out) {
          "                either choice, only cross-shard traffic changes\n"
          "  --congest-bits B\n"
          "                charge rounds under a CONGEST(B) bandwidth cap (B\n"
-         "                bits per edge per round; <= 0 = LOCAL model).\n"
+         "                bits per edge per round; 0 = LOCAL model).\n"
          "                Accounting only: the coloring is identical for\n"
          "                any B, only the reported round totals change\n"
-         "  --mode deterministic|fast\n"
-         "                execution mode (runtime/execution_mode.h).\n"
-         "                deterministic (default): bit-identical results\n"
-         "                for every (threads, shards) shape. fast: relaxed\n"
-         "                merge/claim ordering — still a valid\n"
-         "                Delta-coloring, but only the validity contract is\n"
-         "                guaranteed across shapes\n"
          "  --exchange replicated|owner\n"
          "                distributed exchange policy carried in the options\n"
          "                (runtime/execution_mode.h). delta_color's pipeline\n"
@@ -64,7 +58,9 @@ void usage(std::ostream& out) {
          "                env; see deltacol_mpi_like). The pipeline runs\n"
          "                replicated with --shards = world, fenced by\n"
          "                cluster barriers, so every rank prints the same\n"
-         "                coloring and ledger\n";
+         "                coloring and ledger\n"
+         "Numeric flags take base-10 integers; a malformed or out-of-range\n"
+         "value exits 2 with a message naming the flag.\n";
 }
 
 }  // namespace
@@ -85,62 +81,60 @@ int main(int argc, char** argv) {
   std::string transport_kind = "inproc";
   std::string endpoints_spec;
   int net_rank = -1, net_world = -1, port_base = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--alg" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "small") alg = Algorithm::kRandomizedSmall;
-      else if (v == "large") alg = Algorithm::kRandomizedLarge;
-      else if (v == "det") alg = Algorithm::kDeterministic;
-      else if (v == "ps") alg = Algorithm::kBaselineND;
-      else if (v == "naive") alg = Algorithm::kBaselineGreedyBrooks;
-      else {
-        usage(std::cerr);
-        return 2;
+  try {
+    using flag_parse::integer;
+    using flag_parse::UsageError;
+    for (int i = 2; i < argc; ++i) {
+      const std::string a = argv[i];
+      const auto value = [&] { return flag_parse::next_value(argc, argv, i); };
+      if (a == "--alg") {
+        const std::string v = value();
+        if (v == "small") alg = Algorithm::kRandomizedSmall;
+        else if (v == "large") alg = Algorithm::kRandomizedLarge;
+        else if (v == "det") alg = Algorithm::kDeterministic;
+        else if (v == "ps") alg = Algorithm::kBaselineND;
+        else if (v == "naive") alg = Algorithm::kBaselineGreedyBrooks;
+        else throw UsageError("--alg must be small, large, det, ps or naive");
+      } else if (a == "--seed") {
+        opt.seed = integer<std::uint64_t>(a, value(), 0, UINT64_MAX);
+      } else if (a == "--threads") {
+        opt.num_threads = integer(a, value(), 0, 1024);
+      } else if (a == "--shards") {
+        opt.num_shards = integer(a, value(), 0, 65535);
+      } else if (a == "--congest-bits") {
+        opt.congest_bits = integer<std::int64_t>(a, value(), 0, INT64_MAX);
+      } else if (a == "--partition") {
+        if (!parse_partition_strategy(value(), &opt.partition)) {
+          throw UsageError("--partition must be contiguous or cluster");
+        }
+      } else if (a == "--exchange") {
+        if (!parse_exchange_policy(value().c_str(), &opt.exchange)) {
+          throw UsageError("--exchange must be replicated or owner");
+        }
+      } else if (a == "--paper-constants") {
+        opt.use_paper_constants = true;
+      } else if (a == "--dot") {
+        dot_path = value();
+      } else if (a == "--transport") {
+        transport_kind = value();
+        if (transport_kind != "inproc" && transport_kind != "tcp") {
+          throw UsageError("--transport must be inproc or tcp");
+        }
+      } else if (a == "--rank") {
+        net_rank = integer(a, value(), 0, 65535);
+      } else if (a == "--world") {
+        net_world = integer(a, value(), 1, 65535);
+      } else if (a == "--endpoints") {
+        endpoints_spec = value();
+      } else if (a == "--port-base") {
+        port_base = integer(a, value(), 1, 65535);
+      } else {
+        throw UsageError("unknown flag " + a);
       }
-    } else if (a == "--seed" && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--threads" && i + 1 < argc) {
-      opt.num_threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--shards" && i + 1 < argc) {
-      opt.num_shards = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--congest-bits" && i + 1 < argc) {
-      opt.congest_bits = std::strtoll(argv[++i], nullptr, 10);
-    } else if (a == "--partition" && i + 1 < argc) {
-      if (!parse_partition_strategy(argv[++i], &opt.partition)) {
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (a == "--mode" && i + 1 < argc) {
-      if (!parse_execution_mode(argv[++i], &opt.mode)) {
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (a == "--exchange" && i + 1 < argc) {
-      if (!parse_exchange_policy(argv[++i], &opt.exchange)) {
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (a == "--perturb-salt" && i + 1 < argc) {
-      opt.perturb_salt = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--paper-constants") {
-      opt.use_paper_constants = true;
-    } else if (a == "--dot" && i + 1 < argc) {
-      dot_path = argv[++i];
-    } else if (a == "--transport" && i + 1 < argc) {
-      transport_kind = argv[++i];
-    } else if (a == "--rank" && i + 1 < argc) {
-      net_rank = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--world" && i + 1 < argc) {
-      net_world = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (a == "--endpoints" && i + 1 < argc) {
-      endpoints_spec = argv[++i];
-    } else if (a == "--port-base" && i + 1 < argc) {
-      port_base = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else {
-      usage(std::cerr);
-      return 2;
     }
+  } catch (const flag_parse::UsageError& e) {
+    std::cerr << "deltacol_cli: " << e.what() << " (see --help)\n";
+    return 2;
   }
 
   try {
@@ -169,9 +163,6 @@ int main(int argc, char** argv) {
       cluster = std::make_unique<SocketTransport>(cfg);
       if (opt.num_shards <= 1) opt.num_shards = cluster->world();
       cluster->barrier();
-    } else if (transport_kind != "inproc") {
-      usage(std::cerr);
-      return 2;
     }
 
     const Graph g = load_edge_list(path);

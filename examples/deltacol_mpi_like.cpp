@@ -28,7 +28,6 @@
 // differ per rank.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "core/api.h"
+#include "flag_parse.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
@@ -59,7 +59,6 @@ void usage(std::ostream& out) {
          "         [--endpoints host:port,...] [--port-base P]\n"
          "         [--alg all|small|large|det|ps|naive] [--seed S]\n"
          "         [--congest-bits B] [--partition contiguous|cluster]\n"
-         "         [--mode deterministic|fast]\n"
          "         [--exchange replicated|owner] [--out FILE]\n"
          "  tcp     one process per rank; rank/world/endpoints from flags or\n"
          "          DELTACOL_RANK/DELTACOL_WORLD/DELTACOL_ENDPOINTS env\n"
@@ -70,11 +69,6 @@ void usage(std::ostream& out) {
          "          all canonical lines except the slice/cross-edge stats are\n"
          "          identical for either choice; cluster cuts the cross-rank\n"
          "          payload reported on the \"# rank=\" lines\n"
-         "  --mode deterministic|fast\n"
-         "          execution mode. CAUTION under tcp: the pipeline runs\n"
-         "          replicated per rank, so fast mode keeps the cross-rank\n"
-         "          output diff clean only with the (default) single thread\n"
-         "          per rank, where fast coincides with deterministic\n"
          "  --exchange replicated|owner\n"
          "          how the Luby message-passing step moves envelopes\n"
          "          between ranks (runtime/execution_mode.h). replicated\n"
@@ -82,7 +76,9 @@ void usage(std::ostream& out) {
          "          cross-shard slots point-to-point and merges rank-locally\n"
          "          over owned state. Canonical output is bit-identical\n"
          "          either way (DESIGN.md section 6, owner-compute); only the\n"
-         "          \"# rank=\" wire counters change\n";
+         "          \"# rank=\" wire counters change\n"
+         "Numeric flags take base-10 integers; a malformed or out-of-range\n"
+         "value exits 2 with a message naming the flag.\n";
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t len) {
@@ -120,59 +116,62 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::int64_t congest_bits = 0;
   PartitionStrategy strategy = PartitionStrategy::kContiguous;
-  ExecutionMode mode = ExecutionMode::kDeterministic;
   ExchangePolicy exchange = ExchangePolicy::kReplicated;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      DC_REQUIRE(i + 1 < argc, std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (a == "--gen") {
-      gen_name = next("--gen");
-    } else if (a == "--load") {
-      load_path = next("--load");
-    } else if (a == "--transport") {
-      transport_kind = next("--transport");
-    } else if (a == "--rank") {
-      rank = std::stoi(next("--rank"));
-    } else if (a == "--world") {
-      world = std::stoi(next("--world"));
-    } else if (a == "--endpoints") {
-      endpoints_spec = next("--endpoints");
-    } else if (a == "--port-base") {
-      port_base = std::stoi(next("--port-base"));
-    } else if (a == "--alg") {
-      alg_spec = next("--alg");
-    } else if (a == "--seed") {
-      seed = std::strtoull(next("--seed").c_str(), nullptr, 10);
-    } else if (a == "--congest-bits") {
-      congest_bits = std::strtoll(next("--congest-bits").c_str(), nullptr, 10);
-    } else if (a == "--partition") {
-      DC_REQUIRE(parse_partition_strategy(next("--partition"), &strategy),
-                 "--partition must be contiguous or cluster");
-    } else if (a == "--mode") {
-      DC_REQUIRE(parse_execution_mode(next("--mode").c_str(), &mode),
-                 "--mode must be deterministic or fast");
-    } else if (a == "--exchange") {
-      DC_REQUIRE(parse_exchange_policy(next("--exchange").c_str(), &exchange),
-                 "--exchange must be replicated or owner");
-    } else if (a == "--out") {
-      out_path = next("--out");
-    } else {
-      usage(std::cerr);
-      return 2;
+  try {
+    using flag_parse::integer;
+    using flag_parse::UsageError;
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      const auto value = [&] { return flag_parse::next_value(argc, argv, i); };
+      if (a == "--help" || a == "-h") {
+        usage(std::cout);
+        return 0;
+      } else if (a == "--gen") {
+        gen_name = value();
+      } else if (a == "--load") {
+        load_path = value();
+      } else if (a == "--transport") {
+        transport_kind = value();
+        if (transport_kind != "tcp" && transport_kind != "inproc") {
+          throw UsageError("--transport must be tcp or inproc");
+        }
+      } else if (a == "--rank") {
+        rank = integer(a, value(), 0, 65535);
+      } else if (a == "--world") {
+        world = integer(a, value(), 1, 65535);
+      } else if (a == "--endpoints") {
+        endpoints_spec = value();
+      } else if (a == "--port-base") {
+        port_base = integer(a, value(), 1, 65535);
+      } else if (a == "--alg") {
+        alg_spec = value();
+      } else if (a == "--seed") {
+        seed = integer<std::uint64_t>(a, value(), 0, UINT64_MAX);
+      } else if (a == "--congest-bits") {
+        congest_bits = integer<std::int64_t>(a, value(), 0, INT64_MAX);
+      } else if (a == "--partition") {
+        if (!parse_partition_strategy(value(), &strategy)) {
+          throw UsageError("--partition must be contiguous or cluster");
+        }
+      } else if (a == "--exchange") {
+        if (!parse_exchange_policy(value().c_str(), &exchange)) {
+          throw UsageError("--exchange must be replicated or owner");
+        }
+      } else if (a == "--out") {
+        out_path = value();
+      } else {
+        throw UsageError("unknown flag " + a);
+      }
     }
+    if (gen_name.empty() == load_path.empty()) {
+      throw UsageError("give exactly one of --gen or --load");
+    }
+  } catch (const flag_parse::UsageError& e) {
+    std::cerr << "deltacol_mpi_like: " << e.what() << " (see --help)\n";
+    return 2;
   }
 
   try {
-    DC_REQUIRE(gen_name.empty() != load_path.empty(),
-               "give exactly one of --gen or --load");
-    DC_REQUIRE(transport_kind == "tcp" || transport_kind == "inproc",
-               "--transport must be tcp or inproc");
     const bool tcp = transport_kind == "tcp";
 
     // Resolve the cluster shape.
@@ -333,7 +332,6 @@ int main(int argc, char** argv) {
       opt.num_shards = S;
       opt.congest_bits = congest_bits;
       opt.partition = strategy;
-      opt.mode = mode;
       opt.exchange = exchange;  // placement-only here; carried for parity
       const DeltaColoringResult res = delta_color(g, alg, opt);
       validate_delta_coloring(g, res.coloring, res.delta);

@@ -1,7 +1,6 @@
 #include "brooks/distributed_brooks.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "coloring/brooks_seq.h"
@@ -291,7 +290,7 @@ void assert_disjoint_brooks_balls(const Graph& g, const std::vector<int>& bases,
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
     int max_radius, ThreadPool* pool, int num_shards,
-    const VertexPartition* part, ExecutionMode mode) {
+    const VertexPartition* part) {
   const int k = static_cast<int>(bases.size());
   ScheduledBrooksFixes out;
   out.results.resize(static_cast<std::size_t>(k));
@@ -317,23 +316,7 @@ ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
                      max_radius, &scratch, /*defer_emergency=*/true);
     }
   };
-  if (mode == ExecutionMode::kFast && pool != nullptr &&
-      pool->num_threads() > 1) {
-    // Fast mode (see header): executors claim fixes first-come; each chunk
-    // still owns one scratch. The fixes commute, so the claim order is not
-    // observable.
-    std::atomic<int> next{0};
-    pool->parallel_chunks(std::min(pool->num_threads(), k), [&](int) {
-      BfsScratch scratch;
-      for (;;) {
-        const int i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= k) break;
-        out.results[static_cast<std::size_t>(i)] =
-            brooks_fix(g, c, bases[static_cast<std::size_t>(i)], delta,
-                       max_radius, &scratch, /*defer_emergency=*/true);
-      }
-    });
-  } else if (num_shards > 1) {
+  if (num_shards > 1) {
     const VertexPartition owner_map =
         part != nullptr && part->num_shards() == num_shards &&
                 part->num_vertices() == g.num_vertices()

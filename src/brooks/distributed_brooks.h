@@ -21,7 +21,6 @@
 #include "coloring/coloring.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
-#include "runtime/execution_mode.h"
 
 namespace deltacol {
 
@@ -98,18 +97,10 @@ struct ScheduledBrooksFixes {
 // Results are bit-identical for every (threads, shards, partition)
 // combination: the parallel-pass fixes commute (disjoint read/write sets)
 // and the serial pass is index-ordered.
-//
-// `mode` (runtime/execution_mode.h) kFast drops the shard grouping AND the
-// static contiguous ranges of pass 1: executors claim fixes first-come
-// through an atomic cursor (walk costs vary wildly, so static ranges leave
-// executors idle behind a heavy chunk). Valid because the fixes commute —
-// the claim order is not observable in the coloring; pass 2 stays serial
-// and index-ordered either way.
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
     int max_radius, ThreadPool* pool, int num_shards = 1,
-    const VertexPartition* part = nullptr,
-    ExecutionMode mode = ExecutionMode::kDeterministic);
+    const VertexPartition* part = nullptr);
 
 // The paper's bound 2 log_{Delta-1} n, rounded up, plus slack for the DCC
 // diameter; a safe default max_radius for brooks_fix.

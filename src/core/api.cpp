@@ -93,7 +93,7 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   for (auto& cl : comp_ledgers) cl.set_congest_bits(opt.congest_bits);
   std::vector<PhaseStats> comp_stats(comps.size());
 
-  const ComponentScheduler scheduler(pool, opt.mode);
+  const ComponentScheduler scheduler(pool);
   const auto component_job = [&](int ci) {
     const auto& comp_vertices = comps[static_cast<std::size_t>(ci)];
     const auto sub = induced_subgraph(g, comp_vertices);
@@ -221,9 +221,8 @@ DeltaColoringResult delta_color(const Graph& g, Algorithm alg,
   // One pool for the whole call (retries included); num_threads <= 1 spawns
   // no workers and the runtime takes its inline serial paths throughout.
   ThreadPool pool(ThreadPool::resolve_num_threads(opt.num_threads));
-  // Chaos-testing schedule perturbation (api.h): chunk-count jitter + stall
-  // injection, a pure function of (salt, shape) — deterministic-mode results
-  // are unchanged; fast-mode runs see hostile interleavings.
+  // Schedule perturbation (api.h): chunk-count jitter + stall injection, a
+  // pure function of (salt, shape) — results are unchanged for every salt.
   pool.set_perturb_salt(opt.perturb_salt);
   ThreadPool* pool_ptr = pool.num_threads() > 1 ? &pool : nullptr;
   std::uint64_t seed = opt.seed;

@@ -123,21 +123,6 @@ struct DeltaColoringOptions {
   /// tests/test_congest.cpp).
   std::int64_t congest_bits = 0;
 
-  /// Execution mode of the parallel runtime (runtime/execution_mode.h).
-  /// kDeterministic (default): colorings, ledgers and stats are bit-for-bit
-  /// identical for every (threads, shards, partition) shape — the reference
-  /// oracle, pinned byte-for-byte by tests/test_golden_determinism.cpp.
-  /// kFast: the runtime drops replay/merge ordering wherever the algorithms
-  /// only need *a* valid outcome — atomics-based frontier claiming,
-  /// merge-on-arrival inboxes without the stable sender sort, first-come
-  /// work claiming in the packing engine and component fan-outs, fused
-  /// merge+receive barriers. Only VALIDITY is then guaranteed: a proper
-  /// Delta-coloring, the same color-count bound, rounds within the
-  /// deterministic mode's bound, CONGEST charges from the same order-free
-  /// max fold (enforced by tests/test_fast_mode.cpp under schedule
-  /// perturbation). CLI: --mode fast.
-  ExecutionMode mode = ExecutionMode::kDeterministic;
-
   /// How a distributed run moves each round's envelopes between ranks
   /// (runtime/execution_mode.h): kReplicated (default) all-gathers full
   /// mailbox rows and replays every shard's merge on every rank;
@@ -151,14 +136,13 @@ struct DeltaColoringOptions {
   /// steps run on (examples/deltacol_mpi_like.cpp). CLI: --exchange owner.
   ExchangePolicy exchange = ExchangePolicy::kReplicated;
 
-  /// Schedule-perturbation salt, a chaos-testing knob (0 = off, the
-  /// default). A nonzero salt makes the run's ThreadPool jitter its range
-  /// chunk counts and inject sub-millisecond stalls ahead of chunk bodies —
-  /// pseudo-randomly from the salt, but as a pure function of (salt, shape),
-  /// so deterministic-mode results remain bit-identical (the chunk contract
-  /// says boundaries are never observable) while fast-mode runs see hostile
-  /// interleavings. Wall-clock only in deterministic mode; the fast-mode
-  /// cross-validation harness sweeps salts to hunt schedule-dependent bugs.
+  /// Schedule-perturbation salt (0 = off, the default). A nonzero salt makes
+  /// the run's ThreadPool jitter its range chunk counts and inject
+  /// sub-millisecond stalls ahead of chunk bodies — pseudo-randomly from the
+  /// salt, but as a pure function of (salt, shape). Colorings, ledgers and
+  /// stats are bit-for-bit identical for every salt, because chunk
+  /// boundaries and timing are never observable; the determinism suites
+  /// sweep salts to prove exactly that. Wall-clock only.
   std::uint64_t perturb_salt = 0;
 };
 

@@ -72,12 +72,12 @@ void run_baseline_nd(ComponentContext& ctx, Coloring& c) {
   for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
   const std::vector<int> base =
       ruling_set(g, all, R, RulingSetEngine::kDeterministic, nullptr,
-                 ctx.ledger, "ps/ruling-set", ctx.pool, ctx.opt.mode);
+                 ctx.ledger, "ps/ruling-set", ctx.pool);
   ctx.stats.base_layer_size += static_cast<int>(base.size());
 
   const int z =
       (R - 1) * ruling_set_cover_radius(n, RulingSetEngine::kDeterministic);
-  const Layering layering = build_layers(g, base, z, ctx.pool, ctx.opt.mode);
+  const Layering layering = build_layers(g, base, z, ctx.pool);
   ctx.ledger.charge(layering.num_layers, "ps/layering");
   ctx.stats.num_b_layers += layering.num_layers;
   for (int v = 0; v < n; ++v) {
@@ -94,8 +94,7 @@ void run_baseline_nd(ComponentContext& ctx, Coloring& c) {
   // ruling set, R = 2*rho + 2): fan them out over the pool with the
   // emergency path deferred to a serial index-ordered pass.
   const auto fixes = schedule_disjoint_brooks_fixes(
-      g, c, base, delta, rho, ctx.pool, ctx.num_shards, &ctx.part,
-      ctx.opt.mode);
+      g, c, base, delta, rho, ctx.pool, ctx.num_shards, &ctx.part);
   ctx.stats.brooks_fixes += fixes.num_executed;
   for (const auto& fix : fixes.results) {
     if (fix.used_component_recolor) {
@@ -141,16 +140,14 @@ void run_baseline_greedy_brooks(ComponentContext& ctx, Coloring& c) {
     if (overflow.empty()) break;
     const std::vector<int> batch =
         ruling_set(g, overflow, 2 * rho + 2, RulingSetEngine::kRandomized,
-                   &ctx.rng, ctx.ledger, "naive/schedule", ctx.pool,
-                   ctx.opt.mode);
+                   &ctx.rng, ctx.ledger, "naive/schedule", ctx.pool);
     DC_ENSURE(!batch.empty(), "scheduling MIS returned empty batch");
     // The batch is a distance-(2*rho+2) ruling set, so its fixes have
     // disjoint balls and run concurrently; an emergency recolor (serial
     // pass) may side-color later batch members, which are then skipped
     // (`executed` = 0) exactly as the old serial loop skipped them.
     const auto fixes = schedule_disjoint_brooks_fixes(
-        g, c, batch, delta, rho, ctx.pool, ctx.num_shards, &ctx.part,
-        ctx.opt.mode);
+        g, c, batch, delta, rho, ctx.pool, ctx.num_shards, &ctx.part);
     ctx.stats.brooks_fixes += fixes.num_executed;
     ctx.ledger.charge(2 * rho + 1, "naive/brooks-fixes");
   }

@@ -31,14 +31,14 @@ void run_deterministic(ComponentContext& ctx, Coloring& c) {
   for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
   const std::vector<int> base =
       ruling_set(g, all, R, RulingSetEngine::kDeterministic, nullptr,
-                 ctx.ledger, "det/ruling-set", ctx.pool, ctx.opt.mode);
+                 ctx.ledger, "det/ruling-set", ctx.pool);
   DC_ENSURE(!base.empty(), "ruling set of a non-empty graph is empty");
   ctx.stats.base_layer_size += static_cast<int>(base.size());
 
   // Covering radius of the deterministic engine, in G hops.
   const int z =
       (R - 1) * ruling_set_cover_radius(n, RulingSetEngine::kDeterministic);
-  const Layering layering = build_layers(g, base, z, ctx.pool, ctx.opt.mode);
+  const Layering layering = build_layers(g, base, z, ctx.pool);
   ctx.ledger.charge(layering.num_layers, "det/layering");
   for (int v = 0; v < n; ++v) {
     DC_ENSURE(layering.layer[static_cast<std::size_t>(v)] != kNoLayer,
@@ -63,8 +63,7 @@ void run_deterministic(ComponentContext& ctx, Coloring& c) {
               "base vertex was colored by a layer instance");
   }
   const auto fixes = schedule_disjoint_brooks_fixes(
-      g, c, base, delta, rho, ctx.pool, ctx.num_shards, &ctx.part,
-      ctx.opt.mode);
+      g, c, base, delta, rho, ctx.pool, ctx.num_shards, &ctx.part);
   ctx.stats.brooks_fixes += fixes.num_executed;
   for (const auto& fix : fixes.results) {
     if (fix.used_component_recolor) {

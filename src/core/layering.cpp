@@ -33,12 +33,12 @@ Layering layering_from_scratch(const BfsScratch& scratch, int n) {
 }  // namespace
 
 Layering build_layers(const Graph& g, const std::vector<int>& base,
-                      int max_depth, ThreadPool* pool, ExecutionMode mode) {
+                      int max_depth, ThreadPool* pool) {
   for (int s : base) {
     DC_REQUIRE(0 <= s && s < g.num_vertices(), "base vertex out of range");
   }
   BfsScratch scratch;
-  FrontierBfs engine(pool, mode);
+  FrontierBfs engine(pool);
   engine.run_multi(g, scratch, base, max_depth);
   return layering_from_scratch(scratch, g.num_vertices());
 }
@@ -46,7 +46,7 @@ Layering build_layers(const Graph& g, const std::vector<int>& base,
 Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                                  int max_depth,
                                  const std::vector<bool>& allowed,
-                                 ThreadPool* pool, ExecutionMode mode) {
+                                 ThreadPool* pool) {
   DC_REQUIRE(allowed.size() == static_cast<std::size_t>(g.num_vertices()),
              "allowed mask size mismatch");
   for (int s : base) {
@@ -55,7 +55,7 @@ Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                "base vertex excluded by the restriction mask");
   }
   BfsScratch scratch;
-  FrontierBfs engine(pool, mode);
+  FrontierBfs engine(pool);
   engine.run_multi_filtered(g, scratch, base, max_depth, [&](int v) {
     return allowed[static_cast<std::size_t>(v)];
   });

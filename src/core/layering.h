@@ -16,7 +16,6 @@
 #include "coloring/coloring.h"
 #include "graph/graph.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -40,19 +39,13 @@ struct Layering {
 // Phase (5), which grow through uncolored vertices of H only). The BFS runs
 // level-synchronously on the frontier engine; with a pool attached, each
 // level's frontier splits into indexed chunks (graph/frontier_bfs.h), and
-// the layering is bit-identical for every thread count. `mode` kFast swaps
-// the engine's two-phase chunk replay for atomics-based frontier claiming —
-// distances (hence layer assignment) stay exact because the BFS is
-// level-synchronous, and members are sorted per layer here, so the layering
-// is identical; only the claim schedule relaxes.
+// the layering is bit-identical for every thread count.
 Layering build_layers(const Graph& g, const std::vector<int>& base,
-                      int max_depth, ThreadPool* pool = nullptr,
-                      ExecutionMode mode = ExecutionMode::kDeterministic);
+                      int max_depth, ThreadPool* pool = nullptr);
 Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                                  int max_depth,
                                  const std::vector<bool>& allowed,
-                                 ThreadPool* pool = nullptr,
-                                 ExecutionMode mode = ExecutionMode::kDeterministic);
+                                 ThreadPool* pool = nullptr);
 
 // Which engine completes each layer's (deg+1)-list instance.
 enum class ListEngine { kDeterministic, kRandomized };

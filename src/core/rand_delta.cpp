@@ -156,8 +156,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
     const int per_step = 2 * det.max_dcc_radius + 1;
     const std::vector<bool> in_m = luby_mis(gdcc, ctx.rng, ctx.ledger,
                                             "rand/2-gdcc-ruling", per_step,
-                                            ctx.pool, ctx.num_shards,
-                                            ctx.opt.mode);
+                                            ctx.pool, ctx.num_shards);
     dcc_in_m.assign(det.dccs.size(), 0);
     for (std::size_t i = 0; i < det.dccs.size(); ++i) {
       if (in_m[i]) {
@@ -173,7 +172,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering b_layers;
   std::vector<bool> in_h(static_cast<std::size_t>(n), true);
   if (!base.empty()) {
-    b_layers = build_layers(g, base, s, ctx.pool, ctx.opt.mode);
+    b_layers = build_layers(g, base, s, ctx.pool);
     ctx.ledger.charge(s, "rand/3-b-layers");
     for (int v = 0; v < n; ++v) {
       if (b_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
@@ -207,7 +206,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   // Boundary of H: degree < delta within H. A pure v-private sweep, placed
   // shard-major when sharding is on.
   std::vector<int> deg_h(static_cast<std::size_t>(n), 0);
-  sharded_for(ctx.pool, ctx.part, ctx.opt.mode, [&](int v) {
+  sharded_for(ctx.pool, ctx.part, [&](int v) {
     if (!in_h[static_cast<std::size_t>(v)]) return;
     for (int u : g.neighbors(v)) {
       if (in_h[static_cast<std::size_t>(u)]) {
@@ -226,7 +225,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   // themselves (distances measured in H): a frontier BFS restricted to H.
   if (!boundary.empty()) {
     BfsScratch scratch;
-    FrontierBfs engine(ctx.pool, ctx.opt.mode);
+    FrontierBfs engine(ctx.pool);
     engine.run_multi_filtered(g, scratch, boundary, r, [&](int w) {
       return in_h[static_cast<std::size_t>(w)];
     });
@@ -267,7 +266,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   std::vector<bool> in_c(static_cast<std::size_t>(n), false);
   if (!anchors.empty()) {
     c_layers = build_layers_restricted(g, anchors, 2 * r, uncolored_h,
-                                       ctx.pool, ctx.opt.mode);
+                                       ctx.pool);
     for (int v = 0; v < n; ++v) {
       if (c_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
         in_c[static_cast<std::size_t>(v)] = true;
@@ -315,7 +314,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
     }
     std::vector<PhaseStats> comp_stats(static_cast<std::size_t>(num_comps));
     std::vector<char> needs_repair(static_cast<std::size_t>(num_comps), 0);
-    const ComponentScheduler scheduler(ctx.pool, ctx.opt.mode);
+    const ComponentScheduler scheduler(ctx.pool);
     const auto leftover_job = [&](int i, RoundLedger& child) {
       ComponentContext child_ctx{
           ctx.g,

@@ -153,8 +153,7 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
   const int per_step = 2 * std::max(1, det.max_dcc_radius) + 1;
   const std::vector<bool> in_m = luby_mis(cdcc.graph, ctx.rng, ctx.ledger,
                                           "small/cdcc-ruling", per_step,
-                                          ctx.pool, /*num_shards=*/1,
-                                          ctx.opt.mode);
+                                          ctx.pool);
 
   std::vector<int> anchors;  // component-local ids, deduplicated
   std::vector<char> anchor_object(cdcc.vertex_sets.size(), 0);
@@ -176,8 +175,7 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
   // D-layers by distance to the anchors; a connected component is always
   // exhausted (Lemma 26 bounds the layer count, which we record implicitly
   // through the charges below).
-  const Layering d_layers =
-      build_layers(comp, anchors, -1, ctx.pool, ctx.opt.mode);
+  const Layering d_layers = build_layers(comp, anchors, -1, ctx.pool);
   ctx.ledger.charge(d_layers.num_layers, "small/d-layers");
   for (int v = 0; v < nc; ++v) {
     DC_ENSURE(d_layers.layer[static_cast<std::size_t>(v)] != kNoLayer,

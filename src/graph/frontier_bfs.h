@@ -27,34 +27,15 @@
 /// the hot path); `traversal.h` keeps a `std::function` wrapper for ABI
 /// users. Predicates must be pure functions of the vertex id: the pooled
 /// engine evaluates them concurrently.
-///
-/// **Fast mode** (ExecutionMode::kFast, runtime/execution_mode.h): the
-/// two-phase replay is replaced by single-phase atomics-based claiming —
-/// each chunk claims neighbors directly via a relaxed atomic exchange on the
-/// epoch stamp, the winner writes distance/label, and fragments concatenate
-/// in chunk order only to keep level slices contiguous. One barrier per
-/// level instead of a barrier plus a serial replay. What stays exact: level
-/// MEMBERSHIP and distances (the expansion is still level-synchronous, a
-/// vertex is claimed at the first level that reaches it), so layerings,
-/// ball memberships and eccentricities are unchanged. What is relaxed: the
-/// visit order within a level (claim-race order, run-to-run nondeterministic)
-/// and the labeled tie-break — source_of(v) is the first claimant's seed,
-/// *a* nearest source rather than the smallest-id one. Callers that consume
-/// order-insensitively (layering sorts its members; ball queries read
-/// visited()/dist() only) observe identical results; callers that need the
-/// serial order (graph/renumber.h, congest/gossip.h — cross-rank replicated
-/// structures) stay on the deterministic engine unconditionally.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
-#include "runtime/execution_mode.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 
@@ -96,19 +77,6 @@ class BfsScratch {
   /// eccentricity of the source = num_levels() - 1.
   int num_levels() const {
     return static_cast<int>(level_offsets_.size()) - 1;
-  }
-
-  /// Conflict-ball helper: appends to `out` the value `local_id[v]` of every
-  /// visited vertex v whose entry is >= 0, in visit order. `local_id` is any
-  /// caller-owned dense table over the queried graph's vertices (entries < 0
-  /// mean "not a member"). This is how the ruling-set packing engine
-  /// (mis/packing.h) turns a truncated ball query into a candidate's
-  /// conflict set without materializing a power graph.
-  void members_into(std::span<const int> local_id, std::vector<int>& out) const {
-    for (int v : order()) {
-      const int j = local_id[static_cast<std::size_t>(v)];
-      if (j >= 0) out.push_back(j);
-    }
   }
 
   /// The vertices at distance exactly l, as a slice of order().
@@ -167,18 +135,10 @@ class BfsScratch {
 /// of different sizes and one scratch can move between engines.
 class FrontierBfs {
  public:
-  /// `mode` selects the pooled expansion strategy (see the file comment):
-  /// kDeterministic replays candidates in chunk order (bit-identical visit
-  /// order for every thread count), kFast claims via atomics in one barrier
-  /// (exact levels/distances, relaxed intra-level order and label
-  /// tie-breaks). With no pool (or one thread) both modes run the serial
-  /// reference.
-  explicit FrontierBfs(ThreadPool* pool = nullptr,
-                       ExecutionMode mode = ExecutionMode::kDeterministic)
-      : pool_(pool), mode_(mode) {}
+  /// With no pool (or one thread) every level runs the serial reference.
+  explicit FrontierBfs(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   ThreadPool* pool() const { return pool_; }
-  ExecutionMode mode() const { return mode_; }
 
   /// Single-source BFS up to max_dist (< 0: unbounded).
   void run(const Graph& g, BfsScratch& s, int source, int max_dist = -1) {
@@ -258,11 +218,7 @@ class FrontierBfs {
     while (lo < hi && (max_dist < 0 || level < max_dist)) {
       if (pool_ != nullptr && pool_->num_threads() > 1 &&
           hi - lo >= kMinParallelFrontier) {
-        if (mode_ == ExecutionMode::kFast) {
-          expand_atomic<kLabeled>(g, s, lo, hi, level, allowed);
-        } else {
-          expand_pooled<kLabeled>(g, s, lo, hi, level, allowed);
-        }
+        expand_pooled<kLabeled>(g, s, lo, hi, level, allowed);
       } else {
         expand_serial<kLabeled>(g, s, lo, hi, level, allowed);
       }
@@ -339,60 +295,7 @@ class FrontierBfs {
     }
   }
 
-  // Fast-mode expansion: one barrier, atomics-based first-claim. Each chunk
-  // claims neighbors directly with a relaxed exchange on the epoch stamp —
-  // the winner (the exchange that did NOT read the live epoch) owns the
-  // vertex and writes its distance/label (plain stores: single writer, and
-  // no other thread reads a freshly claimed vertex's payload this level —
-  // fast mode drops the labeled same-level relaxation, so source_of is the
-  // first claimant's seed). Fragments then concatenate serially in chunk
-  // order, purely to keep level slices contiguous in order_; the
-  // concatenation order is NOT the serial visit order. Every stamp access
-  // in this phase goes through std::atomic_ref, keeping the race on claims
-  // a synchronized one (TSan-clean by construction). Level membership and
-  // distances are exact — a vertex is claimable only while unvisited, and
-  // the expansion stays level-synchronous — which is all order-insensitive
-  // callers consume.
-  template <bool kLabeled, typename Allowed>
-  void expand_atomic(const Graph& g, BfsScratch& s, int lo, int hi, int level,
-                     Allowed&& allowed) {
-    const int num_chunks = pool_->num_range_chunks(hi - lo);
-    if (static_cast<int>(s.fragments_.size()) < num_chunks) {
-      s.fragments_.resize(static_cast<std::size_t>(num_chunks));
-    }
-    const std::uint32_t epoch = s.epoch_;
-    pool_->parallel_ranges(lo, hi, [&](int chunk, int clo, int chi) {
-      auto& frag = s.fragments_[static_cast<std::size_t>(chunk)];
-      frag.clear();
-      for (int idx = clo; idx < chi; ++idx) {
-        const int u = s.order_[static_cast<std::size_t>(idx)];
-        const int label =
-            kLabeled ? s.source_[static_cast<std::size_t>(u)] : -1;
-        for (int w : g.neighbors(u)) {
-          std::atomic_ref<std::uint32_t> stamp(
-              s.stamp_[static_cast<std::size_t>(w)]);
-          if (stamp.load(std::memory_order_relaxed) == epoch) continue;
-          if (!allowed(w)) continue;
-          if (stamp.exchange(epoch, std::memory_order_relaxed) == epoch) {
-            continue;  // another chunk claimed w first
-          }
-          s.dist_[static_cast<std::size_t>(w)] = level + 1;
-          s.source_[static_cast<std::size_t>(w)] = label;
-          frag.emplace_back(w, label);
-        }
-      }
-    });
-    for (int chunk = 0; chunk < num_chunks; ++chunk) {
-      for (const auto& [w, label] :
-           s.fragments_[static_cast<std::size_t>(chunk)]) {
-        (void)label;
-        s.order_.push_back(w);
-      }
-    }
-  }
-
   ThreadPool* pool_ = nullptr;
-  ExecutionMode mode_ = ExecutionMode::kDeterministic;
 };
 
 /// Bridges from scratch views back to the classic dense-vector API: the

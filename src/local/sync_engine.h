@@ -33,7 +33,6 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "runtime/mailbox.h"
 #include "runtime/message_size.h"
 #include "util/check.h"
@@ -54,16 +53,10 @@ class SyncEngine {
   using Inbox = std::vector<std::pair<int, Msg>>;
   using RecvFn = std::function<void(int, State&, const Inbox&)>;
 
-  // `mode` (runtime/execution_mode.h): kFast skips the per-inbox sender
-  // sort. The serial staging slot already fills in ascending sender order,
-  // so the sort is a no-op here — results are identical either way; fast
-  // mode just drops the wasted pass.
-  SyncEngine(const Graph& g, RoundLedger& ledger, std::string phase,
-             ExecutionMode mode = ExecutionMode::kDeterministic)
+  SyncEngine(const Graph& g, RoundLedger& ledger, std::string phase)
       : graph_(g),
         ledger_(ledger),
         phase_(std::move(phase)),
-        mode_(mode),
         partition_(VertexPartition::contiguous(g.num_vertices(), 1)),
         view_(g, partition_, 0),
         mailbox_(&partition_),
@@ -97,13 +90,11 @@ class SyncEngine {
     // Stable, matching ParallelSyncEngine::sort_inbox: ties (one sender,
     // several messages to one destination) keep emission order on every
     // execution path, so the parallel/sharded/renumbered merges reproduce
-    // this exact sequence (DESIGN.md §6). Fast mode skips it (see ctor).
-    if (mode_ == ExecutionMode::kDeterministic) {
-      for (auto& inbox : inboxes) {
-        std::stable_sort(
-            inbox.begin(), inbox.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-      }
+    // this exact sequence (DESIGN.md §6).
+    for (auto& inbox : inboxes) {
+      std::stable_sort(
+          inbox.begin(), inbox.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
     }
     // CONGEST accounting (round_ledger.h): the heaviest directed edge sets
     // the round's cost. Pure reads of the merged inboxes — computed only in
@@ -126,7 +117,6 @@ class SyncEngine {
   const Graph& graph_;
   RoundLedger& ledger_;
   std::string phase_;
-  ExecutionMode mode_ = ExecutionMode::kDeterministic;
   VertexPartition partition_;
   GraphView view_;
   Mailbox<Msg> mailbox_;

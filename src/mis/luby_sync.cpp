@@ -56,11 +56,10 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
                                            RoundLedger& ledger,
                                            std::string_view phase,
                                            ThreadPool* pool,
-                                           ShardRuntime* shards,
-                                           ExecutionMode mode) {
+                                           ShardRuntime* shards) {
   const int n = g.num_vertices();
   ParallelSyncEngine<NodeState, Msg> engine(g, ledger, std::string(phase),
-                                            pool, shards, mode);
+                                            pool, shards);
   const VertexPartition part = shards != nullptr
                                    ? shards->partition()
                                    : VertexPartition::contiguous(n, 1);
@@ -92,7 +91,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
                  [&](int i) { body(view.owned_vertex(i)); });
       return;
     }
-    sharded_for(pool, part, mode, body);
+    sharded_for(pool, part, body);
   };
 
   int remaining = n;

@@ -16,7 +16,6 @@
 
 #include "graph/graph.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -36,14 +35,9 @@ inline constexpr std::int64_t kLubyMessageBits = 65;
 // `shards` (built over g) additionally routes every round through the
 // partitioned mailbox/transport layer and records per-round message volume
 // on it — still bit-identical for every (shards, threads) combination
-// (tests/test_mailbox.cpp pins this). `mode` kFast runs the engine's
-// merge-on-arrival rounds (no stable sender sort, fused barriers) — safe
-// here because both receive callbacks are order-free folds over the inbox
-// (a min over priorities, an any-join flag); the result is still a valid
-// MIS with the same round charges (tests/test_fast_mode.cpp pins this).
+// (tests/test_mailbox.cpp pins this).
 std::vector<bool> luby_mis_message_passing(
     const Graph& g, Rng& rng, RoundLedger& ledger, std::string_view phase,
-    ThreadPool* pool = nullptr, ShardRuntime* shards = nullptr,
-    ExecutionMode mode = ExecutionMode::kDeterministic);
+    ThreadPool* pool = nullptr, ShardRuntime* shards = nullptr);
 
 }  // namespace deltacol

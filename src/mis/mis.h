@@ -13,7 +13,6 @@
 #include "coloring/coloring.h"
 #include "graph/graph.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -25,14 +24,10 @@ class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
 // `rounds_per_step` lets callers running on a simulated power graph charge
 // k rounds of the base graph per MIS round. `num_shards` > 1 runs the
 // per-node scans shard-major (graph/partition.h); like `pool`, it never
-// changes results. `mode` kFast swaps the shard-major local-minima scan for
-// a dynamically chunked sweep (runtime/mailbox.h sharded_for) — the scan
-// reads frozen priorities and writes v-private flags, so the sweep grouping
-// is not observable; priorities themselves stay a serial id-order stream.
+// changes results.
 std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
                            std::string_view phase, int rounds_per_step = 1,
-                           ThreadPool* pool = nullptr, int num_shards = 1,
-                           ExecutionMode mode = ExecutionMode::kDeterministic);
+                           ThreadPool* pool = nullptr, int num_shards = 1);
 
 // Deterministic MIS by sweeping the classes of a proper schedule coloring:
 // class-c vertices join if no neighbor joined earlier. num_schedule_colors

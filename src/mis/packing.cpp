@@ -1,164 +1,25 @@
 #include "mis/packing.h"
 
 #include <algorithm>
-#include <atomic>
 
-#include "graph/frontier_bfs.h"
-#include "runtime/thread_pool.h"
 #include "util/check.h"
 
 namespace deltacol {
 
-namespace {
-
-enum : char { kAlive = 0, kPicked = 1, kDominated = 2 };
-
-// Candidates resolved per round: large enough to amortize the round's
-// fork-join barrier over many ball queries and keep every worker busy, yet
-// bounded so the intra-batch waste stays small (balls of candidates
-// dominated by a pick of the same round — a pick can only prune candidates
-// whose balls are not yet queued; when candidate ids are scattered over the
-// graph, a dominating pick almost never shares a batch with its victims).
-// The batch size is never observable in the result, only in wall-clock.
-int batch_capacity(int executors) { return std::max(256, 32 * executors); }
-
-}  // namespace
-
 std::vector<int> greedy_alpha_packing(const Graph& g,
                                       const std::vector<int>& subset,
-                                      int alpha, ThreadPool* pool,
-                                      ExecutionMode mode) {
-  // Without workers the round structure degenerates to one ball per pick —
-  // the reference's exact work pattern with extra bookkeeping — so the
-  // serial engine IS the reference (bit-identical by the equivalence
-  // argument in the header, so the routing is unobservable; the reference
-  // validates the same preconditions, keeping error behaviour identical
-  // too).
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return greedy_alpha_packing_reference(g, subset, alpha);
-  }
+                                      int alpha) {
   DC_REQUIRE(alpha >= 1, "alpha must be >= 1");
   for (int s : subset) {
     DC_REQUIRE(0 <= s && s < g.num_vertices(), "subset vertex out of range");
   }
   std::vector<int> sorted = subset;
   std::sort(sorted.begin(), sorted.end());
-  // Deduplicate before anything else: a repeat occurrence is at distance 0
-  // from its first pick, so it can never be a second pick (for alpha == 1,
-  // duplicates would otherwise violate the pairwise-distance contract), and
-  // the dense index below needs one slot per vertex.
+  // A repeat occurrence is at distance 0 from its first pick, so it can
+  // never be a second pick (for alpha == 1, duplicates would otherwise
+  // violate the pairwise-distance contract).
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   if (alpha == 1) return sorted;  // distance >= 1: every distinct member
-  const int k = static_cast<int>(sorted.size());
-  const int radius = alpha - 1;
-
-  std::vector<int> cand_id(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (int i = 0; i < k; ++i) {
-    cand_id[static_cast<std::size_t>(sorted[static_cast<std::size_t>(i)])] = i;
-  }
-
-  std::vector<char> status(static_cast<std::size_t>(k), kAlive);
-  std::vector<int> out;
-  const int executors = pool->num_threads();
-  const int cap = batch_capacity(executors);
-  // Chunk cap = one per executor: each chunk holds O(n) BFS scratch. The
-  // scratches persist across rounds (chunk indices are stable), so the O(n)
-  // visitation state is paid once per executor, not once per round — the
-  // epoch stamp then prices every ball query at O(ball).
-  const int max_chunks = executors;
-  std::vector<BfsScratch> scratches(static_cast<std::size_t>(max_chunks));
-  std::vector<int> batch;
-  batch.reserve(static_cast<std::size_t>(cap));
-  std::vector<std::vector<int>> conflict(static_cast<std::size_t>(cap));
-
-  int cursor = 0;  // candidates below it are picked or dominated forever
-  while (cursor < k) {
-    // Next batch: the alive id-prefix, at most `cap` members.
-    batch.clear();
-    while (cursor < k && static_cast<int>(batch.size()) < cap) {
-      if (status[static_cast<std::size_t>(cursor)] == kAlive) {
-        batch.push_back(cursor);
-      }
-      ++cursor;
-    }
-    if (batch.empty()) break;
-
-    // (a) Conflict sets on the pool: subset members within alpha-1 of each
-    // batch candidate, one truncated r-ball per candidate. Dispatched as
-    // explicit chunks rather than parallel_ranges: the per-item body is a
-    // whole BFS, so the pool's small-range inline cutoff (tuned for cheap
-    // per-item loops) must not serialize these batches.
-    const int batch_size = static_cast<int>(batch.size());
-    const int num_chunks = std::min(max_chunks, batch_size);
-    std::atomic<int> next{0};  // fast mode's first-come claim cursor
-    pool->parallel_chunks(num_chunks, [&](int chunk) {
-      BfsScratch& scratch = scratches[static_cast<std::size_t>(chunk)];
-      FrontierBfs engine;
-      const auto query_ball = [&](int i) {
-        const int ci = batch[static_cast<std::size_t>(i)];
-        engine.run(g, scratch, sorted[static_cast<std::size_t>(ci)], radius);
-        auto& cf = conflict[static_cast<std::size_t>(i)];
-        cf.clear();
-        scratch.members_into(cand_id, cf);
-      };
-      if (mode == ExecutionMode::kFast) {
-        // First-come claiming (see header): each executor grabs the next
-        // unqueried ball; conflict slots stay candidate-private, so only
-        // the executor-to-ball assignment is relaxed.
-        for (;;) {
-          const int i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch_size) break;
-          query_ball(i);
-        }
-        return;
-      }
-      const int lo = batch_size * chunk / num_chunks;
-      const int hi = batch_size * (chunk + 1) / num_chunks;
-      for (int i = lo; i < hi; ++i) query_ball(i);
-    });
-
-    // (b) Commit pass, ascending id: a candidate joins iff its conflict set
-    // holds no pick — no earlier pick within alpha-1, the serial greedy's
-    // test verbatim. (c) Each pick then prunes its conflict set so later
-    // rounds skip those candidates without a ball query.
-    for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-      const int ci = batch[bi];
-      if (status[static_cast<std::size_t>(ci)] != kAlive) continue;
-      const auto& cf = conflict[bi];
-      bool dominated = false;
-      for (int cj : cf) {
-        if (status[static_cast<std::size_t>(cj)] == kPicked) {
-          dominated = true;
-          break;
-        }
-      }
-      if (dominated) {
-        status[static_cast<std::size_t>(ci)] = kDominated;
-        continue;
-      }
-      status[static_cast<std::size_t>(ci)] = kPicked;
-      out.push_back(sorted[static_cast<std::size_t>(ci)]);
-      for (int cj : cf) {
-        if (status[static_cast<std::size_t>(cj)] == kAlive) {
-          status[static_cast<std::size_t>(cj)] = kDominated;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<int> greedy_alpha_packing_reference(const Graph& g,
-                                                const std::vector<int>& subset,
-                                                int alpha) {
-  DC_REQUIRE(alpha >= 1, "alpha must be >= 1");
-  for (int s : subset) {
-    DC_REQUIRE(0 <= s && s < g.num_vertices(), "subset vertex out of range");
-  }
-  std::vector<int> sorted = subset;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  if (alpha == 1) return sorted;
   std::vector<int> dist_to_chosen(static_cast<std::size_t>(g.num_vertices()),
                                   -1);
   std::vector<int> out;

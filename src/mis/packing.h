@@ -1,81 +1,27 @@
-// Batch-parallel greedy distance-alpha packing — the engine behind the
-// default deterministic ruling-set engine (Lemma 20, mis/ruling_set.h).
+// Greedy distance-alpha packing — the engine behind the default
+// deterministic ruling-set engine (Lemma 20, mis/ruling_set.h).
 //
-// The specification is the classic serial greedy: walk the subset in
-// ascending id order and pick every vertex at distance >= alpha from all
-// earlier picks. That loop looks inherently sequential (each decision
-// depends on every earlier one), but the decisions batch by *distance
-// independence*: whether v is picked depends only on picks inside v's
-// (alpha-1)-ball, so a whole id-prefix of candidates can resolve in one
-// round once each member knows its conflict set — the same
-// commit-an-independent-prefix-per-round discipline that deterministic
-// gossip schedules and pipelined CONGEST algorithms use.
-//
-// Round structure (greedy_alpha_packing):
-//
-//   (a) take the next batch of still-alive candidates in ascending id order
-//       and compute, fanned out over the ThreadPool in indexed chunks (one
-//       pooled BfsScratch per chunk), each candidate's *conflict set*: the
-//       subset members within distance alpha-1 (a truncated FrontierBfs
-//       r-ball mapped through BfsScratch::members_into);
-//   (b) commit, in one cheap serial pass in ascending id order, every batch
-//       candidate that is id-minimal among the not-yet-dominated members of
-//       its conflict set — i.e. whose conflict set contains no pick;
-//   (c) prune: mark every conflict-set member of the round's picks as
-//       dominated, so later rounds never pay a ball query for them.
-//
-// Why (b) is bit-identical to the serial greedy: the commit pass visits
-// candidates in the same ascending id order as the serial loop, and
-// "conflict set contains no pick" is exactly the serial loop's "no earlier
-// pick within distance alpha-1" — picks from earlier rounds and from
-// earlier in the same pass are both visible, because conflict sets are
-// symmetric (u in ball(v, alpha-1) iff v in ball(u, alpha-1)) and index
-// every subset member regardless of status. The expensive part, (a), is
-// embarrassingly parallel; the serial residue (b)+(c) is O(sum of the
-// picks' conflict sizes) flag writes. tests/test_mis_ruling.cpp enforces
-// golden equivalence against greedy_alpha_packing_reference over the
-// generator zoo for thread counts {1, 2, 8}.
-//
-// Without workers (pool null or single-executor) the round structure would
-// degenerate to one ball query per pick — the reference's work pattern with
-// extra bookkeeping — so the engine routes that case to the reference
-// directly: the serial path costs exactly what the seed's greedy cost, and
-// the equivalence makes the routing unobservable (E14 measures both).
+// The classic serial greedy: walk the subset in ascending id order and pick
+// every vertex at distance >= alpha from all earlier picks. One truncated
+// relaxation BFS per pick marks everything within alpha-1 of it, so the
+// work is the sum of the picks' balls. It runs serially: at the det
+// pipeline's alpha = 2*rho+2 one pick's ball often covers the whole
+// component, so computing candidates' balls in parallel would repeat that
+// whole-component ball once per candidate.
 #pragma once
 
 #include <vector>
 
 #include "graph/graph.h"
-#include "runtime/execution_mode.h"
 
 namespace deltacol {
-
-class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
 
 // Greedy distance-alpha packing of `subset` in ascending id order: the
 // returned vertices (ascending, duplicates in `subset` collapsed) are
 // pairwise at distance >= alpha in G, and every skipped subset member is
-// within alpha-1 of an earlier (smaller-id) pick. Batch-parallel on `pool`;
-// the result is bit-identical for every thread count, including
-// pool == nullptr.
-//
-// `mode` (runtime/execution_mode.h): kFast replaces the static per-chunk
-// ball-query ranges of step (a) with first-come atomic-cursor claiming —
-// balls vary wildly in cost, so static ranges leave executors idle behind a
-// heavy chunk. A pure scheduling relaxation: every conflict set is computed
-// into its candidate-private slot either way and the serial commit pass (b)
-// is untouched, so the returned packing is the same — only which executor
-// ran which ball query changes.
-std::vector<int> greedy_alpha_packing(
-    const Graph& g, const std::vector<int>& subset, int alpha,
-    ThreadPool* pool = nullptr,
-    ExecutionMode mode = ExecutionMode::kDeterministic);
-
-// The serial reference: the literal one-candidate-at-a-time greedy with
-// truncated relaxation BFS marking. Kept as the golden oracle for the batch
-// engine's equivalence tests (and as the readable spec of the contract).
-std::vector<int> greedy_alpha_packing_reference(const Graph& g,
-                                                const std::vector<int>& subset,
-                                                int alpha);
+// within alpha-1 of an earlier (smaller-id) pick.
+std::vector<int> greedy_alpha_packing(const Graph& g,
+                                      const std::vector<int>& subset,
+                                      int alpha);
 
 }  // namespace deltacol

@@ -95,7 +95,7 @@ std::vector<bool> aglp_independent_set(const Graph& aux, RoundLedger& ledger,
 std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
                             int alpha, RulingSetEngine engine, Rng* rng,
                             RoundLedger& ledger, std::string_view phase,
-                            ThreadPool* pool, ExecutionMode mode) {
+                            ThreadPool* pool) {
   DC_REQUIRE(alpha >= 1, "alpha must be >= 1");
   for (int s : subset) {
     DC_REQUIRE(0 <= s && s < g.num_vertices(), "subset vertex out of range");
@@ -105,12 +105,10 @@ std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
 
   const int per_step = alpha - 1;
   if (engine == RulingSetEngine::kDeterministic) {
-    // Greedy distance-alpha packing in ID order, resolved by the
-    // batch-parallel engine (mis/packing.h — bit-identical to the serial
-    // greedy for every thread count); covering radius alpha-1 follows
-    // because a skipped vertex was within alpha-1 of an earlier pick.
-    // Charged at the AGLP bitwise price (see header).
-    std::vector<int> out = greedy_alpha_packing(g, subset, alpha, pool, mode);
+    // Greedy distance-alpha packing in ID order (mis/packing.h); covering
+    // radius alpha-1 follows because a skipped vertex was within alpha-1 of
+    // an earlier pick. Charged at the AGLP bitwise price (see header).
+    std::vector<int> out = greedy_alpha_packing(g, subset, alpha);
     const int bits =
         subset.size() <= 1
             ? 1
@@ -124,8 +122,7 @@ std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
   switch (engine) {
     case RulingSetEngine::kRandomized: {
       DC_REQUIRE(rng != nullptr, "randomized engine needs an Rng");
-      in_set = luby_mis(aux, *rng, ledger, phase, per_step, pool,
-                        /*num_shards=*/1, mode);
+      in_set = luby_mis(aux, *rng, ledger, phase, per_step, pool);
       break;
     }
     case RulingSetEngine::kDeterministic:

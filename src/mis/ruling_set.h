@@ -18,7 +18,6 @@
 
 #include "graph/graph.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -29,7 +28,7 @@ enum class RulingSetEngine {
   // Deterministic default. Rounds are charged as the bitwise ID
   // divide-and-conquer [AGLP89-style] algorithm would cost — (alpha-1) *
   // ceil(log2 |subset|) — while the set itself is computed by greedy
-  // distance-alpha packing in ID order (batch-parallel, see mis/packing.h),
+  // distance-alpha packing in ID order (serial, see mis/packing.h),
   // which satisfies a strictly stronger contract (covering alpha-1 instead
   // of (alpha-1) log n) without materializing the power graph (that
   // materialization is quadratic once alpha exceeds the graph diameter).
@@ -48,15 +47,13 @@ enum class RulingSetEngine {
 };
 
 // Ruling set of `subset` (pass all vertices for a ruling set of G). rng may
-// be null for the deterministic engine. `mode` kFast forwards to the fast
-// scheduling paths of the underlying engines (packing's first-come ball
-// claiming, Luby's dynamically chunked scans) — the set returned satisfies
-// the same (alpha, beta) contract either way.
+// be null for the deterministic engine. `pool` parallelizes the auxiliary
+// graph's construction and Luby's scans; results are identical for every
+// thread count.
 std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
                             int alpha, RulingSetEngine engine, Rng* rng,
                             RoundLedger& ledger, std::string_view phase,
-                            ThreadPool* pool = nullptr,
-                            ExecutionMode mode = ExecutionMode::kDeterministic);
+                            ThreadPool* pool = nullptr);
 
 // Covering radius in auxiliary-graph hops guaranteed by each engine: the
 // MIS-based engines give 1 (maximality); the bitwise deterministic engine

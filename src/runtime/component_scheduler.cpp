@@ -100,10 +100,7 @@ std::vector<int> owner_placement(const VertexPartition& part,
 void ComponentScheduler::run_owner_placed(
     const VertexPartition& part, const std::vector<int>& owner_vertex,
     const std::function<void(int)>& job) const {
-  // Fast mode: skip the in-process shard placement entirely and let every
-  // job claim a pool chunk first-come (see the ctor comment — placement
-  // only steers wall-clock; index-private outputs keep results valid).
-  if (part.num_shards() <= 1 || mode_ == ExecutionMode::kFast) {
+  if (part.num_shards() <= 1) {
     run(static_cast<int>(owner_vertex.size()), job);
     return;
   }
@@ -115,7 +112,7 @@ std::int64_t ComponentScheduler::run_max_total_owner_placed(
     const VertexPartition& part, const std::vector<int>& owner_vertex,
     const std::function<void(int, RoundLedger&)>& job,
     std::int64_t congest_bits) const {
-  if (part.num_shards() <= 1 || mode_ == ExecutionMode::kFast) {
+  if (part.num_shards() <= 1) {
     return run_max_total(static_cast<int>(owner_vertex.size()), job,
                          congest_bits);
   }

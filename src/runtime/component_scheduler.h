@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 #include "runtime/thread_pool.h"
 
 namespace deltacol {
@@ -34,15 +33,7 @@ class VertexPartition;  // src/graph/partition.h
 class ComponentScheduler {
  public:
   /// `pool` may be nullptr: jobs then run inline, in index order.
-  /// `mode` (runtime/execution_mode.h): kFast makes the *_placed fan-outs
-  /// ignore shard placement for in-process execution and delegate to the
-  /// dynamically load-balanced run()/run_max_total() — first-come job
-  /// claiming instead of shard-fenced queues. Results stay identical
-  /// because jobs keep index-private outputs regardless of where they run;
-  /// only wall-clock placement changes (which is the point).
-  explicit ComponentScheduler(ThreadPool* pool,
-                              ExecutionMode mode = ExecutionMode::kDeterministic)
-      : pool_(pool), mode_(mode) {}
+  explicit ComponentScheduler(ThreadPool* pool) : pool_(pool) {}
 
   /// Runs job(0) .. job(count - 1), concurrently when a multi-threaded pool
   /// is attached. Each component is one schedulable unit (components vary
@@ -114,7 +105,6 @@ class ComponentScheduler {
 
  private:
   ThreadPool* pool_;
-  ExecutionMode mode_ = ExecutionMode::kDeterministic;
 };
 
 /// LOCAL-model accounting for parallel component runs: merges into `parent`

@@ -433,32 +433,4 @@ void sharded_for(ThreadPool* pool, int num_shards, int n, const Body& body) {
   sharded_for(pool, VertexPartition::contiguous(n, num_shards), body);
 }
 
-/// Mode-aware sharded_for (runtime/execution_mode.h). kDeterministic keeps
-/// the shard-major placement sweep above. kFast drops the placement
-/// fiction for in-process sweeps and runs a plain range-chunked pooled_for
-/// over all vertices — dynamically claimed chunks load-balance across the
-/// whole id space instead of being fenced at shard boundaries. Valid for
-/// the same reason sharded_for is: the body only writes v-private state, so
-/// the iteration grouping is not observable in the result.
-template <typename Body>
-void sharded_for(ThreadPool* pool, const VertexPartition& part,
-                 ExecutionMode mode, const Body& body) {
-  if (mode == ExecutionMode::kFast) {
-    pooled_for(pool, 0, part.num_vertices(), body);
-    return;
-  }
-  sharded_for(pool, part, body);
-}
-
-/// Contiguous-partition convenience overload of the mode-aware sweep.
-template <typename Body>
-void sharded_for(ThreadPool* pool, int num_shards, int n, ExecutionMode mode,
-                 const Body& body) {
-  if (mode == ExecutionMode::kFast) {
-    pooled_for(pool, 0, n, body);
-    return;
-  }
-  sharded_for(pool, num_shards, n, body);
-}
-
 }  // namespace deltacol

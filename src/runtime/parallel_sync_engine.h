@@ -69,19 +69,6 @@
 /// Additional contract on the callbacks (trivially satisfied by per-node
 /// LOCAL algorithms): send(v, state) reads only v's state and the graph;
 /// receive(v, state, inbox) mutates only v's state.
-///
-/// **Fast mode** (ExecutionMode::kFast, runtime/execution_mode.h): inboxes
-/// merge on arrival — the chunked strategy stages envelopes bucketed by
-/// destination range and runs ONE barrier that delivers, folds CONGEST bits
-/// and receives per destination bucket (two barriers per round instead of
-/// three, and no stable sender sort); the sharded strategy keeps its
-/// transport structure but skips the per-inbox sort and fuses the CONGEST
-/// fold into the receive sweep. Inbox ORDER handed to receive() is then
-/// arbitrary (staging-bucket order, not ascending sender), so fast mode is
-/// only for receive callbacks that are order-insensitive — which every
-/// per-node LOCAL algorithm in this tree is (min-folds and full scans).
-/// CONGEST charges are unchanged: the per-edge tally and the max fold never
-/// depended on merge order. Deterministic mode is untouched.
 #pragma once
 
 #include <algorithm>
@@ -94,7 +81,6 @@
 #include "graph/graph.h"
 #include "local/round_ledger.h"
 #include "net/wire_codec.h"
-#include "runtime/execution_mode.h"
 #include "runtime/mailbox.h"
 #include "runtime/message_size.h"
 #include "runtime/thread_pool.h"
@@ -117,14 +103,12 @@ class ParallelSyncEngine {
   /// records per-round message volume on it.
   ParallelSyncEngine(const Graph& g, RoundLedger& ledger, std::string phase,
                      ThreadPool* pool = nullptr,
-                     ShardRuntime* shards = nullptr,
-                     ExecutionMode mode = ExecutionMode::kDeterministic)
+                     ShardRuntime* shards = nullptr)
       : graph_(g),
         ledger_(ledger),
         phase_(std::move(phase)),
         pool_(pool),
-        shards_(shards),
-        mode_(mode) {
+        shards_(shards) {
     if (shards_ != nullptr) {
       DC_REQUIRE(shards_->partition().num_vertices() == g.num_vertices(),
                  "shard runtime was built over a different graph");
@@ -168,14 +152,12 @@ class ParallelSyncEngine {
 
     if (pool_ == nullptr || pool_->num_threads() <= 1) {
       // Serial path: the reference semantics (mirrors SyncEngine::round).
-      // Fast mode skips the sender sort — the serial fill is already in
-      // ascending sender order, so the sort is pure overhead here.
       for (int v = 0; v < n; ++v) {
         deliver(v, send(v, states_[static_cast<std::size_t>(v)]), inboxes);
       }
       std::int64_t max_edge_bits = 0;
       for (auto& inbox : inboxes) {
-        if (mode_ == ExecutionMode::kDeterministic) sort_inbox(inbox);
+        sort_inbox(inbox);
         if (congest) {
           max_edge_bits =
               std::max(max_edge_bits, max_edge_bits_in_inbox(inbox));
@@ -186,11 +168,6 @@ class ParallelSyncEngine {
                 inboxes[static_cast<std::size_t>(v)]);
       }
       ledger_.charge_message_round(max_edge_bits, phase_);
-      return;
-    }
-
-    if (mode_ == ExecutionMode::kFast) {
-      round_fast_chunked(send, receive, inboxes, congest);
       return;
     }
 
@@ -248,81 +225,6 @@ class ParallelSyncEngine {
                "owner-compute engine: state(v) asked for a vertex this rank "
                "does not own");
     return static_cast<std::size_t>(i);
-  }
-
-  // Fast-mode chunked round (see file comment). Barrier 1 stages envelopes
-  // bucketed by *destination* range; barrier 2 runs one chunk per
-  // destination bucket that delivers, folds CONGEST bits and receives — no
-  // stable sender sort, no separate merge/receive barriers. Inbox order is
-  // staging-bucket order (arbitrary under perturbation), which is exactly
-  // the relaxation fast mode buys; the CONGEST per-edge tally and max fold
-  // are order-free, so charges match the deterministic path.
-  void round_fast_chunked(const SendFn& send, const RecvFn& receive,
-                          std::vector<Inbox>& inboxes, bool congest) {
-    const int n = graph_.num_vertices();
-    const int send_chunks = std::max(1, pool_->num_range_chunks(n));
-    const int dest_chunks = send_chunks;
-    // bounds[d] .. bounds[d+1]: destination bucket d, cut with the same
-    // lo = n*c/chunks formula parallel_ranges uses. Bucket lookup is a
-    // binary search because the inverse formula does not round-trip for
-    // non-divisible n.
-    std::vector<int> bounds(static_cast<std::size_t>(dest_chunks) + 1);
-    for (int d = 0; d <= dest_chunks; ++d) {
-      bounds[static_cast<std::size_t>(d)] =
-          static_cast<int>(static_cast<std::int64_t>(n) * d / dest_chunks);
-    }
-
-    // Barrier 1: parallel send, each chunk staging into dest-bucket-private
-    // buffers (chunk-private writes; no two chunks touch the same buffer).
-    std::vector<std::vector<std::vector<Envelope>>> staged(
-        static_cast<std::size_t>(send_chunks),
-        std::vector<std::vector<Envelope>>(
-            static_cast<std::size_t>(dest_chunks)));
-    pool_->parallel_ranges(0, n, [&](int chunk, int lo, int hi) {
-      auto& buckets = staged[static_cast<std::size_t>(chunk)];
-      for (int v = lo; v < hi; ++v) {
-        for (auto& [to, msg] : send(v, states_[static_cast<std::size_t>(v)])) {
-          DC_REQUIRE(graph_.has_edge(v, to),
-                     "LOCAL model: messages only travel along edges");
-          const int d = static_cast<int>(std::upper_bound(bounds.begin(),
-                                                          bounds.end(), to) -
-                                         bounds.begin()) -
-                        1;
-          buckets[static_cast<std::size_t>(d)].push_back(
-              Envelope{to, v, std::move(msg)});
-        }
-      }
-    });
-
-    // Barrier 2: one chunk per destination bucket fuses merge + CONGEST
-    // fold + receive. Every inbox in [bounds[d], bounds[d+1]) is d-private,
-    // so the delivery writes race with nothing.
-    std::vector<std::int64_t> bucket_bits(
-        congest ? static_cast<std::size_t>(dest_chunks) : 0, 0);
-    pool_->parallel_chunks(dest_chunks, [&](int d) {
-      for (int sc = 0; sc < send_chunks; ++sc) {
-        for (auto& e : staged[static_cast<std::size_t>(sc)]
-                             [static_cast<std::size_t>(d)]) {
-          inboxes[static_cast<std::size_t>(e.to)].emplace_back(
-              e.from, std::move(e.msg));
-        }
-      }
-      std::int64_t local_max = 0;
-      for (int v = bounds[static_cast<std::size_t>(d)];
-           v < bounds[static_cast<std::size_t>(d) + 1]; ++v) {
-        Inbox& inbox = inboxes[static_cast<std::size_t>(v)];
-        if (congest) {
-          local_max = std::max(local_max, max_edge_bits_in_inbox(inbox));
-        }
-        receive(v, states_[static_cast<std::size_t>(v)], inbox);
-      }
-      if (congest) bucket_bits[static_cast<std::size_t>(d)] = local_max;
-    });
-    std::int64_t max_edge_bits = 0;
-    for (std::int64_t b : bucket_bits) {
-      max_edge_bits = std::max(max_edge_bits, b);
-    }
-    ledger_.charge_message_round(max_edge_bits, phase_);
   }
 
   // Stable by design: every staging path (serial deliver, chunk replay,
@@ -493,20 +395,6 @@ class ParallelSyncEngine {
               e.from, std::move(e.msg));
         }
       }
-      if (mode_ == ExecutionMode::kFast) {
-        // Fast mode: no sender sort; CONGEST fold fused into the receive
-        // sweep (one pooled pass per shard instead of two).
-        pooled_for(pool_, 0, view.num_owned(), [&](int i) {
-          const int v = view.owned_vertex(i);
-          if (congest) {
-            edge_bits[static_cast<std::size_t>(v)] =
-                max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(v)]);
-          }
-          receive(v, states_[static_cast<std::size_t>(v)],
-                  inboxes[static_cast<std::size_t>(v)]);
-        });
-        return;
-      }
       pooled_for(pool_, 0, view.num_owned(), [&](int i) {
         const int v = view.owned_vertex(i);
         sort_inbox(inboxes[static_cast<std::size_t>(v)]);
@@ -599,29 +487,17 @@ class ParallelSyncEngine {
         inboxes[state_index(e.to)].emplace_back(e.from, std::move(e.msg));
       }
     }
-    if (mode_ == ExecutionMode::kFast) {
-      // Fast mode: no sender sort; CONGEST fold fused into the receive.
-      pooled_for(pool_, 0, owned, [&](int i) {
-        if (congest) {
-          edge_bits[static_cast<std::size_t>(i)] =
-              max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(i)]);
-        }
-        receive(view.owned_vertex(i), states_[static_cast<std::size_t>(i)],
-                inboxes[static_cast<std::size_t>(i)]);
-      });
-    } else {
-      pooled_for(pool_, 0, owned, [&](int i) {
-        sort_inbox(inboxes[static_cast<std::size_t>(i)]);
-        if (congest) {
-          edge_bits[static_cast<std::size_t>(i)] =
-              max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(i)]);
-        }
-      });
-      pooled_for(pool_, 0, owned, [&](int i) {
-        receive(view.owned_vertex(i), states_[static_cast<std::size_t>(i)],
-                inboxes[static_cast<std::size_t>(i)]);
-      });
-    }
+    pooled_for(pool_, 0, owned, [&](int i) {
+      sort_inbox(inboxes[static_cast<std::size_t>(i)]);
+      if (congest) {
+        edge_bits[static_cast<std::size_t>(i)] =
+            max_edge_bits_in_inbox(inboxes[static_cast<std::size_t>(i)]);
+      }
+    });
+    pooled_for(pool_, 0, owned, [&](int i) {
+      receive(view.owned_vertex(i), states_[static_cast<std::size_t>(i)],
+              inboxes[static_cast<std::size_t>(i)]);
+    });
 
     shards_->record_round(result.slot_counts, result.slot_bits);
     std::int64_t local_max = 0;
@@ -636,7 +512,6 @@ class ParallelSyncEngine {
   std::string phase_;
   ThreadPool* pool_;
   ShardRuntime* shards_;
-  ExecutionMode mode_ = ExecutionMode::kDeterministic;
   ExchangePolicy policy_ = ExchangePolicy::kReplicated;
   int local_shard_ = -1;   // transport.local_shard(), cached at construction
   bool owner_dist_ = false;  // owner-routed AND distributed: owned-only state

@@ -57,16 +57,16 @@ class ThreadPool {
   /// hardware threads", anything else is clamped to >= 1.
   static int resolve_num_threads(int requested);
 
-  /// Schedule perturbation (chaos testing; DeltaColoringOptions::
-  /// perturb_salt). A nonzero salt (a) jitters the chunk count
-  /// num_range_chunks returns — still a pure function of
-  /// (count, max_chunks, salt), so pre-sized per-chunk buffers stay
-  /// consistent with the ranges actually dispatched — and (b) injects
-  /// sub-millisecond sleeps ahead of pseudo-randomly chosen chunk bodies in
-  /// parallel_chunks, scrambling which thread reaches shared state first.
-  /// Results of callers honoring the chunk-index discipline are unchanged
-  /// (boundaries and timing are never observable); fast-mode code paths see
-  /// hostile interleavings. 0 (default) disables both.
+  /// Schedule perturbation (DeltaColoringOptions::perturb_salt). A nonzero
+  /// salt (a) jitters the chunk count num_range_chunks returns — still a
+  /// pure function of (count, max_chunks, salt), so pre-sized per-chunk
+  /// buffers stay consistent with the ranges actually dispatched — and
+  /// (b) injects sub-millisecond sleeps ahead of pseudo-randomly chosen
+  /// chunk bodies in parallel_chunks, scrambling which thread finishes
+  /// first. Every caller honors the chunk-index discipline, so results are
+  /// unchanged for every salt (boundaries and timing are never observable);
+  /// the determinism suites sweep salts to prove it. 0 (default) disables
+  /// both.
   void set_perturb_salt(std::uint64_t salt) { perturb_salt_ = salt; }
   std::uint64_t perturb_salt() const { return perturb_salt_; }
 

@@ -179,37 +179,6 @@ TEST_P(AlgorithmsVsBrooksSeq, BothProduceValidColorings) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlgorithmsVsBrooksSeq, ::testing::Range(1, 7));
 
-TEST(CrossValidation, FastModeAgreesWithDeterministicOnValidityMetrics) {
-  // Every pipeline in both execution modes (runtime/execution_mode.h) on one
-  // parallel+sharded shape: the deterministic run is the oracle, and the
-  // fast run — which drops replay/merge ordering — must agree on every
-  // validity metric: proper + complete, the same Delta, at most Delta
-  // colors, and a round total within the deterministic bound.
-  Rng rng(11);
-  const Graph g = random_regular(300, 5, rng);
-  for (Algorithm alg : {Algorithm::kDeterministic, Algorithm::kRandomizedLarge,
-                        Algorithm::kRandomizedSmall, Algorithm::kBaselineND,
-                        Algorithm::kBaselineGreedyBrooks}) {
-    DeltaColoringOptions det_opt;
-    det_opt.seed = 13;
-    det_opt.num_threads = 8;
-    det_opt.num_shards = 2;
-    const auto det = delta_color(g, alg, det_opt);
-    ASSERT_NO_THROW(validate_delta_coloring(g, det.coloring, det.delta))
-        << algorithm_name(alg);
-
-    DeltaColoringOptions fast_opt = det_opt;
-    fast_opt.mode = ExecutionMode::kFast;
-    const auto fast = delta_color(g, alg, fast_opt);
-    ASSERT_NO_THROW(validate_delta_coloring(g, fast.coloring, fast.delta))
-        << algorithm_name(alg);
-    EXPECT_EQ(fast.delta, det.delta) << algorithm_name(alg);
-    EXPECT_EQ(count_uncolored(fast.coloring), 0) << algorithm_name(alg);
-    EXPECT_LE(num_colors_used(fast.coloring), det.delta) << algorithm_name(alg);
-    EXPECT_LE(fast.ledger.total(), det.ledger.total()) << algorithm_name(alg);
-  }
-}
-
 TEST(SameSeedSameResult, RandomizedRunsAreReproducible) {
   Rng rng(9);
   const Graph g = random_regular(300, 4, rng);

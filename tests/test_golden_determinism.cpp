@@ -1,12 +1,11 @@
-// Golden regression for the deterministic mode: the fingerprints below were
-// captured from the tree BEFORE ExecutionMode::kFast landed, so this suite
-// is the proof that adding the relaxed-order engines left kDeterministic
-// byte-for-byte untouched — not just shape-invariant (which
-// test_parallel_determinism already pins) but identical to the historical
-// results. If a change legitimately alters deterministic output (a new
-// phase, a different charge), regenerate the table with the generator in
-// tests/README.md and say so in the commit; an unexplained mismatch is a
-// determinism regression.
+// Golden regression for the runtime's one execution discipline: the
+// fingerprints below are frozen historical results, so this suite proves
+// that refactors of the runtime leave every observable byte-for-byte
+// untouched — not just shape-invariant (which test_parallel_determinism
+// already pins) but identical to the historical results. If a change
+// legitimately alters the output (a new phase, a different charge),
+// regenerate the table with the generator in tests/README.md and say so in
+// the commit; an unexplained mismatch is a determinism regression.
 //
 // The fingerprint folds every observable of a DeltaColoringResult — the
 // coloring bytes, Delta, the ledger total and per-phase breakdown, and all
@@ -61,7 +60,7 @@ struct Golden {
   std::uint64_t hash;
 };
 
-// Captured pre-fast-mode, seed 2024, serial run (threads = 1, shards = 1).
+// Captured with seed 2024, serial run (threads = 1, shards = 1).
 constexpr Golden kGoldens[] = {
     {"regular-500-6", "det", 0x9dc681a19a5fb1d4ULL},
     {"regular-500-6", "small", 0x4ae385a1b0f38fb2ULL},

@@ -1,6 +1,10 @@
 // MIS algorithms and (alpha, beta) ruling sets (Lemma 20 stand-ins).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "coloring/linial.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
@@ -197,10 +201,10 @@ TEST(RulingSet, DeterministicIsDeterministic) {
   EXPECT_EQ(l1.total(), l2.total());
 }
 
-// The batch-parallel packing engine (mis/packing.h) must be bit-identical
-// to the serial greedy for every thread count — the golden test the
-// ruling-set engine's correctness argument leans on (DESIGN.md §6).
-TEST(Packing, GoldenEquivalenceOverGeneratorZoo) {
+// The packing contract (mis/packing.h) over the generator zoo: the picks
+// ascend without repeats, are pairwise at distance >= alpha, and cover every
+// subset member within alpha-1.
+TEST(Packing, ContractOverGeneratorZoo) {
   Rng gen(3);
   std::vector<std::pair<const char*, Graph>> zoo;
   zoo.emplace_back("regular", random_regular(400, 5, gen));
@@ -212,7 +216,6 @@ TEST(Packing, GoldenEquivalenceOverGeneratorZoo) {
   zoo.emplace_back("hypercube", hypercube_graph(7));
   zoo.emplace_back("tree", random_tree(300, 5, gen));
 
-  ThreadPool pool2(2), pool8(8);
   for (const auto& [name, g] : zoo) {
     std::vector<int> all(static_cast<std::size_t>(g.num_vertices()));
     for (int v = 0; v < g.num_vertices(); ++v) {
@@ -222,16 +225,15 @@ TEST(Packing, GoldenEquivalenceOverGeneratorZoo) {
     for (int v = 0; v < g.num_vertices(); v += 3) strided.push_back(v);
     for (const auto& subset : {all, strided}) {
       for (int alpha : {2, 3, 5}) {
-        const auto ref = greedy_alpha_packing_reference(g, subset, alpha);
+        const auto out = greedy_alpha_packing(g, subset, alpha);
         const std::string label = std::string(name) + " alpha=" +
                                   std::to_string(alpha) + " |S|=" +
                                   std::to_string(subset.size());
-        EXPECT_EQ(greedy_alpha_packing(g, subset, alpha, nullptr), ref)
-            << label << " serial";
-        EXPECT_EQ(greedy_alpha_packing(g, subset, alpha, &pool2), ref)
-            << label << " 2 threads";
-        EXPECT_EQ(greedy_alpha_packing(g, subset, alpha, &pool8), ref)
-            << label << " 8 threads";
+        EXPECT_TRUE(std::adjacent_find(out.begin(), out.end(),
+                                       std::greater_equal<int>()) ==
+                    out.end())
+            << label << ": not ascending and deduplicated";
+        EXPECT_TRUE(is_ruling_set(g, subset, out, alpha, alpha - 1)) << label;
       }
     }
   }
@@ -247,17 +249,13 @@ TEST(Packing, EdgeCases) {
   // (repeats are at distance 0, which would break the packing contract).
   EXPECT_EQ(greedy_alpha_packing(p, {2, 2, 2}, 2), (std::vector<int>{2}));
   EXPECT_EQ(greedy_alpha_packing(p, {2, 2}, 1), (std::vector<int>{2}));
-  EXPECT_EQ(greedy_alpha_packing_reference(p, {2, 2}, 1),
-            (std::vector<int>{2}));
   // Path, alpha = 3: greedy from id 0 picks every third vertex.
   std::vector<int> all{0, 1, 2, 3, 4, 5};
   EXPECT_EQ(greedy_alpha_packing(p, all, 3), (std::vector<int>{0, 3}));
-  EXPECT_EQ(greedy_alpha_packing_reference(p, all, 3),
-            (std::vector<int>{0, 3}));
 }
 
-// The default deterministic ruling-set engine now runs on the packing
-// engine: its output (and charge) must be thread-count invariant.
+// The default deterministic ruling-set engine runs on the packing greedy:
+// its output (and charge) must be thread-count invariant.
 TEST(RulingSet, DeterministicEngineThreadCountInvariant) {
   Rng gen(21);
   const Graph g = random_graph_max_degree(400, 5, 1.6, gen);

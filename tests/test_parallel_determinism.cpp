@@ -10,6 +10,7 @@
 // whole thread matrix re-runs against a sharded baseline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -185,6 +186,33 @@ TEST(ParallelDeterminism, AutoThreadCountAlsoMatches) {
   const auto rauto = delta_color(g, Algorithm::kRandomizedSmall, oauto);
   EXPECT_EQ(r1.coloring, rauto.coloring);
   expect_same_ledger(r1.ledger, rauto.ledger, "auto threads");
+}
+
+// perturb_salt jitters chunk counts and injects stalls (thread_pool.cpp) as
+// a pure function of (salt, shape): chunk boundaries and timing are never
+// observable, so every salt must reproduce the unsalted run bit for bit.
+TEST(ParallelDeterminism, PerturbationSaltSweep) {
+  Rng grng(83);
+  const Graph g = random_regular(600, 5, grng);
+  for (Algorithm alg :
+       {Algorithm::kDeterministic, Algorithm::kRandomizedSmall}) {
+    DeltaColoringOptions base;
+    base.seed = 7;
+    base.num_threads = 8;
+    base.num_shards = 4;
+    const DeltaColoringResult ref = delta_color(g, alg, base);
+    validate_delta_coloring(g, ref.coloring, ref.delta);
+    for (std::uint64_t salt : {1ull, 2ull, 0x9e3779b97f4a7c15ull}) {
+      DeltaColoringOptions opt = base;
+      opt.perturb_salt = salt;
+      const DeltaColoringResult res = delta_color(g, alg, opt);
+      const std::string label =
+          algorithm_name(alg) + " salt=" + std::to_string(salt);
+      EXPECT_EQ(res.coloring, ref.coloring) << label;
+      expect_same_ledger(res.ledger, ref.ledger, label);
+      expect_same_stats(res.stats, ref.stats, label);
+    }
+  }
 }
 
 // The shard layer's golden contract over the generator zoo: colorings (and
