@@ -1,14 +1,5 @@
 // E15 — the shard layer (graph/partition.h + runtime/mailbox.h).
 //
-// Two claims, two series:
-//
-//  * E15_ShardInvariance — delta_color at shards ∈ {1, 2, 4, 8}: the round
-//    total and the coloring are INVARIANT in the shard count (`identical`
-//    must be 1 and `rounds` constant on every row — the golden contract the
-//    determinism suite enforces per commit, re-asserted here on the bench
-//    workload). Wall-clock differences between rows are placement effects
-//    only; like E12/E13/E14, speedups need multi-core hardware.
-//
 //  * E15_MessageVolume — the CONGEST-style metric a distributed transport
 //    would pay: Luby's MIS on the message-passing engine over a
 //    ShardRuntime, reporting per-round per-shard message volume and the
@@ -51,35 +42,6 @@ void e15_csv(benchmark::State& state, const std::string& family) {
     row[name] = static_cast<double>(counter);
   }
   CsvSink::emit(family, row);
-}
-
-void E15_ShardInvariance(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int num_shards = static_cast<int>(state.range(1));
-  const Graph& g = cached_regular(n);
-
-  DeltaColoringOptions base;
-  base.seed = 7;
-  base.num_threads = 1;
-  base.num_shards = 1;
-  const DeltaColoringResult oracle =
-      delta_color(g, Algorithm::kRandomizedSmall, base);
-
-  DeltaColoringOptions opt = base;
-  opt.num_shards = num_shards;
-  DeltaColoringResult res;
-  for (auto _ : state) {
-    res = delta_color(g, Algorithm::kRandomizedSmall, opt);
-  }
-  state.counters["shards"] = num_shards;
-  state.counters["rounds"] = static_cast<double>(res.ledger.total());
-  // The golden contract, re-asserted on every row.
-  state.counters["identical"] =
-      (res.coloring == oracle.coloring &&
-       res.ledger.total() == oracle.ledger.total())
-          ? 1.0
-          : 0.0;
-  e15_csv(state, "e15_shard_invariance");
 }
 
 void E15_MessageVolume(benchmark::State& state) {
@@ -133,11 +95,6 @@ void E15_MessageVolume(benchmark::State& state) {
 
 }  // namespace
 }  // namespace deltacol::bench
-
-BENCHMARK(deltacol::bench::E15_ShardInvariance)
-    ->ArgsProduct({{20000, 50000}, {1, 2, 4, 8}})
-    ->Iterations(2)
-    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(deltacol::bench::E15_MessageVolume)
     ->ArgsProduct({{20000, 50000}, {1, 2, 4, 8}})

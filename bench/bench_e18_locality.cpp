@@ -3,8 +3,8 @@
 //
 // The claim: on clustered topologies with wild vertex ids, the cluster
 // partition cuts the cross-shard traffic the contiguous partition pays —
-// while every observable (rounds, colorings, MIS) stays bit-identical,
-// because partitioning is placement-only (DESIGN.md §6).
+// while Luby's MIS stays bit-identical, because partitioning is
+// placement-only (DESIGN.md §6).
 //
 // Workloads: a 2-D grid, a triangle cactus, and a preferential-attachment
 // power-law graph, each with ids SCRAMBLED by a fixed pseudo-random
@@ -24,9 +24,7 @@
 //        round per shard for Luby's MIS through the sharded mailbox engine
 //        (total envelopes are partition-invariant — only their slot routing
 //        changes — so the cross count is the quantity a transport pays);
-//      - rounds: delta_color(small) round total (must match across
-//        strategies);
-//      - identical: 1 iff the MIS, the coloring and the ledger are
+//      - identical: 1 iff the MIS and its engine round/envelope counts are
 //        bit-identical between the two strategies AND the unsharded oracle.
 //
 //  * E18_WirePayload — 2 ranks over a socketpair per workload, one run per
@@ -147,24 +145,13 @@ void E18_CrossTraffic(benchmark::State& state) {
   }
 
   LubyRun lc, lk;
-  DeltaColoringResult rc, rk;
   for (auto _ : state) {
     lc = luby_over(g, contig);
     lk = luby_over(g, cluster);
-    DeltaColoringOptions opt;
-    opt.seed = 7;
-    opt.num_threads = 1;
-    opt.num_shards = num_shards;
-    opt.partition = PartitionStrategy::kContiguous;
-    rc = delta_color(g, Algorithm::kRandomizedSmall, opt);
-    opt.partition = PartitionStrategy::kCluster;
-    rk = delta_color(g, Algorithm::kRandomizedSmall, opt);
   }
 
   const bool identical = lc.mis == oracle_mis && lk.mis == oracle_mis &&
-                         lc.msgs == lk.msgs && lc.rounds == lk.rounds &&
-                         rc.coloring == rk.coloring &&
-                         rc.ledger.total() == rk.ledger.total();
+                         lc.msgs == lk.msgs && lc.rounds == lk.rounds;
   const auto per_round_shard = [&](std::int64_t msgs, std::int64_t rounds) {
     return rounds > 0 ? static_cast<double>(msgs) /
                             (static_cast<double>(rounds) * num_shards)
@@ -177,7 +164,6 @@ void E18_CrossTraffic(benchmark::State& state) {
       frac_contig > 0 ? 100.0 * (1.0 - frac_cluster / frac_contig) : 0.0;
   state.counters["cross_mrps_contig"] = per_round_shard(lc.cross, lc.rounds);
   state.counters["cross_mrps_cluster"] = per_round_shard(lk.cross, lk.rounds);
-  state.counters["rounds"] = static_cast<double>(rc.ledger.total());
   state.counters["identical"] = identical ? 1.0 : 0.0;
   e18_csv(state, std::string("e18_cross_traffic_") + kWorkloadNames[which]);
 }

@@ -17,7 +17,7 @@
 //      transport: sends are genuinely partitioned (run_shards executes only
 //      the local rank's body) and every round's mailbox row crosses TCP;
 //   3. runs the requested Delta-coloring algorithms replicated (every rank
-//      executes the same deterministic pipeline with num_shards = world).
+//      executes the same in-process pipeline on the full graph).
 //
 // Output discipline: every line NOT starting with "# " is canonical — a
 // pure function of (workload, world, algs, seed, B) — and must be
@@ -329,10 +329,7 @@ int main(int argc, char** argv) {
     for (const auto& [name, alg] : algs) {
       DeltaColoringOptions opt;
       opt.seed = seed;
-      opt.num_shards = S;
       opt.congest_bits = congest_bits;
-      opt.partition = strategy;
-      opt.exchange = exchange;  // placement-only here; carried for parity
       const DeltaColoringResult res = delta_color(g, alg, opt);
       validate_delta_coloring(g, res.coloring, res.delta);
       std::vector<int> colors(res.coloring.begin(), res.coloring.end());

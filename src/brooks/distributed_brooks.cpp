@@ -9,7 +9,6 @@
 #include "graph/components.h"
 #include "graph/frontier_bfs.h"
 #include "graph/ops.h"
-#include "graph/partition.h"
 #include "graph/traversal.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -289,8 +288,7 @@ void assert_disjoint_brooks_balls(const Graph& g, const std::vector<int>& bases,
 
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
-    int max_radius, ThreadPool* pool, int num_shards,
-    const VertexPartition* part) {
+    int max_radius, ThreadPool* pool) {
   const int k = static_cast<int>(bases.size());
   ScheduledBrooksFixes out;
   out.results.resize(static_cast<std::size_t>(k));
@@ -300,54 +298,21 @@ ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
   assert_disjoint_brooks_balls(g, bases, max_radius);
 #endif
 
-  // Pass 1 — concurrent walks, emergencies deferred. Each unit of work owns
-  // one BfsScratch (the O(n) visitation state), so the fan-out is capped at
-  // one chunk per executor; with shards attached the bases group by the
-  // home shard of their vertex — under the caller's partition when given,
-  // else the contiguous one (the placement a distributed runtime would
-  // use). Any grouping yields bit-identical results: the fixes commute
-  // (disjoint read/write sets).
-  const auto run_indices = [&](const int* idx, int count) {
-    BfsScratch scratch;
-    for (int j = 0; j < count; ++j) {
-      const int i = idx[j];
-      out.results[static_cast<std::size_t>(i)] =
-          brooks_fix(g, c, bases[static_cast<std::size_t>(i)], delta,
-                     max_radius, &scratch, /*defer_emergency=*/true);
-    }
-  };
-  if (num_shards > 1) {
-    const VertexPartition owner_map =
-        part != nullptr && part->num_shards() == num_shards &&
-                part->num_vertices() == g.num_vertices()
-            ? *part
-            : VertexPartition::contiguous(g.num_vertices(), num_shards);
-    std::vector<std::vector<int>> by_shard(
-        static_cast<std::size_t>(num_shards));
-    for (int i = 0; i < k; ++i) {
-      by_shard[static_cast<std::size_t>(
-                   owner_map.shard_of(bases[static_cast<std::size_t>(i)]))]
-          .push_back(i);
-    }
-    const auto shard_body = [&](int s) {
-      const auto& group = by_shard[static_cast<std::size_t>(s)];
-      run_indices(group.data(), static_cast<int>(group.size()));
-    };
-    if (pool != nullptr) {
-      pool->parallel_chunks(num_shards, shard_body);
-    } else {
-      for (int s = 0; s < num_shards; ++s) shard_body(s);
-    }
-  } else {
-    std::vector<int> all(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) all[static_cast<std::size_t>(i)] = i;
-    pooled_ranges(
-        pool, 0, k,
-        [&](int /*chunk*/, int lo, int hi) {
-          run_indices(all.data() + lo, hi - lo);
-        },
-        pool != nullptr ? pool->num_threads() : 1);
-  }
+  // Pass 1 — concurrent walks, emergencies deferred. Each chunk owns one
+  // BfsScratch (the O(n) visitation state), so the fan-out is capped at one
+  // chunk per executor. Any chunking yields bit-identical results: the fixes
+  // commute (disjoint read/write sets).
+  pooled_ranges(
+      pool, 0, k,
+      [&](int /*chunk*/, int lo, int hi) {
+        BfsScratch scratch;
+        for (int i = lo; i < hi; ++i) {
+          out.results[static_cast<std::size_t>(i)] =
+              brooks_fix(g, c, bases[static_cast<std::size_t>(i)], delta,
+                         max_radius, &scratch, /*defer_emergency=*/true);
+        }
+      },
+      pool != nullptr ? pool->num_threads() : 1);
 
   // Pass 2 — serial, ascending index: complete the deferred Lemma-27
   // emergencies with the component recolor enabled. A recolor touches the

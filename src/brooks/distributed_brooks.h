@@ -20,7 +20,6 @@
 
 #include "coloring/coloring.h"
 #include "graph/graph.h"
-#include "graph/partition.h"
 
 namespace deltacol {
 
@@ -86,21 +85,17 @@ struct ScheduledBrooksFixes {
 // disjointness) and every base uncolored on entry. Two passes:
 //
 //  1. Parallel pass: contiguous base ranges fan out as chunks (one
-//     BfsScratch each; shard-major grouping by each base's home shard when
-//     num_shards > 1 — under `part` when the caller passes its partition,
-//     else the contiguous one); every fix runs with emergencies deferred,
-//     so concurrent walks touch disjoint balls only.
+//     BfsScratch each); every fix runs with emergencies deferred, so
+//     concurrent walks touch disjoint balls only.
 //  2. Serial pass, ascending index: deferred Lemma-27 emergencies complete
 //     with the component recolor enabled (a recolor may color later
 //     deferred bases — those are skipped, see `executed`).
 //
-// Results are bit-identical for every (threads, shards, partition)
-// combination: the parallel-pass fixes commute (disjoint read/write sets)
-// and the serial pass is index-ordered.
+// Results are bit-identical for every thread count: the parallel-pass fixes
+// commute (disjoint read/write sets) and the serial pass is index-ordered.
 ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
     const Graph& g, Coloring& c, const std::vector<int>& bases, int delta,
-    int max_radius, ThreadPool* pool, int num_shards = 1,
-    const VertexPartition* part = nullptr);
+    int max_radius, ThreadPool* pool);
 
 // The paper's bound 2 log_{Delta-1} n, rounded up, plus slack for the DCC
 // diameter; a safe default max_radius for brooks_fix.

@@ -7,8 +7,6 @@
 #include "core/internal.h"
 #include "graph/components.h"
 #include "graph/ops.h"
-#include "graph/partition.h"
-#include "graph/renumber.h"
 #include "graph/structure.h"
 #include "runtime/component_scheduler.h"
 #include "runtime/thread_pool.h"
@@ -83,7 +81,6 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   // every observable stays index-keyed: private RNG streams are pre-split
   // here in component order, every job writes only its own ledger / stats /
   // coloring slice, and the folds below run serially in component order.
-  const int num_shards = VertexPartition::resolve_num_shards(opt.num_shards);
   const auto comps = connected_components(g).vertex_sets();
   const int num_comps = static_cast<int>(comps.size());
   std::vector<Rng> comp_rngs;
@@ -111,15 +108,9 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
 
     RoundLedger& ledger = comp_ledgers[static_cast<std::size_t>(ci)];
     Rng& comp_rng = comp_rngs[static_cast<std::size_t>(ci)];
-    // Component-local shard map: contiguous, or the cluster renumbering of
-    // this component's dense ids (a pure function of the component graph,
-    // so it is identical whatever thread/shard this job lands on).
-    ComponentContext ctx{comp, delta,    local_schedule,
-                         lin.num_colors, opt,
-                         comp_rng,       ledger,
-                         comp_stats[static_cast<std::size_t>(ci)],
-                         pool,           num_shards,
-                         make_partition(comp, num_shards, opt.partition, pool)};
+    ComponentContext ctx{comp,   delta,    local_schedule, lin.num_colors,
+                         opt,    comp_rng, ledger,
+                         comp_stats[static_cast<std::size_t>(ci)], pool};
 
     if (comp.max_degree() < delta || is_clique(comp) || is_cycle(comp) ||
         is_path(comp)) {
@@ -166,18 +157,7 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
       res.coloring[sub.to_parent[static_cast<std::size_t>(v)]] = local[v];
     }
   };
-  // Shard-placed execution (no-op at num_shards <= 1): each component runs
-  // on the shard that owns its lowest vertex under the run's partition
-  // strategy — the placement a distributed deployment would use. Identical
-  // observables either way (jobs are index-private); only
-  // placement/wall-clock differ.
-  std::vector<int> comp_owner(static_cast<std::size_t>(num_comps));
-  for (int ci = 0; ci < num_comps; ++ci) {
-    comp_owner[static_cast<std::size_t>(ci)] =
-        comps[static_cast<std::size_t>(ci)].front();
-  }
-  scheduler.run_owner_placed(make_partition(g, num_shards, opt.partition, pool),
-                             comp_owner, component_job);
+  scheduler.run(num_comps, component_job);
 
   // Serial folds in component order (see scheduler comment above).
   for (const auto& stats : comp_stats) {

@@ -27,9 +27,7 @@
 #include "coloring/coloring.h"
 #include "core/layering.h"
 #include "graph/graph.h"
-#include "graph/partition.h"
 #include "local/round_ledger.h"
-#include "runtime/execution_mode.h"
 
 namespace deltacol {
 
@@ -86,31 +84,6 @@ struct DeltaColoringOptions {
   /// serial; 0 means "use all hardware threads".
   int num_threads = 1;
 
-  /// Shards for the partitioned execution layer (graph/partition.h +
-  /// runtime/mailbox.h): vertices split into `num_shards` contiguous
-  /// ranges, connected components are placed on the shard owning their
-  /// lowest vertex, per-node sweeps run shard-major, and scheduled Brooks
-  /// fixes group by home shard. Today every shard executes in-process on
-  /// the same ThreadPool (the InProcessTransport); the option exists so
-  /// that moving to a distributed Transport is a backend swap, not an
-  /// engine change. Like num_threads this affects placement and wall-clock
-  /// ONLY — colorings, ledgers and stats are bit-for-bit identical for
-  /// every (num_shards, num_threads) pair (enforced by the shard golden
-  /// tests in tests/test_parallel_determinism.cpp). <= 1 runs unsharded.
-  int num_shards = 1;
-
-  /// How vertices are assigned to shards (graph/partition.h):
-  /// kContiguous splits the raw id space into balanced ascending ranges —
-  /// the pessimistic baseline where ≈ (S-1)/S of all edges cross shards on
-  /// wild-id inputs. kCluster runs the deterministic locality renumbering
-  /// pre-pass (graph/renumber.h: BFS ball growing + DFS linearization) so
-  /// each shard owns a locality-dense region and cross-shard traffic drops
-  /// to the cluster boundary (experiment E18). Like num_shards this affects
-  /// placement, message routing and wall-clock ONLY — colorings, ledgers
-  /// and stats are bit-for-bit identical for every strategy (enforced by
-  /// tests/test_renumber.cpp). Ignored at num_shards <= 1.
-  PartitionStrategy partition = PartitionStrategy::kContiguous;
-
   /// CONGEST(B) bandwidth cap in bits per directed edge per round
   /// (local/round_ledger.h). <= 0 (the default) runs in the LOCAL model:
   /// every message round costs 1. A positive B puts every ledger of the run
@@ -122,19 +95,6 @@ struct DeltaColoringOptions {
   /// round totals grow, monotonically as B shrinks (enforced by
   /// tests/test_congest.cpp).
   std::int64_t congest_bits = 0;
-
-  /// How a distributed run moves each round's envelopes between ranks
-  /// (runtime/execution_mode.h): kReplicated (default) all-gathers full
-  /// mailbox rows and replays every shard's merge on every rank;
-  /// kOwnerRouted ships only cross-shard slots point-to-point and merges
-  /// rank-locally over owned-only state, reassembling results with an
-  /// end-of-run gather. Results are bit-identical either way (DESIGN.md §6,
-  /// "Owner-compute"). delta_color's in-process pipeline uses shards for
-  /// placement only — no transport is ever built — so this knob changes
-  /// nothing there; it is carried here so launchers configure one options
-  /// struct and apply the policy to the ShardRuntime their message-passing
-  /// steps run on (examples/deltacol_mpi_like.cpp). CLI: --exchange owner.
-  ExchangePolicy exchange = ExchangePolicy::kReplicated;
 
   /// Schedule-perturbation salt (0 = off, the default). A nonzero salt makes
   /// the run's ThreadPool jitter its range chunk counts and inject

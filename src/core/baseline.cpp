@@ -93,8 +93,8 @@ void run_baseline_nd(ComponentContext& ctx, Coloring& c) {
   // The base fixes have pairwise-disjoint recoloring balls (distance-R
   // ruling set, R = 2*rho + 2): fan them out over the pool with the
   // emergency path deferred to a serial index-ordered pass.
-  const auto fixes = schedule_disjoint_brooks_fixes(
-      g, c, base, delta, rho, ctx.pool, ctx.num_shards, &ctx.part);
+  const auto fixes =
+      schedule_disjoint_brooks_fixes(g, c, base, delta, rho, ctx.pool);
   ctx.stats.brooks_fixes += fixes.num_executed;
   for (const auto& fix : fixes.results) {
     if (fix.used_component_recolor) {
@@ -146,8 +146,8 @@ void run_baseline_greedy_brooks(ComponentContext& ctx, Coloring& c) {
     // disjoint balls and run concurrently; an emergency recolor (serial
     // pass) may side-color later batch members, which are then skipped
     // (`executed` = 0) exactly as the old serial loop skipped them.
-    const auto fixes = schedule_disjoint_brooks_fixes(
-        g, c, batch, delta, rho, ctx.pool, ctx.num_shards, &ctx.part);
+    const auto fixes =
+        schedule_disjoint_brooks_fixes(g, c, batch, delta, rho, ctx.pool);
     ctx.stats.brooks_fixes += fixes.num_executed;
     ctx.ledger.charge(2 * rho + 1, "naive/brooks-fixes");
   }

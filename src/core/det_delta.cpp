@@ -54,16 +54,15 @@ void run_deterministic(ComponentContext& ctx, Coloring& c) {
   // distinct B0 nodes are disjoint (B0 is a distance-R ruling set with
   // R = 2*rho + 2), so the fixes commute and all, in a real network, run in
   // the same 2*rho+1 rounds — and on this host they run concurrently, fanned
-  // out over the pool (grouped by home shard when sharding is on), with the
-  // Lemma-27 emergency path deferred to a serial pass (see
-  // schedule_disjoint_brooks_fixes; debug builds assert the ball
+  // out over the pool, with the Lemma-27 emergency path deferred to a serial
+  // pass (see schedule_disjoint_brooks_fixes; debug builds assert the ball
   // disjointness the fan-out relies on).
   for (int v : base) {
     DC_ENSURE(c[static_cast<std::size_t>(v)] == kUncolored,
               "base vertex was colored by a layer instance");
   }
-  const auto fixes = schedule_disjoint_brooks_fixes(
-      g, c, base, delta, rho, ctx.pool, ctx.num_shards, &ctx.part);
+  const auto fixes =
+      schedule_disjoint_brooks_fixes(g, c, base, delta, rho, ctx.pool);
   ctx.stats.brooks_fixes += fixes.num_executed;
   for (const auto& fix : fixes.results) {
     if (fix.used_component_recolor) {

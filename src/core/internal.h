@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/api.h"
-#include "graph/partition.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -23,16 +22,6 @@ struct ComponentContext {
   RoundLedger& ledger;
   PhaseStats& stats;
   ThreadPool* pool = nullptr;  // nullptr: run serial (see src/runtime/)
-  // Shard count of the partitioned execution layer, resolved (>= 1).
-  // Pipelines use it to place their sweeps / fix batches / inner fan-outs
-  // shard-major (graph/partition.h); observables are shard-invariant.
-  int num_shards = 1;
-  // Shard-ownership map over THIS component's dense ids (contiguous, or the
-  // locality renumbering when opt.partition == kCluster), spanning g with
-  // num_shards shards. Built once by the dispatcher (make_partition,
-  // graph/renumber.h); pipelines route every placement decision through it.
-  // Placement-only: observables are partition-invariant.
-  VertexPartition part = VertexPartition::contiguous(0, 1);
 };
 
 void run_deterministic(ComponentContext& ctx, Coloring& c);

@@ -25,7 +25,6 @@
 #include "graph/traversal.h"
 #include "mis/mis.h"
 #include "runtime/component_scheduler.h"
-#include "runtime/mailbox.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/math_util.h"
@@ -156,7 +155,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
     const int per_step = 2 * det.max_dcc_radius + 1;
     const std::vector<bool> in_m = luby_mis(gdcc, ctx.rng, ctx.ledger,
                                             "rand/2-gdcc-ruling", per_step,
-                                            ctx.pool, ctx.num_shards);
+                                            ctx.pool);
     dcc_in_m.assign(det.dccs.size(), 0);
     for (std::size_t i = 0; i < det.dccs.size(); ++i) {
       if (in_m[i]) {
@@ -203,10 +202,9 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   ctx.ledger.charge(b + 2, "rand/4-marking");
 
   // ---- Phase (5): layers C0..C2r ----------------------------------------
-  // Boundary of H: degree < delta within H. A pure v-private sweep, placed
-  // shard-major when sharding is on.
+  // Boundary of H: degree < delta within H. A pure v-private sweep.
   std::vector<int> deg_h(static_cast<std::size_t>(n), 0);
-  sharded_for(ctx.pool, ctx.part, [&](int v) {
+  pooled_for(ctx.pool, 0, n, [&](int v) {
     if (!in_h[static_cast<std::size_t>(v)]) return;
     for (int u : g.neighbors(v)) {
       if (in_h[static_cast<std::size_t>(u)]) {
@@ -325,24 +323,14 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
           comp_rngs[static_cast<std::size_t>(i)],
           child,
           comp_stats[static_cast<std::size_t>(i)],
-          ctx.pool,
-          ctx.num_shards,
-          ctx.part};  // same graph, same ownership map
+          ctx.pool};
       if (!color_small_component(child_ctx, c,
                                  comp_parents[static_cast<std::size_t>(i)])) {
         needs_repair[static_cast<std::size_t>(i)] = 1;
       }
     };
-    // Each leftover instance is placed on the shard owning its lowest
-    // vertex (the same rule the api-level component fan-out uses; no-op at
-    // num_shards <= 1); identical observables for any placement.
-    std::vector<int> comp_owner(static_cast<std::size_t>(num_comps));
-    for (int i = 0; i < num_comps; ++i) {
-      comp_owner[static_cast<std::size_t>(i)] =
-          comp_parents[static_cast<std::size_t>(i)].front();
-    }
-    const std::int64_t max_rounds = scheduler.run_max_total_owner_placed(
-        ctx.part, comp_owner, leftover_job, ctx.ledger.congest_bits());
+    const std::int64_t max_rounds = scheduler.run_max_total(
+        num_comps, leftover_job, ctx.ledger.congest_bits());
     for (const auto& cs : comp_stats) merge_component_stats(ctx.stats, cs);
     ctx.ledger.charge(max_rounds, "rand/6-small-components");
     // Deferred Lemma-27 fallback (see internal.h): the repair may color

@@ -1,7 +1,8 @@
 #include "graph/io.h"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,26 +17,63 @@ void write_edge_list(std::ostream& out, const Graph& g) {
   }
 }
 
-Graph read_edge_list(std::istream& in) {
+void scan_edge_list(std::istream& in,
+                    const std::function<void(int, std::int64_t)>& on_header,
+                    const std::function<void(int, int)>& on_edge) {
   std::string line;
-  int n = -1;
-  std::int64_t m = -1;
-  std::vector<Edge> edges;
+  std::int64_t line_no = 0, n = -1, m = -1, seen = 0;
+  const auto fail = [&](const char* what) {
+    throw ContractViolation("edge list line " + std::to_string(line_no) +
+                            ": " + what);
+  };
   while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+    ++line_no;
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    // Advances past whitespace; true iff it skipped any.
+    const auto skip_space = [&] {
+      const char* const from = p;
+      while (p < end && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+      return p != from;
+    };
+    skip_space();
+    if (p == end || line[0] == '#') continue;
+    std::int64_t x[2] = {0, 0};
+    for (std::int64_t& v : x) {
+      const auto [next, ec] = std::from_chars(p, end, v);
+      p = next;
+      // Each integer ends at whitespace or at the end of the line.
+      if (ec != std::errc{} || (!skip_space() && p != end)) {
+        fail("expected exactly two integers");
+      }
+    }
+    if (p != end) fail("expected exactly two integers");
     if (n < 0) {
-      DC_REQUIRE(static_cast<bool>(ls >> n >> m), "bad edge-list header");
-      DC_REQUIRE(n >= 0 && m >= 0, "negative counts in header");
+      if (x[0] < 0 || x[0] > std::numeric_limits<int>::max() || x[1] < 0) {
+        fail("header counts out of range");
+      }
+      n = x[0];
+      m = x[1];
+      on_header(static_cast<int>(n), m);
       continue;
     }
-    int u, v;
-    DC_REQUIRE(static_cast<bool>(ls >> u >> v), "bad edge-list line");
-    edges.emplace_back(u, v);
+    if (x[0] < 0 || x[0] >= n || x[1] < 0 || x[1] >= n) {
+      fail("edge endpoint out of range");
+    }
+    if (x[0] == x[1]) fail("self-loop");
+    ++seen;
+    on_edge(static_cast<int>(x[0]), static_cast<int>(x[1]));
   }
   DC_REQUIRE(n >= 0, "edge list missing header");
-  DC_REQUIRE(static_cast<std::int64_t>(edges.size()) == m,
-             "edge count does not match header");
+  DC_REQUIRE(seen == m, "edge count does not match header");
+}
+
+Graph read_edge_list(std::istream& in) {
+  int n = 0;
+  std::vector<Edge> edges;
+  scan_edge_list(
+      in, [&](int header_n, std::int64_t) { n = header_n; },
+      [&](int u, int v) { edges.emplace_back(u, v); });
   return Graph::from_edges(n, edges);
 }
 

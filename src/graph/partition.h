@@ -89,8 +89,8 @@ class VertexPartition {
       int num_shards, std::shared_ptr<const std::vector<int>> to_new,
       std::shared_ptr<const std::vector<int>> to_old);
 
-  /// Resolves a DeltaColoringOptions-style shard count: values < 1 mean
-  /// "unsharded" and clamp to 1.
+  /// Resolves a requested shard count: values < 1 mean "unsharded" and
+  /// clamp to 1.
   static int resolve_num_shards(int requested);
 
   int num_vertices() const { return n_; }

@@ -87,9 +87,8 @@ Graph relabeled_graph(const Graph& g, const Renumbering& renum);
 
 /// The partition the shard runtime should use for (g, num_shards) under
 /// `strategy`: plain contiguous, or contiguous-over-the-cluster-layout.
-/// num_shards is resolved DeltaColoringOptions-style (< 1 clamps to 1);
-/// S == 1 always yields the contiguous partition (no renumbering cost on
-/// the serial path).
+/// num_shards < 1 clamps to 1; S == 1 always yields the contiguous
+/// partition (no renumbering cost on the serial path).
 VertexPartition make_partition(const Graph& g, int num_shards,
                                PartitionStrategy strategy,
                                ThreadPool* pool = nullptr);

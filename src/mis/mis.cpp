@@ -1,6 +1,5 @@
 #include "mis/mis.h"
 
-#include "runtime/mailbox.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 
@@ -8,7 +7,7 @@ namespace deltacol {
 
 std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
                            std::string_view phase, int rounds_per_step,
-                           ThreadPool* pool, int num_shards) {
+                           ThreadPool* pool) {
   DC_REQUIRE(rounds_per_step >= 1, "rounds_per_step must be >= 1");
   const int n = g.num_vertices();
   std::vector<bool> in_set(static_cast<std::size_t>(n), false);
@@ -27,8 +26,8 @@ std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
     // Local minima join the MIS. (Tie-break by id; 64-bit ties are
     // effectively impossible but the break keeps the step deterministic
     // given the drawn priorities.) The scan reads frozen priorities and
-    // writes v-private flags: a shard-major parallel-for.
-    sharded_for(pool, num_shards, n, [&](int v) {
+    // writes v-private flags: a parallel-for.
+    pooled_for(pool, 0, n, [&](int v) {
       is_min[static_cast<std::size_t>(v)] = 0;
       if (!active[static_cast<std::size_t>(v)]) return;
       bool local_min = true;

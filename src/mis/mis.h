@@ -22,12 +22,10 @@ class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
 // Luby's MIS: each round, active vertices draw random priorities; local
 // minima join, neighbors of joiners deactivate. O(log n) rounds w.h.p.
 // `rounds_per_step` lets callers running on a simulated power graph charge
-// k rounds of the base graph per MIS round. `num_shards` > 1 runs the
-// per-node scans shard-major (graph/partition.h); like `pool`, it never
-// changes results.
+// k rounds of the base graph per MIS round. `pool` never changes results.
 std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
                            std::string_view phase, int rounds_per_step = 1,
-                           ThreadPool* pool = nullptr, int num_shards = 1);
+                           ThreadPool* pool = nullptr);
 
 // Deterministic MIS by sweeping the classes of a proper schedule coloring:
 // class-c vertices join if no neighbor joined earlier. num_schedule_colors

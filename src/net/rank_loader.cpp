@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 
+#include "graph/io.h"
 #include "net/wire_codec.h"
 #include "util/check.h"
 
@@ -53,50 +53,38 @@ CsrSlice slice_of(const Graph& g, const VertexPartition& part, int shard) {
 
 namespace {
 
-// Shared streaming core: reads the header, obtains the partition from
-// make_part(n), then keeps only the layout rows owned by `shard`.
+// Shared streaming core: parses through graph/io.h's scan_edge_list,
+// obtains the partition from make_part(n) at the header, then keeps only
+// the layout rows owned by `shard`.
 template <typename MakePart>
 CsrSlice stream_slice(std::istream& in, int shard, MakePart&& make_part) {
-  std::string line;
-  int n = -1;
-  std::int64_t m = -1;
-  std::int64_t seen = 0;
+  int n = 0;
   int lo = 0, hi = 0;
   VertexPartition part;
   std::vector<std::vector<int>> rows;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    if (n < 0) {
-      DC_REQUIRE(static_cast<bool>(ls >> n >> m), "bad edge-list header");
-      DC_REQUIRE(n >= 0 && m >= 0, "negative counts in header");
-      part = make_part(n);
-      DC_REQUIRE(shard >= 0 && shard < part.num_shards(),
-                 "shard out of range");
-      lo = part.begin(shard);
-      hi = part.end(shard);
-      rows.resize(static_cast<std::size_t>(hi - lo));
-      continue;
-    }
-    int u, v;
-    DC_REQUIRE(static_cast<bool>(ls >> u >> v), "bad edge-list line");
-    DC_REQUIRE(u >= 0 && u < n && v >= 0 && v < n,
-               "edge endpoint out of range");
-    DC_REQUIRE(u != v, "self-loop in edge list");
-    ++seen;
-    // Relabel into layout space and keep only what this rank owns;
-    // everything else streams past (identity relabeling when contiguous).
-    const int pu = part.position_of(u);
-    const int pv = part.position_of(v);
-    if (pu >= lo && pu < hi) {
-      rows[static_cast<std::size_t>(pu - lo)].push_back(pv);
-    }
-    if (pv >= lo && pv < hi) {
-      rows[static_cast<std::size_t>(pv - lo)].push_back(pu);
-    }
-  }
-  DC_REQUIRE(n >= 0, "edge list missing header");
-  DC_REQUIRE(seen == m, "edge count does not match header");
+  scan_edge_list(
+      in,
+      [&](int header_n, std::int64_t) {
+        n = header_n;
+        part = make_part(n);
+        DC_REQUIRE(shard >= 0 && shard < part.num_shards(),
+                   "shard out of range");
+        lo = part.begin(shard);
+        hi = part.end(shard);
+        rows.resize(static_cast<std::size_t>(hi - lo));
+      },
+      [&](int u, int v) {
+        // Relabel into layout space (identity when contiguous) and keep
+        // only what this rank owns; everything else streams past.
+        const int pu = part.position_of(u);
+        const int pv = part.position_of(v);
+        if (pu >= lo && pu < hi) {
+          rows[static_cast<std::size_t>(pu - lo)].push_back(pv);
+        }
+        if (pv >= lo && pv < hi) {
+          rows[static_cast<std::size_t>(pv - lo)].push_back(pu);
+        }
+      });
   return slice_from_rows(n, lo, hi, std::move(rows));
 }
 

@@ -27,9 +27,6 @@
 
 namespace deltacol {
 
-class Transport;        // src/runtime/mailbox.h
-class VertexPartition;  // src/graph/partition.h
-
 class ComponentScheduler {
  public:
   /// `pool` may be nullptr: jobs then run inline, in index order.
@@ -56,51 +53,6 @@ class ComponentScheduler {
   /// way, and merge() deliberately never copies configuration.
   std::int64_t run_max_total(
       int count, const std::function<void(int, RoundLedger&)>& job,
-      std::int64_t congest_bits = 0) const;
-
-  /// Shard-placed fan-out (the distributed execution shape): job i runs on
-  /// its home shard `placement[i]`, shards execute through `transport`
-  /// (concurrently under InProcessTransport with a pooled runtime), and a
-  /// shard runs its own jobs in ascending index order — exactly what a rank
-  /// of a distributed deployment would do with the components it owns.
-  ///
-  /// Results are identical to run() for any placement because jobs keep the
-  /// index-private-output discipline; only wall-clock placement changes.
-  /// The exception contract also matches run(): every job executes (a
-  /// throwing job cannot cancel siblings) and the lowest-index job's
-  /// exception is rethrown after the barrier. transport.num_shards() <= 1
-  /// falls back to run()'s per-job dynamic load balancing.
-  void run_placed(const std::vector<int>& placement, Transport& transport,
-                  const std::function<void(int)>& job) const;
-
-  /// run_max_total with shard placement; see run_placed / run_max_total.
-  std::int64_t run_max_total_placed(
-      const std::vector<int>& placement, Transport& transport,
-      const std::function<void(int, RoundLedger&)>& job,
-      std::int64_t congest_bits = 0) const;
-
-  /// The canonical home-shard convenience used by the api-level component
-  /// fan-out and the Phase-(6) leftover fan-out: job i is placed on the
-  /// shard owning `owner_vertex[i]` under `part` (contiguous or
-  /// locality-renumbered — placement is wherever part.shard_of says the
-  /// owner lives), executed through an in-process transport over this
-  /// scheduler's pool. A single shard falls back to the unplaced
-  /// run()/run_max_total().
-  void run_owner_placed(const VertexPartition& part,
-                        const std::vector<int>& owner_vertex,
-                        const std::function<void(int)>& job) const;
-  std::int64_t run_max_total_owner_placed(
-      const VertexPartition& part, const std::vector<int>& owner_vertex,
-      const std::function<void(int, RoundLedger&)>& job,
-      std::int64_t congest_bits = 0) const;
-
-  /// Contiguous-partition convenience (the pre-PR-8 signatures).
-  void run_owner_placed(int n, int num_shards,
-                        const std::vector<int>& owner_vertex,
-                        const std::function<void(int)>& job) const;
-  std::int64_t run_max_total_owner_placed(
-      int n, int num_shards, const std::vector<int>& owner_vertex,
-      const std::function<void(int, RoundLedger&)>& job,
       std::int64_t congest_bits = 0) const;
 
  private:

@@ -423,14 +423,4 @@ void sharded_for(ThreadPool* pool, const VertexPartition& part,
   }
 }
 
-/// Contiguous-partition convenience overload (the pre-PR-8 signature).
-template <typename Body>
-void sharded_for(ThreadPool* pool, int num_shards, int n, const Body& body) {
-  if (num_shards <= 1) {
-    pooled_for(pool, 0, n, body);
-    return;
-  }
-  sharded_for(pool, VertexPartition::contiguous(n, num_shards), body);
-}
-
 }  // namespace deltacol

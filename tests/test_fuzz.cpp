@@ -1,11 +1,14 @@
 // Randomized end-to-end fuzzing: random graph family x random algorithm x
-// random options (including random CONGEST caps and runtime shapes). The
+// random options (including random CONGEST caps and thread counts). The
 // invariant that must survive everything: delta_color returns a proper
 // Delta-coloring (or throws ContractViolation for inputs it documents as
 // rejected) — and the shard runtime's byte counters stay consistent with
 // the messages actually posted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,9 +18,11 @@
 #include "graph/structure.h"
 #include "graph/components.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "graph/ops.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
+#include "net/rank_loader.h"
 #include "net/wire_codec.h"
 #include "runtime/mailbox.h"
 #include "runtime/message_size.h"
@@ -71,11 +76,10 @@ DeltaColoringOptions random_options(Rng& rng) {
   opt.use_paper_constants = rng.next_bool(0.2);
   opt.list_engine = rng.next_bool(0.5) ? ListEngine::kDeterministic
                                        : ListEngine::kRandomized;
-  // Random runtime shapes and CONGEST caps: both are observability /
-  // placement knobs that must never change what delta_color computes.
+  // Random thread counts and CONGEST caps: both are wall-clock /
+  // accounting knobs that must never change what delta_color computes.
   const int shapes[] = {1, 2, 8};
   opt.num_threads = shapes[rng.next_int(0, 2)];
-  opt.num_shards = shapes[rng.next_int(0, 2)];
   if (rng.next_bool(0.5)) {
     opt.congest_bits = rng.next_int(1, 512);  // tight, uneven caps
   }
@@ -144,7 +148,6 @@ TEST(FuzzStress, EightSameSeedRunsAreBitIdentical) {
     DeltaColoringOptions opt;
     opt.seed = rng.next_u64();
     opt.num_threads = 8;
-    opt.num_shards = 2;
     opt.perturb_salt = rng.next_u64();
 
     const auto ref = delta_color(g, alg, opt);
@@ -461,6 +464,98 @@ TEST(WireCodecFuzz, MailboxSlotsSurviveSerializationExactly) {
     inflated[1] = 0xff;
     EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(inflated)), WireError);
   }
+}
+
+// --- edge-list loader fuzz -------------------------------------------------
+//
+// Each input must load or throw ContractViolation in read_edge_list and in
+// load_edge_list_slice at S ∈ {1, 2, 3} alike, and accepted slices must tile
+// the full graph's adjacency. Headers asking for more than 10^4 vertices are
+// skipped: the fuzz targets parsing, not allocation. Returns "accepted".
+bool check_loaders(const std::string& text) {
+  struct TooLarge {};
+  try {
+    std::istringstream in(text);
+    scan_edge_list(
+        in,
+        [](int n, std::int64_t) {
+          if (n > 10'000) throw TooLarge{};
+        },
+        [](int, int) {});
+  } catch (const TooLarge&) {
+    return false;
+  } catch (const ContractViolation&) {
+  }
+  std::optional<Graph> g;
+  try {
+    std::istringstream in(text);
+    g = read_edge_list(in);
+  } catch (const ContractViolation&) {
+  }
+  for (int S : {1, 2, 3}) {
+    int next_lo = 0;
+    for (int shard = 0; shard < S; ++shard) {
+      std::istringstream in(text);
+      std::optional<CsrSlice> slice;
+      try {
+        slice = load_edge_list_slice(in, S, shard);
+      } catch (const ContractViolation&) {
+      }
+      EXPECT_EQ(slice.has_value(), g.has_value()) << S << ":\n" << text;
+      if (!slice || !g) continue;
+      EXPECT_EQ(slice->lo, next_lo);
+      next_lo = slice->hi;
+      for (int v = slice->lo; v < slice->hi; ++v) {
+        const auto got = slice->neighbors(v);
+        const auto want = g->neighbors(v);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                               want.end()))
+            << "S=" << S << " v=" << v << ":\n" << text;
+      }
+    }
+    if (g) {
+      EXPECT_EQ(next_lo, g->num_vertices()) << "S=" << S;
+    }
+  }
+  return g.has_value();
+}
+
+// Mostly edge-list-shaped bytes, with the odd arbitrary one.
+char fuzz_byte(Rng& rng) {
+  static constexpr char kAlphabet[] = "0123456789  \t\n\n\r#-+.x";
+  if (rng.next_bool(0.1)) return static_cast<char>(rng.next_int(0, 255));
+  return kAlphabet[rng.next_int(0, static_cast<int>(sizeof kAlphabet) - 2)];
+}
+
+TEST(LoaderFuzz, RandomAndMutatedEdgeListsLoadOrThrowAlike) {
+  Rng rng(0x10AD);
+  int accepted = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text;
+    if (iter % 2 == 0) {  // random bytes, half behind a plausible header
+      if (rng.next_bool(0.5)) text = std::to_string(rng.next_int(0, 9)) + " 3\n";
+      for (int i = rng.next_int(0, 60); i > 0; --i) text += fuzz_byte(rng);
+    } else {  // a valid list with 1-3 byte edits
+      std::ostringstream os;
+      write_edge_list(os, random_graph_max_degree(rng.next_int(2, 20),
+                                                  rng.next_int(2, 5), 1.5, rng));
+      text = os.str();
+      for (int k = rng.next_int(1, 3); k > 0 && !text.empty(); --k) {
+        const auto at = static_cast<std::size_t>(
+            rng.next_int(0, static_cast<int>(text.size()) - 1));
+        switch (rng.next_int(0, 3)) {
+          case 0: text[at] = fuzz_byte(rng); break;
+          case 1: text.insert(at, 1, fuzz_byte(rng)); break;
+          case 2: text.erase(at, 1); break;
+          default: text.resize(at); break;
+        }
+      }
+    }
+    accepted += check_loaders(text) ? 1 : 0;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_LT(accepted, 3800);
 }
 
 }  // namespace

@@ -9,9 +9,8 @@
 //
 // The fingerprint folds every observable of a DeltaColoringResult — the
 // coloring bytes, Delta, the ledger total and per-phase breakdown, and all
-// PhaseStats counters — through FNV-1a, and is checked over the full
-// (shards, threads) ∈ {1, 2, 8}² grid: every shape must land on the one
-// frozen hash.
+// PhaseStats counters — through FNV-1a, and is checked at threads ∈
+// {1, 2, 8}: every thread count must land on the one frozen hash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -111,17 +110,13 @@ TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
     }
     ASSERT_NE(g, nullptr) << golden.graph;
     const Algorithm alg = alg_from_tag(golden.alg);
-    for (int num_shards : {1, 2, 8}) {
-      for (int threads : {1, 2, 8}) {
-        DeltaColoringOptions opt;
-        opt.seed = 2024;
-        opt.num_threads = threads;
-        opt.num_shards = num_shards;
-        const DeltaColoringResult res = delta_color(*g, alg, opt);
-        EXPECT_EQ(result_fingerprint(res), golden.hash)
-            << golden.graph << " / " << golden.alg << " / S="
-            << num_shards << " T=" << threads;
-      }
+    for (int threads : {1, 2, 8}) {
+      DeltaColoringOptions opt;
+      opt.seed = 2024;
+      opt.num_threads = threads;
+      const DeltaColoringResult res = delta_color(*g, alg, opt);
+      EXPECT_EQ(result_fingerprint(res), golden.hash)
+          << golden.graph << " / " << golden.alg << " / T=" << threads;
     }
   }
 }

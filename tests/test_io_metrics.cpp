@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
 #include "local/round_ledger.h"
 #include "mis/luby_sync.h"
+#include "net/rank_loader.h"
 #include "runtime/mailbox.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -26,18 +29,43 @@ TEST(Io, EdgeListRoundTrip) {
   EXPECT_EQ(h.edge_list(), g.edge_list());
 }
 
-TEST(Io, ReadSkipsComments) {
-  std::istringstream in("# a comment\n3 2\n0 1\n# another\n1 2\n");
+TEST(Io, ReadSkipsCommentsBlankLinesAndWhitespace) {
+  std::istringstream in(
+      "# a comment\n  3\t2 \r\n\n \t\n0 1\r\n# another\n\t1  2 \n");
   const Graph g = read_edge_list(in);
   EXPECT_EQ(g.num_vertices(), 3);
   EXPECT_EQ(g.num_edges(), 2);
 }
 
-TEST(Io, ReadRejectsBadInput) {
-  std::istringstream missing_header("0 1\n");
-  EXPECT_THROW(read_edge_list(missing_header), ContractViolation);
-  std::istringstream wrong_count("3 5\n0 1\n");
-  EXPECT_THROW(read_edge_list(wrong_count), ContractViolation);
+TEST(Io, BadInputIsRejectedNamingTheLine) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"# only a comment\n", "missing header"},
+      {"3 5\n0 1\n", "does not match header"},
+      {"3 2\n0 1\n1 2 junk\n", "line 3:"},
+      {"3 2 extra\n0 1\n1 2\n", "line 1:"},
+      {"3 2\n0 1\n1 2.9\n", "line 3:"},
+      {"# c\n3 2\n0 1\n1-2\n", "line 4:"},
+      {"3 2\n0 1\n1\n", "line 3:"},
+      {"3 2\n0 x1\n1 2\n", "line 2:"},
+      {"3 2\n0 1\n1 3\n", "line 3:"},  // endpoint out of range
+      {"3 2\n0 1\n2 2\n", "line 3:"},  // self-loop
+      {"-3 2\n0 1\n1 2\n", "line 1:"},
+      {"3 2\n0 1\n1 99999999999999999999\n", "line 3:"},
+  };
+  // Both loaders share one parser, so both reject with the same message.
+  for (const auto& [text, message] : cases) {
+    for (int loader = 0; loader < 2; ++loader) {
+      std::istringstream in(text);
+      try {
+        if (loader == 0) read_edge_list(in);
+        if (loader == 1) load_edge_list_slice(in, 2, 1);
+        ADD_FAILURE() << "accepted:\n" << text;
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Io, DotContainsVerticesAndColors) {

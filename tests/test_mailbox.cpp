@@ -2,13 +2,12 @@
 // mailbox routing + shard-major merge order, the sharded
 // ParallelSyncEngine path (bit-identical to the serial engine for every
 // shards x threads combination, even under a scheduling-perverse custom
-// Transport), message-volume accounting against GraphView cross-edge
-// counts, and the shard-placed ComponentScheduler.
+// Transport), and message-volume accounting against GraphView cross-edge
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "graph/generators.h"
@@ -16,7 +15,6 @@
 #include "local/round_ledger.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
-#include "runtime/component_scheduler.h"
 #include "runtime/mailbox.h"
 #include "runtime/parallel_sync_engine.h"
 #include "runtime/thread_pool.h"
@@ -183,58 +181,6 @@ TEST(ShardedEngine, ReverseShardOrderTransportIsObservationallyEquivalent) {
   EXPECT_EQ(ledger.total(), serial_rounds);
   // One exchange per round went through the custom backend.
   EXPECT_EQ(raw->exchanges(), static_cast<int>(shards.rounds_recorded()));
-}
-
-TEST(ComponentScheduler, PlacedRunExecutesEveryJobOnItsShard) {
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-    const ComponentScheduler sched(pool_ptr);
-    InProcessTransport transport(3, pool_ptr);
-    const std::vector<int> placement = {2, 0, 1, 0, 2, 2, 1};
-    std::vector<int> ran(placement.size(), 0);
-    sched.run_placed(placement, transport,
-                     [&](int i) { ++ran[static_cast<std::size_t>(i)]; });
-    for (int r : ran) EXPECT_EQ(r, 1);
-  }
-}
-
-TEST(ComponentScheduler, PlacedRunRethrowsTheLowestIndexException) {
-  ThreadPool pool(4);
-  const ComponentScheduler sched(&pool);
-  InProcessTransport transport(4, &pool);
-  // Jobs 2 (shard 3) and 5 (shard 0) throw; every job still runs and the
-  // serial-order winner is job 2 regardless of shard scheduling.
-  const std::vector<int> placement = {0, 1, 3, 2, 1, 0};
-  std::vector<int> ran(placement.size(), 0);
-  try {
-    sched.run_placed(placement, transport, [&](int i) {
-      ++ran[static_cast<std::size_t>(i)];
-      if (i == 2 || i == 5) {
-        throw std::runtime_error("job " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "job 2");
-  }
-  for (int r : ran) EXPECT_EQ(r, 1);
-}
-
-TEST(ComponentScheduler, PlacedMaxTotalMatchesUnplaced) {
-  ThreadPool pool(4);
-  const ComponentScheduler sched(&pool);
-  InProcessTransport transport(3, &pool);
-  const std::vector<int> placement = {1, 1, 0, 2, 0};
-  const auto job = [](int i, RoundLedger& ledger) {
-    ledger.charge(10 * i + 1, "child");
-  };
-  const std::int64_t placed =
-      sched.run_max_total_placed(placement, transport, job);
-  const std::int64_t unplaced =
-      sched.run_max_total(static_cast<int>(placement.size()), job);
-  EXPECT_EQ(placed, unplaced);
-  EXPECT_EQ(placed, 41);
 }
 
 // --- the explicit drain/fill surface a serializing transport drives --------

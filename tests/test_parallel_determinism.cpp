@@ -1,17 +1,11 @@
 // The parallel runtime's central guarantee (DESIGN.md "Runtime"):
-// delta_color at num_threads ∈ {1, 2, 8} — and, since the shard layer,
-// num_shards ∈ {1, 2, 8} — produces, for every Algorithm and a fixed seed,
-// bit-identical colorings, identical RoundLedger totals and per-phase
-// breakdowns, and identical PhaseStats to the serial path (num_threads = 1,
-// num_shards = 1 takes the runtime's inline serial branches everywhere).
-//
-// The DELTACOL_SHARDS environment variable (CI: the --shards 2 leg) shifts
-// the BASELINE shard count of every non-shard-specific test here, so the
-// whole thread matrix re-runs against a sharded baseline.
+// delta_color at num_threads ∈ {1, 2, 8} produces, for every Algorithm and
+// a fixed seed, bit-identical colorings, identical RoundLedger totals and
+// per-phase breakdowns, and identical PhaseStats to the serial path
+// (num_threads = 1 takes the runtime's inline serial branches everywhere).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,14 +16,6 @@
 
 namespace deltacol {
 namespace {
-
-// Baseline shard count: 1 unless the harness (CI shard leg) overrides it.
-int env_default_shards() {
-  const char* s = std::getenv("DELTACOL_SHARDS");
-  if (s == nullptr) return 1;
-  const int v = std::atoi(s);
-  return v > 1 ? v : 1;
-}
 
 void expect_same_ledger(const RoundLedger& a, const RoundLedger& b,
                         const std::string& label) {
@@ -73,7 +59,6 @@ void check_graph(const Graph& g, std::uint64_t seed, const char* graph_name) {
     DeltaColoringOptions serial_opt;
     serial_opt.seed = seed;
     serial_opt.num_threads = 1;
-    serial_opt.num_shards = env_default_shards();
     const DeltaColoringResult serial = delta_color(g, alg, serial_opt);
     validate_delta_coloring(g, serial.coloring, serial.delta);
 
@@ -131,7 +116,6 @@ TEST(ParallelDeterminism, RandomizedListEngineSharesOneRngStream) {
     o1.seed = 5;
     o1.list_engine = ListEngine::kRandomized;
     o1.num_threads = 1;
-    o1.num_shards = env_default_shards();
     DeltaColoringOptions o8 = o1;
     o8.num_threads = 8;
     const auto r1 = delta_color(g, alg, o1);
@@ -153,7 +137,6 @@ TEST(ParallelDeterminism, LeftoverComponentSchedulerIsDeterministic) {
   serial_opt.seed = 9;
   serial_opt.small_variant_radius_cap = 2;
   serial_opt.num_threads = 1;
-  serial_opt.num_shards = env_default_shards();
   const DeltaColoringResult serial =
       delta_color(g, Algorithm::kRandomizedSmall, serial_opt);
   validate_delta_coloring(g, serial.coloring, serial.delta);
@@ -179,7 +162,6 @@ TEST(ParallelDeterminism, AutoThreadCountAlsoMatches) {
   DeltaColoringOptions o1;
   o1.seed = 3;
   o1.num_threads = 1;
-  o1.num_shards = env_default_shards();
   DeltaColoringOptions oauto = o1;
   oauto.num_threads = 0;  // all hardware threads
   const auto r1 = delta_color(g, Algorithm::kRandomizedSmall, o1);
@@ -199,7 +181,6 @@ TEST(ParallelDeterminism, PerturbationSaltSweep) {
     DeltaColoringOptions base;
     base.seed = 7;
     base.num_threads = 8;
-    base.num_shards = 4;
     const DeltaColoringResult ref = delta_color(g, alg, base);
     validate_delta_coloring(g, ref.coloring, ref.delta);
     for (std::uint64_t salt : {1ull, 2ull, 0x9e3779b97f4a7c15ull}) {
@@ -211,58 +192,6 @@ TEST(ParallelDeterminism, PerturbationSaltSweep) {
       EXPECT_EQ(res.coloring, ref.coloring) << label;
       expect_same_ledger(res.ledger, ref.ledger, label);
       expect_same_stats(res.stats, ref.stats, label);
-    }
-  }
-}
-
-// The shard layer's golden contract over the generator zoo: colorings (and
-// every other observable) are bit-for-bit identical across shard counts
-// {1, 2, 8} × thread counts {1, 2, 8} — the serial unsharded run is the
-// oracle. Shards only move placement (component homes, shard-major sweeps,
-// mailbox-merged rounds), never data (DESIGN.md §6 "shard-major merge").
-TEST(ShardDeterminism, GeneratorZooShardsTimesThreadsGolden) {
-  Rng rng(71);
-  struct Workload {
-    const char* name;
-    Graph g;
-  };
-  const Workload zoo[] = {
-      {"regular-500-6", random_regular(500, 6, rng)},
-      {"gallai-400-4", random_gallai_tree(400, 4, rng)},
-      {"sparse-400-6", random_graph_max_degree(400, 6, 1.8, rng)},
-      {"3-components",
-       disjoint_union(disjoint_union(random_regular(200, 5, rng),
-                                     random_regular(90, 4, rng)),
-                      random_graph_max_degree(150, 6, 1.8, rng))},
-      {"triangle-cactus", triangle_cactus(1500)},
-  };
-  const Algorithm algs[] = {Algorithm::kDeterministic,
-                            Algorithm::kRandomizedSmall,
-                            Algorithm::kBaselineGreedyBrooks};
-  for (const auto& w : zoo) {
-    for (Algorithm alg : algs) {
-      DeltaColoringOptions base;
-      base.seed = 2024;
-      base.num_threads = 1;
-      base.num_shards = 1;
-      const DeltaColoringResult oracle = delta_color(w.g, alg, base);
-      validate_delta_coloring(w.g, oracle.coloring, oracle.delta);
-      for (int num_shards : {1, 2, 8}) {
-        for (int threads : {1, 2, 8}) {
-          if (num_shards == 1 && threads == 1) continue;  // the oracle
-          DeltaColoringOptions opt = base;
-          opt.num_shards = num_shards;
-          opt.num_threads = threads;
-          const DeltaColoringResult res = delta_color(w.g, alg, opt);
-          const std::string label = std::string(w.name) + " / " +
-                                    algorithm_name(alg) + " / S=" +
-                                    std::to_string(num_shards) + " T=" +
-                                    std::to_string(threads);
-          EXPECT_EQ(res.coloring, oracle.coloring) << label;
-          expect_same_ledger(res.ledger, oracle.ledger, label);
-          expect_same_stats(res.stats, oracle.stats, label);
-        }
-      }
     }
   }
 }

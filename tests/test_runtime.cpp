@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -137,23 +137,21 @@ TEST(ParallelSyncEngine, BitIdenticalToSerialEngineOnLuby) {
     EXPECT_EQ(ledger.total(), serial_rounds) << threads << " threads";
   }
 
-  // The sharded engine path must also reproduce the serial reference; the
-  // shard count comes from DELTACOL_SHARDS when the harness (CI --shards
-  // leg) sets it, default 2.
-  const char* env = std::getenv("DELTACOL_SHARDS");
-  const int env_shards = env != nullptr && std::atoi(env) > 1 ? std::atoi(env) : 2;
-  for (int threads : {1, 8}) {
-    ThreadPool pool(threads);
-    ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-    ShardRuntime shards(g, env_shards, pool_ptr);
-    Rng rng(99);
-    RoundLedger ledger;
-    const auto mis =
-        luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
-    EXPECT_EQ(mis, serial_mis) << env_shards << " shards, " << threads
-                               << " threads";
-    EXPECT_EQ(ledger.total(), serial_rounds)
-        << env_shards << " shards, " << threads << " threads";
+  // The sharded engine path must also reproduce the serial reference.
+  for (int num_shards : {2, 8}) {
+    for (int threads : {1, 8}) {
+      ThreadPool pool(threads);
+      ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+      ShardRuntime shards(g, num_shards, pool_ptr);
+      Rng rng(99);
+      RoundLedger ledger;
+      const auto mis =
+          luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
+      EXPECT_EQ(mis, serial_mis)
+          << num_shards << " shards, " << threads << " threads";
+      EXPECT_EQ(ledger.total(), serial_rounds)
+          << num_shards << " shards, " << threads << " threads";
+    }
   }
 }
 
@@ -165,7 +163,7 @@ TEST(ParallelSyncEngine, MatchesSyncEngineRoundForRound) {
   const int n = g.num_vertices();
 
   struct State {
-    int sum = 0;
+    std::uint64_t sum = 0;  // unsigned: the fold below wraps, never overflows
   };
   using Msg = int;
   // Every node repeatedly sends its id+round to all neighbors and sums what
