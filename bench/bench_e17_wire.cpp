@@ -2,25 +2,33 @@
 // net/socket_transport.h).
 //
 // One series, one claim: the physical bytes a 2-rank loopback cluster moves
-// for Luby's MIS decompose exactly into the MessageSize-priced payload plus
-// a fixed, enumerable framing overhead — nothing hidden, nothing lost.
+// for Luby's MIS decompose exactly into the MessageSize-priced payload of
+// the cross-rank envelopes plus a fixed, enumerable framing overhead —
+// nothing hidden, nothing lost.
 //
 //  * E17_WireVolume — two ranks over a socketpair, each running the
 //    message-passing engine over its own SocketTransport. Counters:
-//      - logical_bytes:  ShardRuntime total_bits / 8 (the CONGEST price);
+//      - logical_bytes:  ShardRuntime total_bits / 8 (the CONGEST price of
+//                        every envelope, rank-local ones included);
 //      - wire_bytes:     physical frame bytes both ranks sent (transport
 //                        counters — length prefixes included);
-//      - ratio:          wire / logical, the cost of addressing + framing.
-//        Luby's 65-bit messages cost 9 payload bytes + 8 addressing bytes
-//        on the wire vs 8.125 charged bytes, so the ratio sits a little
-//        above 2 and falls as rows amortize their fixed 32-byte header;
-//      - overhead_ok:    1 iff wire_bytes equals the closed-form
-//                        prediction from the runtime's envelope counters
-//                        (32 fixed bytes per frame + 17 per envelope) —
-//        i.e. the framing overhead is EXACTLY the documented constants
-//        (kFramePrefixBytes, exchange header, kWireSlotPrefixBytes,
-//        kWireEnvelopeOverheadBytes), re-derived here from first
-//        principles;
+//      - ratio:          wire / logical. Only envelopes addressed to the
+//        other rank ship, each as 9 payload bytes + 8 addressing bytes vs
+//        8.125 charged bytes; on a random regular graph about half the
+//        envelopes cross the contiguous cut, so the ratio sits near 1;
+//      - overhead_ok:    1 iff each rank's wire bytes equal the closed-form
+//        prediction from the runtime's counters, where R is the number of
+//        engine rounds:
+//          R·64 + 17·(envelopes to the peer) + (R/2)·24 + (20 + 4·owned).
+//        64 = 4-byte frame prefix + 56-byte owned-frame header (tag,
+//        sender, seq, destination, world, 2×16 tally bytes, slot length) +
+//        4-byte slot envelope count; 24 = one allreduce_sum frame per Luby
+//        iteration (the termination test); the last term is the end-of-run
+//        gather_colors frame (4-byte prefix, 16-byte header, one u32 per
+//        owned vertex). I.e. the framing overhead is EXACTLY the documented
+//        constants (kFramePrefixBytes, kWireSlotPrefixBytes,
+//        kWireEnvelopeOverheadBytes and the frame headers), re-derived here
+//        from first principles;
 //      - identical:      1 iff both ranks' MIS, ledgers and byte counters
 //        equal the in-process S=2 golden run (the differential contract,
 //        re-asserted on every row).
@@ -60,7 +68,8 @@ struct RankResult {
   std::int64_t ledger_total = 0;
   std::int64_t total_bits = 0;
   std::int64_t wire_sent = 0;
-  std::int64_t sent_envelopes = 0;  // sum of this rank's outgoing slots
+  std::int64_t peer_envelopes = 0;  // envelopes this rank addressed to the peer
+  std::int64_t owned = 0;
   std::int64_t rounds = 0;
 };
 
@@ -110,25 +119,27 @@ void E17_WireVolume(benchmark::State& state) {
         out.rounds = rt.rounds_recorded();
         auto& st = static_cast<SocketTransport&>(rt.transport());
         out.wire_sent = st.wire_bytes_sent();
-        out.sent_envelopes = 0;
-        for (int d = 0; d < kWorld; ++d) {
-          out.sent_envelopes += rt.slot_messages(r, d);
-        }
+        out.peer_envelopes = rt.slot_messages(r, 1 - r);
+        out.owned = rt.partition().size(r);
       });
     }
     for (auto& t : threads) t.join();
   }
 
-  // Closed-form framing prediction per rank: every engine round ships one
-  // frame to the (world-1) peer(s). Fixed bytes per frame: the 4-byte frame
-  // length prefix + the 12-byte exchange header (sender, seq, slot count) +
-  // per slot a 4-byte length and the 4-byte envelope-count prefix. Variable
-  // bytes: 8 addressing + 9 Luby payload per envelope.
-  constexpr std::int64_t kFixedPerFrame =
-      kFramePrefixBytes + 12 + kWorld * (4 + kWireSlotPrefixBytes);
+  // Closed-form framing prediction per rank (see the file comment). Every
+  // engine round ships one owned frame to the peer; every Luby iteration
+  // (two engine rounds) one allreduce_sum frame; the run ends with one
+  // gather_colors frame.
+  constexpr std::int64_t kOwnedHeader = 5 * 4 + kWorld * 16 + 4;
+  constexpr std::int64_t kPerRound =
+      kFramePrefixBytes + kOwnedHeader + kWireSlotPrefixBytes;
+  constexpr std::int64_t kReduceFrame = kFramePrefixBytes + 3 * 4 + 8;
+  constexpr std::int64_t kGatherFixed = kFramePrefixBytes + 4 * 4;
   constexpr std::int64_t kLubyPayloadBytes = 9;  // ceil(1/8) + ceil(64/8)
   constexpr std::int64_t kPerEnvelope =
       kWireEnvelopeOverheadBytes + kLubyPayloadBytes;
+  static_assert(kPerRound == 64 && kReduceFrame == 24 && kGatherFixed == 20,
+                "E17 frame constants");
 
   bool identical = true;
   bool overhead_ok = true;
@@ -138,8 +149,8 @@ void E17_WireVolume(benchmark::State& state) {
                 rr.ledger_total == golden_ledger &&
                 rr.total_bits == golden_bits;
     const std::int64_t predicted =
-        (kWorld - 1) *
-        (rr.rounds * kFixedPerFrame + rr.sent_envelopes * kPerEnvelope);
+        rr.rounds * kPerRound + rr.peer_envelopes * kPerEnvelope +
+        (rr.rounds / 2) * kReduceFrame + kGatherFixed + 4 * rr.owned;
     overhead_ok = overhead_ok && rr.wire_sent == predicted;
     wire_total += rr.wire_sent;
   }

@@ -28,12 +28,12 @@
 //        bit-identical between the two strategies AND the unsharded oracle.
 //
 //  * E18_WirePayload — 2 ranks over a socketpair per workload, one run per
-//    strategy: wire_cross_contig / wire_cross_cluster are the encoded
-//    payload bytes addressed to the peer rank
-//    (SocketTransport::cross_payload_bytes — what an owner-routed exchange
-//    puts on the wire; the replicated merge's physical bytes are
-//    partition-invariant, see net/socket_transport.h), wire_cut_pct the
-//    relative drop, identical the cross-strategy bit-identity.
+//    strategy: wire_cross_contig / wire_cross_cluster are the encoded slot
+//    payload bytes each rank framed to its peer
+//    (SocketTransport::cross_payload_bytes — the measured cross-shard
+//    payload of the distributed exchange, see net/socket_transport.h),
+//    wire_cut_pct the relative drop, identical the cross-strategy
+//    bit-identity.
 //
 // Emission: wall-clock per row, BENCH_e18.json when DELTACOL_BENCH_JSON is
 // set under the minibench harness (schema in bench/README.md), CSV via

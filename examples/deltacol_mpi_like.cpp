@@ -14,8 +14,9 @@
 //      halo, and fetches the halo adjacency from the owning ranks over the
 //      wire (net/rank_loader.h) — verified against the full graph;
 //   2. runs Luby's MIS on the message-passing engine over the socket
-//      transport: sends are genuinely partitioned (run_shards executes only
-//      the local rank's body) and every round's mailbox row crosses TCP;
+//      transport: each rank holds only its own shard's state, and every
+//      round ships each cross-shard slot over TCP to the rank that owns its
+//      destination (DESIGN.md section 6, distributed rounds);
 //   3. runs the requested Delta-coloring algorithms replicated (every rank
 //      executes the same in-process pipeline on the full graph).
 //
@@ -59,7 +60,7 @@ void usage(std::ostream& out) {
          "         [--endpoints host:port,...] [--port-base P]\n"
          "         [--alg all|small|large|det|ps|naive] [--seed S]\n"
          "         [--congest-bits B] [--partition contiguous|cluster]\n"
-         "         [--exchange replicated|owner] [--out FILE]\n"
+         "         [--out FILE]\n"
          "  tcp     one process per rank; rank/world/endpoints from flags or\n"
          "          DELTACOL_RANK/DELTACOL_WORLD/DELTACOL_ENDPOINTS env\n"
          "  inproc  single-process reference producing the canonical output\n"
@@ -69,14 +70,6 @@ void usage(std::ostream& out) {
          "          all canonical lines except the slice/cross-edge stats are\n"
          "          identical for either choice; cluster cuts the cross-rank\n"
          "          payload reported on the \"# rank=\" lines\n"
-         "  --exchange replicated|owner\n"
-         "          how the Luby message-passing step moves envelopes\n"
-         "          between ranks (runtime/execution_mode.h). replicated\n"
-         "          all-gathers full mailbox rows; owner ships only\n"
-         "          cross-shard slots point-to-point and merges rank-locally\n"
-         "          over owned state. Canonical output is bit-identical\n"
-         "          either way (DESIGN.md section 6, owner-compute); only the\n"
-         "          \"# rank=\" wire counters change\n"
          "Numeric flags take base-10 integers; a malformed or out-of-range\n"
          "value exits 2 with a message naming the flag.\n";
 }
@@ -116,7 +109,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::int64_t congest_bits = 0;
   PartitionStrategy strategy = PartitionStrategy::kContiguous;
-  ExchangePolicy exchange = ExchangePolicy::kReplicated;
   try {
     using flag_parse::integer;
     using flag_parse::UsageError;
@@ -152,10 +144,6 @@ int main(int argc, char** argv) {
       } else if (a == "--partition") {
         if (!parse_partition_strategy(value(), &strategy)) {
           throw UsageError("--partition must be contiguous or cluster");
-        }
-      } else if (a == "--exchange") {
-        if (!parse_exchange_policy(value().c_str(), &exchange)) {
-          throw UsageError("--exchange must be replicated or owner");
         }
       } else if (a == "--out") {
         out_path = value();
@@ -212,7 +200,7 @@ int main(int argc, char** argv) {
         << " m=" << g.num_edges() << " delta=" << g.max_degree()
         << " world=" << S << " seed=" << seed << " congest-bits="
         << congest_bits << " partition=" << partition_strategy_name(strategy)
-        << " exchange=" << exchange_policy_name(exchange) << "\n";
+        << "\n";
 
     // --- 1. per-rank slice + halo -----------------------------------------
     // The canonical table covers every rank (a pure function of the
@@ -251,11 +239,6 @@ int main(int argc, char** argv) {
     } else {
       runtime = std::make_unique<ShardRuntime>(g, part, nullptr);
     }
-    // The exchange policy applies to the message-passing step (3): under
-    // --transport inproc the in-process backend round-trips cross-shard
-    // slots through the codec under the owner policy, so the reference
-    // covers both wire disciplines hermetically.
-    runtime->set_exchange_policy(exchange);
 
     // --- 2. halo adjacency over the wire ----------------------------------
     if (tcp) {
@@ -289,7 +272,7 @@ int main(int argc, char** argv) {
       out << "halo-exchange: verified\n";
     }
 
-    // --- 3. Luby's MIS with every round's mailbox row over the wire -------
+    // --- 3. Luby's MIS with every round's cross-shard slots over the wire -
     {
       Rng rng(seed);
       RoundLedger ledger;
@@ -306,8 +289,7 @@ int main(int argc, char** argv) {
           << runtime->rounds_recorded() << "\n";
       if (tcp) {
         auto& st = static_cast<SocketTransport&>(runtime->transport());
-        out << "# rank=" << cfg.rank << " exchange="
-            << exchange_policy_name(exchange) << " wire-bytes-sent="
+        out << "# rank=" << cfg.rank << " wire-bytes-sent="
             << st.wire_bytes_sent() << " wire-bytes-received="
             << st.wire_bytes_received() << " frames=" << st.frames_sent()
             << " cross-payload-bytes=" << st.cross_payload_bytes() << "\n";

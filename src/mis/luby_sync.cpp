@@ -63,7 +63,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
   const VertexPartition part = shards != nullptr
                                    ? shards->partition()
                                    : VertexPartition::contiguous(n, 1);
-  // Owner-compute (DESIGN.md §6): the engine holds owned-only state, so
+  // Distributed ranks (DESIGN.md §6): the engine holds owned-only state, so
   // every sweep below runs over the local shard's owned list and the
   // termination test / result extraction go through the transport's
   // deterministic collectives instead of reading global state.
@@ -72,7 +72,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
 
   // LOCAL-model nodes own private randomness: seed each node once from the
   // caller's stream (private coins, not communication) — serially, so the
-  // per-node streams are thread-count independent. Owner-compute ranks
+  // per-node streams are thread-count independent. Distributed ranks
   // still advance the caller's stream n times (stream identity with every
   // other shape) but keep only their owned nodes' streams.
   for (int v = 0; v < n; ++v) {
@@ -83,7 +83,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
   }
 
   // Per-vertex sweep helper: all vertices in-process, owned vertices only
-  // under owner-compute (the bodies are v-private either way).
+  // on a distributed rank (the bodies are v-private either way).
   const auto sweep = [&](const auto& body) {
     if (owner) {
       const GraphView& view = shards->view(local);
@@ -143,7 +143,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
             }
           }
         });
-    // Termination: count actives. Owner-compute ranks count their owned
+    // Termination: count actives. Distributed ranks count their owned
     // actives and fold the counts deterministically across ranks — every
     // rank leaves the loop on the same iteration, by construction.
     if (owner) {
@@ -163,10 +163,10 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
       if (engine.state(v).status == NodeStatus::kActive) ++remaining;
     }
   }
-  // Result extraction. Owner-compute ranks know only their shard's flags:
+  // Result extraction. Distributed ranks know only their shard's flags:
   // the deterministic end-of-run gather (Transport::gather_colors)
   // reassembles the global MIS on every rank, bit-identical to the
-  // replicated shapes.
+  // in-process run.
   std::vector<bool> out(static_cast<std::size_t>(n), false);
   if (owner) {
     const GraphView& view = shards->view(local);

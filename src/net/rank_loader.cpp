@@ -140,7 +140,15 @@ std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
   DC_REQUIRE(part.begin(self) == slice.lo && part.end(self) == slice.hi,
              "slice does not match this rank under the contiguous partition");
 
-  // Round 1: tell each owner which of its vertices sit in our halo.
+  // Both trips run on exchange_owned: one slot per peer, our own slot empty
+  // (the halo never contains an owned vertex), and zero tallies — no engine
+  // round is being accounted.
+  const auto exchange = [&](std::vector<WireBuf> to_peers) {
+    const std::vector<std::int64_t> zeros(static_cast<std::size_t>(world), 0);
+    return transport.exchange_owned(std::move(to_peers), zeros, zeros).slots;
+  };
+
+  // Trip 1: tell each owner which of its vertices sit in our halo.
   using IdList = std::vector<std::uint32_t>;
   const std::vector<int> halo = halo_of(slice);
   std::vector<IdList> wanted(static_cast<std::size_t>(world));
@@ -150,19 +158,21 @@ std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
   }
   std::vector<WireBuf> request_row(static_cast<std::size_t>(world));
   for (int d = 0; d < world; ++d) {
+    if (d == self) continue;
     WireWriter w;
     WireCodec<IdList>::encode(wanted[static_cast<std::size_t>(d)], w);
     request_row[static_cast<std::size_t>(d)] = w.take();
   }
-  const auto requests = transport.all_gather_rows(std::move(request_row));
+  const std::vector<WireBuf> requests = exchange(std::move(request_row));
 
-  // Round 2: answer every request against our owned rows, then collect the
-  // answers addressed to us. Reply slot = vector of (vertex, adjacency).
+  // Trip 2: answer every peer's request against our owned rows, then
+  // collect the answers addressed to us. Reply slot = vector of
+  // (vertex, adjacency).
   using Reply = std::vector<std::pair<std::uint32_t, IdList>>;
   std::vector<WireBuf> reply_row(static_cast<std::size_t>(world));
   for (int requester = 0; requester < world; ++requester) {
-    WireReader r(requests[static_cast<std::size_t>(requester)]
-                         [static_cast<std::size_t>(self)]);
+    if (requester == self) continue;
+    WireReader r(requests[static_cast<std::size_t>(requester)]);
     const IdList asked = WireCodec<IdList>::decode(r);
     DC_REQUIRE(r.done(), "trailing bytes in halo request");
     Reply reply;
@@ -180,13 +190,13 @@ std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
     WireCodec<Reply>::encode(reply, w);
     reply_row[static_cast<std::size_t>(requester)] = w.take();
   }
-  const auto replies = transport.all_gather_rows(std::move(reply_row));
+  const std::vector<WireBuf> replies = exchange(std::move(reply_row));
 
   std::vector<HaloNeighborhood> out;
   out.reserve(halo.size());
   for (int owner = 0; owner < world; ++owner) {
-    WireReader r(replies[static_cast<std::size_t>(owner)]
-                        [static_cast<std::size_t>(self)]);
+    if (owner == self) continue;
+    WireReader r(replies[static_cast<std::size_t>(owner)]);
     const Reply reply = WireCodec<Reply>::decode(r);
     DC_REQUIRE(r.done(), "trailing bytes in halo reply");
     DC_REQUIRE(reply.size() == wanted[static_cast<std::size_t>(owner)].size(),

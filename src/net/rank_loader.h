@@ -12,7 +12,7 @@
 ///     a rank never holds the full graph.
 ///   * `halo_of` — the sorted global ids of non-owned endpoints reachable
 ///     from the slice, exactly the halo table `GraphView` builds centrally.
-///   * `exchange_halo_adjacency` — two `Transport::all_gather_rows` rounds
+///   * `exchange_halo_adjacency` — two `Transport::exchange_owned` trips
 ///     (request halo ids from their owners, owners reply with the full
 ///     adjacency of each requested vertex), giving every rank the one-hop
 ///     neighborhoods of its halo without any rank loading remote rows from
@@ -23,10 +23,10 @@
 /// centrally built `GraphView` on the generator zoo, and the mpi-like
 /// launcher prints per-rank slice statistics from this path.
 ///
-/// This loader is the data-side half of the owner-compute model
-/// (DESIGN.md §6, "Owner-compute"): a rank that loads only its slice and
-/// runs under `ExchangePolicy::kOwnerRouted` holds O(n/S + halo) graph
-/// *and* O(n/S + halo) algorithm state — nothing per-vertex global ever
+/// This loader is the data-side half of a distributed run (DESIGN.md §6,
+/// "Distributed rounds"): a rank that loads only its slice holds
+/// O(n/S + halo) graph *and*, on the message-passing engine,
+/// O(n/S + halo) algorithm state — nothing per-vertex global ever
 /// materializes on a rank until the end-of-run `gather_colors`.
 #pragma once
 
@@ -106,7 +106,7 @@ struct HaloNeighborhood {
 };
 
 /// Fetches the full adjacency of every halo vertex from its owning rank over
-/// \p transport (two all_gather_rows trips; see file comment). Every rank in
+/// \p transport (two exchange_owned trips; see file comment). Every rank in
 /// the transport's world must call this collectively with its own slice.
 /// Results come back sorted by vertex id, aligned with halo_of(slice).
 std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,

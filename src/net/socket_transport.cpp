@@ -23,18 +23,15 @@ namespace deltacol {
 
 namespace {
 
-/// Exchange-frame payload layout (the frame length prefix itself lives in
-/// net/frame.h): u32 sender rank, u32 sequence number, u32 slot count, then
-/// per slot u32 length + bytes. The receiver validates all three header
-/// fields before accepting a single slot.
+/// Rendezvous hello frame: tag + connecting rank.
 constexpr std::uint32_t kHelloMagic = 0xDC01u;
 
-/// Collective tags for the owner-routed path. Every collective consumes one
-/// tick of the SAME sequence counter the all-gather uses, and every frame
-/// leads with its tag — so a rank that mixes policies or collectives out of
-/// step decodes a wrong tag/seq and fails loudly instead of merging a stale
-/// or foreign frame. The replicated all-gather frame layout above is
-/// untouched (its closed-form byte accounting is pinned by bench_e17).
+/// Collective tags (the frame length prefix itself lives in net/frame.h).
+/// Every collective consumes one tick of one sequence counter, and every
+/// frame leads with its tag — so a rank that runs collectives out of step
+/// decodes a wrong tag/seq and fails loudly instead of merging a stale or
+/// foreign frame. The closed-form byte accounting of these frames is
+/// pinned by bench_e17.
 constexpr std::uint32_t kOwnedMagic = 0xDC0Eu;   // exchange_owned
 constexpr std::uint32_t kReduceMagic = 0xDC0Fu;  // allreduce_{sum,max}
 constexpr std::uint32_t kGatherMagic = 0xDC10u;  // gather_colors
@@ -88,7 +85,7 @@ OwnedFrame decode_owned_frame(const WireBuf& payload, int expect_sender,
   if (magic != kOwnedMagic) {
     throw WireError("owner-routed frame has tag " + std::to_string(magic) +
                     " — peer rank " + std::to_string(expect_sender) +
-                    " is running a different exchange policy or collective");
+                    " is running a different collective");
   }
   const std::uint32_t sender = r.get_u32();
   const std::uint32_t seq = r.get_u32();
@@ -131,55 +128,6 @@ OwnedFrame decode_owned_frame(const WireBuf& payload, int expect_sender,
   out.slot.resize(len);
   for (std::uint32_t i = 0; i < len; ++i) out.slot[i] = r.get_u8();
   return out;
-}
-
-WireBuf encode_exchange_frame(int sender, std::uint32_t seq,
-                              const std::vector<WireBuf>& row) {
-  WireWriter w;
-  w.put_u32(static_cast<std::uint32_t>(sender));
-  w.put_u32(seq);
-  w.put_u32(static_cast<std::uint32_t>(row.size()));
-  for (const WireBuf& slot : row) {
-    w.put_u32(static_cast<std::uint32_t>(slot.size()));
-    for (std::uint8_t b : slot) w.put_u8(b);
-  }
-  return w.take();
-}
-
-std::vector<WireBuf> decode_exchange_frame(const WireBuf& payload,
-                                           int expect_sender,
-                                           std::uint32_t expect_seq,
-                                           int expect_world) {
-  WireReader r(payload);
-  const std::uint32_t sender = r.get_u32();
-  const std::uint32_t seq = r.get_u32();
-  const std::uint32_t slots = r.get_u32();
-  if (sender != static_cast<std::uint32_t>(expect_sender)) {
-    throw WireError("exchange frame from rank " + std::to_string(sender) +
-                    " arrived on the connection to rank " +
-                    std::to_string(expect_sender));
-  }
-  if (seq != expect_seq) {
-    throw WireError("rank " + std::to_string(expect_sender) +
-                    " is out of step: frame seq " + std::to_string(seq) +
-                    " != expected " + std::to_string(expect_seq));
-  }
-  if (slots != static_cast<std::uint32_t>(expect_world)) {
-    throw WireError("exchange frame carries " + std::to_string(slots) +
-                    " slots for a world of " + std::to_string(expect_world));
-  }
-  std::vector<WireBuf> row(slots);
-  for (std::uint32_t d = 0; d < slots; ++d) {
-    const std::uint32_t len = r.get_u32();
-    if (len > r.remaining()) {
-      throw WireError("exchange frame slot length overruns the frame");
-    }
-    WireBuf slot(len);
-    for (std::uint32_t i = 0; i < len; ++i) slot[i] = r.get_u8();
-    row[d] = std::move(slot);
-  }
-  if (!r.done()) throw WireError("trailing bytes after exchange frame slots");
-  return row;
 }
 
 void set_nodelay(int fd) {
@@ -417,63 +365,6 @@ std::vector<std::uint8_t> SocketTransport::read_frame_from(int peer) {
   }
 }
 
-void SocketTransport::send_row_frames(
-    const std::vector<std::vector<std::uint8_t>>& row) {
-  const WireBuf frame = encode_exchange_frame(rank_, seq_, row);
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    write_frame(fds_[static_cast<std::size_t>(r)], frame);
-    bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-    ++frames_sent_;
-  }
-}
-
-std::vector<std::vector<std::vector<std::uint8_t>>>
-SocketTransport::all_gather_rows(
-    std::vector<std::vector<std::uint8_t>> local_row) {
-  DC_REQUIRE(static_cast<int>(local_row.size()) == world_,
-             "local row must carry one slot per destination rank");
-  for (int d = 0; d < world_; ++d) {
-    if (d == rank_) continue;
-    cross_payload_bytes_ +=
-        static_cast<std::int64_t>(local_row[static_cast<std::size_t>(d)].size());
-  }
-  std::vector<std::vector<std::vector<std::uint8_t>>> rows(
-      static_cast<std::size_t>(world_));
-
-  // Writer thread pushes our row to every peer while this thread reads the
-  // peers' rows — with everyone sending and receiving concurrently, no pair
-  // of ranks can deadlock on full TCP buffers.
-  std::exception_ptr write_error;
-  std::thread writer([&] {
-    try {
-      send_row_frames(local_row);
-    } catch (...) {
-      write_error = std::current_exception();
-    }
-  });
-  std::exception_ptr read_error;
-  try {
-    for (int r = 0; r < world_; ++r) {
-      if (r == rank_) continue;
-      const WireBuf frame = read_frame_from(r);
-      bytes_received_ +=
-          static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-      rows[static_cast<std::size_t>(r)] =
-          decode_exchange_frame(frame, r, seq_, world_);
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  writer.join();
-  if (read_error) std::rethrow_exception(read_error);
-  if (write_error) std::rethrow_exception(write_error);
-
-  rows[static_cast<std::size_t>(rank_)] = std::move(local_row);
-  ++seq_;
-  return rows;
-}
-
 Transport::OwnedExchange SocketTransport::exchange_owned(
     std::vector<std::vector<std::uint8_t>> to_peers,
     std::vector<std::int64_t> row_counts, std::vector<std::int64_t> row_bits) {
@@ -500,8 +391,7 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
 
   // Encode every frame up front on the calling thread (counters are not
   // thread-safe), asserting per frame that the physical slot payload is
-  // exactly the bytes the cross_payload_bytes counter records — under this
-  // policy the counter IS the measured wire payload, not a prediction.
+  // exactly the bytes the cross_payload_bytes counter records.
   const std::int64_t header = owned_frame_header_bytes(world_);
   std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
   for (int d = 0; d < world_; ++d) {
@@ -605,7 +495,7 @@ void SocketTransport::gather_colors(const VertexPartition& part,
 
   // Frame: tag, sender, seq, u32 owned count, count×u32 values in owned
   // order (ascending original id — graph/partition.h). Identical frame to
-  // every peer, so one writer thread suffices (the all-gather pattern).
+  // every peer, so one writer thread suffices.
   WireWriter w;
   w.put_u32(kGatherMagic);
   w.put_u32(static_cast<std::uint32_t>(rank_));
@@ -714,11 +604,6 @@ std::int64_t SocketTransport::exchange_reduce_value(int peer,
   if (read_error) std::rethrow_exception(read_error);
   if (write_error) std::rethrow_exception(write_error);
   return peer_value;
-}
-
-void SocketTransport::barrier() {
-  all_gather_rows(
-      std::vector<std::vector<std::uint8_t>>(static_cast<std::size_t>(world_)));
 }
 
 }  // namespace deltacol

@@ -1,6 +1,6 @@
 /// \file
 /// The TCP backend of the shard runtime: one OS process per shard/rank,
-/// persistent connections, frame-per-row exchange.
+/// persistent connections, one point-to-point frame per peer per round.
 ///
 /// `SocketTransport` implements the distributed half of the `Transport`
 /// contract (runtime/mailbox.h):
@@ -8,23 +8,17 @@
 ///   * `local_shard()` is this process's rank — `run_shards(body)` invokes
 ///     `body(rank)` and nothing else; the other ranks run their own bodies
 ///     in their own processes.
-///   * `all_gather_rows()` ships this rank's serialized mailbox row to every
-///     peer as one frame per peer (net/frame.h) and blocks until every
-///     peer's row arrived — the inter-round barrier of a distributed run.
-///     Frames carry a sequence number, so a rank that drifted a round out of
-///     step fails loudly instead of merging stale slots.
-///   * `exchange_owned()` is the owner-routed alternative
-///     (ExchangePolicy::kOwnerRouted, runtime/execution_mode.h): one
-///     point-to-point frame per peer carrying ONLY the slot addressed to
-///     that peer (plus this rank's per-slot tally row, so every rank
-///     reassembles the full S×S counters), written by per-peer writer
-///     threads while this thread reads the peers in rank order. The same
-///     sequence counter as the all-gather guards collective drift, so a
-///     rank that mixes the two policies mid-run fails loudly too.
+///   * `exchange_owned()` moves one engine round: one frame per peer
+///     carrying ONLY the slot addressed to that peer (plus this rank's
+///     per-slot tally row, so every rank reassembles the full S×S
+///     counters), written by per-peer writer threads while this thread
+///     reads the peers in rank order. Frames carry a tag and a sequence
+///     number, so a rank that drifted a round (or a collective) out of step
+///     fails loudly instead of merging stale slots.
 ///   * `allreduce_sum()` / `allreduce_max()` / `gather_colors()` are the
-///     small deterministic collectives an owner-compute run needs for
+///     small deterministic collectives a distributed run needs for
 ///     termination tests, the CONGEST max fold, and the end-of-run result
-///     gather.
+///     gather. `barrier()` is an `allreduce_sum(0)`.
 ///
 /// **Hardening** (multi-machine runs): DELTACOL_NET_TIMEOUT_MS, read at
 /// construction, bounds the rendezvous (connect retry budget AND the accept
@@ -111,15 +105,10 @@ class SocketTransport final : public Transport {
   /// Runs only the local rank's body (the other ranks are other processes).
   void run_shards(const std::function<void(int)>& body) override;
 
-  void exchange() override { ++exchanges_; }
-
-  std::vector<std::vector<std::vector<std::uint8_t>>> all_gather_rows(
-      std::vector<std::vector<std::uint8_t>> local_row) override;
-
-  /// Owner-routed point-to-point exchange (see the file comment and the
-  /// Transport contract). `to_peers[rank()]` must be empty — the local slot
-  /// never crosses the wire — and the returned slots[rank()] is empty for
-  /// the same reason.
+  /// Point-to-point slot exchange (see the file comment and the Transport
+  /// contract). `to_peers[rank()]` must be empty — the local slot never
+  /// crosses the wire — and the returned slots[rank()] is empty for the
+  /// same reason.
   OwnedExchange exchange_owned(std::vector<std::vector<std::uint8_t>> to_peers,
                                std::vector<std::int64_t> row_counts,
                                std::vector<std::int64_t> row_bits) override;
@@ -133,18 +122,17 @@ class SocketTransport final : public Transport {
 
   /// Gathers the owned entries of `values` from every rank (per `part`) so
   /// the whole array is globally agreed on return — the end-of-run result
-  /// reassembly of an owner-routed run.
+  /// reassembly of a distributed run.
   void gather_colors(const VertexPartition& part,
                      std::vector<int>& values) override;
 
-  /// Blocks until every rank reached this barrier (an all-gather of empty
-  /// rows). Used by launchers to fence phases that are replicated rather
-  /// than exchanged.
-  void barrier();
+  /// Blocks until every rank reached this barrier (an allreduce_sum of 0).
+  /// Used by launchers to fence phases that are replicated rather than
+  /// exchanged.
+  void barrier() { allreduce_sum(0); }
 
   int rank() const { return rank_; }
   int world() const { return world_; }
-  int exchanges() const { return exchanges_; }
 
   // --- physically measured wire traffic (frame payloads + prefixes), the
   // --- denominator of the E17 framing-overhead ratio.
@@ -152,20 +140,13 @@ class SocketTransport final : public Transport {
   std::int64_t wire_bytes_received() const { return bytes_received_; }
   std::int64_t frames_sent() const { return frames_sent_; }
 
-  /// Encoded payload bytes addressed to *other* ranks across all exchanges.
-  /// Under the replicated all-gather this is a *prediction*: the full row
-  /// ships to every peer, so wire_bytes_sent is partition-invariant and
-  /// this counter is what an owner-routed exchange *would* put on the wire
-  /// (the number bench_e18 reports as the locality win). Under
-  /// exchange_owned the same counter becomes the *measured* physical slot
-  /// payload — each increment is bytes actually framed to exactly one peer
-  /// (exchange_owned asserts the equality per frame) — so prediction and
-  /// realization are the one counter, comparable across policies
-  /// (bench_e20).
+  /// Encoded slot payload bytes framed to *other* ranks across all
+  /// exchanges — the measured cross-shard payload (exchange_owned asserts
+  /// per frame that frame size = header + this payload), the number
+  /// bench_e18 reports as the locality win.
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:
-  void send_row_frames(const std::vector<std::vector<std::uint8_t>>& row);
   /// read_frame with this transport's timeout, rethrowing WireError with
   /// the peer rank named (the hardening contract).
   std::vector<std::uint8_t> read_frame_from(int peer);
@@ -178,7 +159,6 @@ class SocketTransport final : public Transport {
   int world_ = 0;
   std::vector<int> fds_;  // per peer rank, -1 at rank_
   std::uint32_t seq_ = 0;
-  int exchanges_ = 0;
   int net_timeout_ms_ = 0;  // DELTACOL_NET_TIMEOUT_MS; 0 = wait forever
   std::int64_t bytes_sent_ = 0;
   std::int64_t bytes_received_ = 0;

@@ -30,11 +30,11 @@
 /// throws `WireError` — a torn or corrupted stream never decodes to a
 /// plausible-looking message.
 ///
-/// Both wire disciplines share this codec unchanged: the replicated
-/// all-gather serializes a shard's full mailbox row, the owner-routed
-/// exchange (`Mailbox::encode_owned_row` → `Transport::exchange_owned`)
-/// serializes only the off-diagonal slots of that row — same
-/// `encode_slot`/`decode_slot` framing per slot, just fewer slots shipped.
+/// The distributed exchange (`Mailbox::encode_owned_row` →
+/// `Transport::exchange_owned`) serializes the off-diagonal slots of a
+/// shard's mailbox row with `encode_slot`/`decode_slot` below; the halo
+/// exchange (net/rank_loader.h) ships its requests and replies through the
+/// vector/pair combinators.
 #pragma once
 
 #include <cstdint>

@@ -2,15 +2,6 @@
 
 namespace deltacol {
 
-std::vector<std::vector<std::vector<std::uint8_t>>> Transport::all_gather_rows(
-    std::vector<std::vector<std::uint8_t>> local_row) {
-  (void)local_row;
-  DC_REQUIRE(false,
-             "all_gather_rows: this transport has no wire — the byte "
-             "exchange is only meaningful when local_shard() >= 0");
-  return {};
-}
-
 Transport::OwnedExchange Transport::exchange_owned(
     std::vector<std::vector<std::uint8_t>> to_peers,
     std::vector<std::int64_t> row_counts, std::vector<std::int64_t> row_bits) {
@@ -18,10 +9,8 @@ Transport::OwnedExchange Transport::exchange_owned(
   (void)row_counts;
   (void)row_bits;
   DC_REQUIRE(false,
-             "exchange_owned: this transport has no wire — the owner-routed "
-             "byte exchange is only meaningful when local_shard() >= 0 "
-             "(in-process owner-routed rounds round-trip slots through the "
-             "codec in the engine instead)");
+             "exchange_owned: this transport has no wire — the byte "
+             "exchange is only meaningful when local_shard() >= 0");
   return {};
 }
 

@@ -8,14 +8,16 @@
 ///    implement. It answers "how many shards", "which shard is local"
 ///    (local_shard(): -1 in process, a rank id when distributed), "run this
 ///    shard body on every local shard, then barrier", and — for distributed
-///    backends — "ship my serialized mailbox row to every peer and give me
-///    theirs" (all_gather_rows). `InProcessTransport` is the in-memory
-///    backend: shards are indexed chunks on the existing ThreadPool, so a
-///    mailbox handed from shard a to shard b is a pointer, not bytes.
-///    `SocketTransport` (net/socket_transport.h) is the TCP backend: each OS
-///    process owns one shard, run_shards() runs only the local rank's body,
-///    and the bytes move through all_gather_rows — nothing above this
-///    interface changes (that is the point of this layer).
+///    backends — "ship each cross-shard slot of my mailbox row to the rank
+///    that owns its destination and give me the slots addressed to me"
+///    (exchange_owned), plus the small collectives a distributed run
+///    needs. `InProcessTransport` is the in-memory backend: shards are
+///    indexed chunks on the existing ThreadPool, so a mailbox handed from
+///    shard a to shard b is a pointer, not bytes. `SocketTransport`
+///    (net/socket_transport.h) is the TCP backend: each OS process owns one
+///    shard, run_shards() runs only the local rank's body, and the bytes
+///    move through exchange_owned — nothing above this interface changes
+///    (that is the point of this layer).
 ///
 ///  * `Mailbox<Msg>` — per-(source-shard, destination-shard) staging slots
 ///    for one round's envelopes. Posting is row-private (shard s writes only
@@ -36,10 +38,11 @@
 /// *stably* by sender. Under the contiguous partition shard-major
 /// concatenation already is global ascending sender order — the serial
 /// engine's inbox fill order; under a renumbered locality-aware partition
-/// (graph/partition.h, PR 8) it is not, but the stable sort restores it
+/// (graph/renumber.h) it is not, but the stable sort restores it
 /// exactly, because each sender's messages to one destination live in a
 /// single slot in emission order. Either way every inbox is byte-identical
-/// for every (shards, threads, partition) combination.
+/// for every (shards, threads, partition) combination, and a rank that
+/// merges only its own column computes exactly its shards' inboxes.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +53,6 @@
 
 #include "graph/partition.h"
 #include "net/wire_codec.h"
-#include "runtime/execution_mode.h"
 #include "runtime/message_size.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -74,46 +76,27 @@ class Transport {
   /// ThreadPool contract), so results never depend on backend scheduling.
   virtual void run_shards(const std::function<void(int)>& body) = 0;
 
-  /// Delivers everything staged since the last exchange. In-process this is
-  /// a no-op — mailboxes live in shared memory and the run_shards barrier
-  /// already published them. A distributed backend has already moved the
-  /// bytes through all_gather_rows (the engine drives serialization, since
-  /// only it knows the message type); exchange() remains the per-round
-  /// backend hook (counters, flushes).
-  virtual void exchange() {}
-
   /// The one shard this OS process owns, or -1 when every shard is local
-  /// (the in-process backends). When >= 0, the engine stages sends for this
-  /// shard only, ships its serialized mailbox row through all_gather_rows,
-  /// fills the other rows from the wire (Mailbox::fill), and replays the
-  /// merge + receive for every shard so each rank's replicated global state
-  /// stays bit-identical (DESIGN.md §6, "the socket backend").
+  /// (the in-process backends). When >= 0, the engine holds state for this
+  /// shard only, stages sends for it, ships the cross-shard slots through
+  /// exchange_owned, fills the slots addressed to it from the wire
+  /// (Mailbox::fill), and merges + receives its own column alone
+  /// (DESIGN.md §6, "Distributed rounds").
   virtual int local_shard() const { return -1; }
 
-  /// Distributed byte exchange: ships this rank's serialized mailbox row
-  /// (`local_row[d]` = the encoded (local_shard, d) slot, S entries) to
-  /// every peer and returns all ranks' rows — result[s][d] is the encoded
-  /// (s, d) slot, with result[local_shard()] being `local_row` unchanged.
-  /// Blocks until every rank has contributed: this is the inter-round
-  /// barrier of a distributed run. Only meaningful when local_shard() >= 0;
-  /// the in-process default has no wire and throws.
-  virtual std::vector<std::vector<std::vector<std::uint8_t>>> all_gather_rows(
-      std::vector<std::vector<std::uint8_t>> local_row);
-
-  /// Result of an owner-routed exchange (ExchangePolicy::kOwnerRouted).
-  /// `slots[s]` is the encoded (s, local_shard) slot shipped by rank s
-  /// (empty at s == local_shard — the local slot never crossed the wire);
-  /// `slot_counts` / `slot_bits` are the reassembled full S×S row-major
-  /// per-slot tallies (every rank's posted row, piggybacked on the frames),
-  /// so ShardRuntime::record_round sees the same counters the replicated
-  /// and in-process runs see.
+  /// Result of exchange_owned. `slots[s]` is the encoded
+  /// (s, local_shard) slot shipped by rank s (empty at s == local_shard —
+  /// the local slot never crossed the wire); `slot_counts` / `slot_bits`
+  /// are the reassembled full S×S row-major per-slot tallies (every rank's
+  /// posted row, piggybacked on the frames), so ShardRuntime::record_round
+  /// sees the same counters the in-process run sees.
   struct OwnedExchange {
     std::vector<std::vector<std::uint8_t>> slots;
     std::vector<std::int64_t> slot_counts;
     std::vector<std::int64_t> slot_bits;
   };
 
-  /// Owner-routed distributed exchange: ships `to_peers[d]` — the encoded
+  /// The distributed byte exchange: ships `to_peers[d]` — the encoded
   /// (local_shard, d) slot — point-to-point to rank d only (to_peers at the
   /// local index must be empty: local envelopes stay in the mailbox,
   /// untouched by the codec), together with this rank's posted per-slot
@@ -121,28 +104,26 @@ class Transport {
   /// slots the peers addressed to this rank plus the reassembled global
   /// tallies. Blocks until every peer's frame arrived (the inter-round
   /// barrier). Only meaningful when local_shard() >= 0; the in-process
-  /// default has no wire and throws — in-process owner-routed rounds
-  /// round-trip slots through the codec locally instead
-  /// (runtime/parallel_sync_engine.h).
+  /// default has no wire and throws.
   virtual OwnedExchange exchange_owned(
       std::vector<std::vector<std::uint8_t>> to_peers,
       std::vector<std::int64_t> row_counts, std::vector<std::int64_t> row_bits);
 
   /// Deterministic cross-rank sum of one i64 per rank (folded in ascending
   /// rank order). The in-process default is the identity: every shard is
-  /// local, so the caller's value already is the global value. Owner-routed
+  /// local, so the caller's value already is the global value. Distributed
   /// runs use this for termination tests over owned-only state.
   virtual std::int64_t allreduce_sum(std::int64_t value) { return value; }
 
   /// Deterministic cross-rank max of one i64 per rank. In-process identity,
-  /// like allreduce_sum. Owner-routed runs use this for the CONGEST
+  /// like allreduce_sum. Distributed runs use this for the CONGEST
   /// heaviest-edge fold, which is order-free by construction.
   virtual std::int64_t allreduce_max(std::int64_t value) { return value; }
 
   /// Reassembles a globally indexed per-vertex array on every rank: each
   /// rank contributes `values[v]` for the vertices its shard owns under
   /// `part`, and on return every entry is globally agreed — the
-  /// deterministic end-of-run gather of an owner-routed run (colorings, MIS
+  /// deterministic end-of-run gather of a distributed run (colorings, MIS
   /// flags, any per-vertex int). The in-process default is a no-op: every
   /// vertex is already local.
   virtual void gather_colors(const VertexPartition& part,
@@ -165,6 +146,10 @@ class InProcessTransport final : public Transport {
   int num_shards_;
   ThreadPool* pool_;
 };
+
+/// Shim for perfbench/src/main.cpp only; see
+/// ShardRuntime::set_exchange_policy.
+enum class ExchangePolicy { kOwnerRouted };
 
 /// One graph's shard bundle: the deterministic partition, each shard's
 /// GraphView, the transport, and cumulative message-volume accounting.
@@ -191,24 +176,11 @@ class ShardRuntime {
   Transport& transport() const { return *transport_; }
   ThreadPool* pool() const { return pool_; }
 
-  /// How engines attached to this runtime move envelopes between shards
-  /// (runtime/execution_mode.h). kReplicated (the default) keeps the
-  /// full-row all-gather + replicated merge; kOwnerRouted ships only
-  /// cross-shard slots point-to-point and merges rank-locally. Results are
-  /// bit-identical either way (DESIGN.md §6, "Owner-compute"); set before
-  /// attaching engines.
-  ExchangePolicy exchange_policy() const { return exchange_policy_; }
-  void set_exchange_policy(ExchangePolicy policy) { exchange_policy_ = policy; }
-
-  /// True when engines should run the rank-local owner-compute round: the
-  /// owner-routed policy over a distributed transport. In-process
-  /// owner-routed runs keep full state (there is no wire to save) but
-  /// round-trip cross slots through the codec so the policy is covered
-  /// hermetically.
-  bool owner_routed_distributed() const {
-    return exchange_policy_ == ExchangePolicy::kOwnerRouted &&
-           transport_->local_shard() >= 0;
-  }
+  /// No-op kept only so the repository benchmark (perfbench/src/main.cpp),
+  /// which still sets the policy, builds unchanged: owner routing is the
+  /// only way a distributed round moves envelopes. Delete together with
+  /// ExchangePolicy once that caller is gone.
+  void set_exchange_policy(ExchangePolicy) {}
 
   // --- message-volume accounting (per-round CONGEST metrics, bench_e15 /
   // --- bench_e16): cumulative per-(src, dst) envelope counts and wire bits.
@@ -254,7 +226,6 @@ class ShardRuntime {
   std::vector<GraphView> views_;
   std::unique_ptr<Transport> transport_;
   ThreadPool* pool_;
-  ExchangePolicy exchange_policy_ = ExchangePolicy::kReplicated;
   std::vector<std::int64_t> sent_;       // row-major (src, dst), cumulative
   std::vector<std::int64_t> sent_bits_;  // same shape, MessageSize bits
   std::int64_t rounds_ = 0;
@@ -297,9 +268,8 @@ class Mailbox {
   }
 
   /// Installs a whole slot at once — the remote-fill path of a distributed
-  /// backend: rank d decodes the bytes rank s shipped and fills slot (s, d)
-  /// (and, under the replicated-state discipline, every other remote slot
-  /// too). Envelope order must be the sender's post order — decode_slot
+  /// backend: rank d decodes the bytes rank s shipped and fills slot (s, d).
+  /// Envelope order must be the sender's post order — decode_slot
   /// preserves it — so the shard-major merge rule survives serialization.
   /// The envelopes are accounted exactly as a local post would have
   /// (MessageSize is a pure function of the value, so both sides of the
@@ -320,19 +290,19 @@ class Mailbox {
     slots_[idx] = std::move(envelopes);
   }
 
-  /// Serializes the off-diagonal slots of `src_shard`'s row for an
-  /// owner-routed exchange (Transport::exchange_owned): entry d is the
+  /// Serializes the off-diagonal slots of `src_shard`'s row for the
+  /// distributed exchange (Transport::exchange_owned): entry d is the
   /// encoded (src_shard, d) slot for d != src_shard, and the entry at
   /// src_shard stays EMPTY — the local slot's envelopes are left in place,
-  /// never touching the codec (that is the owner-compute invariant a
-  /// distributed transport must not break; see DESIGN.md §6). The encoded
+  /// never touching the codec (an invariant a distributed transport must
+  /// not break; DESIGN.md §6, "Distributed rounds"). The encoded
   /// slots are copies: the off-diagonal envelopes stay staged too, so a
   /// transport failure mid-exchange never loses the round. At most one
-  /// owner-routed exchange per round: a second call before clear() is a
-  /// double-exchange transport bug and throws.
+  /// exchange per round: a second call before clear() is a double-exchange
+  /// transport bug and throws.
   std::vector<std::vector<std::uint8_t>> encode_owned_row(int src_shard) {
     DC_REQUIRE(!owner_exchanged_,
-               "owner-routed exchange ran twice in one round "
+               "distributed exchange ran twice in one round "
                "(encode_owned_row before clear())");
     owner_exchanged_ = true;
     std::vector<std::vector<std::uint8_t>> row(

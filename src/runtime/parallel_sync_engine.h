@@ -20,40 +20,32 @@
 /// **Sharded (a ShardRuntime attached).** The round is expressed against
 /// the shard layer (graph/partition.h + runtime/mailbox.h): every send goes
 /// through the per-(source-shard, destination-shard) mailbox and every
-/// barrier is a Transport::run_shards call, so swapping the in-process
-/// transport for a distributed one changes no engine code:
+/// barrier is a Transport::run_shards call. Transport::local_shard() picks
+/// one of two shapes; nothing else is configurable:
 ///
-///   1. **Sharded send.** Each source shard sweeps its owned contiguous
-///      range (chunk-staged on the pool, concatenated in chunk order — the
-///      same discipline as above) and posts envelopes into its mailbox row.
-///   2. **Exchange.** A no-op in process (the run_shards barrier already
-///      published the shared-memory mailbox). On a distributed backend
-///      (Transport::local_shard() >= 0) this is where the bytes move: the
-///      engine serializes the local rank's mailbox row with WireCodec
-///      (net/wire_codec.h), all-gathers it through the transport, and
-///      installs the remote rows with Mailbox::fill.
-///   3. **Sharded merge + receive.** Each destination shard drains its
-///      mailbox column in ascending source-shard order, sorts its owned
-///      inboxes, and receives. Distributed ranks replay the merge + receive
-///      for every shard — the replicated-state discipline that keeps each
-///      rank's global state bit-identical while the send sweep is genuinely
-///      partitioned across processes.
+///   1. **Sharded send.** Each local source shard sweeps its owned vertices
+///      (chunk-staged on the pool, concatenated in chunk order — the same
+///      discipline as above) and posts envelopes into its mailbox row.
+///   2. **In process (local_shard() == -1): full state.** The run_shards
+///      barrier already published the shared-memory mailbox. Each
+///      destination shard drains its mailbox column in ascending
+///      source-shard order, sorts its owned inboxes, and receives.
+///   3. **Distributed (local_shard() >= 0): owned-only state.** The engine
+///      holds state for the local shard only (states_ sized to
+///      GraphView::num_owned(), indexed by owned position), encodes only
+///      the off-diagonal slots of its row (Mailbox::encode_owned_row — the
+///      diagonal never touches the codec), ships each to the rank that owns
+///      its destination (Transport::exchange_owned), fills the slots
+///      addressed to it, and merges + receives only its own column.
+///      Per-rank work is O(n/S + halo) and the wire carries only the
+///      cross-shard payload. Drivers that sweep or read global state must
+///      consult owner_local_state() and use the transport's
+///      allreduce/gather collectives (mis/luby_sync.cpp is the model).
 ///
-/// **Owner-compute** (ShardRuntime::exchange_policy() == kOwnerRouted over a
-/// distributed transport): steps 2–3 change shape. The engine holds state
-/// for the LOCAL shard only (states_ sized to GraphView::num_owned(),
-/// indexed by owned position), encodes only the off-diagonal slots of its
-/// row (Mailbox::encode_owned_row — the diagonal never touches the codec),
-/// ships them point-to-point (Transport::exchange_owned), and merges +
-/// receives only its own column. Per-rank work drops from O(n) to
-/// O(n/S + halo) and the wire carries only cross-shard payload; results
-/// stay bit-identical because each shard's merged inbox never depended on
-/// any other shard's local state (DESIGN.md §6, "Owner-compute"). Drivers
-/// that sweep or read global state must consult owner_local_state() and use
-/// the transport's allreduce/gather collectives (mis/luby_sync.cpp is the
-/// model). In-process runs under the same policy keep full state but
-/// round-trip cross-shard slots through the codec, so the hermetic suites
-/// differential both policies without sockets.
+/// Both shapes merge a column by the same rule, and a shard's merged inbox
+/// never depends on any other shard's local state, so a rank that merges
+/// only its own column computes exactly the inboxes the in-process run
+/// computes for that shard (DESIGN.md §6, "Distributed rounds").
 ///
 /// Every staging path presents one sender's messages to one destination in
 /// emission order, and the per-inbox merge sorts *stably* by sender, so the
@@ -113,28 +105,26 @@ class ParallelSyncEngine {
       DC_REQUIRE(shards_->partition().num_vertices() == g.num_vertices(),
                  "shard runtime was built over a different graph");
       mailbox_.emplace(&shards_->partition());
-      policy_ = shards_->exchange_policy();
       local_shard_ = shards_->transport().local_shard();
-      owner_dist_ = shards_->owner_routed_distributed();
-      if (owner_dist_) {
+      if (local_shard_ >= 0) {
         owned_base_ = shards_->partition().begin(local_shard_);
       }
     }
-    // Owner-compute distributed ranks hold state for their OWN shard only —
-    // O(n/S) per rank, allocated from the GraphView's owned count — every
-    // other shape keeps the full per-vertex array (the replicated
-    // discipline; halo values arrive as messages, never as state).
+    // Distributed ranks hold state for their OWN shard only — O(n/S) per
+    // rank, allocated from the GraphView's owned count; in-process runs keep
+    // the full per-vertex array. Halo values arrive as messages, never as
+    // state.
     states_.resize(static_cast<std::size_t>(
-        owner_dist_ ? shards_->view(local_shard_).num_owned()
-                    : g.num_vertices()));
+        owner_local_state() ? shards_->view(local_shard_).num_owned()
+                            : g.num_vertices()));
   }
 
   const Graph& graph() const { return graph_; }
 
-  /// True when this engine holds owned-only state (the owner-routed policy
-  /// over a distributed transport): state(v) is then valid ONLY for
-  /// vertices the local shard owns.
-  bool owner_local_state() const { return owner_dist_; }
+  /// True when this engine holds owned-only state (a distributed
+  /// transport): state(v) is then valid ONLY for vertices the local shard
+  /// owns.
+  bool owner_local_state() const { return local_shard_ >= 0; }
 
   State& state(int v) { return states_[state_index(v)]; }
   const State& state(int v) const { return states_[state_index(v)]; }
@@ -214,15 +204,15 @@ class ParallelSyncEngine {
     Msg msg;
   };
 
-  // Global vertex id -> index into states_. The identity except under
-  // owner-compute, where states_ is indexed by owned position:
+  // Global vertex id -> index into states_. The identity except on a
+  // distributed rank, where states_ is indexed by owned position:
   // position_of(v) - begin(local) — O(1) for contiguous and renumbered
   // partitions alike (graph/partition.h).
   std::size_t state_index(int v) const {
-    if (!owner_dist_) return static_cast<std::size_t>(v);
+    if (!owner_local_state()) return static_cast<std::size_t>(v);
     const int i = shards_->partition().position_of(v) - owned_base_;
     DC_REQUIRE(i >= 0 && i < static_cast<int>(states_.size()),
-               "owner-compute engine: state(v) asked for a vertex this rank "
+               "distributed engine: state(v) asked for a vertex this rank "
                "does not own");
     return static_cast<std::size_t>(i);
   }
@@ -277,35 +267,22 @@ class ParallelSyncEngine {
     }
   }
 
-  // The sharded strategy (see file comment). Three phases, two transport
-  // barriers; all inter-shard data flows through the mailbox.
-  //
-  // **Distributed backends** (transport.local_shard() >= 0, e.g. the TCP
-  // SocketTransport): run_shards invokes only the local rank's body, so the
-  // send sweep — the per-vertex compute — is genuinely partitioned across
-  // processes. The staged row is then serialized slot by slot (WireCodec,
-  // net/wire_codec.h), all-gathered over the wire, and the remote rows are
-  // installed with Mailbox::fill. From that point the round is replicated:
-  // every rank drains the complete mailbox in the same shard-major order and
-  // applies receive to every vertex, so each rank's global state — and hence
-  // every subsequent send, coin flip and termination test — stays
-  // bit-identical to the in-process run (DESIGN.md §6, "the socket
-  // backend": filling whole slots keyed by (src, dst) cannot perturb the
-  // merge order, because the order never depended on *where* a slot's bytes
-  // came from).
+  // The sharded strategy (see file comment): a sharded send, then either
+  // the in-process merge + receive below or the distributed continuation
+  // (round_distributed). All inter-shard data flows through the mailbox.
   void round_sharded(const SendFn& send, const RecvFn& receive) {
     const int n = graph_.num_vertices();
     const int num_shards = shards_->num_shards();
     const bool congest = ledger_.congest_bits() > 0;
     Transport& transport = shards_->transport();
-    const int local = local_shard_;
     Mailbox<Msg>& mailbox = *mailbox_;
     mailbox.clear();
 
-    // Barrier 1: each source shard stages its owned vertices (chunked on
-    // the pool, nested region) and posts into its mailbox row in ascending
-    // owned order — ascending original sender id under every partition,
-    // because owned lists ascend by construction (graph/partition.cpp).
+    // Barrier 1: each local source shard stages its owned vertices (chunked
+    // on the pool, nested region) and posts into its mailbox row in
+    // ascending owned order — ascending original sender id under every
+    // partition, because owned lists ascend by construction
+    // (graph/partition.cpp).
     transport.run_shards([&](int s) {
       const GraphView& view = shards_->view(s);
       const int count = view.num_owned();
@@ -325,11 +302,8 @@ class ParallelSyncEngine {
       }
     });
 
-    // Owner-compute distributed rounds diverge here: point-to-point
-    // exchange, rank-local merge + receive (see round_owner_distributed).
-    if (owner_dist_) {
-      round_owner_distributed(receive, congest, num_shards, transport,
-                              mailbox);
+    if (owner_local_state()) {
+      round_distributed(receive, congest, num_shards, transport, mailbox);
       return;
     }
 
@@ -339,58 +313,14 @@ class ParallelSyncEngine {
     std::vector<std::int64_t> edge_bits(
         congest ? static_cast<std::size_t>(n) : 0, 0);
 
-    // Distributed exchange: serialize the local row, all-gather the bytes
-    // (this is the inter-rank barrier), fill every remote row from the wire.
-    // fill() re-tallies counts and bits from the decoded envelopes, so the
-    // volume fold below sees the same S*S counters every rank — and the
-    // in-process run — sees.
-    if (local >= 0) {
-      std::vector<WireBuf> row(static_cast<std::size_t>(num_shards));
-      for (int d = 0; d < num_shards; ++d) {
-        row[static_cast<std::size_t>(d)] =
-            encode_slot<Msg>(mailbox.slot(local, d));
-      }
-      auto rows = transport.all_gather_rows(std::move(row));
-      DC_ENSURE(static_cast<int>(rows.size()) == num_shards,
-                "all_gather_rows returned the wrong number of rows");
-      for (int s = 0; s < num_shards; ++s) {
-        if (s == local) continue;
-        DC_ENSURE(static_cast<int>(rows[static_cast<std::size_t>(s)].size()) ==
-                      num_shards,
-                  "all_gather_rows returned a malformed row");
-        for (int d = 0; d < num_shards; ++d) {
-          mailbox.fill(
-              s, d,
-              decode_slot<Msg, typename Mailbox<Msg>::Envelope>(
-                  rows[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)]));
-        }
-      }
-    }
-    transport.exchange();
-
     // Barrier 2: each destination shard drains its mailbox column in
-    // ascending source-shard order (= ascending sender order, because the
-    // partition's ranges ascend), then sorts and receives its owned range.
-    // Distributed ranks replay this for every shard (replicated merge +
-    // receive — see the strategy comment above), in ascending shard order on
-    // the calling thread.
-    // In-process owner-routed runs have no wire to save bytes on, but honor
-    // the policy's codec discipline hermetically: every CROSS-shard slot
-    // round-trips through encode/decode during the drain (the diagonal
-    // stays codec-free, exactly the owner-compute invariant), so the zoo
-    // differential covers both policies without sockets. decode_slot
-    // replays post order, so the merge below is untouched.
-    const bool codec_roundtrip =
-        policy_ == ExchangePolicy::kOwnerRouted && local < 0;
-    const auto receive_shard = [&](int d) {
+    // ascending source-shard order, then sorts and receives its owned
+    // vertices. The stable per-inbox sort restores ascending sender order
+    // under every partition (DESIGN.md §6).
+    transport.run_shards([&](int d) {
       const GraphView& view = shards_->view(d);
       for (int s = 0; s < num_shards; ++s) {
-        auto envelopes = mailbox.drain(s, d);
-        if (codec_roundtrip && s != d) {
-          envelopes = decode_slot<Msg, typename Mailbox<Msg>::Envelope>(
-              encode_slot<Msg>(envelopes));
-        }
-        for (auto& e : envelopes) {
+        for (auto& e : mailbox.drain(s, d)) {
           inboxes[static_cast<std::size_t>(e.to)].emplace_back(
               e.from, std::move(e.msg));
         }
@@ -408,39 +338,32 @@ class ParallelSyncEngine {
         receive(v, states_[static_cast<std::size_t>(v)],
                 inboxes[static_cast<std::size_t>(v)]);
       });
-    };
-    if (local >= 0) {
-      for (int d = 0; d < num_shards; ++d) receive_shard(d);
-    } else {
-      transport.run_shards(receive_shard);
-    }
+    });
 
     // Volume + CONGEST folds on the calling thread (the tallies are
-    // accumulated at post/fill time, so they survive the drains above). The
-    // max fold is order-free, so the charge is (shards, threads)-invariant.
+    // accumulated at post time, so they survive the drains above). The max
+    // fold is order-free, so the charge is (shards, threads)-invariant.
     shards_->record_round(mailbox.slot_counts(), mailbox.slot_bits());
     std::int64_t max_edge_bits = 0;
     for (std::int64_t b : edge_bits) max_edge_bits = std::max(max_edge_bits, b);
     ledger_.charge_message_round(max_edge_bits, phase_);
   }
 
-  // The owner-compute continuation of round_sharded (after Barrier 1 has
-  // staged the local rank's row). Why rank-local merge cannot move a byte
-  // (DESIGN.md §6, "Owner-compute"): shard d's inbox contents are exactly
-  // the envelopes in column (*, d) — slots other ranks addressed to d plus
-  // d's own diagonal slot — and the shard-major stable merge orders them
-  // using only (source shard, emission position, sender id), never any
-  // other shard's local state. So merging ONLY the local column, with the
-  // diagonal slot never serialized and the off-diagonal slots arriving
-  // point-to-point, reproduces byte-for-byte the inboxes the replicated
-  // replay would have produced for this shard — while per-rank merge work
-  // drops from O(n) to O(n/S + halo traffic) and the wire carries only the
-  // cross-shard payload. The piggybacked tally rows reassemble the full
-  // S×S counters, so record_round and the CONGEST max fold (allreduce_max,
-  // order-free) charge exactly what every other shape charges.
-  void round_owner_distributed(const RecvFn& receive, bool congest,
-                               int num_shards, Transport& transport,
-                               Mailbox<Msg>& mailbox) {
+  // The distributed continuation of round_sharded (after Barrier 1 has
+  // staged the local rank's row). Why a rank-local merge cannot move a byte
+  // (DESIGN.md §6, "Distributed rounds"): shard d's inbox contents are
+  // exactly the envelopes in column (*, d) — slots other ranks addressed
+  // to d plus d's own diagonal slot — and the shard-major stable merge
+  // orders them using only (source shard, emission position, sender id),
+  // never any other shard's local state. So merging ONLY the local column,
+  // with the diagonal slot never serialized and the off-diagonal slots
+  // arriving point-to-point, reproduces byte-for-byte the inboxes the
+  // in-process run computes for this shard. The piggybacked tally rows
+  // reassemble the full S×S counters, so record_round and the CONGEST max
+  // fold (allreduce_max, order-free) charge exactly what the in-process
+  // run charges.
+  void round_distributed(const RecvFn& receive, bool congest, int num_shards,
+                         Transport& transport, Mailbox<Msg>& mailbox) {
     const int local = local_shard_;
     const GraphView& view = shards_->view(local);
     const int owned = view.num_owned();
@@ -475,7 +398,6 @@ class ParallelSyncEngine {
                    decode_slot<Msg, typename Mailbox<Msg>::Envelope>(
                        result.slots[static_cast<std::size_t>(s)]));
     }
-    transport.exchange();
 
     // Rank-local merge + receive: only column (*, local), only owned
     // inboxes — indexed by owned position, the same index states_ uses.
@@ -512,10 +434,8 @@ class ParallelSyncEngine {
   std::string phase_;
   ThreadPool* pool_;
   ShardRuntime* shards_;
-  ExchangePolicy policy_ = ExchangePolicy::kReplicated;
-  int local_shard_ = -1;   // transport.local_shard(), cached at construction
-  bool owner_dist_ = false;  // owner-routed AND distributed: owned-only state
-  int owned_base_ = 0;     // partition().begin(local) under owner-compute
+  int local_shard_ = -1;  // transport.local_shard(), cached at construction
+  int owned_base_ = 0;    // partition().begin(local) on a distributed rank
   std::optional<Mailbox<Msg>> mailbox_;
   std::vector<State> states_;
 };

@@ -1,9 +1,9 @@
 // The shard execution layer (runtime/mailbox.h): Transport semantics,
 // mailbox routing + shard-major merge order, the sharded
 // ParallelSyncEngine path (bit-identical to the serial engine for every
-// shards x threads combination, even under a scheduling-perverse custom
-// Transport), and message-volume accounting against GraphView cross-edge
-// counts.
+// shards x threads x B combination, even under a scheduling-perverse custom
+// Transport), message-volume accounting against GraphView cross-edge
+// counts, and the drain/fill/encode surface a distributed transport drives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -125,25 +125,43 @@ std::pair<std::vector<bool>, std::int64_t> serial_luby(const Graph& g) {
   return {mis, ledger.total()};
 }
 
+// Every (shards, threads, B) shape of the in-process sharded engine is
+// bit-identical to the serial golden under the same CONGEST cap.
 TEST(ShardedEngine, LubyBitIdenticalForEveryShardsTimesThreads) {
   Rng grng(123);
   const Graph g = random_regular(400, 6, grng);
   const auto [serial_mis, serial_rounds] = serial_luby(g);
   EXPECT_TRUE(is_mis(g, serial_mis));
-  for (int num_shards : {1, 2, 3, 8}) {
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-      ShardRuntime shards(g, num_shards, pool_ptr);
+  for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
+    // Per-B golden: the serial run under the same CONGEST cap.
+    std::int64_t golden_rounds;
+    {
       Rng rng(99);
       RoundLedger ledger;
-      const auto mis =
-          luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
-      EXPECT_EQ(mis, serial_mis)
-          << num_shards << " shards, " << threads << " threads";
-      EXPECT_EQ(ledger.total(), serial_rounds)
-          << num_shards << " shards, " << threads << " threads";
-      EXPECT_GT(shards.rounds_recorded(), 0);
+      if (bits > 0) ledger.set_congest_bits(bits);
+      const auto mis = luby_mis_message_passing(g, rng, ledger, "mis");
+      EXPECT_EQ(mis, serial_mis);
+      golden_rounds = ledger.total();
+    }
+    if (bits == 0) {
+      EXPECT_EQ(golden_rounds, serial_rounds);
+    }
+    for (int num_shards : {1, 2, 3, 8}) {
+      for (int threads : {1, 2, 8}) {
+        ThreadPool pool(threads);
+        ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+        ShardRuntime shards(g, num_shards, pool_ptr);
+        Rng rng(99);
+        RoundLedger ledger;
+        if (bits > 0) ledger.set_congest_bits(bits);
+        const auto mis =
+            luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
+        EXPECT_EQ(mis, serial_mis) << num_shards << " shards, " << threads
+                                   << " threads, B=" << bits;
+        EXPECT_EQ(ledger.total(), golden_rounds)
+            << num_shards << " shards, " << threads << " threads, B=" << bits;
+        EXPECT_GT(shards.rounds_recorded(), 0);
+      }
     }
   }
 }
@@ -158,29 +176,22 @@ class ReverseTransport final : public Transport {
   void run_shards(const std::function<void(int)>& body) override {
     for (int s = num_shards_ - 1; s >= 0; --s) body(s);
   }
-  void exchange() override { ++exchanges_; }
-  int exchanges() const { return exchanges_; }
 
  private:
   int num_shards_;
-  int exchanges_ = 0;
 };
 
 TEST(ShardedEngine, ReverseShardOrderTransportIsObservationallyEquivalent) {
   Rng grng(31);
   const Graph g = random_regular(300, 4, grng);
   const auto [serial_mis, serial_rounds] = serial_luby(g);
-  auto transport = std::make_unique<ReverseTransport>(5);
-  ReverseTransport* raw = transport.get();
-  ShardRuntime shards(g, 5, nullptr, std::move(transport));
+  ShardRuntime shards(g, 5, nullptr, std::make_unique<ReverseTransport>(5));
   Rng rng(99);
   RoundLedger ledger;
   const auto mis =
       luby_mis_message_passing(g, rng, ledger, "mis", nullptr, &shards);
   EXPECT_EQ(mis, serial_mis);
   EXPECT_EQ(ledger.total(), serial_rounds);
-  // One exchange per round went through the custom backend.
-  EXPECT_EQ(raw->exchanges(), static_cast<int>(shards.rounds_recorded()));
 }
 
 // --- the explicit drain/fill surface a serializing transport drives --------
@@ -235,7 +246,7 @@ TEST(Mailbox, DrainEmptiesTheSlotButAccountingSurvives) {
   EXPECT_EQ(mb.slot_counts()[0 * 2 + 1], 0);
 }
 
-// --- the owner-routed encode surface (ExchangePolicy::kOwnerRouted) --------
+// --- the distributed encode surface (Transport::exchange_owned) -------------
 
 TEST(Mailbox, EncodeOwnedRowLeavesLocalSlotUntouched) {
   const VertexPartition part = VertexPartition::contiguous(10, 2);
@@ -265,55 +276,12 @@ TEST(Mailbox, DoubleOwnedExchangeThrows) {
   Mailbox<int> mb(&part);
   mb.post(0, /*from=*/1, /*to=*/7, 1);
   EXPECT_NO_THROW(mb.encode_owned_row(0));
-  // A second owner-routed exchange in the same round means two collectives
+  // A second exchange in the same round means two collectives
   // raced one mailbox — fail loudly.
   EXPECT_THROW(mb.encode_owned_row(0), ContractViolation);
   // clear() re-arms the guard for the next round.
   mb.clear();
   EXPECT_NO_THROW(mb.encode_owned_row(0));
-}
-
-// The owner policy on the in-process backend: full state is kept (no ranks
-// to distribute across), but every cross-shard slot round-trips through the
-// wire codec during drain — the hermetic coverage of the owner-routed wire
-// discipline. Results must be bit-identical to the serial golden for every
-// (shards, threads, B) shape.
-TEST(ShardedEngine, LubyOwnerPolicyBitIdenticalInProcess) {
-  Rng grng(123);
-  const Graph g = random_regular(400, 6, grng);
-  const auto [serial_mis, serial_rounds] = serial_luby(g);
-  for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
-    // Per-B golden: the serial run under the same CONGEST cap.
-    std::int64_t golden_rounds;
-    {
-      Rng rng(99);
-      RoundLedger ledger;
-      if (bits > 0) ledger.set_congest_bits(bits);
-      const auto mis = luby_mis_message_passing(g, rng, ledger, "mis");
-      EXPECT_EQ(mis, serial_mis);
-      golden_rounds = ledger.total();
-    }
-    if (bits == 0) {
-      EXPECT_EQ(golden_rounds, serial_rounds);
-    }
-    for (int num_shards : {1, 2, 8}) {
-      for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
-        ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-        ShardRuntime shards(g, num_shards, pool_ptr);
-        shards.set_exchange_policy(ExchangePolicy::kOwnerRouted);
-        Rng rng(99);
-        RoundLedger ledger;
-        if (bits > 0) ledger.set_congest_bits(bits);
-        const auto mis =
-            luby_mis_message_passing(g, rng, ledger, "mis", pool_ptr, &shards);
-        EXPECT_EQ(mis, serial_mis) << num_shards << " shards, " << threads
-                                   << " threads, B=" << bits;
-        EXPECT_EQ(ledger.total(), golden_rounds)
-            << num_shards << " shards, " << threads << " threads, B=" << bits;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The distributed socket backend (net/): framing over real fds including
 // torn-frame / short-read / oversize injection, NetConfig rendezvous
-// parsing, the SocketTransport all-gather primitive, per-rank slice loading
-// + halo exchange over the wire, and the headline differential: Luby's MIS
-// on the message-passing engine over a 2-rank socket cluster is
+// parsing, the SocketTransport exchange primitive and barrier, per-rank
+// slice loading + halo exchange over the wire, peer loss and silent peers
+// surfacing as a WireError naming the rank, and the headline differential:
+// Luby's MIS on the message-passing engine over a 2-rank socket cluster is
 // bit-identical — colorings, ledgers, and byte counters — to the
 // InProcessTransport at S=2, for every zoo workload under LOCAL and
-// CONGEST(64).
+// CONGEST(64), with the cross-rank payload equal to its closed form.
 //
 // The two ranks live in one process: each owns a SocketTransport built over
 // pre-connected socketpair fds and runs on its own thread, so the suite is
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -149,6 +151,12 @@ TEST(Frame, OversizedLengthPrefixThrows) {
   fds.close_remaining();
 }
 
+// Rank 0's side of one exchange_owned call with nothing to send: an empty
+// slot for the peer and zero tallies.
+Transport::OwnedExchange exchange_nothing(SocketTransport& t) {
+  return t.exchange_owned(std::vector<WireBuf>(2), {0, 0}, {0, 0});
+}
+
 // A torn exchange frame surfaces as WireError from the transport itself.
 TEST(SocketTransport, PeerHangupMidExchangeThrows) {
   FdPair fds;
@@ -163,8 +171,7 @@ TEST(SocketTransport, PeerHangupMidExchangeThrows) {
     (void)::send(raw, bytes, sizeof(bytes), 0);
     ::close(raw);
   });
-  std::vector<WireBuf> row(2);
-  EXPECT_THROW(t0->all_gather_rows(std::move(row)), WireError);
+  EXPECT_THROW(exchange_nothing(*t0), WireError);
   saboteur.join();
   fds.b = -1;
   fds.close_remaining();
@@ -229,9 +236,9 @@ TEST(NetConfig, FromEnvRoundTrip) {
   EXPECT_FALSE(NetConfig::from_env().has_value());
 }
 
-// --- the all-gather primitive ----------------------------------------------
+// --- run_shards and the barrier --------------------------------------------
 
-TEST(SocketTransport, AllGatherRowsExchangesEverySlot) {
+TEST(SocketTransport, RunShardsIsLocalAndBarrierSynchronizes) {
   auto [t0, t1] = loopback_pair();
   EXPECT_EQ(t0->local_shard(), 0);
   EXPECT_EQ(t1->local_shard(), 1);
@@ -240,30 +247,18 @@ TEST(SocketTransport, AllGatherRowsExchangesEverySlot) {
   t1->run_shards([&](int s) { hits.push_back(s); });
   EXPECT_EQ(hits, std::vector<int>{1});
 
-  std::vector<std::vector<std::vector<std::uint8_t>>> got0, got1;
-  run_ranks(2, [&](int r) {
-    std::vector<WireBuf> row(2);
-    row[0] = {std::uint8_t(10 * r + 0)};
-    row[1] = {std::uint8_t(10 * r + 1), std::uint8_t(10 * r + 2)};
-    auto rows = (r == 0 ? *t0 : *t1).all_gather_rows(std::move(row));
-    (r == 0 ? got0 : got1) = std::move(rows);
-  });
-  // Both ranks see the identical full matrix rows[s][d].
-  ASSERT_EQ(got0.size(), 2u);
-  EXPECT_EQ(got0, got1);
-  EXPECT_EQ(got0[0][0], (WireBuf{0}));
-  EXPECT_EQ(got0[0][1], (WireBuf{1, 2}));
-  EXPECT_EQ(got0[1][0], (WireBuf{10}));
-  EXPECT_EQ(got0[1][1], (WireBuf{11, 12}));
-  // Wire accounting: each rank sent one frame and received one.
+  // A barrier is an allreduce_sum(0): one 24-byte frame (4-byte prefix +
+  // tag, sender, seq, u64 value) to the peer, with symmetric counters.
+  run_ranks(2, [&](int r) { (r == 0 ? *t0 : *t1).barrier(); });
   EXPECT_EQ(t0->frames_sent(), 1);
-  EXPECT_GT(t0->wire_bytes_sent(), 0);
+  EXPECT_EQ(t0->wire_bytes_sent(), 24);
   EXPECT_EQ(t0->wire_bytes_sent(), t1->wire_bytes_received());
   EXPECT_EQ(t1->wire_bytes_sent(), t0->wire_bytes_received());
-
-  // Barriers are empty all-gathers; a second round proves the seq advances.
+  // A second barrier proves the sequence number advances on both ranks.
   run_ranks(2, [&](int r) { (r == 0 ? *t0 : *t1).barrier(); });
   EXPECT_EQ(t0->frames_sent(), 2);
+  EXPECT_EQ(t1->frames_sent(), 2);
+  EXPECT_EQ(t0->cross_payload_bytes(), 0);
 }
 
 // --- per-rank loading + halo exchange --------------------------------------
@@ -318,7 +313,7 @@ TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {
   }
 }
 
-// --- the owner-routed primitive --------------------------------------------
+// --- the exchange primitive --------------------------------------------------
 
 // Restores (unsets) an environment variable on scope exit, so a test that
 // fails mid-way cannot leak its timeout into later tests.
@@ -358,8 +353,8 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
     EXPECT_EQ(ex.slot_counts, (std::vector<std::int64_t>{1, 2, 11, 12}));
     EXPECT_EQ(ex.slot_bits, (std::vector<std::int64_t>{1, 2, 101, 102}));
   }
-  // cross_payload_bytes is MEASURED here: exactly the 2 slot bytes each rank
-  // framed to its one peer.
+  // cross_payload_bytes counts exactly the 2 slot bytes each rank framed to
+  // its one peer.
   EXPECT_EQ(t0->cross_payload_bytes(), 2);
   EXPECT_EQ(t1->cross_payload_bytes(), 2);
 
@@ -429,14 +424,38 @@ TEST(SocketTransport, SilentPeerMidExchangeNamesTheRank) {
   auto [t0, t1] = loopback_pair();
   // Rank 0's tiny frame fits in the kernel buffer, so its send completes;
   // rank 1 never writes, so the read times out and names the silent peer.
-  std::vector<WireBuf> row(2);
   try {
-    t0->all_gather_rows(std::move(row));
+    exchange_nothing(*t0);
     FAIL() << "exchange completed against a silent peer?";
   } catch (const WireError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
     EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+  }
+}
+
+// Engine-level peer loss: rank 1's transport is destroyed before the run,
+// so rank 0's first exchange meets a closed connection. Luby must fail with
+// a WireError naming rank 1 — never hang — whether or not a network
+// timeout is configured.
+TEST(SocketTransport, LubyOnALostPeerThrowsNamingTheRank) {
+  const auto zoo = generator_zoo();
+  const Graph& g = zoo.front().graph;
+  for (const bool with_timeout : {false, true}) {
+    std::optional<EnvGuard> guard;
+    if (with_timeout) guard.emplace("DELTACOL_NET_TIMEOUT_MS", "300");
+    auto [t0, t1] = loopback_pair();
+    ShardRuntime rank0(g, 2, nullptr, std::move(t0));
+    t1.reset();
+    Rng rng(7);
+    RoundLedger ledger;
+    try {
+      luby_mis_message_passing(g, rng, ledger, "luby", nullptr, &rank0);
+      FAIL() << "Luby completed without its peer? timeout=" << with_timeout;
+    } catch (const WireError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    }
   }
 }
 
@@ -466,7 +485,15 @@ LubyRun run_luby(const Graph& g, ShardRuntime& runtime,
   return out;
 }
 
+// Two real ranks — rank-local merge over owned-only state, point-to-point
+// cross slots, the end-of-run gather — versus the in-process run at S=2.
+// Every observable (MIS, ledger, bit/message counters, the full per-slot
+// matrices) must be bit-identical, and each rank's measured cross payload
+// must equal its closed form from the golden's counters: per engine round
+// one slot count prefix, per envelope to the peer its addressing bytes plus
+// Luby's 9 payload bytes.
 TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
+  constexpr std::int64_t kLubyPayloadBytes = 9;  // ceil(1/8) + ceil(64/8)
   for (const auto& w : generator_zoo()) {
     for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
       // Golden: the in-process sharded run at S=2.
@@ -476,6 +503,7 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
       // Distributed: two ranks, each with its own ShardRuntime over its
       // half of the socketpair, running concurrently.
       auto [t0, t1] = loopback_pair();
+      const SocketTransport* traw[2] = {t0.get(), t1.get()};
       std::vector<LubyRun> per_rank(2);
       std::vector<std::unique_ptr<ShardRuntime>> rts(2);
       rts[0] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
@@ -499,89 +527,15 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
         EXPECT_EQ(got.total_messages, golden.total_messages)
             << w.name << " B=" << bits << " rank " << r;
         EXPECT_EQ(got.rounds_recorded, golden.rounds_recorded)
+            << w.name << " B=" << bits << " rank " << r;
+        const std::int64_t expected_payload =
+            golden.rounds_recorded * kWireSlotPrefixBytes +
+            golden_rt.slot_messages(r, 1 - r) *
+                (kWireEnvelopeOverheadBytes + kLubyPayloadBytes);
+        EXPECT_EQ(traw[r]->cross_payload_bytes(), expected_payload)
             << w.name << " B=" << bits << " rank " << r;
       }
       // Per-slot counters too: the merge saw exactly the same envelopes.
-      for (int a = 0; a < 2; ++a) {
-        for (int b = 0; b < 2; ++b) {
-          EXPECT_EQ(rts[0]->slot_messages(a, b), golden_rt.slot_messages(a, b));
-          EXPECT_EQ(rts[1]->slot_bits(a, b), golden_rt.slot_bits(a, b));
-        }
-      }
-    }
-  }
-}
-
-// Owner-routed differential: two real ranks under ExchangePolicy::kOwnerRouted
-// — rank-local merge over owned-only state, point-to-point cross slots, the
-// end-of-run gather — versus the in-process replicated golden at S=2. Every
-// observable (MIS, ledger, bit/message counters, the full per-slot matrices)
-// must be bit-identical, and the owner runs' MEASURED cross payload must
-// equal the replicated runs' PREDICTED one (the same counter, realized).
-TEST(SocketTransport, LubyOwnerRoutedBitIdenticalAcrossTheZoo) {
-  for (const auto& w : generator_zoo()) {
-    for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
-      // Golden: the in-process sharded run at S=2 (replicated discipline).
-      ShardRuntime golden_rt(w.graph, 2, nullptr);
-      const LubyRun golden = run_luby(w.graph, golden_rt, bits);
-
-      // Replicated socket run: captures the cross-payload *prediction*.
-      std::vector<std::int64_t> predicted(2), replicated_wire(2);
-      {
-        auto [t0, t1] = loopback_pair();
-        SocketTransport* traw[2] = {t0.get(), t1.get()};
-        std::vector<std::unique_ptr<ShardRuntime>> rts(2);
-        rts[0] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
-                                                std::move(t0));
-        rts[1] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
-                                                std::move(t1));
-        run_ranks(2, [&](int r) {
-          run_luby(w.graph, *rts[static_cast<std::size_t>(r)], bits);
-        });
-        for (int r = 0; r < 2; ++r) {
-          predicted[r] = traw[r]->cross_payload_bytes();
-          replicated_wire[r] = traw[r]->wire_bytes_sent();
-        }
-      }
-
-      // Owner-routed socket run.
-      auto [t0, t1] = loopback_pair();
-      SocketTransport* traw[2] = {t0.get(), t1.get()};
-      std::vector<LubyRun> per_rank(2);
-      std::vector<std::unique_ptr<ShardRuntime>> rts(2);
-      rts[0] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
-                                              std::move(t0));
-      rts[1] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
-                                              std::move(t1));
-      for (auto& rt : rts) rt->set_exchange_policy(ExchangePolicy::kOwnerRouted);
-      run_ranks(2, [&](int r) {
-        per_rank[static_cast<std::size_t>(r)] =
-            run_luby(w.graph, *rts[static_cast<std::size_t>(r)], bits);
-      });
-
-      for (int r = 0; r < 2; ++r) {
-        const LubyRun& got = per_rank[static_cast<std::size_t>(r)];
-        EXPECT_EQ(got.mis, golden.mis) << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.ledger_total, golden.ledger_total)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.total_bits, golden.total_bits)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.cross_bits, golden.cross_bits)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.total_messages, golden.total_messages)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.rounds_recorded, golden.rounds_recorded)
-            << w.name << " B=" << bits << " rank " << r;
-        // Prediction (replicated) == realization (owner), per rank. Owner
-        // routing must also never put MORE on the wire than the all-gather
-        // (the zoo graphs all have non-trivial local slots, so the owned
-        // frame's tally header never outweighs the dropped local slot).
-        EXPECT_EQ(traw[r]->cross_payload_bytes(), predicted[r])
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_LE(traw[r]->wire_bytes_sent(), replicated_wire[r])
-            << w.name << " B=" << bits << " rank " << r;
-      }
-      // The reassembled per-slot matrices match the golden's exactly.
       for (int a = 0; a < 2; ++a) {
         for (int b = 0; b < 2; ++b) {
           EXPECT_EQ(rts[0]->slot_messages(a, b), golden_rt.slot_messages(a, b))
