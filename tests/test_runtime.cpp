@@ -191,6 +191,16 @@ TEST(ParallelSyncEngine, MatchesSyncEngineRoundForRound) {
     ASSERT_EQ(serial.state(v).sum, parallel.state(v).sum) << "node " << v;
   }
   EXPECT_EQ(ledger_a.total(), ledger_b.total());
+  // Frozen: the FNV-1a fold of every node's final sum, in vertex order.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int v = 0; v < n; ++v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (serial.state(v).sum >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0xbfe08b1df149b5a3ULL);
+  EXPECT_EQ(ledger_a.total(), 5);
 }
 
 TEST(ComponentScheduler, RunsEveryJobOnceAndChargesMax) {
