@@ -1,7 +1,7 @@
 // E16 — CONGEST mode (runtime/message_size.h + the CongestLedger mode of
-// local/round_ledger.h + congest/gossip.h).
+// local/round_ledger.h).
 //
-// Three claims, three series:
+// Two claims, two series:
 //
 //  * E16_RoundInflation — delta_color under bandwidth caps
 //    B ∈ {16, 64, 256, inf}: `rounds` is monotone non-increasing in B and
@@ -13,11 +13,8 @@
 //  * E16_CongestVolume — Luby's MIS on the message-passing engine over a
 //    ShardRuntime: wire BYTES (MessageSize sizing) per round and per shard,
 //    plus the cross-shard byte fraction — the serialization budget a
-//    distributed transport would pay, refined from E15's envelope counts.
-//
-//  * E16_GossipRounds — broadcast + convergecast over the BFS gossip tree
-//    vs B: charged rounds scale as height * ceil(payload / B) while the
-//    aggregate value stays B-invariant (`agg_ok`).
+//    distributed transport would pay. Messages per round are
+//    bytes_per_round · 8 / bits_per_msg.
 //
 // Emission: wall-clock per row, BENCH_e16.json when DELTACOL_BENCH_JSON is
 // set under the minibench harness (schema in bench/README.md), CSV via
@@ -25,7 +22,6 @@
 #include <map>
 
 #include "bench_common.h"
-#include "congest/gossip.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
 #include "runtime/mailbox.h"
@@ -122,42 +118,10 @@ void E16_CongestVolume(benchmark::State& state) {
   state.counters["cross_bytes_fraction"] =
       bits > 0 ? static_cast<double>(cross_bits) / static_cast<double>(bits)
                : 0.0;
-  // Wire sizing sanity: every Luby envelope is kLubyMessageBits wide.
+  // Wire sizing sanity: every Luby message is kLubyMessageBits wide.
   state.counters["bits_per_msg"] =
       msgs > 0 ? static_cast<double>(bits) / static_cast<double>(msgs) : 0.0;
   e16_csv(state, "e16_congest_volume");
-}
-
-void E16_GossipRounds(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const std::int64_t B = state.range(1);
-  const Graph& g = cached_regular(n);
-  constexpr std::int64_t kPayloadBits = 256;  // a digest-sized broadcast
-
-  const GossipTree tree = build_gossip_tree(g, 0);
-  const std::vector<std::int64_t> ones(static_cast<std::size_t>(n), 1);
-  std::int64_t rounds = 0;
-  bool agg_ok = true;
-  for (auto _ : state) {
-    RoundLedger ledger;
-    ledger.set_congest_bits(B);
-    const auto counts =
-        gossip_convergecast(tree, ones, GossipOp::kSum, ledger, "gossip");
-    gossip_broadcast(tree, counts[static_cast<std::size_t>(tree.root)],
-                     kPayloadBits, ledger, "gossip");
-    agg_ok = agg_ok &&
-             counts[static_cast<std::size_t>(tree.root)] == tree.num_nodes;
-    rounds = ledger.total();
-  }
-  state.counters["congest_bits"] = static_cast<double>(B);
-  state.counters["tree_height"] = static_cast<double>(tree.height);
-  state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["rounds_per_level"] =
-      tree.height > 0
-          ? static_cast<double>(rounds) / static_cast<double>(2 * tree.height)
-          : 0.0;
-  state.counters["agg_ok"] = agg_ok ? 1.0 : 0.0;
-  e16_csv(state, "e16_gossip_rounds");
 }
 
 }  // namespace
@@ -171,11 +135,5 @@ BENCHMARK(deltacol::bench::E16_RoundInflation)
 
 BENCHMARK(deltacol::bench::E16_CongestVolume)
     ->ArgsProduct({{20000, 50000}, {1, 2, 4, 8}})
-    ->Iterations(2)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(deltacol::bench::E16_GossipRounds)
-    ->ArgsProduct({{20000, 50000},
-                   {16, 64, 256, deltacol::bench::kInfB}})
     ->Iterations(2)
     ->Unit(benchmark::kMillisecond);

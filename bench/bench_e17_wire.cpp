@@ -3,32 +3,34 @@
 //
 // One series, one claim: the physical bytes a 2-rank loopback cluster moves
 // for Luby's MIS decompose exactly into the MessageSize-priced payload of
-// the cross-rank envelopes plus a fixed, enumerable framing overhead —
+// the cross-rank messages plus a fixed, enumerable framing overhead —
 // nothing hidden, nothing lost.
 //
 //  * E17_WireVolume — two ranks over a socketpair, each running the
 //    message-passing engine over its own SocketTransport. Counters:
 //      - logical_bytes:  ShardRuntime total_bits / 8 (the CONGEST price of
-//                        every envelope, rank-local ones included);
+//                        every message, rank-local ones included);
 //      - wire_bytes:     physical frame bytes both ranks sent (transport
 //                        counters — length prefixes included);
-//      - ratio:          wire / logical. Only envelopes addressed to the
-//        other rank ship, each as 9 payload bytes + 8 addressing bytes vs
-//        8.125 charged bytes; on a random regular graph about half the
-//        envelopes cross the contiguous cut, so the ratio sits near 1;
+//      - ratio:          wire / logical. Only messages addressed to the
+//        other rank ship, each as its 9 payload bytes (no addressing) vs
+//        8.125 charged bytes, plus one presence bit per cross edge per
+//        round; on a random regular graph about half the messages cross the
+//        contiguous cut, so the ratio sits well below 1;
 //      - overhead_ok:    1 iff each rank's wire bytes equal the closed-form
 //        prediction from the runtime's counters, where R is the number of
-//        engine rounds:
-//          R·64 + 17·(envelopes to the peer) + (R/2)·24 + (20 + 4·owned).
-//        64 = 4-byte frame prefix + 56-byte owned-frame header (tag,
-//        sender, seq, destination, world, 2×16 tally bytes, slot length) +
-//        4-byte slot envelope count; 24 = one allreduce_sum frame per Luby
-//        iteration (the termination test); the last term is the end-of-run
-//        gather_colors frame (4-byte prefix, 16-byte header, one u32 per
-//        owned vertex). I.e. the framing overhead is EXACTLY the documented
-//        constants (kFramePrefixBytes, kWireSlotPrefixBytes,
-//        kWireEnvelopeOverheadBytes and the frame headers), re-derived here
-//        from first principles;
+//        engine rounds and k the number of cross edges to the peer:
+//          R·60 + R·ceil(k/8) + 9·(messages to the peer) + (R/2)·24
+//            + (20 + 4·owned).
+//        60 = 4-byte frame prefix + 56-byte owned-frame header (tag,
+//        sender, seq, destination, world, 2×16 tally bytes, payload
+//        length); ceil(k/8) = the edge frame's presence bitmap; 24 = one
+//        allreduce_sum frame per Luby iteration (the termination test); the
+//        last term is the end-of-run gather_colors frame (4-byte prefix,
+//        16-byte header, one u32 per owned vertex). I.e. the framing
+//        overhead is EXACTLY the documented constants (kFramePrefixBytes,
+//        the bitmap and the frame headers), re-derived here from first
+//        principles;
 //      - identical:      1 iff both ranks' MIS, ledgers and byte counters
 //        equal the in-process S=2 golden run (the differential contract,
 //        re-asserted on every row).
@@ -46,7 +48,6 @@
 #include "mis/luby_sync.h"
 #include "net/frame.h"
 #include "net/socket_transport.h"
-#include "net/wire_codec.h"
 #include "runtime/mailbox.h"
 
 namespace deltacol::bench {
@@ -68,7 +69,8 @@ struct RankResult {
   std::int64_t ledger_total = 0;
   std::int64_t total_bits = 0;
   std::int64_t wire_sent = 0;
-  std::int64_t peer_envelopes = 0;  // envelopes this rank addressed to the peer
+  std::int64_t peer_messages = 0;  // messages this rank addressed to the peer
+  std::int64_t cross_edges = 0;    // directed edges to the peer's vertices
   std::int64_t owned = 0;
   std::int64_t rounds = 0;
 };
@@ -119,7 +121,8 @@ void E17_WireVolume(benchmark::State& state) {
         out.rounds = rt.rounds_recorded();
         auto& st = static_cast<SocketTransport&>(rt.transport());
         out.wire_sent = st.wire_bytes_sent();
-        out.peer_envelopes = rt.slot_messages(r, 1 - r);
+        out.peer_messages = rt.slot_messages(r, 1 - r);
+        out.cross_edges = rt.view(r).cross_edges(1 - r);
         out.owned = rt.partition().size(r);
       });
     }
@@ -127,18 +130,16 @@ void E17_WireVolume(benchmark::State& state) {
   }
 
   // Closed-form framing prediction per rank (see the file comment). Every
-  // engine round ships one owned frame to the peer; every Luby iteration
-  // (two engine rounds) one allreduce_sum frame; the run ends with one
-  // gather_colors frame.
+  // engine round ships one owned frame to the peer, carrying the presence
+  // bitmap and the present payloads; every Luby iteration (two engine
+  // rounds) one allreduce_sum frame; the run ends with one gather_colors
+  // frame.
   constexpr std::int64_t kOwnedHeader = 5 * 4 + kWorld * 16 + 4;
-  constexpr std::int64_t kPerRound =
-      kFramePrefixBytes + kOwnedHeader + kWireSlotPrefixBytes;
+  constexpr std::int64_t kPerRound = kFramePrefixBytes + kOwnedHeader;
   constexpr std::int64_t kReduceFrame = kFramePrefixBytes + 3 * 4 + 8;
   constexpr std::int64_t kGatherFixed = kFramePrefixBytes + 4 * 4;
   constexpr std::int64_t kLubyPayloadBytes = 9;  // ceil(1/8) + ceil(64/8)
-  constexpr std::int64_t kPerEnvelope =
-      kWireEnvelopeOverheadBytes + kLubyPayloadBytes;
-  static_assert(kPerRound == 64 && kReduceFrame == 24 && kGatherFixed == 20,
+  static_assert(kPerRound == 60 && kReduceFrame == 24 && kGatherFixed == 20,
                 "E17 frame constants");
 
   bool identical = true;
@@ -149,7 +150,8 @@ void E17_WireVolume(benchmark::State& state) {
                 rr.ledger_total == golden_ledger &&
                 rr.total_bits == golden_bits;
     const std::int64_t predicted =
-        rr.rounds * kPerRound + rr.peer_envelopes * kPerEnvelope +
+        rr.rounds * (kPerRound + (rr.cross_edges + 7) / 8) +
+        rr.peer_messages * kLubyPayloadBytes +
         (rr.rounds / 2) * kReduceFrame + kGatherFixed + 4 * rr.owned;
     overhead_ok = overhead_ok && rr.wire_sent == predicted;
     wire_total += rr.wire_sent;

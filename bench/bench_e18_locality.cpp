@@ -13,22 +13,24 @@
 // grid would make the contiguous baseline look artificially good. Wild ids
 // model real inputs (hashed ids, crawl order), where contiguous ranges are
 // topologically meaningless and the cross-edge fraction sits near the
-// pessimistic (S-1)/S bound that E15 measures on expanders.
+// pessimistic (S-1)/S bound that E16's cross_bytes_fraction shows on
+// expanders.
 //
 //  * E18_CrossTraffic — shards ∈ {2, 4, 8} per workload:
 //      - cross_frac_contig / cross_frac_cluster: static cut fraction of the
 //        two strategies (graph/metrics.h cross_edge_fraction);
 //      - cross_cut_pct: 100·(1 − cluster/contig) — the acceptance criterion
 //        is ≥ 30 on the grid and cactus rows at every S;
-//      - cross_mrps_contig / cross_mrps_cluster: cross-shard envelopes per
-//        round per shard for Luby's MIS through the sharded mailbox engine
-//        (total envelopes are partition-invariant — only their slot routing
-//        changes — so the cross count is the quantity a transport pays);
-//      - identical: 1 iff the MIS and its engine round/envelope counts are
+//      - cross_mrps_contig / cross_mrps_cluster: cross-shard messages per
+//        round per shard for Luby's MIS on the message engine over a shard
+//        runtime (total messages are partition-invariant — only which
+//        shards they connect changes — so the cross count is the quantity
+//        a transport pays);
+//      - identical: 1 iff the MIS and its engine round/message counts are
 //        bit-identical between the two strategies AND the unsharded oracle.
 //
 //  * E18_WirePayload — 2 ranks over a socketpair per workload, one run per
-//    strategy: wire_cross_contig / wire_cross_cluster are the encoded slot
+//    strategy: wire_cross_contig / wire_cross_cluster are the edge-frame
 //    payload bytes each rank framed to its peer
 //    (SocketTransport::cross_payload_bytes — the measured cross-shard
 //    payload of the distributed exchange, see net/socket_transport.h),

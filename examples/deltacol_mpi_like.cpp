@@ -15,8 +15,9 @@
 //      wire (net/rank_loader.h) — verified against the full graph;
 //   2. runs Luby's MIS on the message-passing engine over the socket
 //      transport: each rank holds only its own shard's state, and every
-//      round ships each cross-shard slot over TCP to the rank that owns its
-//      destination (DESIGN.md section 6, distributed rounds);
+//      round ships each peer one edge frame over TCP — a presence bitmap
+//      over the cross edges to that peer, then the payloads (DESIGN.md
+//      section 6, distributed rounds);
 //   3. runs the requested Delta-coloring algorithms replicated (every rank
 //      executes the same in-process pipeline on the full graph).
 //
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
       out << "halo-exchange: verified\n";
     }
 
-    // --- 3. Luby's MIS with every round's cross-shard slots over the wire -
+    // --- 3. Luby's MIS with every round's cross-rank messages on the wire -
     {
       Rng rng(seed);
       RoundLedger ledger;

@@ -34,9 +34,9 @@ std::vector<int> degree_histogram(const Graph& g);
 
 // Fraction of undirected edges whose endpoints live on different shards of
 // `part` (0 for edgeless graphs or a single shard). This is the static
-// locality figure behind the per-round message split that experiments E15
+// locality figure behind the per-round message split that experiments E16
 // and E18 measure: under a dense all-neighbors round, cross_fraction of all
-// envelopes — and of all encoded payload bytes — cross a shard boundary.
+// messages — and of all encoded payload bytes — cross a shard boundary.
 double cross_edge_fraction(const Graph& g, const VertexPartition& part);
 
 }  // namespace deltacol

@@ -69,9 +69,8 @@ VertexPartition VertexPartition::renumbered(
     for (int p = part.begin(s); p < part.end(s); ++p) {
       list.push_back((*part.to_old_)[static_cast<std::size_t>(p)]);
     }
-    // Owned ids ascend in *original* id so every shard-local sweep visits
-    // vertices in the same relative order the serial engine does — the
-    // keystone of the stable-merge argument in DESIGN.md §6.
+    // Owned ids ascend in *original* id: owned_vertex(s, i) enumerates a
+    // shard in id order under every layout (GraphView, gather_colors).
     std::sort(list.begin(), list.end());
   }
   part.owned_ = std::move(owned);

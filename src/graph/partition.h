@@ -13,17 +13,15 @@
 ///     the identical owner map locally.
 ///  2. **Order preservation.** Ranges ascend with the shard id, so
 ///     concatenating per-shard data in shard order reproduces ascending
-///     vertex order. This is what lets the mailbox layer merge shard-major
-///     and still hand every inbox the exact byte sequence the serial engine
-///     produced (DESIGN.md §6, "shard-major merge").
+///     vertex order.
 ///
 /// A `GraphView` is one shard's projection of a CSR `Graph`: a zero-copy
 /// window of owned vertices (whose adjacency it reads directly from the
 /// parent's CSR arrays) plus a **halo table** — the sorted global ids of
 /// non-owned vertices adjacent to owned ones (the "ghost" vertices a
 /// distributed shard would replicate) and per-destination-shard cross-edge
-/// counts (the CONGEST-style message budget of one dense round, measured by
-/// experiment E15).
+/// counts (the CONGEST-style message budget of one dense round, and the
+/// length of the engine's per-peer edge frames — runtime/sync_engine.h).
 ///
 /// **Renumbered partitions (PR 8).** A `VertexPartition` can additionally
 /// carry a locality-aware bijection between the original vertex ids and a
@@ -32,8 +30,7 @@
 /// are `{to_old[p] : p in [begin(s), end(s))}`. Execution stays entirely in
 /// original ids — the renumbering only redefines *ownership and layout* —
 /// so every determinism contract (id-keyed RNG splits, id tie-breaks,
-/// Linial's id-seeded palette) is untouched by construction; DESIGN.md §6
-/// gives the merge-order argument. `shard_of` remains O(1): one array
+/// Linial's id-seeded palette) is untouched by construction (DESIGN.md §6). `shard_of` remains O(1): one array
 /// lookup plus the closed form.
 #pragma once
 

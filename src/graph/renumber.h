@@ -5,8 +5,9 @@
 ///
 /// The contiguous `VertexPartition` is the pessimistic baseline: on inputs
 /// with arbitrary ("wild") vertex ids, a fraction ≈ (S-1)/S of all edges
-/// cross shards, so nearly every mailbox envelope — and, on the TCP path,
-/// nearly every encoded payload byte — is cross-rank (experiment E15).
+/// cross shards, so nearly every engine message — and, on the TCP path,
+/// nearly every encoded payload byte — is cross-rank (experiment E16's
+/// cross_bytes_fraction).
 /// `cluster_renumbering` computes a bijection between the original ids and a
 /// *layout* space in which topologically nearby vertices sit at nearby
 /// positions, so the same contiguous split now cuts along cluster seams

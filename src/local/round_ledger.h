@@ -5,7 +5,8 @@
 /// number of synchronous communication rounds each step would take on a real
 /// network. Two execution styles feed the same ledger:
 ///
-///  1. Message-passing style (SyncEngine): each executed round charges 1.
+///  1. Message-passing style (SyncEngine, runtime/sync_engine.h): each
+///     executed round charges 1 (or its CONGEST cost, below).
 ///  2. Neighborhood-gathering style: in the LOCAL model a t-round algorithm
 ///     is exactly a function of each node's t-neighborhood, so a step
 ///     implemented centrally as "every node inspects its r-ball and decides"
@@ -42,12 +43,14 @@ namespace deltacol {
 /// message round whose heaviest directed edge carries `bits` bits is charged
 /// ceil(bits / B) sub-rounds — the rounds a B-bit-per-edge network needs to
 /// move the same data, with the per-round maximum taken across edges because
-/// all edges transfer in parallel. B <= 0 (the default) is the LOCAL model,
-/// i.e. B = infinity: every message round charges exactly 1, so LOCAL round
-/// counts are recovered exactly. The mode only changes what
-/// charge_message_round() records — execution, merge order, colorings and
-/// stats are untouched, which is what makes CONGEST-vs-LOCAL differential
-/// testing meaningful (tests/test_congest.cpp).
+/// all edges transfer in parallel. The message engine (runtime/sync_engine.h)
+/// carries at most one message per directed edge per round, so an edge's
+/// load is the MessageSize of the one message in its slot. B <= 0 (the
+/// default) is the LOCAL model, i.e. B = infinity: every message round
+/// charges exactly 1, so LOCAL round counts are recovered exactly. The mode
+/// only changes what charge_message_round() records — execution, message
+/// delivery, colorings and stats are untouched, which is what makes
+/// CONGEST-vs-LOCAL differential testing meaningful (tests/test_congest.cpp).
 class RoundLedger {
  public:
   RoundLedger() = default;

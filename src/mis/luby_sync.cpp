@@ -3,7 +3,7 @@
 #include <string>
 
 #include "runtime/mailbox.h"
-#include "runtime/parallel_sync_engine.h"
+#include "runtime/sync_engine.h"
 #include "util/check.h"
 
 namespace deltacol {
@@ -58,17 +58,13 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
                                            ThreadPool* pool,
                                            ShardRuntime* shards) {
   const int n = g.num_vertices();
-  ParallelSyncEngine<NodeState, Msg> engine(g, ledger, std::string(phase),
-                                            pool, shards);
-  const VertexPartition part = shards != nullptr
-                                   ? shards->partition()
-                                   : VertexPartition::contiguous(n, 1);
+  using Engine = SyncEngine<NodeState, Msg>;
+  Engine engine(g, ledger, std::string(phase), pool, shards);
   // Distributed ranks (DESIGN.md §6): the engine holds owned-only state, so
-  // every sweep below runs over the local shard's owned list and the
-  // termination test / result extraction go through the transport's
-  // deterministic collectives instead of reading global state.
-  const bool owner = shards != nullptr && engine.owner_local_state();
-  const int local = owner ? shards->transport().local_shard() : -1;
+  // every sweep below runs over its local vertices and the termination test
+  // / result extraction go through the transport's deterministic
+  // collectives instead of reading global state.
+  const bool owner = engine.owner_local_state();
 
   // LOCAL-model nodes own private randomness: seed each node once from the
   // caller's stream (private coins, not communication) — serially, so the
@@ -77,42 +73,38 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
   // other shape) but keep only their owned nodes' streams.
   for (int v = 0; v < n; ++v) {
     Rng node_rng = rng.split();
-    if (!owner || part.shard_of(v) == local) {
-      engine.state(v).rng = std::move(node_rng);
-    }
+    if (engine.holds(v)) engine.state(v).rng = std::move(node_rng);
   }
 
-  // Per-vertex sweep helper: all vertices in-process, owned vertices only
-  // on a distributed rank (the bodies are v-private either way).
+  // Per-vertex sweep over the engine's vertices (v-private bodies).
   const auto sweep = [&](const auto& body) {
-    if (owner) {
-      const GraphView& view = shards->view(local);
-      pooled_for(pool, 0, view.num_owned(),
-                 [&](int i) { body(view.owned_vertex(i)); });
-      return;
+    pooled_for(pool, 0, engine.num_local(),
+               [&](int i) { body(engine.local_vertex(i)); });
+  };
+  const auto count_active = [&] {
+    std::int64_t active = 0;
+    for (int i = 0; i < engine.num_local(); ++i) {
+      if (engine.state(engine.local_vertex(i)).status == NodeStatus::kActive) {
+        ++active;
+      }
     }
-    sharded_for(pool, part, body);
+    return owner ? shards->transport().allreduce_sum(active) : active;
   };
 
-  int remaining = n;
+  std::int64_t remaining = n;
   while (remaining > 0) {
-    // Private coin flips — no communication round. Each node draws from its
-    // own Rng: a shard-major parallel-for over the runtime's partition
-    // (v-private, so any placement yields the same streams).
+    // Private coin flips — no communication round.
     sweep([&](int v) {
       NodeState& s = engine.state(v);
       if (s.status == NodeStatus::kActive) s.priority = s.rng.next_u64();
     });
     // Round A: actives announce priorities; local minima join.
     engine.round(
-        [&g](int v, const NodeState& s) {
-          ParallelSyncEngine<NodeState, Msg>::Outbox out;
-          if (s.status == NodeStatus::kActive) {
-            for (int u : g.neighbors(v)) out.push_back({u, {false, s.priority}});
-          }
-          return out;
+        [](int, const NodeState& s, Engine::Ports& out) {
+          if (s.status != NodeStatus::kActive) return;
+          for (int p = 0; p < out.size(); ++p) out.send(p, {false, s.priority});
         },
-        [](int v, NodeState& s, const ParallelSyncEngine<NodeState, Msg>::Inbox& in) {
+        [](int v, NodeState& s, const Engine::Inbox& in) {
           if (s.status != NodeStatus::kActive) return;
           bool local_min = true;
           for (const auto& [from, msg] : in) {
@@ -126,14 +118,11 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
         });
     // Round B: joiners notify, active neighbors drop out.
     engine.round(
-        [&g](int v, const NodeState& s) {
-          ParallelSyncEngine<NodeState, Msg>::Outbox out;
-          if (s.status == NodeStatus::kInMis) {
-            for (int u : g.neighbors(v)) out.push_back({u, {true, 0}});
-          }
-          return out;
+        [](int, const NodeState& s, Engine::Ports& out) {
+          if (s.status != NodeStatus::kInMis) return;
+          for (int p = 0; p < out.size(); ++p) out.send(p, {true, 0});
         },
-        [](int, NodeState& s, const ParallelSyncEngine<NodeState, Msg>::Inbox& in) {
+        [](int, NodeState& s, const Engine::Inbox& in) {
           if (s.status != NodeStatus::kActive) return;
           for (const auto& [from, msg] : in) {
             (void)from;
@@ -143,47 +132,24 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
             }
           }
         });
-    // Termination: count actives. Distributed ranks count their owned
-    // actives and fold the counts deterministically across ranks — every
-    // rank leaves the loop on the same iteration, by construction.
-    if (owner) {
-      const GraphView& view = shards->view(local);
-      std::int64_t active = 0;
-      for (int i = 0; i < view.num_owned(); ++i) {
-        if (engine.state(view.owned_vertex(i)).status == NodeStatus::kActive) {
-          ++active;
-        }
-      }
-      remaining =
-          static_cast<int>(shards->transport().allreduce_sum(active));
-      continue;
-    }
-    remaining = 0;
-    for (int v = 0; v < n; ++v) {
-      if (engine.state(v).status == NodeStatus::kActive) ++remaining;
-    }
+    // Termination: every rank leaves the loop on the same iteration, by
+    // construction (the distributed count is a deterministic allreduce).
+    remaining = count_active();
   }
   // Result extraction. Distributed ranks know only their shard's flags:
   // the deterministic end-of-run gather (Transport::gather_colors)
   // reassembles the global MIS on every rank, bit-identical to the
   // in-process run.
-  std::vector<bool> out(static_cast<std::size_t>(n), false);
-  if (owner) {
-    const GraphView& view = shards->view(local);
-    std::vector<int> flags(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < view.num_owned(); ++i) {
-      const int v = view.owned_vertex(i);
-      flags[static_cast<std::size_t>(v)] =
-          engine.state(v).status == NodeStatus::kInMis ? 1 : 0;
-    }
-    shards->transport().gather_colors(part, flags);
-    for (int v = 0; v < n; ++v) {
-      out[static_cast<std::size_t>(v)] = flags[static_cast<std::size_t>(v)] == 1;
-    }
-    return out;
+  std::vector<int> flags(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < engine.num_local(); ++i) {
+    const int v = engine.local_vertex(i);
+    flags[static_cast<std::size_t>(v)] =
+        engine.state(v).status == NodeStatus::kInMis ? 1 : 0;
   }
+  if (owner) shards->transport().gather_colors(shards->partition(), flags);
+  std::vector<bool> out(static_cast<std::size_t>(n), false);
   for (int v = 0; v < n; ++v) {
-    out[static_cast<std::size_t>(v)] = engine.state(v).status == NodeStatus::kInMis;
+    out[static_cast<std::size_t>(v)] = flags[static_cast<std::size_t>(v)] == 1;
   }
   return out;
 }

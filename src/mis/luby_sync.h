@@ -1,7 +1,7 @@
 // Luby's MIS implemented literally on the synchronous message-passing
-// engine (SyncEngine): every round each active node draws a priority, sends
-// it to its neighbors, and joins when it holds the local minimum; joiners
-// then notify neighbors, which deactivate.
+// engine (runtime/sync_engine.h): every iteration each active node draws a
+// priority, sends it on every port, and joins when it holds the local
+// minimum; joiners then notify their neighbors, which deactivate.
 //
 // Functionally equivalent to mis/luby_mis (which runs the same logic over
 // shared arrays and charges the same rounds); this version exists to pin
@@ -21,7 +21,7 @@
 namespace deltacol {
 
 class ThreadPool;     // src/runtime/thread_pool.h; nullptr = serial
-class ShardRuntime;   // src/runtime/mailbox.h; nullptr = unsharded
+class ShardRuntime;   // src/runtime/mailbox.h; nullptr = no runtime
 
 // Wire size of one Luby message under the MessageSize convention
 // (runtime/message_size.h): a 1-bit join flag plus a 64-bit priority. The
@@ -30,12 +30,12 @@ class ShardRuntime;   // src/runtime/mailbox.h; nullptr = unsharded
 // tests/test_fuzz.cpp).
 inline constexpr std::int64_t kLubyMessageBits = 65;
 
-// `pool` routes the rounds through the ParallelSyncEngine (bit-identical
-// results for any thread count; nullptr runs the serial reference path).
-// `shards` (built over g) additionally routes every round through the
-// partitioned mailbox/transport layer and records per-round message volume
-// on it — still bit-identical for every (shards, threads) combination
-// (tests/test_mailbox.cpp pins this).
+// `pool` runs the engine's sweeps on a thread pool (bit-identical results
+// for any thread count; nullptr runs them on the calling thread). `shards`
+// (built over g) records per-round message volume on the runtime and, when
+// its transport is distributed, runs this rank's share of the rounds over
+// it — still bit-identical for every (shards, threads, partition)
+// combination (the frozen goldens in tests/test_mailbox.cpp pin this).
 std::vector<bool> luby_mis_message_passing(
     const Graph& g, Rng& rng, RoundLedger& ledger, std::string_view phase,
     ThreadPool* pool = nullptr, ShardRuntime* shards = nullptr);

@@ -10,9 +10,9 @@
 /// rather than handing a truncated payload up the stack
 /// (tests/test_socket_transport.cpp injects exactly these failures).
 ///
-/// Frames carry serialized mailbox slots (net/wire_codec.h), so the length
-/// guard `kMaxFrameBytes` bounds what a confused or hostile peer can make
-/// this process allocate.
+/// Frames carry serialized engine rounds and collectives (net/wire_codec.h),
+/// so the length guard `kMaxFrameBytes` bounds what a confused or hostile
+/// peer can make this process allocate.
 #pragma once
 
 #include <cstdint>

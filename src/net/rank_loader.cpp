@@ -140,7 +140,7 @@ std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
   DC_REQUIRE(part.begin(self) == slice.lo && part.end(self) == slice.hi,
              "slice does not match this rank under the contiguous partition");
 
-  // Both trips run on exchange_owned: one slot per peer, our own slot empty
+  // Both trips run on exchange_owned: one payload per peer, our own empty
   // (the halo never contains an owned vertex), and zero tallies — no engine
   // round is being accounted.
   const auto exchange = [&](std::vector<WireBuf> to_peers) {
@@ -166,7 +166,7 @@ std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
   const std::vector<WireBuf> requests = exchange(std::move(request_row));
 
   // Trip 2: answer every peer's request against our owned rows, then
-  // collect the answers addressed to us. Reply slot = vector of
+  // collect the answers addressed to us. Reply payload = vector of
   // (vertex, adjacency).
   using Reply = std::vector<std::pair<std::uint32_t, IdList>>;
   std::vector<WireBuf> reply_row(static_cast<std::size_t>(world));

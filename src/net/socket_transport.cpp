@@ -46,10 +46,10 @@ int net_timeout_from_env() {
 }
 
 /// Owned-exchange frame payload: tag, u32 sender, u32 seq, u32 destination
-/// rank, u32 world, world×u64 posted-envelope counts (the sender's mailbox
-/// row), world×u64 posted wire bits, u32 slot length + the encoded
-/// (sender, dest) slot. The tally rows ride along so every rank reassembles
-/// the full S×S counters without a second collective.
+/// rank, u32 world, world×u64 sent-message counts (the sender's tally row),
+/// world×u64 sent wire bits, u32 payload length + the sender's edge frame
+/// for dest (net/wire_codec.h). The tally rows ride along so every rank
+/// reassembles the full S×S counters without a second collective.
 constexpr std::int64_t owned_frame_header_bytes(int world) {
   return 5 * 4 + static_cast<std::int64_t>(world) * 16 + 4;
 }
@@ -351,10 +351,6 @@ void SocketTransport::close_all() {
   }
 }
 
-void SocketTransport::run_shards(const std::function<void(int)>& body) {
-  body(rank_);
-}
-
 std::vector<std::uint8_t> SocketTransport::read_frame_from(int peer) {
   try {
     return read_frame(fds_[static_cast<std::size_t>(peer)], net_timeout_ms_);
@@ -390,8 +386,8 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
   }
 
   // Encode every frame up front on the calling thread (counters are not
-  // thread-safe), asserting per frame that the physical slot payload is
-  // exactly the bytes the cross_payload_bytes counter records.
+  // thread-safe), asserting per frame that the edge-frame payload is exactly
+  // the bytes the cross_payload_bytes counter records.
   const std::int64_t header = owned_frame_header_bytes(world_);
   std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
   for (int d = 0; d < world_; ++d) {

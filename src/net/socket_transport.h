@@ -5,16 +5,15 @@
 /// `SocketTransport` implements the distributed half of the `Transport`
 /// contract (runtime/mailbox.h):
 ///
-///   * `local_shard()` is this process's rank — `run_shards(body)` invokes
-///     `body(rank)` and nothing else; the other ranks run their own bodies
-///     in their own processes.
+///   * `local_shard()` is this process's rank; the other ranks' vertices
+///     live in the other processes.
 ///   * `exchange_owned()` moves one engine round: one frame per peer
-///     carrying ONLY the slot addressed to that peer (plus this rank's
-///     per-slot tally row, so every rank reassembles the full S×S
-///     counters), written by per-peer writer threads while this thread
-///     reads the peers in rank order. Frames carry a tag and a sequence
-///     number, so a rank that drifted a round (or a collective) out of step
-///     fails loudly instead of merging stale slots.
+///     carrying ONLY the edge frame addressed to that peer (plus this
+///     rank's tally row, so every rank reassembles the full S×S counters),
+///     written by per-peer writer threads while this thread reads the peers
+///     in rank order. Frames carry a tag and a sequence number, so a rank
+///     that drifted a round (or a collective) out of step fails loudly
+///     instead of delivering stale messages.
 ///   * `allreduce_sum()` / `allreduce_max()` / `gather_colors()` are the
 ///     small deterministic collectives a distributed run needs for
 ///     termination tests, the CONGEST max fold, and the end-of-run result
@@ -102,13 +101,10 @@ class SocketTransport final : public Transport {
   int num_shards() const override { return world_; }
   int local_shard() const override { return rank_; }
 
-  /// Runs only the local rank's body (the other ranks are other processes).
-  void run_shards(const std::function<void(int)>& body) override;
-
-  /// Point-to-point slot exchange (see the file comment and the Transport
-  /// contract). `to_peers[rank()]` must be empty — the local slot never
-  /// crosses the wire — and the returned slots[rank()] is empty for the
-  /// same reason.
+  /// Point-to-point frame exchange (see the file comment and the Transport
+  /// contract). `to_peers[rank()]` must be empty — local messages never
+  /// cross the wire — and the returned slots[rank()] is empty for the same
+  /// reason.
   OwnedExchange exchange_owned(std::vector<std::vector<std::uint8_t>> to_peers,
                                std::vector<std::int64_t> row_counts,
                                std::vector<std::int64_t> row_bits) override;
@@ -140,10 +136,10 @@ class SocketTransport final : public Transport {
   std::int64_t wire_bytes_received() const { return bytes_received_; }
   std::int64_t frames_sent() const { return frames_sent_; }
 
-  /// Encoded slot payload bytes framed to *other* ranks across all
-  /// exchanges — the measured cross-shard payload (exchange_owned asserts
-  /// per frame that frame size = header + this payload), the number
-  /// bench_e18 reports as the locality win.
+  /// Edge-frame payload bytes sent to *other* ranks across all exchanges —
+  /// the measured cross-shard payload (exchange_owned asserts per frame
+  /// that frame size = header + this payload), the number bench_e18
+  /// reports as the locality win.
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:

@@ -30,13 +30,14 @@
 /// throws `WireError` — a torn or corrupted stream never decodes to a
 /// plausible-looking message.
 ///
-/// The distributed exchange (`Mailbox::encode_owned_row` →
-/// `Transport::exchange_owned`) serializes the off-diagonal slots of a
-/// shard's mailbox row with `encode_slot`/`decode_slot` below; the halo
-/// exchange (net/rank_loader.h) ships its requests and replies through the
+/// A distributed engine round (runtime/sync_engine.h →
+/// `Transport::exchange_owned`) ships one edge frame per peer
+/// (`encode_edge_frame` / `decode_edge_frame` below); the halo exchange
+/// (net/rank_loader.h) ships its requests and replies through the
 /// vector/pair combinators.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -45,7 +46,7 @@
 
 namespace deltacol {
 
-/// A serialized payload (one mailbox slot, one frame body, ...).
+/// A serialized payload (one edge frame, one frame body, ...).
 using WireBuf = std::vector<std::uint8_t>;
 
 /// Malformed bytes on the wire: truncated payloads, torn frames, impossible
@@ -213,60 +214,55 @@ struct WireCodec<std::vector<T>> {
   }
 };
 
-// --- mailbox slot encoding -------------------------------------------------
+// --- edge frames -----------------------------------------------------------
 //
-// One (source-shard, destination-shard) mailbox slot on the wire:
+// One round's messages from one rank to one peer (runtime/sync_engine.h):
 //
-//   u32 envelope count, then per envelope: u32 to, u32 from, payload.
+//   a ceil(k/8)-byte presence bitmap over the k cross edges to the peer
+//   (edge j is bit j % 8 of byte j / 8), then the WireCodec payloads of the
+//   present edges in list order.
 //
-// The 8 addressing bytes per envelope and the 4-byte count are framing
-// overhead on top of the MessageSize-priced payload (in the CONGEST model
-// addressing is carried by the port a message arrives on, so it is not
-// charged — see message_size.h). Envelope order is preserved exactly: the
-// decoded slot replays the sender's post order, which is what makes the
-// shard-major merge rule survive serialization (DESIGN.md §6).
+// Both ranks list the k edges the same way — by ascending (receiver id,
+// sender id) — from (graph, partition), so a frame carries no vertex ids:
+// its only overhead over the MessageSize-priced payload is one bit per
+// cross edge.
 
-/// Per-envelope wire overhead (to + from) in bytes, and the per-slot count
-/// prefix — the constants the E17 bench checks the physical byte ratio
-/// against.
-inline constexpr std::int64_t kWireEnvelopeOverheadBytes = 8;
-inline constexpr std::int64_t kWireSlotPrefixBytes = 4;
-
-/// Serializes one mailbox slot. `Env` is any envelope shape with `to`,
-/// `from` (vertex ids) and `msg` (a registered WireCodec type) — i.e.
-/// Mailbox<Msg>::Envelope.
-template <typename Msg, typename Env>
-WireBuf encode_slot(const std::vector<Env>& slot) {
+/// Encodes one edge frame. msg_at(j) returns a pointer to edge j's message,
+/// or nullptr when edge j carries none this round.
+template <typename Msg, typename MsgAt>
+WireBuf encode_edge_frame(std::size_t k, const MsgAt& msg_at) {
   WireWriter w;
-  w.put_u32(static_cast<std::uint32_t>(slot.size()));
-  for (const Env& e : slot) {
-    w.put_u32(static_cast<std::uint32_t>(e.to));
-    w.put_u32(static_cast<std::uint32_t>(e.from));
-    WireCodec<Msg>::encode(e.msg, w);
+  for (std::size_t byte = 0; byte < (k + 7) / 8; ++byte) {
+    std::uint8_t bits = 0;
+    for (std::size_t j = byte * 8; j < std::min(k, byte * 8 + 8); ++j) {
+      if (msg_at(j) != nullptr) bits |= static_cast<std::uint8_t>(1u << (j % 8));
+    }
+    w.put_u8(bits);
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    if (const Msg* m = msg_at(j)) WireCodec<Msg>::encode(*m, w);
   }
   return w.take();
 }
 
-/// Decodes one mailbox slot (the exact inverse of encode_slot). Throws
-/// WireError on truncation, trailing bytes, or malformed payloads.
-template <typename Msg, typename Env>
-std::vector<Env> decode_slot(const WireBuf& bytes) {
-  WireReader r(bytes);
-  const std::uint32_t count = r.get_u32();
-  // Each envelope costs at least its 8 addressing bytes — reject impossible
-  // counts before allocating.
-  if (count > r.remaining() / kWireEnvelopeOverheadBytes) {
-    throw WireError("wire slot envelope count exceeds remaining payload");
+/// Decodes an edge frame over k edges, calling deliver(j, msg) for each
+/// present edge in list order. Throws WireError on a short bitmap, a set bit
+/// at index >= k, a truncated payload, or trailing bytes.
+template <typename Msg, typename Deliver>
+void decode_edge_frame(const WireBuf& bytes, std::size_t k,
+                       const Deliver& deliver) {
+  const std::size_t bitmap = (k + 7) / 8;
+  if (bytes.size() < bitmap) {
+    throw WireError("edge frame shorter than its presence bitmap");
   }
-  std::vector<Env> slot;
-  slot.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const int to = static_cast<int>(r.get_u32());
-    const int from = static_cast<int>(r.get_u32());
-    slot.push_back(Env{to, from, WireCodec<Msg>::decode(r)});
+  if (k % 8 != 0 && (bytes[bitmap - 1] >> (k % 8)) != 0) {
+    throw WireError("edge frame marks an edge past its cross-edge count");
   }
-  if (!r.done()) throw WireError("trailing bytes after mailbox slot");
-  return slot;
+  WireReader r(bytes.data() + bitmap, bytes.size() - bitmap);
+  for (std::size_t j = 0; j < k; ++j) {
+    if ((bytes[j / 8] >> (j % 8)) & 1u) deliver(j, WireCodec<Msg>::decode(r));
+  }
+  if (!r.done()) throw WireError("trailing bytes after edge frame");
 }
 
 }  // namespace deltacol

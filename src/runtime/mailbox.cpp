@@ -1,5 +1,7 @@
 #include "runtime/mailbox.h"
 
+#include "util/check.h"
+
 namespace deltacol {
 
 Transport::OwnedExchange Transport::exchange_owned(
@@ -14,24 +16,15 @@ Transport::OwnedExchange Transport::exchange_owned(
   return {};
 }
 
-InProcessTransport::InProcessTransport(int num_shards, ThreadPool* pool)
-    : num_shards_(num_shards), pool_(pool) {
+InProcessTransport::InProcessTransport(int num_shards)
+    : num_shards_(num_shards) {
   DC_REQUIRE(num_shards >= 1, "transport needs at least one shard");
-}
-
-void InProcessTransport::run_shards(const std::function<void(int)>& body) {
-  if (pool_ != nullptr && pool_->num_threads() > 1) {
-    pool_->parallel_chunks(num_shards_, body);
-  } else {
-    for (int s = 0; s < num_shards_; ++s) body(s);
-  }
 }
 
 ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool)
     : ShardRuntime(g, num_shards, pool,
                    std::make_unique<InProcessTransport>(
-                       VertexPartition::resolve_num_shards(num_shards),
-                       pool)) {}
+                       VertexPartition::resolve_num_shards(num_shards))) {}
 
 ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool,
                            std::unique_ptr<Transport> transport)
@@ -43,15 +36,13 @@ ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool,
           pool, std::move(transport)) {}
 
 ShardRuntime::ShardRuntime(const Graph& g, VertexPartition part,
-                           ThreadPool* pool,
+                           ThreadPool* /*pool*/,
                            std::unique_ptr<Transport> transport)
     : part_(std::move(part)),
       views_(build_graph_views(g, part_)),
       transport_(transport != nullptr
                      ? std::move(transport)
-                     : std::make_unique<InProcessTransport>(
-                           part_.num_shards(), pool)),
-      pool_(pool),
+                     : std::make_unique<InProcessTransport>(part_.num_shards())),
       sent_(static_cast<std::size_t>(part_.num_shards()) *
                 static_cast<std::size_t>(part_.num_shards()),
             0),

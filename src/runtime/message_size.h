@@ -3,15 +3,18 @@
 /// CONGEST mode (DESIGN.md §6, "CONGEST accounting").
 ///
 /// `MessageSize<Msg>` answers one question: how many bits would `msg` occupy
-/// on a real link? Every message type that flows through a `SyncEngine`,
-/// `ParallelSyncEngine` or `Mailbox` must specialize it — the primary
-/// template is deliberately left undefined, so an unregistered message type
-/// is a compile error, never a silent under-charge. The registered sizes are
-/// pinned against a hand-computed table in tests/test_message_size.cpp.
+/// on a real link? Every message type that flows through the `SyncEngine`
+/// (runtime/sync_engine.h) must specialize it — the primary template is
+/// deliberately left undefined, so an unregistered message type is a compile
+/// error, never a silent under-charge. The engine charges a CONGEST round by
+/// the heaviest message in any slot: with one message per directed edge per
+/// round, that is the heaviest edge load. The registered sizes are pinned
+/// against a hand-computed table in tests/test_message_size.cpp.
 ///
 /// Sizing convention: payload bits only. Addressing (sender/receiver ids) is
 /// carried by the edge itself in the CONGEST model — a node knows which port
-/// a message arrived on — so envelope headers are not charged. Fixed-width
+/// a message arrived on — so addressing is not charged (and the engine's
+/// wire frames carry none; net/wire_codec.h). Fixed-width
 /// fields are charged at their declared width; a bool/flag is 1 bit;
 /// variable-length payloads charge a 32-bit length prefix plus their
 /// elements (the encoding a socket Transport would frame).
@@ -29,7 +32,7 @@ template <typename Msg>
 struct MessageSize;
 
 /// Bits `msg` occupies on the wire (the quantity the CONGEST B-bit cap and
-/// the per-shard byte counters are measured in).
+/// the per-shard bit counters are measured in).
 template <typename Msg>
 inline std::int64_t message_bits(const Msg& msg) {
   return MessageSize<Msg>::bits(msg);
@@ -80,29 +83,5 @@ struct MessageSize<std::vector<T>> {
     return total;
   }
 };
-
-/// Heaviest directed edge in one receiver's inbox, in bits. The inbox must
-/// be sorted by sender (the engines' post-merge invariant), so the messages
-/// one neighbor sent this round form a contiguous run; the run's bit sum is
-/// that edge's load and the maximum over runs is what the CONGEST charge
-/// ceil(load / B) is taken over. A max of maxes over all receivers is
-/// order-free, so the engines may fold this per-vertex value in any
-/// schedule without perturbing determinism.
-template <typename Msg>
-inline std::int64_t max_edge_bits_in_inbox(
-    const std::vector<std::pair<int, Msg>>& sorted_inbox) {
-  std::int64_t best = 0;
-  std::int64_t run = 0;
-  int prev_sender = -1;
-  for (const auto& [from, msg] : sorted_inbox) {
-    if (from != prev_sender) {
-      if (run > best) best = run;
-      run = 0;
-      prev_sender = from;
-    }
-    run += message_bits(msg);
-  }
-  return run > best ? run : best;
-}
 
 }  // namespace deltacol

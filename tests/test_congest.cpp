@@ -9,15 +9,12 @@
 //    charge is ceil(load / B) of a B-independent load);
 //  * thread-invariance — the congest charge folds are order-free maxima, so
 //    every thread count T yields identical charged rounds, and the
-//    message-passing MIS charges identically on every (shards, T) runtime;
-//  * the gossip primitives (congest/gossip.h) compute the same values under
-//    any B and charge height * ceil(payload / B).
+//    message-passing MIS charges identically on every (shards, T) runtime.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "congest/gossip.h"
 #include "core/api.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
@@ -300,121 +297,6 @@ TEST(CongestEngine, LubyHugeBMatchesLocalAndTightBInflates) {
   EXPECT_EQ(run(16), local * 5);
   // ceil(65/64) = 2: doubled.
   EXPECT_EQ(run(64), local * 2);
-}
-
-// --- gossip primitives -----------------------------------------------------
-
-TEST(Gossip, TreeStructureOnAPath) {
-  // 0-1-2-3-4: rooted at 0, the BFS tree IS the path.
-  const Graph g =
-      Graph::from_edges(5, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  const GossipTree tree = build_gossip_tree(g, 0);
-  EXPECT_EQ(tree.root, 0);
-  EXPECT_EQ(tree.height, 4);
-  EXPECT_EQ(tree.num_nodes, 5);
-  EXPECT_EQ(tree.parent, (std::vector<int>{-1, 0, 1, 2, 3}));
-  EXPECT_EQ(tree.depth, (std::vector<int>{0, 1, 2, 3, 4}));
-  for (int v = 0; v < 4; ++v) {
-    EXPECT_EQ(tree.children[static_cast<std::size_t>(v)],
-              std::vector<int>{v + 1});
-  }
-  EXPECT_TRUE(tree.children[4].empty());
-}
-
-TEST(Gossip, TreeIsThreadCountInvariant) {
-  Rng rng(51);
-  const Graph g = random_graph_max_degree(600, 8, 2.5, rng);
-  const GossipTree serial = build_gossip_tree(g, 3);
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    const GossipTree pooled = build_gossip_tree(g, 3, &pool);
-    EXPECT_EQ(pooled.parent, serial.parent) << threads;
-    EXPECT_EQ(pooled.depth, serial.depth) << threads;
-    EXPECT_EQ(pooled.height, serial.height) << threads;
-  }
-}
-
-TEST(Gossip, TreeCoversOnlyTheRootComponent) {
-  Rng rng(53);
-  const Graph g =
-      disjoint_union(random_regular(40, 4, rng), random_regular(30, 4, rng));
-  const GossipTree tree = build_gossip_tree(g, 0);
-  EXPECT_EQ(tree.num_nodes, 40);
-  for (int v = 0; v < 40; ++v) EXPECT_TRUE(tree.reached(v));
-  for (int v = 40; v < 70; ++v) {
-    EXPECT_FALSE(tree.reached(v));
-    EXPECT_EQ(tree.parent[static_cast<std::size_t>(v)], -1);
-  }
-}
-
-TEST(Gossip, BroadcastDeliversAndChargesByLevel) {
-  // Star rooted at 0: height 1.
-  const Graph g =
-      Graph::from_edges(4, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}});
-  const GossipTree tree = build_gossip_tree(g, 0);
-  ASSERT_EQ(tree.height, 1);
-
-  RoundLedger local;
-  const auto values = gossip_broadcast(tree, 42, 128, local, "bcast");
-  EXPECT_EQ(values, (std::vector<std::int64_t>{42, 42, 42, 42}));
-  EXPECT_EQ(local.total(), 1);  // height rounds in LOCAL
-
-  RoundLedger congest;
-  congest.set_congest_bits(32);
-  const auto values2 = gossip_broadcast(tree, 42, 128, congest, "bcast");
-  EXPECT_EQ(values2, values);           // same values under any B
-  EXPECT_EQ(congest.total(), 4);        // height * ceil(128/32)
-}
-
-TEST(Gossip, ConvergecastAggregatesSumMinMax) {
-  // 0-1, 0-2, 2-3, 2-4: height 2.
-  const Graph g = Graph::from_edges(
-      5, std::vector<Edge>{{0, 1}, {0, 2}, {2, 3}, {2, 4}});
-  const GossipTree tree = build_gossip_tree(g, 0);
-  ASSERT_EQ(tree.height, 2);
-  const std::vector<std::int64_t> values = {10, 2, 30, 4, 5};
-
-  RoundLedger ledger;
-  const auto sums =
-      gossip_convergecast(tree, values, GossipOp::kSum, ledger, "cc");
-  EXPECT_EQ(sums[0], 51);       // whole component at the root
-  EXPECT_EQ(sums[2], 39);       // subtree {2, 3, 4}
-  EXPECT_EQ(sums[1], 2);        // leaf
-  EXPECT_EQ(ledger.total(), 2); // height rounds in LOCAL
-
-  RoundLedger minl, maxl;
-  EXPECT_EQ(gossip_convergecast(tree, values, GossipOp::kMin, minl, "cc")[0],
-            2);
-  EXPECT_EQ(gossip_convergecast(tree, values, GossipOp::kMax, maxl, "cc")[0],
-            30);
-
-  RoundLedger congest;
-  congest.set_congest_bits(16);
-  const auto sums2 =
-      gossip_convergecast(tree, values, GossipOp::kSum, congest, "cc");
-  EXPECT_EQ(sums2, sums);         // accounting overlay only
-  EXPECT_EQ(congest.total(), 8);  // height * ceil(64/16)
-}
-
-TEST(Gossip, RoundTripCountsComponentSize) {
-  // The canonical use: convergecast a sum of ones (count the component),
-  // broadcast the result back. Values and charges are deterministic.
-  Rng rng(61);
-  const Graph g = random_regular(200, 4, rng);
-  const GossipTree tree = build_gossip_tree(g, 17);
-  const std::vector<std::int64_t> ones(200, 1);
-  RoundLedger ledger;
-  ledger.set_congest_bits(64);
-  const auto counts =
-      gossip_convergecast(tree, ones, GossipOp::kSum, ledger, "count");
-  EXPECT_EQ(counts[static_cast<std::size_t>(tree.root)], 200);
-  const auto echoed = gossip_broadcast(
-      tree, counts[static_cast<std::size_t>(tree.root)], 64, ledger, "count");
-  for (int v = 0; v < 200; ++v) {
-    EXPECT_EQ(echoed[static_cast<std::size_t>(v)], 200);
-  }
-  // 64-bit payloads fit a 64-bit cap: 2 * height rounds total.
-  EXPECT_EQ(ledger.total(), 2 * tree.height);
 }
 
 }  // namespace

@@ -1,58 +1,14 @@
-// Defective coloring substrate and the SLOCAL variant (Remark 17).
+// The SLOCAL variant of Delta-coloring (Remark 17).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "coloring/defective.h"
-#include "coloring/linial.h"
 #include "core/slocal.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
 namespace deltacol {
 namespace {
-
-class DefectiveTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(DefectiveTest, ReachesFloorDeltaOverK) {
-  const auto [d, k] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(d * 100 + k));
-  const Graph g = random_regular(300, d, rng);
-  RoundLedger ledger;
-  const auto sched = delta_plus_one_schedule(g, ledger);
-  const Coloring c =
-      defective_coloring(g, k, sched.coloring, sched.num_colors, ledger, "t");
-  EXPECT_LE(coloring_defect(g, c), d / k);
-  for (Color x : c) {
-    EXPECT_GE(x, 0);
-    EXPECT_LT(x, k);
-  }
-  EXPECT_GT(ledger.total(), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DefectiveTest,
-    ::testing::Combine(::testing::Values(4, 6, 9),
-                       ::testing::Values(1, 2, 3)));
-
-TEST(Defective, KEqualDeltaPlusOneIsProper) {
-  Rng rng(9);
-  const Graph g = random_regular(200, 4, rng);
-  RoundLedger ledger;
-  const auto sched = delta_plus_one_schedule(g, ledger);
-  const Coloring c = defective_coloring(g, 5, sched.coloring,
-                                        sched.num_colors, ledger, "t");
-  EXPECT_EQ(coloring_defect(g, c), 0);  // floor(4/5) = 0: proper
-  EXPECT_TRUE(is_proper_with_palette(g, c, 5));
-}
-
-TEST(Defective, DefectMeasure) {
-  const Graph g = path_graph(3);
-  EXPECT_EQ(coloring_defect(g, {0, 0, 0}), 2);
-  EXPECT_EQ(coloring_defect(g, {0, 0, 1}), 1);
-  EXPECT_EQ(coloring_defect(g, {0, 1, 0}), 0);
-  EXPECT_EQ(coloring_defect(g, {0, kUncolored, 0}), 0);
-}
 
 class SlocalTest : public ::testing::TestWithParam<int> {};
 

@@ -26,7 +26,7 @@
 #include "net/wire_codec.h"
 #include "runtime/mailbox.h"
 #include "runtime/message_size.h"
-#include "runtime/parallel_sync_engine.h"
+#include "runtime/sync_engine.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -163,7 +163,7 @@ TEST(FuzzStress, EightSameSeedRunsAreBitIdentical) {
 
 // CONGEST byte-counter consistency under fuzz: for random graphs, shard
 // counts and thread counts, the ShardRuntime's wire-bit counters must equal
-// MessageSize times the envelope counts, split per slot exactly as the
+// MessageSize times the message counts, split per slot exactly as the
 // GraphViews count internal/cross edges — and the charged rounds must be
 // the engine's message_round_cost of the actual heaviest edge load.
 TEST_P(FuzzTest, ByteCountersConsistentWithPostedMessages) {
@@ -182,17 +182,15 @@ TEST_P(FuzzTest, ByteCountersConsistentWithPostedMessages) {
     // so every directed edge carries exactly one 32-bit message.
     RoundLedger ledger;
     ledger.set_congest_bits(B);
-    ParallelSyncEngine<int, std::uint32_t> engine(g, ledger, "flood",
-                                                  pool_ptr, &shards);
+    using Engine = SyncEngine<int, std::uint32_t>;
+    Engine engine(g, ledger, "flood", pool_ptr, &shards);
     engine.round(
-        [&g](int v, const int&) {
-          std::vector<std::pair<int, std::uint32_t>> out;
-          for (int u : g.neighbors(v)) {
-            out.push_back({u, static_cast<std::uint32_t>(v)});
+        [](int v, const int&, Engine::Ports& out) {
+          for (int p = 0; p < out.size(); ++p) {
+            out.send(p, static_cast<std::uint32_t>(v));
           }
-          return out;
         },
-        [](int, int&, const std::vector<std::pair<int, std::uint32_t>>&) {});
+        [](int, int&, const Engine::Inbox&) {});
 
     const std::string label = "trial " + std::to_string(trial) + " S=" +
                               std::to_string(num_shards) + " T=" +
@@ -216,8 +214,8 @@ TEST_P(FuzzTest, ByteCountersConsistentWithPostedMessages) {
     ASSERT_GE(g.num_edges(), 1) << label;
     EXPECT_EQ(ledger.total(), ledger.message_round_cost(32)) << label;
 
-    // The Luby MIS through the same runtime: every envelope is one 65-bit
-    // message, so the byte counters factor exactly — and the result must
+    // The Luby MIS through the same runtime: every message is 65 bits
+    // wide, so the byte counters factor exactly — and the result must
     // still be a valid MIS under any (S, T, B).
     shards.reset_counters();
     Rng luby_rng(rng.next_u64());
@@ -406,7 +404,8 @@ TEST(WireCodecFuzz, TruncatedOrDirtyPayloadsNeverDecodeCleanly) {
     WireCodec<wire_fuzz::FuzzMsg>::encode(msg, w);
     const WireBuf bytes = w.take();
     // Any strict prefix either throws or leaves the reader short (the
-    // caller-visible "not done" signal decode_slot turns into WireError).
+    // caller-visible "not done" signal decode_edge_frame turns into
+    // WireError).
     const std::size_t cut =
         static_cast<std::size_t>(rng.next_int(0, static_cast<int>(bytes.size()) - 1));
     WireBuf torn(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
@@ -425,44 +424,55 @@ TEST(WireCodecFuzz, TruncatedOrDirtyPayloadsNeverDecodeCleanly) {
   }
 }
 
-TEST(WireCodecFuzz, MailboxSlotsSurviveSerializationExactly) {
+TEST(WireCodecFuzz, EdgeFramesRoundTripAndRejectEveryCorruption) {
   Rng rng(0x51075);
-  using Env = Mailbox<wire_fuzz::FuzzMsg>::Envelope;
+  using FuzzMsg = wire_fuzz::FuzzMsg;
   for (int iter = 0; iter < 300; ++iter) {
-    std::vector<Env> slot;
-    for (int i = rng.next_int(0, 10); i > 0; --i) {
-      slot.push_back(Env{rng.next_int(0, 1000), rng.next_int(0, 1000),
-                         random_fuzz_msg(rng)});
+    // A random presence pattern over k cross edges (k spans whole and
+    // partial bitmap bytes, including k = 0).
+    const std::size_t k = static_cast<std::size_t>(rng.next_int(0, 40));
+    const double density = rng.next_int(0, 4) / 4.0;
+    std::vector<std::optional<FuzzMsg>> edges(k);
+    std::int64_t expect = static_cast<std::int64_t>((k + 7) / 8);
+    for (auto& e : edges) {
+      if (rng.next_bool(density)) {
+        e = random_fuzz_msg(rng);
+        expect += WireBytes<FuzzMsg>::of(*e);
+      }
     }
-    const WireBuf bytes = encode_slot<wire_fuzz::FuzzMsg>(slot);
-    // Slot length law: count prefix + per-envelope addressing + payloads.
-    std::int64_t expect = kWireSlotPrefixBytes;
-    for (const Env& e : slot) {
-      expect += kWireEnvelopeOverheadBytes +
-                WireBytes<wire_fuzz::FuzzMsg>::of(e.msg);
-    }
+    const WireBuf bytes = encode_edge_frame<FuzzMsg>(
+        k, [&](std::size_t j) { return edges[j] ? &*edges[j] : nullptr; });
+    // Frame length law: the bitmap plus the present payloads, no ids.
     ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), expect);
-    const auto back = decode_slot<wire_fuzz::FuzzMsg, Env>(bytes);
-    ASSERT_EQ(back.size(), slot.size());
-    for (std::size_t i = 0; i < slot.size(); ++i) {
-      EXPECT_EQ(back[i].to, slot[i].to);
-      EXPECT_EQ(back[i].from, slot[i].from);
-      EXPECT_EQ(back[i].msg, slot[i].msg);
+    std::vector<std::optional<FuzzMsg>> back(k);
+    std::size_t last = 0;
+    decode_edge_frame<FuzzMsg>(bytes, k, [&](std::size_t j, FuzzMsg m) {
+      EXPECT_TRUE(j >= last && !back[j]) << "edges delivered out of order";
+      last = j;
+      back[j] = std::move(m);
+    });
+    ASSERT_EQ(back, edges);
+
+    const auto decodes = [&](const WireBuf& frame) {
+      decode_edge_frame<FuzzMsg>(frame, k, [](std::size_t, FuzzMsg) {});
+    };
+    // Every truncation throws: a short bitmap or a torn payload.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      const WireBuf torn(bytes.begin(),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_THROW(decodes(torn), WireError) << "cut at " << cut;
     }
-    // Mutations are rejected loudly: trailing garbage, truncation, and a
-    // count that promises more envelopes than the bytes can carry.
+    // A trailing byte throws.
     WireBuf longer = bytes;
     longer.push_back(0);
-    EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(longer)), WireError);
-    if (!slot.empty()) {
-      WireBuf shorter = bytes;
-      shorter.pop_back();
-      EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(shorter)), WireError);
+    EXPECT_THROW(decodes(longer), WireError);
+    // A set bit past the k edges throws.
+    if (k % 8 != 0) {
+      WireBuf marked = bytes;
+      marked[k / 8] |= static_cast<std::uint8_t>(
+          1u << rng.next_int(static_cast<int>(k % 8), 7));
+      EXPECT_THROW(decodes(marked), WireError);
     }
-    WireBuf inflated = bytes;
-    inflated[0] = 0xff;
-    inflated[1] = 0xff;
-    EXPECT_THROW((decode_slot<wire_fuzz::FuzzMsg, Env>(inflated)), WireError);
   }
 }
 

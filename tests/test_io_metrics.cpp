@@ -1,5 +1,5 @@
 // Graph serialization, workload metrics, and the shard runtime's cumulative
-// volume counters (envelopes + wire bits) across reuse.
+// volume counters (messages + wire bits) across reuse.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -141,7 +141,7 @@ TEST(Metrics, GirthCertifiesDccFreeBalls) {
 }
 
 TEST(RuntimeMetrics, ByteCountersAccumulateAcrossRounds) {
-  // record_round folds per-slot envelope counts AND wire bits cumulatively:
+  // record_round folds per-slot message counts AND wire bits cumulatively:
   // two identical rounds double every counter.
   Rng rng(11);
   const Graph g = random_regular(60, 4, rng);

@@ -5,7 +5,7 @@
 #include "graph/traversal.h"
 #include "local/neighborhood.h"
 #include "local/round_ledger.h"
-#include "local/sync_engine.h"
+#include "runtime/sync_engine.h"
 #include "util/check.h"
 
 namespace deltacol {
@@ -52,20 +52,18 @@ TEST(SyncEngine, FloodFillMatchesBfs) {
   struct State {
     int dist = -1;
   };
+  using Engine = SyncEngine<State, int>;
   const int rounds = eccentricity(g, 0);
-  RoundLedger ledger2;
-  SyncEngine<State, int> eng2(g, ledger2, "flood");
-  eng2.state(0).dist = 0;
+  RoundLedger ledger;
+  Engine eng(g, ledger, "flood");
+  eng.state(0).dist = 0;
   for (int t = 0; t < rounds; ++t) {
-    eng2.round(
-        [&g, &eng2](int v, const State& s) {
-          SyncEngine<State, int>::Outbox out;
-          if (s.dist >= 0) {
-            for (int u : g.neighbors(v)) out.emplace_back(u, s.dist + 1);
-          }
-          return out;
+    eng.round(
+        [](int, const State& s, Engine::Ports& out) {
+          if (s.dist < 0) return;
+          for (int p = 0; p < out.size(); ++p) out.send(p, s.dist + 1);
         },
-        [](int, State& s, const SyncEngine<State, int>::Inbox& inbox) {
+        [](int, State& s, const Engine::Inbox& inbox) {
           for (const auto& [from, d] : inbox) {
             if (s.dist < 0 || d < s.dist) s.dist = d;
           }
@@ -73,24 +71,41 @@ TEST(SyncEngine, FloodFillMatchesBfs) {
   }
   const auto want = bfs_distances(g, 0);
   for (int v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(eng2.state(v).dist, want[v]) << "vertex " << v;
+    EXPECT_EQ(eng.state(v).dist, want[v]) << "vertex " << v;
   }
-  EXPECT_EQ(ledger2.total(), rounds);
+  EXPECT_EQ(ledger.total(), rounds);
 }
 
-TEST(SyncEngine, RejectsNonNeighborMessages) {
+// Messages only travel along edges, at most one per edge per round: a port
+// is an index into g.neighbors(v), used at most once per round.
+TEST(SyncEngine, RejectsRepeatedPort) {
   const Graph g = path_graph(4);
+  using Engine = SyncEngine<int, int>;
   RoundLedger ledger;
-  SyncEngine<int, int> eng(g, ledger, "bad");
-  EXPECT_THROW(
-      eng.round(
-          [](int v, const int&) {
-            SyncEngine<int, int>::Outbox out;
-            if (v == 0) out.emplace_back(3, 42);  // 3 is not a neighbor of 0
-            return out;
-          },
-          [](int, int&, const SyncEngine<int, int>::Inbox&) {}),
-      ContractViolation);
+  Engine eng(g, ledger, "bad");
+  EXPECT_THROW(eng.round(
+                   [](int v, const int&, Engine::Ports& out) {
+                     out.send(0, 1);
+                     if (v == 2) out.send(0, 2);  // port 0 again
+                   },
+                   [](int, int&, const Engine::Inbox&) {}),
+               ContractViolation);
+}
+
+TEST(SyncEngine, RejectsOutOfRangePort) {
+  const Graph g = path_graph(4);
+  using Engine = SyncEngine<int, int>;
+  for (int bad : {-1, 1}) {  // vertex 0 has exactly one port
+    RoundLedger ledger;
+    Engine eng(g, ledger, "bad");
+    EXPECT_THROW(eng.round(
+                     [bad](int v, const int&, Engine::Ports& out) {
+                       if (v == 0) out.send(bad, 42);
+                     },
+                     [](int, int&, const Engine::Inbox&) {}),
+                 ContractViolation)
+        << "port " << bad;
+  }
 }
 
 TEST(NeighborhoodOracle, ChargesGatherRadius) {

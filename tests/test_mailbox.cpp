@@ -1,14 +1,13 @@
-// The shard execution layer (runtime/mailbox.h): Transport semantics,
-// mailbox routing + shard-major merge order, the sharded
-// ParallelSyncEngine path (bit-identical to the serial engine for every
-// shards x threads x B combination, even under a scheduling-perverse custom
-// Transport), message-volume accounting against GraphView cross-edge
-// counts, and the drain/fill/encode surface a distributed transport drives.
+// The message engine over the shard runtime (runtime/sync_engine.h +
+// runtime/mailbox.h): one flood round delivers exactly the adjacency and
+// tallies per-(sender owner, receiver owner) volume equal to the GraphView
+// edge counts; Luby is bit-identical for every shards x threads x B shape;
+// and the frozen Luby goldens — MIS hash and ledger per zoo workload x B,
+// plus the full per-slot message and bit matrices — that every (S, T,
+// partition) shape must reproduce.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,49 +18,12 @@
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
 #include "runtime/mailbox.h"
-#include "runtime/parallel_sync_engine.h"
+#include "runtime/sync_engine.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace deltacol {
 namespace {
-
-TEST(InProcessTransport, RunsEveryShardExactlyOnce) {
-  for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    InProcessTransport transport(7, threads > 1 ? &pool : nullptr);
-    EXPECT_EQ(transport.num_shards(), 7);
-    std::vector<int> hits(7, 0);
-    transport.run_shards([&](int s) { ++hits[static_cast<std::size_t>(s)]; });
-    for (int h : hits) EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(Mailbox, RoutesByDestinationOwnerAndKeepsPostOrder) {
-  const VertexPartition part = VertexPartition::contiguous(10, 3);
-  // Shards: [0,3), [3,6), [6,10).
-  Mailbox<int> mb(&part);
-  mb.post(0, /*from=*/1, /*to=*/4, 100);  // -> slot (0, 1)
-  mb.post(0, /*from=*/1, /*to=*/9, 101);  // -> slot (0, 2)
-  mb.post(0, /*from=*/2, /*to=*/4, 102);  // -> slot (0, 1), after the first
-  mb.post(2, /*from=*/7, /*to=*/0, 103);  // -> slot (2, 0)
-  ASSERT_EQ(mb.slot(0, 1).size(), 2u);
-  EXPECT_EQ(mb.slot(0, 1)[0].from, 1);
-  EXPECT_EQ(mb.slot(0, 1)[0].msg, 100);
-  EXPECT_EQ(mb.slot(0, 1)[1].from, 2);
-  EXPECT_EQ(mb.slot(0, 1)[1].msg, 102);
-  ASSERT_EQ(mb.slot(0, 2).size(), 1u);
-  EXPECT_EQ(mb.slot(0, 2)[0].to, 9);
-  ASSERT_EQ(mb.slot(2, 0).size(), 1u);
-  EXPECT_EQ(mb.slot(2, 0)[0].msg, 103);
-  EXPECT_TRUE(mb.slot(1, 1).empty());
-  const auto counts = mb.slot_counts();
-  ASSERT_EQ(counts.size(), 9u);
-  EXPECT_EQ(counts[0 * 3 + 1], 2);
-  EXPECT_EQ(counts[2 * 3 + 0], 1);
-  mb.clear();
-  EXPECT_TRUE(mb.slot(0, 1).empty());
-}
 
 // One dense flood round through the sharded engine: every node sends its id
 // to every neighbor. Pins (a) inbox contents = sorted neighbor list,
@@ -77,14 +39,13 @@ TEST(ShardedEngine, FloodRoundDeliversExactlyTheAdjacency) {
     struct State {
       std::vector<int> heard;
     };
-    ParallelSyncEngine<State, int> engine(g, ledger, "flood", &pool, &shards);
+    using Engine = SyncEngine<State, int>;
+    Engine engine(g, ledger, "flood", &pool, &shards);
     engine.round(
-        [&g](int v, const State&) {
-          std::vector<std::pair<int, int>> out;
-          for (int u : g.neighbors(v)) out.push_back({u, v});
-          return out;
+        [](int v, const State&, Engine::Ports& out) {
+          for (int p = 0; p < out.size(); ++p) out.send(p, v);
         },
-        [](int, State& s, const std::vector<std::pair<int, int>>& inbox) {
+        [](int, State& s, const Engine::Inbox& inbox) {
           for (const auto& [from, msg] : inbox) {
             EXPECT_EQ(from, msg);
             s.heard.push_back(from);
@@ -99,7 +60,7 @@ TEST(ShardedEngine, FloodRoundDeliversExactlyTheAdjacency) {
       }
     }
     EXPECT_EQ(ledger.total(), 1);
-    // Volume accounting: one round, 2m envelopes, split per slot exactly as
+    // Volume accounting: one round, 2m messages, split per slot exactly as
     // the views count internal/cross edges.
     EXPECT_EQ(shards.rounds_recorded(), 1);
     EXPECT_EQ(shards.total_messages(), 2 * g.num_edges());
@@ -327,16 +288,17 @@ TEST(LubyGoldens, SlotMatricesAreFrozenAtEveryThreadCount) {
       for (int threads : {1, 2, 8}) {
         ThreadPool pool(threads);
         ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-        ShardRuntime shards(*g, make_partition(*g, s, golden.strategy, pool_ptr),
-                            pool_ptr);
+        ShardRuntime shards(
+            *g, make_partition(*g, s, golden.strategy, pool_ptr), pool_ptr);
         Rng rng(99);
         RoundLedger ledger;
         if (bits > 0) ledger.set_congest_bits(bits);
         const auto mis =
             luby_mis_message_passing(*g, rng, ledger, "mis", pool_ptr, &shards);
-        const std::string at =
-            shape + " B=" + std::to_string(bits) + " T=" + std::to_string(threads);
-        EXPECT_EQ(mis_hash(mis), luby_golden(golden.graph, bits).mis_hash) << at;
+        const std::string at = shape + " B=" + std::to_string(bits) +
+                               " T=" + std::to_string(threads);
+        EXPECT_EQ(mis_hash(mis), luby_golden(golden.graph, bits).mis_hash)
+            << at;
         EXPECT_EQ(shards.rounds_recorded(), golden.rounds_recorded) << at;
         for (int a = 0; a < s; ++a) {
           for (int b = 0; b < s; ++b) {
@@ -350,124 +312,6 @@ TEST(LubyGoldens, SlotMatricesAreFrozenAtEveryThreadCount) {
       }
     }
   }
-}
-
-// A scheduling-perverse Transport: shards run in REVERSE order, serially.
-// Results must not move — the merge is keyed on (shard id, chunk index,
-// sender id), never on execution order.
-class ReverseTransport final : public Transport {
- public:
-  explicit ReverseTransport(int num_shards) : num_shards_(num_shards) {}
-  int num_shards() const override { return num_shards_; }
-  void run_shards(const std::function<void(int)>& body) override {
-    for (int s = num_shards_ - 1; s >= 0; --s) body(s);
-  }
-
- private:
-  int num_shards_;
-};
-
-TEST(ShardedEngine, ReverseShardOrderTransportIsObservationallyEquivalent) {
-  Rng grng(31);
-  const Graph g = random_regular(300, 4, grng);
-  const auto [serial_mis, serial_rounds] = serial_luby(g);
-  ShardRuntime shards(g, 5, nullptr, std::make_unique<ReverseTransport>(5));
-  Rng rng(99);
-  RoundLedger ledger;
-  const auto mis =
-      luby_mis_message_passing(g, rng, ledger, "mis", nullptr, &shards);
-  EXPECT_EQ(mis, serial_mis);
-  EXPECT_EQ(ledger.total(), serial_rounds);
-}
-
-// --- the explicit drain/fill surface a serializing transport drives --------
-
-TEST(Mailbox, FillDeliversWholeSlotAndTalliesCounters) {
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<int> mb(&part);
-  using Env = Mailbox<int>::Envelope;
-  mb.fill(0, 1, {Env{7, 1, 100}, Env{8, 2, 101}});
-  ASSERT_EQ(mb.slot(0, 1).size(), 2u);
-  EXPECT_EQ(mb.slot(0, 1)[0].from, 1);
-  EXPECT_EQ(mb.slot(0, 1)[1].msg, 101);
-  // fill() feeds the same accounting post() does: counts and wire bits.
-  const auto& counts = mb.slot_counts();
-  EXPECT_EQ(counts[0 * 2 + 1], 2);
-  EXPECT_EQ(mb.slot_bits()[0 * 2 + 1], 2 * 32);
-}
-
-TEST(Mailbox, DoubleFillOfOneSlotThrows) {
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<int> mb(&part);
-  using Env = Mailbox<int>::Envelope;
-  mb.fill(1, 0, {Env{0, 9, 5}});
-  EXPECT_THROW(mb.fill(1, 0, {Env{1, 9, 6}}), ContractViolation);
-  // clear() rearms the guard — the next round may fill again.
-  mb.clear();
-  EXPECT_NO_THROW(mb.fill(1, 0, {Env{0, 9, 7}}));
-}
-
-TEST(Mailbox, FillOverLocallyPostedEnvelopesThrows) {
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<int> mb(&part);
-  using Env = Mailbox<int>::Envelope;
-  mb.post(0, /*from=*/1, /*to=*/7, 42);  // slot (0, 1) now has local content
-  EXPECT_THROW(mb.fill(0, 1, {Env{7, 1, 42}}), ContractViolation);
-}
-
-TEST(Mailbox, DrainEmptiesTheSlotButAccountingSurvives) {
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<int> mb(&part);
-  mb.post(0, /*from=*/1, /*to=*/7, 42);
-  mb.post(0, /*from=*/2, /*to=*/8, 43);
-  auto drained = mb.drain(0, 1);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].msg, 42);
-  EXPECT_TRUE(mb.slot(0, 1).empty());
-  EXPECT_TRUE(mb.drain(0, 1).empty());  // second drain: nothing left
-  // record_round-style accounting still sees both envelopes.
-  EXPECT_EQ(mb.slot_counts()[0 * 2 + 1], 2);
-  EXPECT_EQ(mb.slot_bits()[0 * 2 + 1], 2 * 32);
-  mb.clear();
-  EXPECT_EQ(mb.slot_counts()[0 * 2 + 1], 0);
-}
-
-// --- the distributed encode surface (Transport::exchange_owned) -------------
-
-TEST(Mailbox, EncodeOwnedRowLeavesLocalSlotUntouched) {
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<int> mb(&part);
-  mb.post(0, /*from=*/1, /*to=*/2, 40);  // slot (0, 0): stays local
-  mb.post(0, /*from=*/1, /*to=*/7, 41);  // slot (0, 1): crosses
-  mb.post(0, /*from=*/3, /*to=*/8, 42);  // slot (0, 1), after the first
-  auto row = mb.encode_owned_row(0);
-  ASSERT_EQ(row.size(), 2u);
-  // The local slot is never encoded — rank-local envelopes skip the codec
-  // entirely — and its envelopes are still sitting in the mailbox.
-  EXPECT_TRUE(row[0].empty());
-  ASSERT_EQ(mb.slot(0, 0).size(), 1u);
-  EXPECT_EQ(mb.slot(0, 0)[0].msg, 40);
-  // The cross slot round-trips bit-exactly, post order preserved.
-  const auto decoded = decode_slot<int, Mailbox<int>::Envelope>(row[1]);
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0].from, 1);
-  EXPECT_EQ(decoded[0].to, 7);
-  EXPECT_EQ(decoded[0].msg, 41);
-  EXPECT_EQ(decoded[1].from, 3);
-  EXPECT_EQ(decoded[1].msg, 42);
-}
-
-TEST(Mailbox, DoubleOwnedExchangeThrows) {
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<int> mb(&part);
-  mb.post(0, /*from=*/1, /*to=*/7, 1);
-  EXPECT_NO_THROW(mb.encode_owned_row(0));
-  // A second exchange in the same round means two collectives
-  // raced one mailbox — fail loudly.
-  EXPECT_THROW(mb.encode_owned_row(0), ContractViolation);
-  // clear() re-arms the guard for the next round.
-  mb.clear();
-  EXPECT_NO_THROW(mb.encode_owned_row(0));
 }
 
 }  // namespace

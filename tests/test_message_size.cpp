@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "mis/luby_sync.h"
-#include "runtime/mailbox.h"
 #include "runtime/message_size.h"
 
 namespace deltacol {
@@ -49,39 +48,6 @@ TEST(MessageSize, LubyMessageIsSixtyFiveBits) {
   // priority}; the constant is exported so tests and benches can factor
   // charged totals without re-deriving the wire format.
   EXPECT_EQ(kLubyMessageBits, 65);
-}
-
-TEST(MessageSize, MaxEdgeBitsInInboxTakesHeaviestSenderRun) {
-  // Sorted-by-sender inbox: per-sender runs are contiguous, a run's bit sum
-  // is that directed edge's load, and the max over runs is the value the
-  // CONGEST charge divides by B.
-  using Inbox = std::vector<std::pair<int, std::uint64_t>>;
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{}), 0);
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{{3, 1}}), 64);
-  // Sender 1 sent one message (64 bits), sender 4 sent three (192 bits).
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{{1, 9}, {4, 1}, {4, 2}, {4, 3}}),
-            192);
-  // The heaviest run may be first: order of runs must not matter.
-  EXPECT_EQ(max_edge_bits_in_inbox(Inbox{{0, 1}, {0, 2}, {7, 5}}), 128);
-}
-
-TEST(MessageSize, MailboxTalliesBitsAtPostTime) {
-  // Mailbox<Msg> accumulates MessageSize bits per (src, dst) slot as
-  // envelopes are posted; clear() zeroes the tallies with the slots.
-  const VertexPartition part = VertexPartition::contiguous(10, 2);
-  Mailbox<std::uint64_t> mailbox(&part);
-  mailbox.post(0, 1, 2, 11);  // within shard 0: slot (0, 0)
-  mailbox.post(0, 1, 7, 22);  // crosses to shard 1: slot (0, 1)
-  mailbox.post(1, 8, 9, 33);  // within shard 1: slot (1, 1)
-  mailbox.post(1, 8, 9, 44);
-  const auto& bits = mailbox.slot_bits();
-  ASSERT_EQ(bits.size(), 4u);
-  EXPECT_EQ(bits[0], 64);       // (0, 0)
-  EXPECT_EQ(bits[1], 64);       // (0, 1)
-  EXPECT_EQ(bits[2], 0);        // (1, 0)
-  EXPECT_EQ(bits[3], 2 * 64);   // (1, 1)
-  mailbox.clear();
-  for (std::int64_t b : mailbox.slot_bits()) EXPECT_EQ(b, 0);
 }
 
 }  // namespace

@@ -142,9 +142,8 @@ TEST(Renumber, ClusterPartitionOwnsEveryVertexOnce) {
         int prev = -1;
         for (int i = 0; i < part.size(s); ++i) {
           const int v = part.owned_vertex(s, i);
-          // The keystone of the stable-merge argument: owned lists ascend
-          // by ORIGINAL id, so shard-local sweeps visit vertices in the
-          // serial relative order.
+          // Owned lists ascend by ORIGINAL id under every layout
+          // (owned_vertex's contract, graph/partition.h).
           EXPECT_GT(v, prev) << w.name;
           prev = v;
           EXPECT_EQ(part.shard_of(v), s) << w.name;
@@ -221,7 +220,7 @@ TEST(Renumber, LubyClusterRuntimeBitIdentical) {
       }
       EXPECT_EQ(mc, oracle) << w.name << " S=" << S;
       EXPECT_EQ(mk, oracle) << w.name << " S=" << S;
-      // The same envelopes flow — only their slot routing changes — and
+      // The same messages flow — only the shards they connect change — and
       // cross-shard traffic never grows under the locality layout... the
       // invariant part is exact, the improvement is workload-dependent, so
       // only the invariants are asserted.

@@ -1,22 +1,22 @@
 // The parallel execution runtime (src/runtime/): ThreadPool semantics
 // (chunked execution, nesting, exception propagation, empty regions) and
-// bit-for-bit equivalence of ParallelSyncEngine with the serial SyncEngine.
+// the message engine's thread- and shard-invariance.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "local/round_ledger.h"
-#include "local/sync_engine.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
 #include "runtime/component_scheduler.h"
 #include "runtime/mailbox.h"
-#include "runtime/parallel_sync_engine.h"
+#include "runtime/sync_engine.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -109,16 +109,13 @@ TEST(ThreadPool, ResolveNumThreads) {
   EXPECT_GE(ThreadPool::resolve_num_threads(0), 1);  // hardware count
 }
 
-// The engine-level determinism pin: the same per-node algorithm driven by
-// the serial SyncEngine and by ParallelSyncEngine at several thread counts
-// must produce identical results, message orders included (the inboxes are
-// sorted the same way, so every receive sees identical input).
-TEST(ParallelSyncEngine, BitIdenticalToSerialEngineOnLuby) {
+// The engine-level determinism pin: the same per-node algorithm driven on
+// the calling thread and on pools of several sizes must produce identical
+// results, with and without a shard runtime attached.
+TEST(SyncEngine, LubyBitIdenticalAcrossThreadsAndShards) {
   Rng grng(123);
   const Graph g = random_regular(600, 6, grng);
 
-  // Reference: the serial engine (local/sync_engine.h), via the message-
-  // passing Luby that predates the runtime.
   const auto run_serial = [&]() {
     Rng rng(99);
     RoundLedger ledger;
@@ -137,7 +134,6 @@ TEST(ParallelSyncEngine, BitIdenticalToSerialEngineOnLuby) {
     EXPECT_EQ(ledger.total(), serial_rounds) << threads << " threads";
   }
 
-  // The sharded engine path must also reproduce the serial reference.
   for (int num_shards : {2, 8}) {
     for (int threads : {1, 8}) {
       ThreadPool pool(threads);
@@ -155,52 +151,52 @@ TEST(ParallelSyncEngine, BitIdenticalToSerialEngineOnLuby) {
   }
 }
 
-// Cross-check against the historical serial engine type directly: the
-// library keeps SyncEngine as the executable reference semantics.
-TEST(ParallelSyncEngine, MatchesSyncEngineRoundForRound) {
+// An order-sensitive fold: every node repeatedly sends id * 31 + round on
+// every port and folds what it hears as sum = sum * 13 + from + msg, so the
+// final states pin inbox contents AND order. After 5 rounds every (S, T)
+// shape must land on the frozen FNV-1a hash of the states in vertex order.
+TEST(SyncEngine, SumFoldFloodLandsOnTheFrozenHash) {
   Rng grng(5);
   const Graph g = random_regular(200, 4, grng);
   const int n = g.num_vertices();
 
   struct State {
-    std::uint64_t sum = 0;  // unsigned: the fold below wraps, never overflows
+    std::uint64_t sum = 0;  // unsigned: the fold wraps, never overflows
   };
-  using Msg = int;
-  // Every node repeatedly sends its id+round to all neighbors and sums what
-  // it hears; after k rounds the states must agree exactly.
-  RoundLedger ledger_a;
-  SyncEngine<State, Msg> serial(g, ledger_a, "p");
-  ThreadPool pool(8);
-  RoundLedger ledger_b;
-  ParallelSyncEngine<State, Msg> parallel(g, ledger_b, "p", &pool);
-
-  for (int round = 0; round < 5; ++round) {
-    const auto send = [&](int v, const State&) {
-      std::vector<std::pair<int, Msg>> out;
-      for (int u : g.neighbors(v)) out.push_back({u, v * 31 + round});
-      return out;
-    };
-    const auto recv = [](int, State& s,
-                         const std::vector<std::pair<int, Msg>>& inbox) {
-      for (const auto& [from, m] : inbox) s.sum = s.sum * 13 + from + m;
-    };
-    serial.round(send, recv);
-    parallel.round(send, recv);
-  }
-  for (int v = 0; v < n; ++v) {
-    ASSERT_EQ(serial.state(v).sum, parallel.state(v).sum) << "node " << v;
-  }
-  EXPECT_EQ(ledger_a.total(), ledger_b.total());
-  // Frozen: the FNV-1a fold of every node's final sum, in vertex order.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (int v = 0; v < n; ++v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (serial.state(v).sum >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
+  using Engine = SyncEngine<State, int>;
+  const auto run = [&](ThreadPool* pool, ShardRuntime* shards,
+                       const std::string& shape) {
+    RoundLedger ledger;
+    Engine engine(g, ledger, "p", pool, shards);
+    for (int round = 0; round < 5; ++round) {
+      engine.round(
+          [round](int v, const State&, Engine::Ports& out) {
+            for (int p = 0; p < out.size(); ++p) out.send(p, v * 31 + round);
+          },
+          [](int, State& s, const Engine::Inbox& inbox) {
+            for (const auto& [from, m] : inbox) s.sum = s.sum * 13 + from + m;
+          });
+    }
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int v = 0; v < n; ++v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (engine.state(v).sum >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(h, 0xbfe08b1df149b5a3ULL) << shape;
+    EXPECT_EQ(ledger.total(), 5) << shape;
+  };
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+    const std::string t = "T=" + std::to_string(threads);
+    run(pool_ptr, nullptr, t);
+    for (int num_shards : {1, 2, 3, 8}) {
+      ShardRuntime shards(g, num_shards, pool_ptr);
+      run(pool_ptr, &shards, t + " S=" + std::to_string(num_shards));
     }
   }
-  EXPECT_EQ(h, 0xbfe08b1df149b5a3ULL);
-  EXPECT_EQ(ledger_a.total(), 5);
 }
 
 TEST(ComponentScheduler, RunsEveryJobOnceAndChargesMax) {

@@ -152,7 +152,7 @@ TEST(Frame, OversizedLengthPrefixThrows) {
 }
 
 // Rank 0's side of one exchange_owned call with nothing to send: an empty
-// slot for the peer and zero tallies.
+// payload for the peer and zero tallies.
 Transport::OwnedExchange exchange_nothing(SocketTransport& t) {
   return t.exchange_owned(std::vector<WireBuf>(2), {0, 0}, {0, 0});
 }
@@ -236,16 +236,12 @@ TEST(NetConfig, FromEnvRoundTrip) {
   EXPECT_FALSE(NetConfig::from_env().has_value());
 }
 
-// --- run_shards and the barrier --------------------------------------------
+// --- the local shard and the barrier ---------------------------------------
 
-TEST(SocketTransport, RunShardsIsLocalAndBarrierSynchronizes) {
+TEST(SocketTransport, LocalShardIsTheRankAndBarrierSynchronizes) {
   auto [t0, t1] = loopback_pair();
   EXPECT_EQ(t0->local_shard(), 0);
   EXPECT_EQ(t1->local_shard(), 1);
-  // run_shards on a socket transport is the local rank's body only.
-  std::vector<int> hits;
-  t1->run_shards([&](int s) { hits.push_back(s); });
-  EXPECT_EQ(hits, std::vector<int>{1});
 
   // A barrier is an allreduce_sum(0): one 24-byte frame (4-byte prefix +
   // tag, sender, seq, u64 value) to the peer, with symmetric counters.
@@ -329,8 +325,8 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   auto [t0, t1] = loopback_pair();
   std::vector<Transport::OwnedExchange> got(2);
   run_ranks(2, [&](int r) {
-    // Rank r addresses one slot to the other rank; the local slot is empty
-    // (the contract: it never crosses the wire).
+    // Rank r addresses one payload to the other rank; the local entry is
+    // empty (the contract: local messages never cross the wire).
     std::vector<WireBuf> to_peers(2);
     to_peers[1 - r] = {std::uint8_t(100 + r), std::uint8_t(200 + r)};
     std::vector<std::int64_t> counts = {10 * r + 1, 10 * r + 2};
@@ -343,7 +339,7 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   for (int r = 0; r < 2; ++r) {
     const auto& ex = got[static_cast<std::size_t>(r)];
     ASSERT_EQ(ex.slots.size(), 2u);
-    // The local slot stays empty; the peer's slot carries its payload.
+    // The local entry stays empty; the peer's entry carries its payload.
     EXPECT_TRUE(ex.slots[static_cast<std::size_t>(r)].empty());
     const int peer = 1 - r;
     EXPECT_EQ(ex.slots[static_cast<std::size_t>(peer)],
@@ -353,12 +349,12 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
     EXPECT_EQ(ex.slot_counts, (std::vector<std::int64_t>{1, 2, 11, 12}));
     EXPECT_EQ(ex.slot_bits, (std::vector<std::int64_t>{1, 2, 101, 102}));
   }
-  // cross_payload_bytes counts exactly the 2 slot bytes each rank framed to
-  // its one peer.
+  // cross_payload_bytes counts exactly the 2 payload bytes each rank framed
+  // to its one peer.
   EXPECT_EQ(t0->cross_payload_bytes(), 2);
   EXPECT_EQ(t1->cross_payload_bytes(), 2);
 
-  // A non-empty local slot is a contract violation, caught before any I/O.
+  // A non-empty local entry is a contract violation, caught before any I/O.
   std::vector<WireBuf> bad(2);
   bad[0] = {1};
   EXPECT_THROW(t0->exchange_owned(std::move(bad), {0, 0}, {0, 0}),
@@ -485,13 +481,13 @@ LubyRun run_luby(const Graph& g, ShardRuntime& runtime,
   return out;
 }
 
-// Two real ranks — rank-local merge over owned-only state, point-to-point
-// cross slots, the end-of-run gather — versus the in-process run at S=2.
-// Every observable (MIS, ledger, bit/message counters, the full per-slot
-// matrices) must be bit-identical, and each rank's measured cross payload
-// must equal its closed form from the golden's counters: per engine round
-// one slot count prefix, per envelope to the peer its addressing bytes plus
-// Luby's 9 payload bytes.
+// Two real ranks — owned-only state, one edge frame per peer per round, the
+// end-of-run gather — versus the in-process run at S=2. Every observable
+// (MIS, ledger, bit/message counters, the full per-slot matrices) must be
+// bit-identical, and each rank's measured cross payload must equal its
+// closed form from the golden's counters: per engine round one presence
+// bitmap of ceil(cross edges to the peer / 8) bytes, per message to the
+// peer Luby's 9 payload bytes — no addressing.
 TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
   constexpr std::int64_t kLubyPayloadBytes = 9;  // ceil(1/8) + ceil(64/8)
   for (const auto& w : generator_zoo()) {
@@ -528,14 +524,15 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
             << w.name << " B=" << bits << " rank " << r;
         EXPECT_EQ(got.rounds_recorded, golden.rounds_recorded)
             << w.name << " B=" << bits << " rank " << r;
+        const std::int64_t bitmap_bytes =
+            (golden_rt.view(r).cross_edges(1 - r) + 7) / 8;
         const std::int64_t expected_payload =
-            golden.rounds_recorded * kWireSlotPrefixBytes +
-            golden_rt.slot_messages(r, 1 - r) *
-                (kWireEnvelopeOverheadBytes + kLubyPayloadBytes);
+            golden.rounds_recorded * bitmap_bytes +
+            golden_rt.slot_messages(r, 1 - r) * kLubyPayloadBytes;
         EXPECT_EQ(traw[r]->cross_payload_bytes(), expected_payload)
             << w.name << " B=" << bits << " rank " << r;
       }
-      // Per-slot counters too: the merge saw exactly the same envelopes.
+      // Per-slot counters too: both runs sent exactly the same messages.
       for (int a = 0; a < 2; ++a) {
         for (int b = 0; b < 2; ++b) {
           EXPECT_EQ(rts[0]->slot_messages(a, b), golden_rt.slot_messages(a, b))
