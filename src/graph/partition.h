@@ -1,7 +1,8 @@
 /// \file
 /// Deterministic vertex partitioning and per-shard graph views — the data
 /// layer of the shard runtime (see runtime/mailbox.h for the execution
-/// layer and ARCHITECTURE.md "The shard layer" for the full picture).
+/// layer and ARCHITECTURE.md "The message engine and the shard layer" for
+/// the full picture).
 ///
 /// A `VertexPartition` splits the dense vertex ids [0, n) into `num_shards`
 /// **contiguous, ascending** ranges whose sizes differ by at most one. Two
@@ -30,8 +31,8 @@
 /// are `{to_old[p] : p in [begin(s), end(s))}`. Execution stays entirely in
 /// original ids — the renumbering only redefines *ownership and layout* —
 /// so every determinism contract (id-keyed RNG splits, id tie-breaks,
-/// Linial's id-seeded palette) is untouched by construction (DESIGN.md §6). `shard_of` remains O(1): one array
-/// lookup plus the closed form.
+/// Linial's id-seeded palette) is untouched by construction (DESIGN.md §6).
+/// `shard_of` remains O(1): one array lookup plus the closed form.
 #pragma once
 
 #include <cstdint>

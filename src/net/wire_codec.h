@@ -235,7 +235,9 @@ WireBuf encode_edge_frame(std::size_t k, const MsgAt& msg_at) {
   for (std::size_t byte = 0; byte < (k + 7) / 8; ++byte) {
     std::uint8_t bits = 0;
     for (std::size_t j = byte * 8; j < std::min(k, byte * 8 + 8); ++j) {
-      if (msg_at(j) != nullptr) bits |= static_cast<std::uint8_t>(1u << (j % 8));
+      if (msg_at(j) != nullptr) {
+        bits |= static_cast<std::uint8_t>(1u << (j % 8));
+      }
     }
     w.put_u8(bits);
   }

@@ -40,9 +40,9 @@ ShardRuntime::ShardRuntime(const Graph& g, VertexPartition part,
                            std::unique_ptr<Transport> transport)
     : part_(std::move(part)),
       views_(build_graph_views(g, part_)),
-      transport_(transport != nullptr
-                     ? std::move(transport)
-                     : std::make_unique<InProcessTransport>(part_.num_shards())),
+      transport_(transport != nullptr ? std::move(transport)
+                                      : std::make_unique<InProcessTransport>(
+                                            part_.num_shards())),
       sent_(static_cast<std::size_t>(part_.num_shards()) *
                 static_cast<std::size_t>(part_.num_shards()),
             0),

@@ -1,7 +1,7 @@
 /// \file
 /// The shard runtime's execution layer (the data layer is graph/partition.h;
-/// ARCHITECTURE.md "The shard layer"). The message engine that drives it is
-/// runtime/sync_engine.h.
+/// ARCHITECTURE.md "The message engine and the shard layer"). The message
+/// engine that drives it is runtime/sync_engine.h.
 ///
 /// Two pieces:
 ///
