@@ -481,64 +481,94 @@ LubyRun run_luby(const Graph& g, ShardRuntime& runtime,
   return out;
 }
 
-// Two real ranks — owned-only state, one edge frame per peer per round, the
-// end-of-run gather — versus the in-process run at S=2. Every observable
-// (MIS, ledger, bit/message counters, the full per-slot matrices) must be
-// bit-identical, and each rank's measured cross payload must equal its
-// closed form from the golden's counters: per engine round one presence
-// bitmap of ceil(cross edges to the peer / 8) bytes, per message to the
-// peer Luby's 9 payload bytes — no addressing.
+// A full mesh of `world` pre-connected rank transports: one socketpair per
+// pair of ranks.
+std::vector<std::unique_ptr<SocketTransport>> socket_mesh(int world) {
+  std::vector<std::vector<int>> fds(
+      static_cast<std::size_t>(world),
+      std::vector<int>(static_cast<std::size_t>(world), -1));
+  for (int a = 0; a < world; ++a) {
+    for (int b = a + 1; b < world; ++b) {
+      FdPair pair;
+      fds[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = pair.a;
+      fds[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = pair.b;
+    }
+  }
+  std::vector<std::unique_ptr<SocketTransport>> out;
+  for (int r = 0; r < world; ++r) {
+    out.push_back(std::make_unique<SocketTransport>(
+        r, world, fds[static_cast<std::size_t>(r)]));
+  }
+  return out;
+}
+
+// Real ranks — owned-only state, one edge frame per peer per round, the
+// end-of-run gather — versus the in-process run at S = world, for two and
+// three ranks. Every observable (MIS, ledger, bit/message counters, the
+// full per-slot matrices) must be bit-identical, and each rank's measured
+// cross payload must equal its closed form from the golden's counters: per
+// engine round and peer one presence bitmap of ceil(cross edges to that
+// peer / 8) bytes, per message to a peer Luby's 9 payload bytes — no
+// addressing.
 TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
   constexpr std::int64_t kLubyPayloadBytes = 9;  // ceil(1/8) + ceil(64/8)
-  for (const auto& w : generator_zoo()) {
-    for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
-      // Golden: the in-process sharded run at S=2.
-      ShardRuntime golden_rt(w.graph, 2, nullptr);
-      const LubyRun golden = run_luby(w.graph, golden_rt, bits);
+  for (const int world : {2, 3}) {
+    for (const auto& w : generator_zoo()) {
+      for (std::int64_t bits : {std::int64_t{0}, std::int64_t{64}}) {
+        const std::string at = w.name + " B=" + std::to_string(bits) +
+                               " world=" + std::to_string(world);
+        // Golden: the in-process sharded run at S = world.
+        ShardRuntime golden_rt(w.graph, world, nullptr);
+        const LubyRun golden = run_luby(w.graph, golden_rt, bits);
 
-      // Distributed: two ranks, each with its own ShardRuntime over its
-      // half of the socketpair, running concurrently.
-      auto [t0, t1] = loopback_pair();
-      const SocketTransport* traw[2] = {t0.get(), t1.get()};
-      std::vector<LubyRun> per_rank(2);
-      std::vector<std::unique_ptr<ShardRuntime>> rts(2);
-      rts[0] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
-                                              std::move(t0));
-      rts[1] = std::make_unique<ShardRuntime>(w.graph, 2, nullptr,
-                                              std::move(t1));
-      run_ranks(2, [&](int r) {
-        per_rank[static_cast<std::size_t>(r)] =
-            run_luby(w.graph, *rts[static_cast<std::size_t>(r)], bits);
-      });
+        // Distributed: one ShardRuntime per rank over its end of the mesh,
+        // all ranks running concurrently.
+        auto transports = socket_mesh(world);
+        std::vector<const SocketTransport*> traw;
+        std::vector<std::unique_ptr<ShardRuntime>> rts;
+        for (auto& t : transports) {
+          traw.push_back(t.get());
+          rts.push_back(std::make_unique<ShardRuntime>(w.graph, world, nullptr,
+                                                       std::move(t)));
+        }
+        std::vector<LubyRun> per_rank(static_cast<std::size_t>(world));
+        run_ranks(world, [&](int r) {
+          per_rank[static_cast<std::size_t>(r)] =
+              run_luby(w.graph, *rts[static_cast<std::size_t>(r)], bits);
+        });
 
-      for (int r = 0; r < 2; ++r) {
-        const LubyRun& got = per_rank[static_cast<std::size_t>(r)];
-        EXPECT_EQ(got.mis, golden.mis) << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.ledger_total, golden.ledger_total)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.total_bits, golden.total_bits)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.cross_bits, golden.cross_bits)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.total_messages, golden.total_messages)
-            << w.name << " B=" << bits << " rank " << r;
-        EXPECT_EQ(got.rounds_recorded, golden.rounds_recorded)
-            << w.name << " B=" << bits << " rank " << r;
-        const std::int64_t bitmap_bytes =
-            (golden_rt.view(r).cross_edges(1 - r) + 7) / 8;
-        const std::int64_t expected_payload =
-            golden.rounds_recorded * bitmap_bytes +
-            golden_rt.slot_messages(r, 1 - r) * kLubyPayloadBytes;
-        EXPECT_EQ(traw[r]->cross_payload_bytes(), expected_payload)
-            << w.name << " B=" << bits << " rank " << r;
-      }
-      // Per-slot counters too: both runs sent exactly the same messages.
-      for (int a = 0; a < 2; ++a) {
-        for (int b = 0; b < 2; ++b) {
-          EXPECT_EQ(rts[0]->slot_messages(a, b), golden_rt.slot_messages(a, b))
-              << w.name << " B=" << bits;
-          EXPECT_EQ(rts[1]->slot_bits(a, b), golden_rt.slot_bits(a, b))
-              << w.name << " B=" << bits;
+        for (int r = 0; r < world; ++r) {
+          const LubyRun& got = per_rank[static_cast<std::size_t>(r)];
+          const std::string rank = at + " rank " + std::to_string(r);
+          EXPECT_EQ(got.mis, golden.mis) << rank;
+          EXPECT_EQ(got.ledger_total, golden.ledger_total) << rank;
+          EXPECT_EQ(got.total_bits, golden.total_bits) << rank;
+          EXPECT_EQ(got.cross_bits, golden.cross_bits) << rank;
+          EXPECT_EQ(got.total_messages, golden.total_messages) << rank;
+          EXPECT_EQ(got.rounds_recorded, golden.rounds_recorded) << rank;
+          std::int64_t expected_payload = 0;
+          for (int d = 0; d < world; ++d) {
+            if (d == r) continue;
+            expected_payload +=
+                golden.rounds_recorded *
+                    ((golden_rt.view(r).cross_edges(d) + 7) / 8) +
+                golden_rt.slot_messages(r, d) * kLubyPayloadBytes;
+          }
+          EXPECT_EQ(traw[static_cast<std::size_t>(r)]->cross_payload_bytes(),
+                    expected_payload)
+              << rank;
+          // Per-slot counters too: every rank saw exactly the messages the
+          // in-process run sent.
+          for (int a = 0; a < world; ++a) {
+            for (int b = 0; b < world; ++b) {
+              EXPECT_EQ(rts[static_cast<std::size_t>(r)]->slot_messages(a, b),
+                        golden_rt.slot_messages(a, b))
+                  << rank;
+              EXPECT_EQ(rts[static_cast<std::size_t>(r)]->slot_bits(a, b),
+                        golden_rt.slot_bits(a, b))
+                  << rank;
+            }
+          }
         }
       }
     }
