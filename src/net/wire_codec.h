@@ -37,7 +37,7 @@
 /// vector/pair combinators.
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -231,20 +231,17 @@ struct WireCodec<std::vector<T>> {
 /// or nullptr when edge j carries none this round.
 template <typename Msg, typename MsgAt>
 WireBuf encode_edge_frame(std::size_t k, const MsgAt& msg_at) {
-  WireWriter w;
-  for (std::size_t byte = 0; byte < (k + 7) / 8; ++byte) {
-    std::uint8_t bits = 0;
-    for (std::size_t j = byte * 8; j < std::min(k, byte * 8 + 8); ++j) {
-      if (msg_at(j) != nullptr) {
-        bits |= static_cast<std::uint8_t>(1u << (j % 8));
-      }
-    }
-    w.put_u8(bits);
-  }
+  WireBuf frame((k + 7) / 8, 0);
+  WireWriter payloads;
   for (std::size_t j = 0; j < k; ++j) {
-    if (const Msg* m = msg_at(j)) WireCodec<Msg>::encode(*m, w);
+    if (const Msg* m = msg_at(j)) {
+      frame[j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
+      WireCodec<Msg>::encode(*m, payloads);
+    }
   }
-  return w.take();
+  const WireBuf body = payloads.take();
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
 }
 
 /// Decodes an edge frame over k edges, calling deliver(j, msg) for each
@@ -261,8 +258,12 @@ void decode_edge_frame(const WireBuf& bytes, std::size_t k,
     throw WireError("edge frame marks an edge past its cross-edge count");
   }
   WireReader r(bytes.data() + bitmap, bytes.size() - bitmap);
-  for (std::size_t j = 0; j < k; ++j) {
-    if ((bytes[j / 8] >> (j % 8)) & 1u) deliver(j, WireCodec<Msg>::decode(r));
+  for (std::size_t byte = 0; byte < bitmap; ++byte) {
+    // Visit the set bits only, lowest first.
+    for (unsigned bits = bytes[byte]; bits != 0; bits &= bits - 1) {
+      deliver(byte * 8 + static_cast<std::size_t>(std::countr_zero(bits)),
+              WireCodec<Msg>::decode(r));
+    }
   }
   if (!r.done()) throw WireError("trailing bytes after edge frame");
 }
