@@ -1,16 +1,12 @@
-// E13 — traversal engine throughput (graph/frontier_bfs.h; DESIGN.md §6).
+// E13 — traversal throughput (graph/frontier_bfs.h; DESIGN.md §6).
 //
-// The one experiment that measures the simulator's BFS substrate itself,
-// introduced with the frontier engine rewrite:
-//
-//  * repeated r-ball queries — the DCC-detection access pattern — through
-//    the seed-style implementation (a fresh O(n) distance vector + O(n)
-//    result scan per query) vs the epoch-stamped scratch (O(ball) per
-//    query). `speedup_vs_seed` is the acceptance counter: >= 5x at n = 1M.
-//  * full-graph layered BFS and labeled multi-source BFS, serial vs pooled
-//    (threads ∈ {1, 2, 8}) — the build_layers / ruling-set coverage
-//    pattern. `speedup_vs_1t` mirrors E12; rounds play no role here, the
-//    engine is below the cost model.
+// The one experiment that measures the simulator's BFS substrate itself:
+// repeated r-ball queries — the DCC-detection access pattern — through the
+// seed-style implementation (a fresh O(n) distance vector + O(n) result
+// scan per query) vs the epoch-stamped scratch (O(ball) per query).
+// `speedup_vs_seed` is the acceptance counter: >= 5x at n = 1M. One query
+// is serial by design, so there is no thread sweep; `host_cores` records
+// the machine the row ran on.
 //
 // Emission: wall-clock per row (both harnesses), plus BENCH_*.json when
 // DELTACOL_BENCH_JSON is set under the minibench harness (see
@@ -18,13 +14,11 @@
 #include <chrono>
 #include <map>
 #include <queue>
-#include <tuple>
+#include <thread>
 #include <utility>
 
 #include "bench_common.h"
 #include "graph/frontier_bfs.h"
-#include "graph/traversal.h"
-#include "runtime/thread_pool.h"
 
 namespace deltacol::bench {
 namespace {
@@ -72,14 +66,17 @@ std::size_t seed_style_ball_size(const Graph& g, int v, int r) {
   return count;
 }
 
-// 1-run wall-clock baselines for the speedup counters, filled by the
-// baseline row of each series (rows run in registration order).
-std::map<std::tuple<int, int, int>, double>& baselines() {
-  static std::map<std::tuple<int, int, int>, double> b;
+// 1-run wall-clock baselines for speedup_vs_seed, keyed by (n, r) and
+// filled by the seed-style rows (rows run in registration order).
+std::map<std::pair<int, int>, double>& baselines() {
+  static std::map<std::pair<int, int>, double> b;
   return b;
 }
 
-void e13_csv(benchmark::State& state, const std::string& family) {
+// Stamps the host's core count on the row and appends it to the CSV sink.
+void e13_emit(benchmark::State& state, const std::string& family) {
+  state.counters["host_cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
   std::map<std::string, double> row;
   row["arg0"] = static_cast<double>(state.range(0));
   for (const auto& [name, counter] : state.counters) {
@@ -87,8 +84,6 @@ void e13_csv(benchmark::State& state, const std::string& family) {
   }
   CsvSink::emit(family, row);
 }
-
-// ---- repeated r-ball queries (series id 0) --------------------------------
 
 void E13_BallSeedStyle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -113,12 +108,12 @@ void E13_BallSeedStyle(benchmark::State& state) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   benchmark::DoNotOptimize(checksum);
-  baselines()[std::make_tuple(0, n, r)] = secs;
+  baselines()[{n, r}] = secs;
   state.counters["queries_per_s"] = secs > 0.0 ? kBallQueries / secs : 0.0;
   state.counters["mean_ball"] =
       queries > 0 ? static_cast<double>(checksum) / static_cast<double>(queries)
                   : 0.0;
-  e13_csv(state, "e13_ball_seed");
+  e13_emit(state, "e13_ball_seed");
 }
 
 void E13_BallScratch(benchmark::State& state) {
@@ -126,11 +121,10 @@ void E13_BallScratch(benchmark::State& state) {
   const int r = static_cast<int>(state.range(1));
   const Graph& g = cached_regular(n);
   BfsScratch scratch;
-  FrontierBfs engine;
   std::size_t checksum = 0;
   for (auto _ : state) {
     for (int i = 0; i < kBallQueries; ++i) {
-      engine.run(g, scratch, center(i, n), r);
+      scratch.run(g, center(i, n), r);
       checksum += scratch.order().size();
     }
   }
@@ -138,7 +132,7 @@ void E13_BallScratch(benchmark::State& state) {
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kBallQueries; ++i) {
-    engine.run(g, scratch, center(i, n), r);
+    scratch.run(g, center(i, n), r);
     checksum += scratch.order().size();
   }
   const double secs =
@@ -146,58 +140,10 @@ void E13_BallScratch(benchmark::State& state) {
           .count();
   benchmark::DoNotOptimize(checksum);
   state.counters["queries_per_s"] = secs > 0.0 ? kBallQueries / secs : 0.0;
-  const auto it = baselines().find(std::make_tuple(0, n, r));
+  const auto it = baselines().find({n, r});
   state.counters["speedup_vs_seed"] =
       (it != baselines().end() && secs > 0.0) ? it->second / secs : 0.0;
-  e13_csv(state, "e13_ball_scratch");
-}
-
-// ---- full-graph layered / multi-source BFS, serial vs pooled --------------
-
-void run_full_graph(benchmark::State& state, bool multi_source, int series) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const Graph& g = cached_regular(n);
-  ThreadPool pool(threads);
-  BfsScratch scratch;
-  FrontierBfs engine(threads > 1 ? &pool : nullptr);
-  std::vector<int> seeds;
-  if (multi_source) {
-    for (int i = 0; i < n / 64; ++i) seeds.push_back(center(i, n));
-  }
-  auto sweep = [&] {
-    if (multi_source) {
-      engine.run_multi_labeled(g, scratch, seeds);
-    } else {
-      engine.run(g, scratch, 0);
-    }
-    return scratch.order().size() + static_cast<std::size_t>(scratch.num_levels());
-  };
-  std::size_t checksum = 0;
-  for (auto _ : state) checksum += sweep();
-  benchmark::DoNotOptimize(checksum);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  checksum += sweep();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(checksum);
-  state.counters["threads"] = threads;
-  state.counters["levels"] = scratch.num_levels();
-  state.counters["mverts_per_s"] =
-      secs > 0.0 ? static_cast<double>(scratch.order().size()) / secs / 1e6
-                 : 0.0;
-  if (threads == 1) baselines()[std::make_tuple(series, n, 0)] = secs;
-  const auto it = baselines().find(std::make_tuple(series, n, 0));
-  state.counters["speedup_vs_1t"] =
-      (it != baselines().end() && secs > 0.0) ? it->second / secs : 0.0;
-  e13_csv(state, multi_source ? "e13_multi_source" : "e13_layers");
-}
-
-void E13_Layers(benchmark::State& state) { run_full_graph(state, false, 1); }
-void E13_MultiSource(benchmark::State& state) {
-  run_full_graph(state, true, 2);
+  e13_emit(state, "e13_ball_scratch");
 }
 
 }  // namespace
@@ -210,15 +156,5 @@ BENCHMARK(deltacol::bench::E13_BallSeedStyle)
 
 BENCHMARK(deltacol::bench::E13_BallScratch)
     ->ArgsProduct({{100000, 1000000}, {2}})
-    ->Iterations(2)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(deltacol::bench::E13_Layers)
-    ->ArgsProduct({{100000, 1000000}, {1, 2, 8}})
-    ->Iterations(2)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(deltacol::bench::E13_MultiSource)
-    ->ArgsProduct({{100000, 1000000}, {1, 2, 8}})
     ->Iterations(2)
     ->Unit(benchmark::kMillisecond);

@@ -32,7 +32,7 @@ if command -v gcovr >/dev/null 2>&1; then
 else
   echo "gcovr not found; falling back to raw gcov aggregation" >&2
   # Whole build tree, like the gcovr path: test TUs drive the coverage of
-  # header-only code (e.g. the template engines in frontier_bfs.h), and the
+  # header-only code (e.g. the templated queries in frontier_bfs.h), and the
   # src/-prefix filter below drops gtest/system-header noise.
   find "$BUILD_DIR" -name '*.gcda' | while read -r gcda; do
     # -n: report only, no .gcov files; object-dir keyed so src paths resolve.

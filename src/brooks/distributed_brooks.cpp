@@ -97,12 +97,11 @@ BrooksFixResult brooks_fix(const Graph& g, Coloring& c, int v0, int delta,
   // scratch amortizes the O(n) state over a loop of fixes.
   BfsScratch local_scratch;
   BfsScratch& bs = scratch != nullptr ? *scratch : local_scratch;
-  FrontierBfs bfs_engine;  // serial: the walk stays serial (DESIGN.md §6)
 
   // Gather the search ball once; all structure decisions are local to it.
   // induced_subgraph sorts its input, so passing the scratch's visit order
   // directly yields the same subgraph the classic sorted ball() produced.
-  bfs_engine.run(g, bs, v0, max_radius);
+  bs.run(g, v0, max_radius);
   // Snapshot the ball (ids, distances, colors) before any mutation. On the
   // non-emergency paths every write lands inside the ball, so the radius is
   // measured against this snapshot alone — no whole-graph color copy and no
@@ -181,7 +180,7 @@ BrooksFixResult brooks_fix(const Graph& g, Coloring& c, int v0, int delta,
     res.used_component_recolor = true;
     // The recolor escapes the ball: measure the radius over the whole
     // component with a fresh unbounded BFS.
-    bfs_engine.run(g, bs, v0);
+    bs.run(g, v0);
     int radius = 0;
     for (std::size_t i = 0; i < comp_vertices.size(); ++i) {
       const int u = comp_vertices[i];
@@ -262,9 +261,8 @@ void assert_disjoint_brooks_balls(const Graph& g, const std::vector<int>& bases,
                                   int max_radius) {
   std::vector<int> write_owner(static_cast<std::size_t>(g.num_vertices()), -1);
   BfsScratch scratch;
-  FrontierBfs bfs;
   for (std::size_t i = 0; i < bases.size(); ++i) {
-    bfs.run(g, scratch, bases[i], max_radius);
+    scratch.run(g, bases[i], max_radius);
     for (int u : scratch.order()) {
       DC_ENSURE(write_owner[static_cast<std::size_t>(u)] < 0,
                 "scheduled Brooks fixes: recoloring balls overlap (bases "
@@ -273,7 +271,7 @@ void assert_disjoint_brooks_balls(const Graph& g, const std::vector<int>& bases,
     }
   }
   for (std::size_t i = 0; i < bases.size(); ++i) {
-    bfs.run(g, scratch, bases[i], max_radius + 1);
+    scratch.run(g, bases[i], max_radius + 1);
     for (int u : scratch.order()) {
       const int w = write_owner[static_cast<std::size_t>(u)];
       DC_ENSURE(w < 0 || w == static_cast<int>(i),

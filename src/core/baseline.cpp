@@ -17,7 +17,6 @@
 #include "coloring/list_coloring.h"
 #include "core/internal.h"
 #include "decomp/network_decomposition.h"
-#include "graph/frontier_bfs.h"
 #include "graph/ops.h"
 #include "mis/mis.h"
 #include "mis/ruling_set.h"
@@ -77,7 +76,7 @@ void run_baseline_nd(ComponentContext& ctx, Coloring& c) {
 
   const int z =
       (R - 1) * ruling_set_cover_radius(n, RulingSetEngine::kDeterministic);
-  const Layering layering = build_layers(g, base, z, ctx.pool);
+  const Layering layering = build_layers(g, base, z);
   ctx.ledger.charge(layering.num_layers, "ps/layering");
   ctx.stats.num_b_layers += layering.num_layers;
   for (int v = 0; v < n; ++v) {

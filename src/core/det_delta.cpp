@@ -11,7 +11,6 @@
 
 #include "brooks/distributed_brooks.h"
 #include "core/internal.h"
-#include "graph/frontier_bfs.h"
 #include "mis/ruling_set.h"
 #include "util/check.h"
 
@@ -38,7 +37,7 @@ void run_deterministic(ComponentContext& ctx, Coloring& c) {
   // Covering radius of the deterministic engine, in G hops.
   const int z =
       (R - 1) * ruling_set_cover_radius(n, RulingSetEngine::kDeterministic);
-  const Layering layering = build_layers(g, base, z, ctx.pool);
+  const Layering layering = build_layers(g, base, z);
   ctx.ledger.charge(layering.num_layers, "det/layering");
   for (int v = 0; v < n; ++v) {
     DC_ENSURE(layering.layer[static_cast<std::size_t>(v)] != kNoLayer,

@@ -12,7 +12,7 @@ namespace deltacol {
 
 namespace {
 
-// Materializes a Layering from the engine's level slices. Members of each
+// Materializes a Layering from the scratch's level slices. Members of each
 // layer are sorted by id (the contract downstream phases and the golden
 // round counts were built against).
 Layering layering_from_scratch(const BfsScratch& scratch, int n) {
@@ -33,20 +33,18 @@ Layering layering_from_scratch(const BfsScratch& scratch, int n) {
 }  // namespace
 
 Layering build_layers(const Graph& g, const std::vector<int>& base,
-                      int max_depth, ThreadPool* pool) {
+                      int max_depth, ThreadPool* /*pool*/) {
   for (int s : base) {
     DC_REQUIRE(0 <= s && s < g.num_vertices(), "base vertex out of range");
   }
   BfsScratch scratch;
-  FrontierBfs engine(pool);
-  engine.run_multi(g, scratch, base, max_depth);
+  scratch.run_multi(g, base, max_depth);
   return layering_from_scratch(scratch, g.num_vertices());
 }
 
 Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                                  int max_depth,
-                                 const std::vector<bool>& allowed,
-                                 ThreadPool* pool) {
+                                 const std::vector<bool>& allowed) {
   DC_REQUIRE(allowed.size() == static_cast<std::size_t>(g.num_vertices()),
              "allowed mask size mismatch");
   for (int s : base) {
@@ -55,8 +53,7 @@ Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                "base vertex excluded by the restriction mask");
   }
   BfsScratch scratch;
-  FrontierBfs engine(pool);
-  engine.run_multi_filtered(g, scratch, base, max_depth, [&](int v) {
+  scratch.run_multi_filtered(g, base, max_depth, [&](int v) {
     return allowed[static_cast<std::size_t>(v)];
   });
   return layering_from_scratch(scratch, g.num_vertices());

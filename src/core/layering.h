@@ -36,16 +36,14 @@ struct Layering {
 // Layers by G-distance to `base` (layer 0 = base itself), truncated at
 // max_depth (pass a negative max_depth for unbounded). The restricted
 // variant confines the BFS to `allowed` vertices (used for the C-layers of
-// Phase (5), which grow through uncolored vertices of H only). The BFS runs
-// level-synchronously on the frontier engine; with a pool attached, each
-// level's frontier splits into indexed chunks (graph/frontier_bfs.h), and
-// the layering is bit-identical for every thread count.
+// Phase (5), which grow through uncolored vertices of H only). One serial
+// multi-source BFS (graph/frontier_bfs.h). `pool` is unused: it stays only
+// because perfbench/src/replay.cpp passes one (ROADMAP, perfbench shim).
 Layering build_layers(const Graph& g, const std::vector<int>& base,
                       int max_depth, ThreadPool* pool = nullptr);
 Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                                  int max_depth,
-                                 const std::vector<bool>& allowed,
-                                 ThreadPool* pool = nullptr);
+                                 const std::vector<bool>& allowed);
 
 // Which engine completes each layer's (deg+1)-list instance.
 enum class ListEngine { kDeterministic, kRandomized };

@@ -68,10 +68,9 @@ MarkingOutcome marking_process(const Graph& g, const std::vector<bool>& in_h,
       pool, 0, num_selected,
       [&](int /*chunk*/, int lo, int hi) {
         BfsScratch scratch;
-        FrontierBfs engine;
         for (int i = lo; i < hi; ++i) {
           const int v = selected0[static_cast<std::size_t>(i)];
-          engine.run_filtered(g, scratch, v, b, [&](int u) {
+          scratch.run_filtered(g, v, b, [&](int u) {
             return in_h[static_cast<std::size_t>(u)];
           });
           for (int u : scratch.order()) {
@@ -171,7 +170,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering b_layers;
   std::vector<bool> in_h(static_cast<std::size_t>(n), true);
   if (!base.empty()) {
-    b_layers = build_layers(g, base, s, ctx.pool);
+    b_layers = build_layers(g, base, s);
     ctx.ledger.charge(s, "rand/3-b-layers");
     for (int v = 0; v < n; ++v) {
       if (b_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
@@ -220,11 +219,10 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
     }
   }
   // Colored (marked) nodes within distance r of the boundary uncolor
-  // themselves (distances measured in H): a frontier BFS restricted to H.
+  // themselves (distances measured in H): a multi-source BFS inside H.
   if (!boundary.empty()) {
     BfsScratch scratch;
-    FrontierBfs engine(ctx.pool);
-    engine.run_multi_filtered(g, scratch, boundary, r, [&](int w) {
+    scratch.run_multi_filtered(g, boundary, r, [&](int w) {
       return in_h[static_cast<std::size_t>(w)];
     });
     for (int m : marking.marked) {
@@ -263,8 +261,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   Layering c_layers;
   std::vector<bool> in_c(static_cast<std::size_t>(n), false);
   if (!anchors.empty()) {
-    c_layers = build_layers_restricted(g, anchors, 2 * r, uncolored_h,
-                                       ctx.pool);
+    c_layers = build_layers_restricted(g, anchors, 2 * r, uncolored_h);
     for (int v = 0; v < n; ++v) {
       if (c_layers.layer[static_cast<std::size_t>(v)] != kNoLayer) {
         in_c[static_cast<std::size_t>(v)] = true;

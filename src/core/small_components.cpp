@@ -27,51 +27,6 @@
 
 namespace deltacol::internal {
 
-namespace {
-
-// Objects of the CDCC virtual graph: singleton free nodes and DCC vertex
-// sets, connected when they share a vertex or are adjacent in the component.
-struct CdccObjects {
-  std::vector<std::vector<int>> vertex_sets;  // in component-local ids
-  Graph graph;
-};
-
-CdccObjects build_cdcc(const Graph& comp, const std::vector<int>& free_nodes,
-                       const std::vector<std::vector<int>>& dccs) {
-  CdccObjects out;
-  for (int f : free_nodes) out.vertex_sets.push_back({f});
-  for (const auto& d : dccs) out.vertex_sets.push_back(d);
-  const int k = static_cast<int>(out.vertex_sets.size());
-  std::vector<std::vector<int>> membership(
-      static_cast<std::size_t>(comp.num_vertices()));
-  for (int i = 0; i < k; ++i) {
-    for (int v : out.vertex_sets[static_cast<std::size_t>(i)]) {
-      membership[static_cast<std::size_t>(v)].push_back(i);
-    }
-  }
-  std::vector<Edge> edges;
-  for (int v = 0; v < comp.num_vertices(); ++v) {
-    const auto& mv = membership[static_cast<std::size_t>(v)];
-    for (std::size_t a = 0; a < mv.size(); ++a) {
-      for (std::size_t bidx = a + 1; bidx < mv.size(); ++bidx) {
-        edges.emplace_back(mv[a], mv[bidx]);
-      }
-    }
-    for (int u : comp.neighbors(v)) {
-      if (u <= v) continue;
-      for (int i : mv) {
-        for (int j : membership[static_cast<std::size_t>(u)]) {
-          if (i != j) edges.emplace_back(std::min(i, j), std::max(i, j));
-        }
-      }
-    }
-  }
-  out.graph = Graph::from_edges(k, edges);
-  return out;
-}
-
-}  // namespace
-
 void repair_completion(ComponentContext& ctx, Coloring& c) {
   DC_REQUIRE(!ctx.opt.strict, "strict mode: repair_completion invoked");
   const Graph& g = ctx.g;
@@ -147,22 +102,26 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
     return false;
   }
 
-  // CDCC virtual graph and its ruling set (paper: (2, gamma)); Luby MIS
-  // gives covering radius 1 in CDCC hops.
-  const CdccObjects cdcc = build_cdcc(comp, free_nodes, det.dccs);
+  // CDCC is the GDCC construction over singleton free nodes plus DCCs; its
+  // ruling set (paper: (2, gamma)) is a Luby MIS, covering radius 1 in CDCC
+  // hops.
+  std::vector<std::vector<int>> objects;  // component-local vertex sets
+  for (int f : free_nodes) objects.push_back({f});
+  objects.insert(objects.end(), det.dccs.begin(), det.dccs.end());
+  const Graph cdcc = build_dcc_virtual_graph(comp, objects);
   const int per_step = 2 * std::max(1, det.max_dcc_radius) + 1;
-  const std::vector<bool> in_m = luby_mis(cdcc.graph, ctx.rng, ctx.ledger,
+  const std::vector<bool> in_m = luby_mis(cdcc, ctx.rng, ctx.ledger,
                                           "small/cdcc-ruling", per_step,
                                           ctx.pool);
 
   std::vector<int> anchors;  // component-local ids, deduplicated
-  std::vector<char> anchor_object(cdcc.vertex_sets.size(), 0);
+  std::vector<char> anchor_object(objects.size(), 0);
   {
     std::vector<bool> seen(static_cast<std::size_t>(nc), false);
-    for (std::size_t i = 0; i < cdcc.vertex_sets.size(); ++i) {
+    for (std::size_t i = 0; i < objects.size(); ++i) {
       if (!in_m[i]) continue;
       anchor_object[i] = 1;
-      for (int v : cdcc.vertex_sets[i]) {
+      for (int v : objects[i]) {
         if (!seen[static_cast<std::size_t>(v)]) {
           seen[static_cast<std::size_t>(v)] = true;
           anchors.push_back(v);
@@ -175,7 +134,7 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
   // D-layers by distance to the anchors; a connected component is always
   // exhausted (Lemma 26 bounds the layer count, which we record implicitly
   // through the charges below).
-  const Layering d_layers = build_layers(comp, anchors, -1, ctx.pool);
+  const Layering d_layers = build_layers(comp, anchors, -1);
   ctx.ledger.charge(d_layers.num_layers, "small/d-layers");
   for (int v = 0; v < nc; ++v) {
     DC_ENSURE(d_layers.layer[static_cast<std::size_t>(v)] != kNoLayer,
@@ -196,9 +155,9 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
 
   // D0: the ruling-set objects are pairwise non-adjacent, color each
   // independently — free nodes take a free color; DCCs via Theorem 8.
-  for (std::size_t i = 0; i < cdcc.vertex_sets.size(); ++i) {
+  for (std::size_t i = 0; i < objects.size(); ++i) {
     if (!anchor_object[i]) continue;
-    const auto& obj = cdcc.vertex_sets[i];
+    const auto& obj = objects[i];
     if (obj.size() == 1 &&
         static_cast<int>(i) < static_cast<int>(free_nodes.size())) {
       const int pv = sub.to_parent[static_cast<std::size_t>(obj.front())];

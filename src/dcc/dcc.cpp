@@ -149,13 +149,12 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
     // these per ball would dominate the runtime at simulation scale.
     BfsScratch ball_scratch;
     BfsScratch sub_scratch;
-    FrontierBfs engine;  // serial: the parallelism is across balls
     std::vector<int> local_index(static_cast<std::size_t>(n), -1);
     std::vector<Edge> ball_edges;
 
     for (int v = lo; v < hi; ++v) {
       // Truncated frontier BFS collecting the ball, in discovery order.
-      engine.run(g, ball_scratch, v, r);
+      ball_scratch.run(g, v, r);
       const auto ball_vertices = ball_scratch.order();
       ball_edges.clear();
       for (int i = 0; i < static_cast<int>(ball_vertices.size()); ++i) {
@@ -185,7 +184,7 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
       // Pick the block nearest to v (distance 0 if v belongs to one); ties
       // by lexicographically smallest parent-id vertex set for determinism.
       const int v_local = 0;  // v is the BFS root of its own ball
-      engine.run(sub.graph, sub_scratch, v_local);
+      sub_scratch.run(sub.graph, v_local);
       int best_dist = -1;
       const std::vector<int>* best_block = nullptr;
       std::vector<int> best_key;

@@ -151,12 +151,11 @@ NetworkDecomposition random_shift_decomposition(const Graph& g, double beta,
       pool, 0, num_sets,
       [&](int chunk, int lo, int hi) {
         BfsScratch scratch;
-        FrontierBfs engine;
         int best = 0;
         for (int ci = lo; ci < hi; ++ci) {
           const auto& set = sets[static_cast<std::size_t>(ci)];
           if (set.empty()) continue;
-          engine.run(g, scratch, set.front());
+          scratch.run(g, set.front());
           for (int v : set) {
             DC_ENSURE(scratch.visited(v),
                       "cluster spans disconnected parts of G");

@@ -46,29 +46,35 @@ Subgraph remove_vertices(const Graph& g, std::span<const int> removed) {
   return induced_subgraph(g, keep);
 }
 
-Graph power_graph(const Graph& g, int k, ThreadPool* pool) {
+Graph power_graph(const Graph& g, std::span<const int> subset, int k,
+                  ThreadPool* pool) {
   DC_REQUIRE(k >= 1, "power graph exponent must be >= 1");
-  const int n = g.num_vertices();
-  // One truncated BFS per vertex, chunked over the pool; each chunk reuses
-  // one scratch and collects edges into its own fragment, concatenated in
-  // chunk order (from_edges normalizes, so any chunking yields the same
-  // graph).
+  std::vector<int> local_id(static_cast<std::size_t>(g.num_vertices()), -1);
+  const int m = static_cast<int>(subset.size());
+  for (int i = 0; i < m; ++i) {
+    const int v = subset[static_cast<std::size_t>(i)];
+    DC_REQUIRE(0 <= v && v < g.num_vertices(), "subset vertex out of range");
+    local_id[static_cast<std::size_t>(v)] = i;
+  }
+  // Each chunk reuses one scratch and collects edges into its own fragment,
+  // concatenated in chunk order (from_edges normalizes, so any chunking
+  // yields the same graph).
   // Chunk cap = one per executor: each chunk holds O(n) BFS scratch.
   const int max_chunks = pool != nullptr ? pool->num_threads() : 1;
   const int num_chunks =
-      pool != nullptr ? pool->num_range_chunks(n, max_chunks) : 1;
+      pool != nullptr ? pool->num_range_chunks(m, max_chunks) : 1;
   std::vector<std::vector<Edge>> chunk_edges(
       static_cast<std::size_t>(num_chunks));
   pooled_ranges(
-      pool, 0, n,
+      pool, 0, m,
       [&](int chunk, int lo, int hi) {
         BfsScratch scratch;
-        FrontierBfs engine;
         auto& edges = chunk_edges[static_cast<std::size_t>(chunk)];
-        for (int v = lo; v < hi; ++v) {
-          engine.run(g, scratch, v, k);
+        for (int i = lo; i < hi; ++i) {
+          scratch.run(g, subset[static_cast<std::size_t>(i)], k);
           for (int u : scratch.order()) {
-            if (u > v) edges.emplace_back(v, u);
+            const int j = local_id[static_cast<std::size_t>(u)];
+            if (j > i) edges.emplace_back(i, j);
           }
         }
       },
@@ -80,7 +86,7 @@ Graph power_graph(const Graph& g, int k, ThreadPool* pool) {
   for (const auto& ce : chunk_edges) {
     edges.insert(edges.end(), ce.begin(), ce.end());
   }
-  return Graph::from_edges(n, edges);
+  return Graph::from_edges(m, edges);
 }
 
 Graph disjoint_union(const Graph& a, const Graph& b) {

@@ -29,11 +29,13 @@ inline Subgraph induced_subgraph(const Graph& g, const std::vector<int>& v) {
 // returns the mapping like induced_subgraph).
 Subgraph remove_vertices(const Graph& g, std::span<const int> removed);
 
-// The k-th power: u ~ v iff 1 <= dist_G(u, v) <= k. Computed by truncated
-// frontier BFS from every vertex, fanned out over the pool when one is
-// attached (per-chunk scratch reuse; the result is thread-count
-// independent).
-Graph power_graph(const Graph& g, int k, ThreadPool* pool = nullptr);
+// The k-th power restricted to `subset`: vertex i stands for subset[i], and
+// i ~ j iff 1 <= dist_G(subset[i], subset[j]) <= k (distances in all of g).
+// Pass every vertex for G^k itself. Computed by one truncated BFS per subset
+// vertex, fanned out over the pool when one is attached (per-chunk scratch
+// reuse; the result is thread-count independent).
+Graph power_graph(const Graph& g, std::span<const int> subset, int k,
+                  ThreadPool* pool = nullptr);
 
 // Disjoint union of two graphs (vertices of b are shifted by a.num_vertices()).
 Graph disjoint_union(const Graph& a, const Graph& b);

@@ -49,8 +49,7 @@ Renumbering identity_renumbering(int n) {
   return r;
 }
 
-Renumbering cluster_renumbering(const Graph& g, int target_cluster_size,
-                                ThreadPool* pool) {
+Renumbering cluster_renumbering(const Graph& g, int target_cluster_size) {
   const int n = g.num_vertices();
   if (target_cluster_size <= 0) target_cluster_size = std::max(1, n / 64);
 
@@ -58,12 +57,11 @@ Renumbering cluster_renumbering(const Graph& g, int target_cluster_size,
   // first `target` vertices of the visit order. -----------------------------
   std::vector<int> cluster_of(static_cast<std::size_t>(n), -1);
   std::vector<int> cluster_seed;
-  FrontierBfs bfs(pool);
   BfsScratch scratch;
   for (int seed = 0; seed < n; ++seed) {
     if (cluster_of[static_cast<std::size_t>(seed)] >= 0) continue;
     const int c = static_cast<int>(cluster_seed.size());
-    bfs.run_filtered(g, scratch, seed, /*max_dist=*/-1, [&](int v) {
+    scratch.run_filtered(g, seed, /*max_dist=*/-1, [&](int v) {
       return cluster_of[static_cast<std::size_t>(v)] < 0;
     });
     const auto order = scratch.order();
@@ -149,12 +147,13 @@ Graph relabeled_graph(const Graph& g, const Renumbering& renum) {
 }
 
 VertexPartition make_partition(const Graph& g, int num_shards,
-                               PartitionStrategy strategy, ThreadPool* pool) {
+                               PartitionStrategy strategy,
+                               ThreadPool* /*pool*/) {
   const int resolved = VertexPartition::resolve_num_shards(num_shards);
   if (strategy == PartitionStrategy::kContiguous || resolved <= 1) {
     return VertexPartition::contiguous(g.num_vertices(), resolved);
   }
-  const Renumbering renum = cluster_renumbering(g, /*target=*/0, pool);
+  const Renumbering renum = cluster_renumbering(g, /*target=*/0);
   return VertexPartition::renumbered(resolved, renum.to_new, renum.to_old);
 }
 

@@ -14,8 +14,8 @@
 /// (experiment E18 measures the drop).
 ///
 /// The algorithm (chosen over label propagation — see DESIGN.md §6 for the
-/// justification) is deterministic BFS ball growing on the existing
-/// `FrontierBfs` engine, the same machinery the paper's network
+/// justification) is deterministic BFS ball growing on one `BfsScratch`
+/// (graph/frontier_bfs.h), the same machinery the paper's network
 /// decomposition uses for cluster growing:
 ///
 ///  1. **Grow.** Repeatedly take the lowest still-unassigned id as a seed,
@@ -76,10 +76,9 @@ Renumbering identity_renumbering(int n);
 /// Deterministic BFS-ball clustering + DFS linearization (file comment).
 /// target_cluster_size <= 0 picks the default max(1, n/64) — small enough
 /// that any shard count up to 64 gets whole clusters, large enough that the
-/// quotient stays tiny. The pool only accelerates the BFS expansion; the
-/// result is bit-identical for every pool size (FrontierBfs contract).
-Renumbering cluster_renumbering(const Graph& g, int target_cluster_size = 0,
-                                ThreadPool* pool = nullptr);
+/// quotient stays tiny. Serial: each cluster's BFS depends on the clusters
+/// carved before it.
+Renumbering cluster_renumbering(const Graph& g, int target_cluster_size = 0);
 
 /// The graph in layout coordinates: vertex p is renum.original_of(p), edges
 /// relabeled accordingly. The runtime never needs this (execution stays in
@@ -89,7 +88,9 @@ Graph relabeled_graph(const Graph& g, const Renumbering& renum);
 /// The partition the shard runtime should use for (g, num_shards) under
 /// `strategy`: plain contiguous, or contiguous-over-the-cluster-layout.
 /// num_shards < 1 clamps to 1; S == 1 always yields the contiguous
-/// partition (no renumbering cost on the serial path).
+/// partition (no renumbering cost on the serial path). `pool` is unused:
+/// it stays only because perfbench/src/main.cpp passes one (ROADMAP,
+/// perfbench shim).
 VertexPartition make_partition(const Graph& g, int num_shards,
                                PartitionStrategy strategy,
                                ThreadPool* pool = nullptr);

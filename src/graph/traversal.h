@@ -2,11 +2,11 @@
 // multi-source BFS with nearest-source assignment (the workhorse of the
 // paper's layering technique).
 //
-// These are the classic value-returning entry points; they are implemented
-// on the level-synchronous engine in graph/frontier_bfs.h. Hot paths that
-// issue many queries should hold a BfsScratch and use FrontierBfs directly —
-// that amortizes the O(n) visitation state over all queries and returns
-// results sized to the ball, not to n.
+// These are the classic value-returning entry points; each runs one query on
+// a fresh graph/frontier_bfs.h scratch. Hot paths that issue many queries
+// should hold a BfsScratch and query it directly — that amortizes the O(n)
+// visitation state over all queries and returns results sized to the ball,
+// not to n.
 #pragma once
 
 #include <functional>
@@ -41,7 +41,7 @@ std::vector<int> ball(const Graph& g, int v, int r);
 // true (the source is always included), returned in BFS discovery order.
 // Used for "uncolored path" reachability in the shattering phase. This is
 // the type-erased ABI wrapper; templated callers should prefer
-// FrontierBfs::run_filtered, which inlines the per-edge predicate test.
+// BfsScratch::run_filtered, which inlines the per-edge predicate test.
 std::vector<int> ball_filtered(const Graph& g, int v, int r,
                                const std::function<bool(int)>& allowed);
 
@@ -55,8 +55,8 @@ int eccentricity(const Graph& g, int v);
 // Radius of the graph restricted to one connected component containing any
 // vertex: min over component vertices of eccentricity. For whole (connected)
 // graphs only; callers pass induced subgraphs. The n eccentricity sweeps fan
-// out over the pool when one is attached (chunk-deterministic min-fold; the
-// result is thread-count independent).
+// out over the pool when one is attached, one scratch per chunk; a min is
+// order-free, so the result is thread-count independent.
 int graph_radius(const Graph& g, ThreadPool* pool = nullptr);
 
 }  // namespace deltacol

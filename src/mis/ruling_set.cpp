@@ -4,60 +4,16 @@
 
 #include "coloring/linial.h"
 #include "graph/frontier_bfs.h"
+#include "graph/ops.h"
 #include "graph/traversal.h"
 #include "mis/mis.h"
 #include "mis/packing.h"
-#include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
 namespace deltacol {
 
 namespace {
-
-// Auxiliary graph on `subset`: u ~ v iff dist_G(u, v) <= alpha - 1.
-// Built by truncated frontier BFS from each subset vertex; the sweeps fan
-// out over the pool in indexed chunks (each reusing one scratch), and the
-// per-chunk edge fragments are concatenated in chunk order — from_edges
-// normalizes anyway, so the graph is identical for every thread count.
-Graph auxiliary_graph(const Graph& g, const std::vector<int>& subset,
-                      int alpha, ThreadPool* pool) {
-  std::vector<int> local_id(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (int i = 0; i < static_cast<int>(subset.size()); ++i) {
-    local_id[static_cast<std::size_t>(subset[static_cast<std::size_t>(i)])] = i;
-  }
-  const int k = static_cast<int>(subset.size());
-  // Chunk cap = one per executor: each chunk holds O(n) BFS scratch.
-  const int max_chunks = pool != nullptr ? pool->num_threads() : 1;
-  const int num_chunks =
-      pool != nullptr ? pool->num_range_chunks(k, max_chunks) : 1;
-  std::vector<std::vector<Edge>> chunk_edges(
-      static_cast<std::size_t>(num_chunks));
-  pooled_ranges(
-      pool, 0, k,
-      [&](int chunk, int lo, int hi) {
-        BfsScratch scratch;
-        FrontierBfs engine;
-        auto& edges = chunk_edges[static_cast<std::size_t>(chunk)];
-        for (int i = lo; i < hi; ++i) {
-          engine.run(g, scratch, subset[static_cast<std::size_t>(i)],
-                     alpha - 1);
-          for (int v : scratch.order()) {
-            const int j = local_id[static_cast<std::size_t>(v)];
-            if (j > i) edges.emplace_back(i, j);
-          }
-        }
-      },
-      max_chunks);
-  std::vector<Edge> edges;
-  std::size_t total = 0;
-  for (const auto& ce : chunk_edges) total += ce.size();
-  edges.reserve(total);
-  for (const auto& ce : chunk_edges) {
-    edges.insert(edges.end(), ce.begin(), ce.end());
-  }
-  return Graph::from_edges(k, edges);
-}
 
 // Bitwise divide-and-conquer independent set with covering radius <= #bits
 // (measured in `aux`). Classes are ID prefixes; when two classes merge at bit
@@ -117,7 +73,8 @@ std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
     return out;
   }
 
-  const Graph aux = auxiliary_graph(g, subset, alpha, pool);
+  // Auxiliary graph on `subset`: u ~ v iff dist_G(u, v) <= alpha - 1.
+  const Graph aux = power_graph(g, subset, alpha - 1, pool);
   std::vector<bool> in_set;
   switch (engine) {
     case RulingSetEngine::kRandomized: {
@@ -171,9 +128,8 @@ bool is_ruling_set(const Graph& g, const std::vector<int>& subset,
                    const std::vector<int>& ruling, int alpha, int beta) {
   // Packing: pairwise distance >= alpha. One scratch serves every sweep.
   BfsScratch scratch;
-  FrontierBfs engine;
   for (std::size_t i = 0; i < ruling.size(); ++i) {
-    engine.run(g, scratch, ruling[i], alpha - 1);
+    scratch.run(g, ruling[i], alpha - 1);
     for (std::size_t j = 0; j < ruling.size(); ++j) {
       if (i == j) continue;
       if (scratch.visited(ruling[j])) return false;

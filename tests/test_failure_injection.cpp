@@ -3,6 +3,8 @@
 // surfaces violations instead of papering over them.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/api.h"
 #include "graph/generators.h"
 #include "util/check.h"
@@ -62,6 +64,33 @@ TEST(FailureInjection, StrictModeOnBenignInstancePasses) {
   EXPECT_NO_THROW(validate_delta_coloring(g, res.coloring, 4));
   EXPECT_EQ(res.stats.repairs, 0);
   EXPECT_EQ(res.stats.anchors_empty_fallbacks, 0);
+}
+
+TEST(FailureInjection, StrictModeOverTheZooNeedsNoFallback) {
+  // The paper path alone colors every zoo graph: with strict mode on, no
+  // algorithm at any of these seeds throws, repairs or falls back.
+  const Algorithm algorithms[] = {
+      Algorithm::kDeterministic, Algorithm::kRandomizedLarge,
+      Algorithm::kRandomizedSmall, Algorithm::kBaselineND,
+      Algorithm::kBaselineGreedyBrooks};
+  for (const auto& w : generator_zoo()) {
+    for (const Algorithm alg : algorithms) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const std::string tag = w.name + "/" + algorithm_name(alg) +
+                                "/seed=" + std::to_string(seed);
+        DeltaColoringOptions opt;
+        opt.strict = true;
+        opt.seed = seed;
+        DeltaColoringResult res;
+        ASSERT_NO_THROW(res = delta_color(w.graph, alg, opt)) << tag;
+        EXPECT_NO_THROW(validate_delta_coloring(w.graph, res.coloring,
+                                                res.delta))
+            << tag;
+        EXPECT_EQ(res.stats.repairs, 0) << tag;
+        EXPECT_EQ(res.stats.anchors_empty_fallbacks, 0) << tag;
+      }
+    }
+  }
 }
 
 TEST(FailureInjection, RetriesRecoverFromBadSeeds) {

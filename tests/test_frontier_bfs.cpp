@@ -1,21 +1,20 @@
-// The frontier BFS engine's contract (graph/frontier_bfs.h):
+// The frontier BFS's contract (graph/frontier_bfs.h):
 //
 //  * golden equivalence — distances, visit levels, ball contents and
 //    nearest-source labels match the seed's queue-based reference
 //    implementations (reproduced below) on the generator zoo;
 //  * epoch reuse — one BfsScratch serves thousands of queries, across
 //    graphs of different sizes, without a stale-visitation bug;
-//  * thread-count invariance — the pooled chunk-deterministic expansion
-//    produces bit-identical visit orders, levels and labels for
-//    num_threads ∈ {1, 2, 8}, and the routed helpers (build_layers,
-//    graph_radius, power_graph, random_shift_decomposition) inherit that.
+//  * thread-count invariance of the helpers that fan independent queries
+//    out over the pool, one scratch per chunk (graph_radius, power_graph,
+//    random_shift_decomposition).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 #include <vector>
 
-#include "core/layering.h"
 #include "decomp/network_decomposition.h"
 #include "graph/frontier_bfs.h"
 #include "graph/generators.h"
@@ -147,11 +146,10 @@ std::vector<ZooEntry> generator_zoo() {
 
 TEST(FrontierBfs, GoldenSingleSourceOnZoo) {
   BfsScratch scratch;
-  FrontierBfs engine;
   for (const auto& [name, g] : generator_zoo()) {
     for (int max_dist : {-1, 0, 1, 2, 3, 7}) {
       for (int v : {0, g.num_vertices() / 2, g.num_vertices() - 1}) {
-        engine.run(g, scratch, v, max_dist);
+        scratch.run(g, v, max_dist);
         expect_matches_reference(
             g, scratch, ref_bfs_distances(g, v, max_dist),
             std::string(name) + "/src=" + std::to_string(v) + "/r=" +
@@ -176,8 +174,7 @@ TEST(FrontierBfs, GoldenMultiSourceLabeledOnZoo) {
     std::reverse(seeds.begin(), seeds.end());
     for (int max_dist : {-1, 2}) {
       const auto ref = ref_multi_source(g, seeds, max_dist);
-      FrontierBfs engine;
-      engine.run_multi_labeled(g, scratch, seeds, max_dist);
+      scratch.run_multi_labeled(g, seeds, max_dist);
       expect_matches_reference(g, scratch, ref.dist, name);
       for (int v = 0; v < n; ++v) {
         if (ref.dist[static_cast<std::size_t>(v)] != -1) {
@@ -228,10 +225,9 @@ TEST(FrontierBfs, FilteredTemplateMatchesFunctionWrapper) {
   Rng rng(11);
   const Graph g = random_regular(400, 6, rng);
   BfsScratch scratch;
-  FrontierBfs engine;
   auto mask = [](int v) { return v % 3 != 0; };
   for (int v : {1, 2, 100, 399}) {
-    engine.run_filtered(g, scratch, v, 4, mask);
+    scratch.run_filtered(g, v, 4, mask);
     const std::vector<int> direct(scratch.order().begin(),
                                   scratch.order().end());
     const auto wrapped = ball_filtered(g, v, 4, mask);
@@ -249,14 +245,13 @@ TEST(FrontierBfs, EpochReuseAcrossThousandsOfQueries) {
   const Graph small = random_tree(37, 3, rng);
   const Graph grid = grid_graph(8, 8, false);
   BfsScratch scratch;
-  FrontierBfs engine;
   for (int q = 0; q < 4000; ++q) {
     // Alternate graphs of different sizes through the same scratch; verify
     // against the reference on a deterministic subsample.
     const Graph& g = (q % 3 == 0) ? small : (q % 3 == 1) ? grid : big;
     const int v = q % g.num_vertices();
     const int r = q % 5;
-    engine.run(g, scratch, v, r);
+    scratch.run(g, v, r);
     if (q % 37 == 0) {
       expect_matches_reference(g, scratch, ref_bfs_distances(g, v, r),
                                "query " + std::to_string(q));
@@ -269,78 +264,16 @@ TEST(FrontierBfs, EpochReuseAcrossThousandsOfQueries) {
   }
 }
 
-TEST(FrontierBfs, ThreadCountInvariance) {
-  // Frontiers above the parallel threshold: a 6-regular graph from a single
-  // source reaches thousands of frontier vertices per level; a multi-source
-  // run starts there. Visit order — not just the distance map — must be
-  // bit-identical for every thread count.
-  Rng rng(17);
-  const Graph g = random_regular(20000, 6, rng);
-  std::vector<int> seeds;
-  for (int v = 0; v < g.num_vertices(); v += 13) seeds.push_back(v);
-
-  BfsScratch serial_scratch;
-  FrontierBfs serial;
-  serial.run(g, serial_scratch, 0);
-  const std::vector<int> serial_order(serial_scratch.order().begin(),
-                                      serial_scratch.order().end());
-  serial.run_multi_labeled(g, serial_scratch, seeds, 4);
-  const std::vector<int> serial_ms_order(serial_scratch.order().begin(),
-                                         serial_scratch.order().end());
-  std::vector<int> serial_labels;
-  for (int v : serial_ms_order) {
-    serial_labels.push_back(serial_scratch.source_of(v));
-  }
-
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    BfsScratch scratch;
-    FrontierBfs engine(&pool);
-    engine.run(g, scratch, 0);
-    const std::vector<int> order(scratch.order().begin(),
-                                 scratch.order().end());
-    EXPECT_EQ(order, serial_order) << threads << " threads";
-
-    engine.run_multi_labeled(g, scratch, seeds, 4);
-    const std::vector<int> ms_order(scratch.order().begin(),
-                                    scratch.order().end());
-    EXPECT_EQ(ms_order, serial_ms_order) << threads << " threads";
-    std::vector<int> labels;
-    for (int v : ms_order) labels.push_back(scratch.source_of(v));
-    EXPECT_EQ(labels, serial_labels) << threads << " threads";
-  }
-}
-
 TEST(FrontierBfs, RoutedHelpersAreThreadCountInvariant) {
   Rng rng(19);
   const Graph g = random_regular(3000, 5, rng);
-  std::vector<int> base;
-  for (int v = 0; v < g.num_vertices(); v += 7) base.push_back(v);
-  std::vector<bool> allowed(static_cast<std::size_t>(g.num_vertices()), true);
-  for (int v = 0; v < g.num_vertices(); v += 11) {
-    allowed[static_cast<std::size_t>(v)] = false;
-  }
-  std::vector<int> masked_base;
-  for (int v : base) {
-    if (allowed[static_cast<std::size_t>(v)]) masked_base.push_back(v);
-  }
-
-  const Layering serial_layers = build_layers(g, base, -1);
-  const Layering serial_restricted =
-      build_layers_restricted(g, masked_base, 6, allowed);
-  const Graph serial_power = power_graph(g, 2);
-
+  std::vector<int> all(static_cast<std::size_t>(g.num_vertices()));
+  std::iota(all.begin(), all.end(), 0);
+  const Graph serial_power = power_graph(g, all, 2);
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
-    const Layering l = build_layers(g, base, -1, &pool);
-    EXPECT_EQ(l.layer, serial_layers.layer) << threads;
-    EXPECT_EQ(l.num_layers, serial_layers.num_layers) << threads;
-    EXPECT_EQ(l.members, serial_layers.members) << threads;
-    const Layering lr =
-        build_layers_restricted(g, masked_base, 6, allowed, &pool);
-    EXPECT_EQ(lr.layer, serial_restricted.layer) << threads;
-    EXPECT_EQ(lr.members, serial_restricted.members) << threads;
-    EXPECT_EQ(power_graph(g, 2, &pool).edge_list(), serial_power.edge_list())
+    EXPECT_EQ(power_graph(g, all, 2, &pool).edge_list(),
+              serial_power.edge_list())
         << threads;
   }
 }
@@ -379,11 +312,10 @@ TEST(FrontierBfs, DecompositionPooledMatchesSerial) {
 TEST(FrontierBfs, EmptySourcesAndIsolatedVertices) {
   const Graph g = Graph::from_edges(5, std::vector<Edge>{{0, 1}});
   BfsScratch scratch;
-  FrontierBfs engine;
-  engine.run_multi(g, scratch, std::vector<int>{});
+  scratch.run_multi(g, std::vector<int>{});
   EXPECT_EQ(scratch.num_levels(), 0);
   EXPECT_TRUE(scratch.order().empty());
-  engine.run(g, scratch, 4);  // isolated vertex
+  scratch.run(g, 4);  // isolated vertex
   EXPECT_EQ(scratch.num_levels(), 1);
   ASSERT_EQ(scratch.order().size(), 1u);
   EXPECT_EQ(scratch.order()[0], 4);

@@ -1,9 +1,8 @@
-// The LOCAL-model simulator: round ledger, synchronous engine, gather oracle.
+// The LOCAL-model simulator: round ledger and the synchronous message engine.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "graph/traversal.h"
-#include "local/neighborhood.h"
 #include "local/round_ledger.h"
 #include "runtime/sync_engine.h"
 #include "util/check.h"
@@ -106,18 +105,6 @@ TEST(SyncEngine, RejectsOutOfRangePort) {
                  ContractViolation)
         << "port " << bad;
   }
-}
-
-TEST(NeighborhoodOracle, ChargesGatherRadius) {
-  const Graph g = cycle_graph(12);
-  RoundLedger ledger;
-  NeighborhoodOracle oracle(g, ledger);
-  oracle.begin_gather(3, "gather");
-  EXPECT_EQ(ledger.total(), 3);
-  const auto sub = oracle.ball_subgraph(0, 3);
-  EXPECT_EQ(sub.graph.num_vertices(), 7);  // 0, +-1, +-2, +-3
-  // Radius above the gathered bound is a contract violation.
-  EXPECT_THROW(oracle.ball_subgraph(0, 4), ContractViolation);
 }
 
 }  // namespace

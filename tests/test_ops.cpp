@@ -1,6 +1,9 @@
 // Induced subgraphs, vertex removal, power graphs, disjoint unions.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "graph/traversal.h"
@@ -37,8 +40,10 @@ TEST(Ops, RemoveVertices) {
 TEST(Ops, PowerGraphMatchesBfsDistances) {
   Rng rng(12);
   const Graph g = random_graph_max_degree(40, 4, 1.4, rng);
+  std::vector<int> all(static_cast<std::size_t>(g.num_vertices()));
+  std::iota(all.begin(), all.end(), 0);
   for (int k : {1, 2, 3}) {
-    const Graph p = power_graph(g, k);
+    const Graph p = power_graph(g, all, k);
     for (int v = 0; v < g.num_vertices(); ++v) {
       const auto d = bfs_distances(g, v);
       for (int u = 0; u < g.num_vertices(); ++u) {
@@ -52,7 +57,8 @@ TEST(Ops, PowerGraphMatchesBfsDistances) {
 }
 
 TEST(Ops, PowerGraphOfPathIsBandGraph) {
-  const Graph p2 = power_graph(path_graph(6), 2);
+  const Graph p2 =
+      power_graph(path_graph(6), std::vector<int>{0, 1, 2, 3, 4, 5}, 2);
   EXPECT_TRUE(p2.has_edge(0, 2));
   EXPECT_FALSE(p2.has_edge(0, 3));
   EXPECT_EQ(p2.num_edges(), 5 + 4);

@@ -1,5 +1,5 @@
 // Locality-aware partitioning (graph/renumber.h + PartitionStrategy):
-// permutation validity, pool-invariance, relabeled-graph isomorphism, the
+// permutation validity, relabeled-graph isomorphism, the
 // golden placement-only contract (Luby bit-identical between the contiguous
 // and cluster strategies at S ∈ {2, 8}), the
 // cross_edge_fraction metric, renumbered streaming slices, and a hermetic
@@ -27,7 +27,6 @@
 #include "net/rank_loader.h"
 #include "net/socket_transport.h"
 #include "runtime/mailbox.h"
-#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -86,19 +85,6 @@ TEST(Renumber, ClusterRenumberingIsAPermutation) {
     const Renumbering r = cluster_renumbering(w.graph);
     expect_bijection(r, w.graph.num_vertices(), w.name);
     EXPECT_GE(r.num_clusters, 1) << w.name;
-  }
-}
-
-TEST(Renumber, PoolInvariant) {
-  // The FrontierBfs contract makes the permutation a pure function of the
-  // graph — the pool only accelerates the expansion.
-  ThreadPool pool(4);
-  for (const auto& w : generator_zoo()) {
-    const Renumbering serial = cluster_renumbering(w.graph, 0, nullptr);
-    const Renumbering pooled = cluster_renumbering(w.graph, 0, &pool);
-    EXPECT_EQ(*serial.to_new, *pooled.to_new) << w.name;
-    EXPECT_EQ(*serial.to_old, *pooled.to_old) << w.name;
-    EXPECT_EQ(serial.num_clusters, pooled.num_clusters) << w.name;
   }
 }
 
