@@ -2,18 +2,11 @@
 //
 // The measured quantity everywhere is ROUNDS (the LOCAL model's complexity
 // measure), surfaced through benchmark counters; wall-clock time is reported
-// by google-benchmark as a by-product. Each binary regenerates one
+// by the harness (minibench.h) as a by-product. Each binary regenerates one
 // experiment row/series of EXPERIMENTS.md.
 #pragma once
 
-// Harness selection: google-benchmark when available, the vendored minimal
-// fallback otherwise (CMake defines DELTACOL_USE_MINIBENCH when
-// libbenchmark-dev is missing, so experiments always build).
-#ifdef DELTACOL_USE_MINIBENCH
 #include "minibench.h"
-#else
-#include <benchmark/benchmark.h>
-#endif
 
 #include <cmath>
 #include <cstdlib>
@@ -23,7 +16,6 @@
 
 #include "core/api.h"
 #include "graph/generators.h"
-#include "util/csv.h"
 #include "util/rng.h"
 
 namespace deltacol::bench {

@@ -1,7 +1,6 @@
-// Minimal header-only stand-in for the subset of google-benchmark the
-// bench/ drivers use, so experiment binaries always build even when
-// libbenchmark-dev is absent (CMake defines DELTACOL_USE_MINIBENCH and
-// bench_common.h includes this instead of <benchmark/benchmark.h>).
+// The bench/ harness: a header-only implementation of the subset of the
+// google-benchmark API the bench_*.cpp drivers use, vendored so the drivers
+// build with no dependency beyond the library (bench_common.h includes it).
 //
 // Covered API (exactly what bench_*.cpp touches — extend as drivers grow):
 //   benchmark::State        — range(i), counters["name"], for (auto _ : state)
@@ -17,8 +16,7 @@
 // as machine-readable JSON (schema documented in bench/README.md) so perf
 // trajectories can be tracked across commits. Not implemented (not needed
 // here): threading, fixtures, templated benchmarks, statistical
-// repetitions, --benchmark_* flags (google-benchmark builds get JSON via
-// its own --benchmark_out flag instead).
+// repetitions, command-line flags (arguments are ignored).
 #pragma once
 
 #include <chrono>
@@ -291,7 +289,6 @@ inline int RunAllBenchmarks() {
       deltacol_minibench_reg_, __LINE__) =                        \
       (new ::benchmark::Benchmark(#fn, fn))
 
-// google-benchmark's benchmark_main library provides main(); under the
-// fallback each bench binary is a single TU including this header, so the
-// definition lives here.
+// Each bench binary is a single TU including this header, so main() lives
+// here.
 int main() { return ::benchmark::RunAllBenchmarks(); }

@@ -110,10 +110,7 @@ BlockDecomposition block_decomposition(const Graph& g) {
           low[p] = std::min(low[p], low[u]);
           if (low[u] >= disc[p]) {
             // p separates u's subtree: close the block rooted at edge (p,u).
-            if (p != root || root_children > 1 ||
-                (p == root && low[u] >= disc[p])) {
-              // Articulation flag handled below; block always closes here.
-            }
+            // The root's articulation flag is set after the DFS.
             pop_block(p, u);
             if (p != root) out.is_articulation[p] = true;
           }

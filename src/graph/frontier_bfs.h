@@ -5,9 +5,8 @@
 ///
 /// A `BfsScratch` owns the O(n) visitation state once; each query bumps a
 /// 32-bit epoch instead of clearing, so a query costs O(ball) — not O(n) —
-/// after the first. Results (visit order, level boundaries, distances,
-/// nearest-source labels) are views into the scratch, sized to the ball,
-/// valid until the next query.
+/// after the first. Results (visit order, level boundaries, distances) are
+/// views into the scratch, sized to the ball, valid until the next query.
 ///
 /// One query is serial. Parallelism lives one level up: callers that issue
 /// many independent queries (DCC balls, marking back-off, power graphs,
@@ -32,13 +31,13 @@ namespace deltacol {
 
 /// Reusable visitation state plus the BFS queries that fill it. One O(n)
 /// allocation amortized over arbitrarily many queries (on graphs of any size
-/// up to the largest seen); distances/labels of vertices outside the last
-/// query's ball are garbage by design — gate every read on visited().
+/// up to the largest seen); distances of vertices outside the last query's
+/// ball are garbage by design — gate every read on visited().
 ///
 /// **Epoch-stamp invariant.** `visited(v)` holds iff `stamp_[v] == epoch_`,
 /// and `begin_query` invalidates the previous query by bumping `epoch_`
 /// (O(1)) instead of clearing the stamps (O(n)). Consequences callers rely
-/// on: (a) `dist`/`source_of`/`level` reads are only meaningful under a true
+/// on: (a) `dist`/`level` reads are only meaningful under a true
 /// `visited(v)` — everything else is stale data from an arbitrary earlier
 /// query; (b) when the 32-bit epoch wraps (once per ~4·10⁹ queries), the
 /// stamps are honestly cleared once, so a stale stamp can never alias the
@@ -51,7 +50,7 @@ class BfsScratch {
   /// Single-source BFS up to max_dist (< 0: unbounded).
   void run(const Graph& g, int source, int max_dist = -1) {
     const int seed[1] = {source};
-    run_impl<false>(g, std::span<const int>(seed, 1), max_dist, kAllowAll);
+    run_impl(g, std::span<const int>(seed, 1), max_dist, kAllowAll);
   }
 
   /// Single-source BFS that may only traverse vertices with allowed(v) true;
@@ -60,14 +59,14 @@ class BfsScratch {
   void run_filtered(const Graph& g, int source, int max_dist,
                     Allowed&& allowed) {
     const int seed[1] = {source};
-    run_impl<false>(g, std::span<const int>(seed, 1), max_dist, allowed);
+    run_impl(g, std::span<const int>(seed, 1), max_dist, allowed);
   }
 
-  /// Unlabeled multi-source BFS (distances only; duplicates in `sources` are
-  /// merged). Used by the layering machinery.
+  /// Multi-source BFS: the distance to the nearest source (duplicates in
+  /// `sources` are merged). Used by the layering machinery.
   void run_multi(const Graph& g, std::span<const int> sources,
                  int max_dist = -1) {
-    run_impl<false>(g, sources, max_dist, kAllowAll);
+    run_impl(g, sources, max_dist, kAllowAll);
   }
 
   /// Restricted multi-source BFS: traversal confined to allowed(v) vertices
@@ -75,20 +74,7 @@ class BfsScratch {
   template <typename Allowed>
   void run_multi_filtered(const Graph& g, std::span<const int> sources,
                           int max_dist, Allowed&& allowed) {
-    run_impl<false>(g, sources, max_dist, allowed);
-  }
-
-  /// Labeled multi-source BFS: source_of(v) is the nearest source, distance
-  /// ties broken toward the smaller source id (the paper's "breaking ties
-  /// using identifiers"). Seeds are claimed in ascending id order so the
-  /// level-synchronous expansion resolves ties exactly like the classic
-  /// FIFO formulation.
-  void run_multi_labeled(const Graph& g, std::span<const int> sources,
-                         int max_dist = -1) {
-    seed_buf_.assign(sources.begin(), sources.end());
-    std::sort(seed_buf_.begin(), seed_buf_.end());
-    run_impl<true>(g, std::span<const int>(seed_buf_.data(), seed_buf_.size()),
-                   max_dist, kAllowAll);
+    run_impl(g, sources, max_dist, allowed);
   }
 
   // --- results of the last query (views valid until the next query) -------
@@ -100,9 +86,6 @@ class BfsScratch {
   }
   /// BFS distance from the nearest source; meaningful iff visited(v).
   int dist(int v) const { return dist_[static_cast<std::size_t>(v)]; }
-  /// Nearest source (ties toward the smaller source id); meaningful iff
-  /// visited(v) and the query was a labeled multi-source run.
-  int source_of(int v) const { return source_[static_cast<std::size_t>(v)]; }
 
   /// Every visited vertex in deterministic visit order: sources first (in
   /// claim order), then each level's discoveries in frontier-scan order.
@@ -135,7 +118,6 @@ class BfsScratch {
     if (static_cast<int>(stamp_.size()) < n) {
       stamp_.resize(static_cast<std::size_t>(n), 0);
       dist_.resize(static_cast<std::size_t>(n));
-      source_.resize(static_cast<std::size_t>(n));
     }
     if (++epoch_ == 0) {  // wrap after ~4e9 queries: one honest O(n) clear
       std::fill(stamp_.begin(), stamp_.end(), 0u);
@@ -145,16 +127,15 @@ class BfsScratch {
     level_offsets_.assign(1, 0);
   }
 
-  void claim(int v, int d, int src) {
+  void claim(int v, int d) {
     stamp_[static_cast<std::size_t>(v)] = epoch_;
     dist_[static_cast<std::size_t>(v)] = d;
-    source_[static_cast<std::size_t>(v)] = src;
     order_.push_back(v);
   }
 
   // Level by level: scan the frontier in visit order, claim
-  // first-discovered neighbors, relax same-level source labels.
-  template <bool kLabeled, typename Allowed>
+  // first-discovered neighbors.
+  template <typename Allowed>
   void run_impl(const Graph& g, std::span<const int> sources, int max_dist,
                 Allowed&& allowed) {
     const int n = g.num_vertices();
@@ -162,7 +143,7 @@ class BfsScratch {
     for (int v : sources) {
       DC_REQUIRE(0 <= v && v < n, "BFS source out of range");
       if (visited(v)) continue;  // duplicate source
-      claim(v, 0, kLabeled ? v : -1);
+      claim(v, 0);
     }
     if (order_.empty()) {
       level_offsets_.clear();  // num_levels() == 0, no trailing sentinel
@@ -178,21 +159,7 @@ class BfsScratch {
       for (int idx = lo; idx < hi; ++idx) {
         const int u = order_[static_cast<std::size_t>(idx)];
         for (int w : g.neighbors(u)) {
-          if (!visited(w)) {
-            if (!allowed(w)) continue;
-            claim(w, level + 1,
-                  kLabeled ? source_[static_cast<std::size_t>(u)] : -1);
-          } else if constexpr (kLabeled) {
-            // Equal distance through a smaller-id source: prefer it. Only
-            // vertices claimed in this very level can satisfy the dist
-            // check.
-            if (dist_[static_cast<std::size_t>(w)] == level + 1 &&
-                source_[static_cast<std::size_t>(u)] <
-                    source_[static_cast<std::size_t>(w)]) {
-              source_[static_cast<std::size_t>(w)] =
-                  source_[static_cast<std::size_t>(u)];
-            }
-          }
+          if (!visited(w) && allowed(w)) claim(w, level + 1);
         }
       }
       lo = hi;
@@ -204,12 +171,10 @@ class BfsScratch {
 
   std::vector<std::uint32_t> stamp_;  // visited(v) <=> stamp_[v] == epoch_
   std::vector<int> dist_;
-  std::vector<int> source_;
   std::uint32_t epoch_ = 0;
 
   std::vector<int> order_;          // visit order of the last query
   std::vector<int> level_offsets_;  // level l = order_[off[l], off[l+1])
-  std::vector<int> seed_buf_;       // sorted seeds of a labeled query
 };
 
 }  // namespace deltacol

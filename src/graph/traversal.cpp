@@ -20,21 +20,6 @@ std::vector<int> bfs_distances(const Graph& g, int source, int max_dist) {
   return dist;
 }
 
-MultiSourceBfs multi_source_bfs(const Graph& g, const std::vector<int>& sources,
-                                int max_dist) {
-  BfsScratch scratch;
-  scratch.run_multi_labeled(g, sources, max_dist);
-  MultiSourceBfs out;
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  out.dist.assign(n, kUnreachable);
-  out.source.assign(n, -1);
-  for (int v : scratch.order()) {
-    out.dist[static_cast<std::size_t>(v)] = scratch.dist(v);
-    out.source[static_cast<std::size_t>(v)] = scratch.source_of(v);
-  }
-  return out;
-}
-
 std::vector<int> ball(const Graph& g, int v, int r) {
   DC_REQUIRE(0 <= v && v < g.num_vertices(), "source out of range");
   BfsScratch scratch;

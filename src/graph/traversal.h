@@ -1,6 +1,5 @@
-// Breadth-first traversal utilities: distances, balls, layered BFS, and
-// multi-source BFS with nearest-source assignment (the workhorse of the
-// paper's layering technique).
+// Breadth-first traversal utilities: distances, balls, layered BFS,
+// eccentricity and radius.
 //
 // These are the classic value-returning entry points; each runs one query on
 // a fresh graph/frontier_bfs.h scratch. Hot paths that issue many queries
@@ -23,16 +22,6 @@ inline constexpr int kUnreachable = -1;
 // Single-source BFS distances; entries are kUnreachable if not reached within
 // max_dist (max_dist < 0 means unbounded).
 std::vector<int> bfs_distances(const Graph& g, int source, int max_dist = -1);
-
-// Multi-source BFS. For every vertex, the distance to the nearest source and
-// the identity of that source (ties broken toward the smaller source vertex
-// id, matching the paper's "breaking ties using identifiers").
-struct MultiSourceBfs {
-  std::vector<int> dist;    // kUnreachable if no source reaches the vertex
-  std::vector<int> source;  // nearest source vertex id, or -1
-};
-MultiSourceBfs multi_source_bfs(const Graph& g, const std::vector<int>& sources,
-                                int max_dist = -1);
 
 // Vertices within distance r of v (including v), in increasing id order.
 std::vector<int> ball(const Graph& g, int v, int r);

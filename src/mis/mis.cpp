@@ -69,29 +69,6 @@ std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
   return in_set;
 }
 
-std::vector<bool> mis_from_coloring(const Graph& g, const Coloring& schedule,
-                                    int num_schedule_colors,
-                                    RoundLedger& ledger, std::string_view phase,
-                                    int rounds_per_step) {
-  DC_REQUIRE(is_proper_with_palette(g, schedule, num_schedule_colors),
-             "schedule must be a proper coloring");
-  const int n = g.num_vertices();
-  std::vector<bool> in_set(static_cast<std::size_t>(n), false);
-  std::vector<bool> blocked(static_cast<std::size_t>(n), false);
-  for (int c = 0; c < num_schedule_colors; ++c) {
-    for (int v = 0; v < n; ++v) {
-      if (schedule[static_cast<std::size_t>(v)] != c) continue;
-      if (blocked[static_cast<std::size_t>(v)]) continue;
-      in_set[static_cast<std::size_t>(v)] = true;
-      for (int u : g.neighbors(v)) blocked[static_cast<std::size_t>(u)] = true;
-    }
-    // Each schedule step is one 1-bit "I joined" notification round: it
-    // always fits any B, so CONGEST charges match LOCAL exactly.
-    ledger.charge_message_round(1, phase, rounds_per_step);
-  }
-  return in_set;
-}
-
 bool is_mis(const Graph& g, const std::vector<bool>& in_set) {
   if (static_cast<int>(in_set.size()) != g.num_vertices()) return false;
   for (int v = 0; v < g.num_vertices(); ++v) {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "coloring/linial.h"
 #include "graph/frontier_bfs.h"
 #include "graph/ops.h"
-#include "graph/traversal.h"
 #include "mis/mis.h"
 #include "mis/packing.h"
 #include "util/check.h"
@@ -89,17 +87,6 @@ std::vector<int> ruling_set(const Graph& g, const std::vector<int>& subset,
       in_set = aglp_independent_set(aux, ledger, phase, per_step);
       break;
     }
-    case RulingSetEngine::kDeterministicColorSweep: {
-      // Linial's coloring of the auxiliary graph: each of its rounds is one
-      // exchange over distance alpha-1, charged accordingly.
-      RoundLedger aux_ledger;
-      aux_ledger.set_congest_bits(ledger.congest_bits());
-      const LinialResult lin = linial_coloring(aux, aux_ledger);
-      ledger.charge(aux_ledger.total() * per_step, phase);
-      in_set = mis_from_coloring(aux, lin.coloring, lin.num_colors, ledger,
-                                 phase, per_step);
-      break;
-    }
   }
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(subset.size()); ++i) {
@@ -118,7 +105,6 @@ int ruling_set_cover_radius(int subset_size, RulingSetEngine engine) {
                  : ceil_log2(static_cast<std::uint64_t>(subset_size)) + 1;
     case RulingSetEngine::kDeterministic:
     case RulingSetEngine::kRandomized:
-    case RulingSetEngine::kDeterministicColorSweep:
       return 1;  // greedy packing / aux-graph MIS: covering radius 1
   }
   return 1;
@@ -142,9 +128,9 @@ bool is_ruling_set(const Graph& g, const std::vector<int>& subset,
     if (!in_subset[static_cast<std::size_t>(r)]) return false;
   }
   if (ruling.empty()) return subset.empty();
-  const auto cover = multi_source_bfs(g, ruling, beta);
+  scratch.run_multi(g, ruling, beta);
   for (int s : subset) {
-    if (cover.dist[static_cast<std::size_t>(s)] == kUnreachable) return false;
+    if (!scratch.visited(s)) return false;
   }
   return true;
 }

@@ -40,10 +40,6 @@ enum class RulingSetEngine {
   // auxiliary graph. Used by tests to cross-validate kDeterministic's
   // charging model; only for small graphs.
   kDeterministicAglpBitwise,
-  // Linial coloring of the auxiliary graph + class sweep; round cost grows
-  // with Delta(aux)^2 — only sensible for small auxiliary graphs, kept for
-  // cross-validation in tests.
-  kDeterministicColorSweep,
 };
 
 // Ruling set of `subset` (pass all vertices for a ruling set of G). rng may

@@ -10,9 +10,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <numeric>
+#include <span>
+#include <system_error>
 #include <thread>
 
 #include "net/frame.h"
@@ -27,107 +32,63 @@ namespace {
 constexpr std::uint32_t kHelloMagic = 0xDC01u;
 
 /// Collective tags (the frame length prefix itself lives in net/frame.h).
-/// Every collective consumes one tick of one sequence counter, and every
-/// frame leads with its tag — so a rank that runs collectives out of step
-/// decodes a wrong tag/seq and fails loudly instead of merging a stale or
-/// foreign frame. The closed-form byte accounting of these frames is
-/// pinned by bench_e17.
+/// The closed-form byte accounting of these frames is pinned by bench_e17.
 constexpr std::uint32_t kOwnedMagic = 0xDC0Eu;   // exchange_owned
 constexpr std::uint32_t kReduceMagic = 0xDC0Fu;  // allreduce_{sum,max}
 constexpr std::uint32_t kGatherMagic = 0xDC10u;  // gather_colors
+
+/// Every collective frame leads with u32 tag, u32 sender rank, u32 seq.
+constexpr std::size_t kHeaderBytes = 12;
+
+/// A received frame's body: a view into the frame, valid during on_body.
+using Body = std::span<const std::uint8_t>;
+
+/// The wire invariants every collective frame must hold, checked once per
+/// received frame: it belongs to the collective this rank runs (tag), it
+/// comes from the rank at the other end of the connection (sender), and it
+/// belongs to this very step (seq — every rank ticks once per collective,
+/// so a rank that drifted a step cannot slip a stale frame in).
+void check_header(const WireBuf& frame, std::uint32_t tag, int peer,
+                  std::uint32_t seq) {
+  WireReader r(frame);
+  const std::uint32_t got_tag = r.get_u32();
+  const std::uint32_t sender = r.get_u32();
+  const std::uint32_t got_seq = r.get_u32();
+  if (got_tag != tag) {
+    throw WireError("tag check failed: tag " + std::to_string(got_tag) +
+                    ", expected " + std::to_string(tag) +
+                    " — the ranks are running different collectives");
+  }
+  if (sender != static_cast<std::uint32_t>(peer)) {
+    throw WireError("sender check failed: the frame names rank " +
+                    std::to_string(sender));
+  }
+  if (got_seq != seq) {
+    throw WireError("seq check failed: seq " + std::to_string(got_seq) +
+                    ", expected " + std::to_string(seq) +
+                    " — the ranks are out of step");
+  }
+}
+
+/// `text` as a whole base-10 integer — the rule examples/flag_parse.h
+/// applies to flags: "abc", "2x", "" and out-of-range values throw
+/// ContractViolation naming `what` and the value, never coerce.
+int parse_int(const std::string& what, const std::string& text) {
+  int out = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  DC_REQUIRE(!text.empty() && ec == std::errc() && ptr == last,
+             what + " must be a base-10 integer, got '" + text + "'");
+  return out;
+}
 
 /// DELTACOL_NET_TIMEOUT_MS (read once per transport, at construction):
 /// <= 0 / unset = wait forever (the original behavior).
 int net_timeout_from_env() {
   const char* s = std::getenv("DELTACOL_NET_TIMEOUT_MS");
   if (s == nullptr) return 0;
-  const int ms = std::atoi(s);
+  const int ms = parse_int("DELTACOL_NET_TIMEOUT_MS", s);
   return ms > 0 ? ms : 0;
-}
-
-/// Owned-exchange frame payload: tag, u32 sender, u32 seq, u32 destination
-/// rank, u32 world, world×u64 sent-message counts (the sender's tally row),
-/// world×u64 sent wire bits, u32 payload length + the sender's edge frame
-/// for dest (net/wire_codec.h). The tally rows ride along so every rank
-/// reassembles the full S×S counters without a second collective.
-constexpr std::int64_t owned_frame_header_bytes(int world) {
-  return 5 * 4 + static_cast<std::int64_t>(world) * 16 + 4;
-}
-
-WireBuf encode_owned_frame(int sender, std::uint32_t seq, int dest, int world,
-                           const std::vector<std::int64_t>& row_counts,
-                           const std::vector<std::int64_t>& row_bits,
-                           const WireBuf& slot) {
-  WireWriter w;
-  w.put_u32(kOwnedMagic);
-  w.put_u32(static_cast<std::uint32_t>(sender));
-  w.put_u32(seq);
-  w.put_u32(static_cast<std::uint32_t>(dest));
-  w.put_u32(static_cast<std::uint32_t>(world));
-  for (std::int64_t c : row_counts) w.put_u64(static_cast<std::uint64_t>(c));
-  for (std::int64_t b : row_bits) w.put_u64(static_cast<std::uint64_t>(b));
-  w.put_u32(static_cast<std::uint32_t>(slot.size()));
-  for (std::uint8_t b : slot) w.put_u8(b);
-  return w.take();
-}
-
-struct OwnedFrame {
-  std::vector<std::int64_t> row_counts;
-  std::vector<std::int64_t> row_bits;
-  WireBuf slot;
-};
-
-OwnedFrame decode_owned_frame(const WireBuf& payload, int expect_sender,
-                              std::uint32_t expect_seq, int expect_dest,
-                              int expect_world) {
-  WireReader r(payload);
-  const std::uint32_t magic = r.get_u32();
-  if (magic != kOwnedMagic) {
-    throw WireError("owner-routed frame has tag " + std::to_string(magic) +
-                    " — peer rank " + std::to_string(expect_sender) +
-                    " is running a different collective");
-  }
-  const std::uint32_t sender = r.get_u32();
-  const std::uint32_t seq = r.get_u32();
-  const std::uint32_t dest = r.get_u32();
-  const std::uint32_t world = r.get_u32();
-  if (sender != static_cast<std::uint32_t>(expect_sender)) {
-    throw WireError("owner-routed frame from rank " + std::to_string(sender) +
-                    " arrived on the connection to rank " +
-                    std::to_string(expect_sender));
-  }
-  if (seq != expect_seq) {
-    throw WireError("rank " + std::to_string(expect_sender) +
-                    " is out of step: owner-routed frame seq " +
-                    std::to_string(seq) + " != expected " +
-                    std::to_string(expect_seq));
-  }
-  if (dest != static_cast<std::uint32_t>(expect_dest)) {
-    throw WireError("owner-routed frame addressed to rank " +
-                    std::to_string(dest) + " delivered to rank " +
-                    std::to_string(expect_dest));
-  }
-  if (world != static_cast<std::uint32_t>(expect_world)) {
-    throw WireError("owner-routed frame carries a row for a world of " +
-                    std::to_string(world) + ", expected " +
-                    std::to_string(expect_world));
-  }
-  OwnedFrame out;
-  out.row_counts.resize(world);
-  out.row_bits.resize(world);
-  for (std::uint32_t d = 0; d < world; ++d) {
-    out.row_counts[d] = static_cast<std::int64_t>(r.get_u64());
-  }
-  for (std::uint32_t d = 0; d < world; ++d) {
-    out.row_bits[d] = static_cast<std::int64_t>(r.get_u64());
-  }
-  const std::uint32_t len = r.get_u32();
-  if (len != r.remaining()) {
-    throw WireError("owner-routed frame slot length disagrees with the frame");
-  }
-  out.slot.resize(len);
-  for (std::uint32_t i = 0; i < len; ++i) out.slot[i] = r.get_u8();
-  return out;
 }
 
 void set_nodelay(int fd) {
@@ -206,12 +167,8 @@ std::vector<std::pair<std::string, int>> NetConfig::parse_endpoints(
                    colon + 1 < item.size(),
                "endpoint must be host:port, got '" + item + "'");
     const std::string host = item.substr(0, colon);
-    int port = 0;
-    try {
-      port = std::stoi(item.substr(colon + 1));
-    } catch (const std::exception&) {
-      port = -1;
-    }
+    const int port = parse_int("the port in endpoint '" + item + "'",
+                               item.substr(colon + 1));
     DC_REQUIRE(port > 0 && port < 65536,
                "endpoint port out of range in '" + item + "'");
     out.emplace_back(host, port);
@@ -238,12 +195,13 @@ std::optional<NetConfig> NetConfig::from_env() {
   DC_REQUIRE(rank_s != nullptr && world_s != nullptr,
              "DELTACOL_RANK and DELTACOL_WORLD must be set together");
   NetConfig cfg;
-  cfg.rank = std::atoi(rank_s);
-  cfg.world = std::atoi(world_s);
+  cfg.rank = parse_int("DELTACOL_RANK", rank_s);
+  cfg.world = parse_int("DELTACOL_WORLD", world_s);
   if (const char* eps = std::getenv("DELTACOL_ENDPOINTS")) {
     cfg.endpoints = parse_endpoints(eps);
   } else if (const char* base = std::getenv("DELTACOL_PORT_BASE")) {
-    cfg.endpoints = localhost_endpoints(cfg.world, std::atoi(base));
+    cfg.endpoints =
+        localhost_endpoints(cfg.world, parse_int("DELTACOL_PORT_BASE", base));
   } else {
     DC_REQUIRE(false,
                "set DELTACOL_ENDPOINTS (host:port,...) or DELTACOL_PORT_BASE");
@@ -351,14 +309,71 @@ void SocketTransport::close_all() {
   }
 }
 
-std::vector<std::uint8_t> SocketTransport::read_frame_from(int peer) {
-  try {
-    return read_frame(fds_[static_cast<std::size_t>(peer)], net_timeout_ms_);
-  } catch (const WireError& e) {
-    throw WireError("rank " + std::to_string(rank_) +
-                    ": reading from rank " + std::to_string(peer) + ": " +
-                    e.what());
+void SocketTransport::all_to_all(
+    std::uint32_t tag, const std::vector<WireBuf>& bodies,
+    const std::function<void(int, Body)>& on_body) {
+  // Frame every body up front on the calling thread (the counters are not
+  // thread-safe).
+  std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
+  for (int p = 0; p < world_; ++p) {
+    if (p == rank_) continue;
+    const WireBuf& body = bodies[static_cast<std::size_t>(p)];
+    WireWriter header;
+    header.put_u32(tag);
+    header.put_u32(static_cast<std::uint32_t>(rank_));
+    header.put_u32(seq_);
+    WireBuf& frame = frames[static_cast<std::size_t>(p)];
+    frame = header.take();
+    frame.insert(frame.end(), body.begin(), body.end());
+    bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
+    ++frames_sent_;
   }
+
+  // One writer thread per peer pushes that peer's frame while this thread
+  // reads the peers in rank order — everyone sends and receives
+  // concurrently, so no pair of ranks can deadlock on full TCP buffers, and
+  // slow peers overlap instead of serializing.
+  std::vector<std::thread> writers;
+  writers.reserve(static_cast<std::size_t>(world_ - 1));
+  std::vector<std::exception_ptr> write_errors(
+      static_cast<std::size_t>(world_));
+  for (int p = 0; p < world_; ++p) {
+    if (p == rank_) continue;
+    writers.emplace_back([this, p, &frames, &write_errors] {
+      try {
+        write_frame(fds_[static_cast<std::size_t>(p)],
+                    frames[static_cast<std::size_t>(p)]);
+      } catch (...) {
+        write_errors[static_cast<std::size_t>(p)] = std::current_exception();
+      }
+    });
+  }
+  std::exception_ptr read_error;
+  try {
+    for (int p = 0; p < world_; ++p) {
+      if (p == rank_) continue;
+      try {
+        const WireBuf frame =
+            read_frame(fds_[static_cast<std::size_t>(p)], net_timeout_ms_);
+        bytes_received_ +=
+            static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
+        check_header(frame, tag, p, seq_);
+        on_body(p, Body(frame).subspan(kHeaderBytes));
+      } catch (const WireError& e) {
+        throw WireError("rank " + std::to_string(rank_) +
+                        ": reading from rank " + std::to_string(p) + ": " +
+                        e.what());
+      }
+    }
+  } catch (...) {
+    read_error = std::current_exception();
+  }
+  for (std::thread& w : writers) w.join();
+  if (read_error) std::rethrow_exception(read_error);
+  for (const std::exception_ptr& e : write_errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  ++seq_;
 }
 
 Transport::OwnedExchange SocketTransport::exchange_owned(
@@ -372,113 +387,96 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
   DC_REQUIRE(to_peers[static_cast<std::size_t>(rank_)].empty(),
              "owner-routed exchange: the local slot never crosses the wire");
 
+  // Body: u32 destination rank, u32 world, world×u64 sent-message counts
+  // (this rank's tally row), world×u64 sent wire bits, u32 slot length + the
+  // edge frame for the destination (net/wire_codec.h). The tally rows ride
+  // along so every rank reassembles the full S×S counters without a second
+  // collective.
+  std::vector<WireBuf> bodies(static_cast<std::size_t>(world_));
+  for (int d = 0; d < world_; ++d) {
+    if (d == rank_) continue;
+    const WireBuf& slot = to_peers[static_cast<std::size_t>(d)];
+    WireWriter w;
+    w.put_u32(static_cast<std::uint32_t>(d));
+    w.put_u32(static_cast<std::uint32_t>(world_));
+    for (std::int64_t c : row_counts) w.put_u64(static_cast<std::uint64_t>(c));
+    for (std::int64_t b : row_bits) w.put_u64(static_cast<std::uint64_t>(b));
+    w.put_u32(static_cast<std::uint32_t>(slot.size()));
+    WireBuf& body = bodies[static_cast<std::size_t>(d)];
+    body = w.take();
+    body.insert(body.end(), slot.begin(), slot.end());
+    cross_payload_bytes_ += static_cast<std::int64_t>(slot.size());
+  }
+
   OwnedExchange out;
   out.slots.resize(static_cast<std::size_t>(world_));
   out.slot_counts.assign(
       static_cast<std::size_t>(world_) * static_cast<std::size_t>(world_), 0);
   out.slot_bits.assign(out.slot_counts.size(), 0);
+  const auto row_at = [this](int s, int d) {
+    return static_cast<std::size_t>(s) * static_cast<std::size_t>(world_) +
+           static_cast<std::size_t>(d);
+  };
   for (int d = 0; d < world_; ++d) {
-    const std::size_t idx = static_cast<std::size_t>(rank_) *
-                                static_cast<std::size_t>(world_) +
-                            static_cast<std::size_t>(d);
-    out.slot_counts[idx] = row_counts[static_cast<std::size_t>(d)];
-    out.slot_bits[idx] = row_bits[static_cast<std::size_t>(d)];
+    out.slot_counts[row_at(rank_, d)] = row_counts[static_cast<std::size_t>(d)];
+    out.slot_bits[row_at(rank_, d)] = row_bits[static_cast<std::size_t>(d)];
   }
-
-  // Encode every frame up front on the calling thread (counters are not
-  // thread-safe), asserting per frame that the edge-frame payload is exactly
-  // the bytes the cross_payload_bytes counter records.
-  const std::int64_t header = owned_frame_header_bytes(world_);
-  std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
-  for (int d = 0; d < world_; ++d) {
-    if (d == rank_) continue;
-    const WireBuf& slot = to_peers[static_cast<std::size_t>(d)];
-    frames[static_cast<std::size_t>(d)] =
-        encode_owned_frame(rank_, seq_, d, world_, row_counts, row_bits, slot);
-    DC_ENSURE(static_cast<std::int64_t>(
-                  frames[static_cast<std::size_t>(d)].size()) ==
-                  header + static_cast<std::int64_t>(slot.size()),
-              "owner-routed frame size disagrees with its slot payload");
-    cross_payload_bytes_ += static_cast<std::int64_t>(slot.size());
-    bytes_sent_ += static_cast<std::int64_t>(
-                       frames[static_cast<std::size_t>(d)].size()) +
-                   kFramePrefixBytes;
-    ++frames_sent_;
-  }
-
-  // One writer thread per peer pushes that peer's frame while this thread
-  // reads the peers in rank order — everyone sends and receives
-  // concurrently, so no pair of ranks can deadlock on full TCP buffers, and
-  // slow peers overlap instead of serializing.
-  std::vector<std::thread> writers;
-  writers.reserve(static_cast<std::size_t>(world_ - 1));
-  std::vector<std::exception_ptr> write_errors(
-      static_cast<std::size_t>(world_));
-  for (int d = 0; d < world_; ++d) {
-    if (d == rank_) continue;
-    writers.emplace_back([this, d, &frames, &write_errors] {
-      try {
-        write_frame(fds_[static_cast<std::size_t>(d)],
-                    frames[static_cast<std::size_t>(d)]);
-      } catch (...) {
-        write_errors[static_cast<std::size_t>(d)] = std::current_exception();
-      }
-    });
-  }
-  std::exception_ptr read_error;
-  try {
-    for (int s = 0; s < world_; ++s) {
-      if (s == rank_) continue;
-      const WireBuf frame = read_frame_from(s);
-      bytes_received_ +=
-          static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-      OwnedFrame decoded = decode_owned_frame(frame, s, seq_, rank_, world_);
-      for (int d = 0; d < world_; ++d) {
-        const std::size_t idx = static_cast<std::size_t>(s) *
-                                    static_cast<std::size_t>(world_) +
-                                static_cast<std::size_t>(d);
-        out.slot_counts[idx] = decoded.row_counts[static_cast<std::size_t>(d)];
-        out.slot_bits[idx] = decoded.row_bits[static_cast<std::size_t>(d)];
-      }
-      out.slots[static_cast<std::size_t>(s)] = std::move(decoded.slot);
+  all_to_all(kOwnedMagic, bodies, [&](int s, Body body) {
+    WireReader r(body.data(), body.size());
+    const std::uint32_t dest = r.get_u32();
+    const std::uint32_t world = r.get_u32();
+    if (dest != static_cast<std::uint32_t>(rank_)) {
+      throw WireError("destination check failed: the frame is addressed to "
+                      "rank " + std::to_string(dest));
     }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  for (std::thread& w : writers) w.join();
-  if (read_error) std::rethrow_exception(read_error);
-  for (const std::exception_ptr& e : write_errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  ++seq_;
+    if (world != static_cast<std::uint32_t>(world_)) {
+      throw WireError("world check failed: the frame carries a world of " +
+                      std::to_string(world) + ", expected " +
+                      std::to_string(world_));
+    }
+    for (int d = 0; d < world_; ++d) {
+      out.slot_counts[row_at(s, d)] = static_cast<std::int64_t>(r.get_u64());
+    }
+    for (int d = 0; d < world_; ++d) {
+      out.slot_bits[row_at(s, d)] = static_cast<std::int64_t>(r.get_u64());
+    }
+    const std::uint32_t len = r.get_u32();
+    if (len != r.remaining()) {
+      throw WireError("length check failed: slot length " +
+                      std::to_string(len) + ", " +
+                      std::to_string(r.remaining()) + " bytes follow");
+    }
+    out.slots[static_cast<std::size_t>(s)].assign(body.end() - len, body.end());
+  });
   return out;
 }
 
-// Small all-to-all of one u64 per rank, folded in ascending rank order
-// including our own — every rank computes the identical result. Shares the
-// sequence counter with the exchanges so collective drift is caught.
-std::int64_t SocketTransport::allreduce_sum(std::int64_t value) {
-  std::int64_t acc = 0;
-  const auto fold = [&acc](std::int64_t x) { acc += x; };
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) {
-      fold(value);
-      continue;
+std::vector<std::int64_t> SocketTransport::all_values(std::int64_t value) {
+  WireWriter w;
+  w.put_u64(static_cast<std::uint64_t>(value));
+  std::vector<WireBuf> bodies(static_cast<std::size_t>(world_), w.take());
+  bodies[static_cast<std::size_t>(rank_)].clear();
+  std::vector<std::int64_t> out(static_cast<std::size_t>(world_), value);
+  all_to_all(kReduceMagic, bodies, [&out](int s, Body body) {
+    WireReader r(body.data(), body.size());
+    out[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(r.get_u64());
+    if (!r.done()) {
+      throw WireError("length check failed: trailing bytes after the value");
     }
-    fold(exchange_reduce_value(r, value));
-  }
-  ++seq_;
-  return acc;
+  });
+  return out;
+}
+
+// Both folds run over every rank's value in rank order, so every rank
+// computes the identical result.
+std::int64_t SocketTransport::allreduce_sum(std::int64_t value) {
+  const std::vector<std::int64_t> v = all_values(value);
+  return std::accumulate(v.begin(), v.end(), std::int64_t{0});
 }
 
 std::int64_t SocketTransport::allreduce_max(std::int64_t value) {
-  std::int64_t acc = value;
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    acc = std::max(acc, exchange_reduce_value(r, value));
-  }
-  ++seq_;
-  return acc;
+  const std::vector<std::int64_t> v = all_values(value);
+  return *std::max_element(v.begin(), v.end());
 }
 
 void SocketTransport::gather_colors(const VertexPartition& part,
@@ -489,117 +487,32 @@ void SocketTransport::gather_colors(const VertexPartition& part,
              "gather_colors: value array does not span the partition");
   if (world_ == 1) return;
 
-  // Frame: tag, sender, seq, u32 owned count, count×u32 values in owned
-  // order (ascending original id — graph/partition.h). Identical frame to
-  // every peer, so one writer thread suffices.
+  // Body: u32 owned count, count×u32 values in owned order (ascending
+  // original id — graph/partition.h). The same body goes to every peer.
   WireWriter w;
-  w.put_u32(kGatherMagic);
-  w.put_u32(static_cast<std::uint32_t>(rank_));
-  w.put_u32(seq_);
   const int owned = part.size(rank_);
   w.put_u32(static_cast<std::uint32_t>(owned));
   for (int i = 0; i < owned; ++i) {
     w.put_u32(static_cast<std::uint32_t>(
         values[static_cast<std::size_t>(part.owned_vertex(rank_, i))]));
   }
-  const WireBuf frame = w.take();
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-    ++frames_sent_;
-  }
-  std::exception_ptr write_error;
-  std::thread writer([&] {
-    try {
-      for (int r = 0; r < world_; ++r) {
-        if (r == rank_) continue;
-        write_frame(fds_[static_cast<std::size_t>(r)], frame);
-      }
-    } catch (...) {
-      write_error = std::current_exception();
+  std::vector<WireBuf> bodies(static_cast<std::size_t>(world_), w.take());
+  bodies[static_cast<std::size_t>(rank_)].clear();
+  all_to_all(kGatherMagic, bodies, [&](int s, Body body) {
+    WireReader r(body.data(), body.size());
+    const std::uint32_t count = r.get_u32();
+    if (count != static_cast<std::uint32_t>(part.size(s))) {
+      throw WireError("count check failed: " + std::to_string(count) +
+                      " values, the rank owns " + std::to_string(part.size(s)));
+    }
+    for (int i = 0; i < part.size(s); ++i) {
+      values[static_cast<std::size_t>(part.owned_vertex(s, i))] =
+          static_cast<int>(r.get_u32());
+    }
+    if (!r.done()) {
+      throw WireError("length check failed: trailing bytes after the values");
     }
   });
-  std::exception_ptr read_error;
-  try {
-    for (int s = 0; s < world_; ++s) {
-      if (s == rank_) continue;
-      const WireBuf in = read_frame_from(s);
-      bytes_received_ +=
-          static_cast<std::int64_t>(in.size()) + kFramePrefixBytes;
-      WireReader r(in);
-      const std::uint32_t magic = r.get_u32();
-      const std::uint32_t sender = r.get_u32();
-      const std::uint32_t seq = r.get_u32();
-      const std::uint32_t count = r.get_u32();
-      if (magic != kGatherMagic ||
-          sender != static_cast<std::uint32_t>(s) || seq != seq_ ||
-          count != static_cast<std::uint32_t>(part.size(s))) {
-        throw WireError("gather_colors: malformed frame from rank " +
-                        std::to_string(s));
-      }
-      for (std::uint32_t i = 0; i < count; ++i) {
-        values[static_cast<std::size_t>(
-            part.owned_vertex(s, static_cast<int>(i)))] =
-            static_cast<int>(r.get_u32());
-      }
-      if (!r.done()) {
-        throw WireError("gather_colors: trailing bytes from rank " +
-                        std::to_string(s));
-      }
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  writer.join();
-  if (read_error) std::rethrow_exception(read_error);
-  if (write_error) std::rethrow_exception(write_error);
-  ++seq_;
-}
-
-// One round of the reduce all-to-all against a single peer: send our value,
-// read theirs (both 24-byte frames; the deterministic folds above never
-// depend on arrival order because every pairwise exchange is synchronous).
-std::int64_t SocketTransport::exchange_reduce_value(int peer,
-                                                    std::int64_t value) {
-  WireWriter w;
-  w.put_u32(kReduceMagic);
-  w.put_u32(static_cast<std::uint32_t>(rank_));
-  w.put_u32(seq_);
-  w.put_u64(static_cast<std::uint64_t>(value));
-  const WireBuf frame = w.take();
-  bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
-  ++frames_sent_;
-  std::exception_ptr write_error;
-  std::thread writer([&] {
-    try {
-      write_frame(fds_[static_cast<std::size_t>(peer)], frame);
-    } catch (...) {
-      write_error = std::current_exception();
-    }
-  });
-  std::int64_t peer_value = 0;
-  std::exception_ptr read_error;
-  try {
-    const WireBuf in = read_frame_from(peer);
-    bytes_received_ += static_cast<std::int64_t>(in.size()) + kFramePrefixBytes;
-    WireReader r(in);
-    const std::uint32_t magic = r.get_u32();
-    const std::uint32_t sender = r.get_u32();
-    const std::uint32_t seq = r.get_u32();
-    peer_value = static_cast<std::int64_t>(r.get_u64());
-    if (magic != kReduceMagic ||
-        sender != static_cast<std::uint32_t>(peer) || seq != seq_ ||
-        !r.done()) {
-      throw WireError("allreduce: malformed frame from rank " +
-                      std::to_string(peer));
-    }
-  } catch (...) {
-    read_error = std::current_exception();
-  }
-  writer.join();
-  if (read_error) std::rethrow_exception(read_error);
-  if (write_error) std::rethrow_exception(write_error);
-  return peer_value;
 }
 
 }  // namespace deltacol

@@ -7,24 +7,26 @@
 ///
 ///   * `local_shard()` is this process's rank; the other ranks' vertices
 ///     live in the other processes.
-///   * `exchange_owned()` moves one engine round: one frame per peer
-///     carrying ONLY the edge frame addressed to that peer (plus this
-///     rank's tally row, so every rank reassembles the full S×S counters),
-///     written by per-peer writer threads while this thread reads the peers
-///     in rank order. Frames carry a tag and a sequence number, so a rank
-///     that drifted a round (or a collective) out of step fails loudly
-///     instead of delivering stale messages.
-///   * `allreduce_sum()` / `allreduce_max()` / `gather_colors()` are the
-///     small deterministic collectives a distributed run needs for
-///     termination tests, the CONGEST max fold, and the end-of-run result
-///     gather. `barrier()` is an `allreduce_sum(0)`.
+///   * Every collective is one lockstep step (`all_to_all`): each rank sends
+///     every peer one frame, on a writer thread per peer, while it reads the
+///     peers in rank order. Each frame leads with a (tag, sender, seq)
+///     header, checked on receipt, so a rank that drifted a round or runs a
+///     different collective fails with a WireError naming the peer and the
+///     failed check instead of delivering stale messages.
+///   * `exchange_owned()` moves one engine round: each peer gets ONLY the
+///     edge frame addressed to it, plus this rank's tally row so every rank
+///     reassembles the full S×S counters. `allreduce_sum()` /
+///     `allreduce_max()` / `gather_colors()` serve termination tests, the
+///     CONGEST max fold and the end-of-run result gather; `barrier()` is an
+///     `allreduce_sum(0)`.
 ///
 /// **Hardening** (multi-machine runs): DELTACOL_NET_TIMEOUT_MS, read at
 /// construction, bounds the rendezvous (connect retry budget AND the accept
 /// wait for peers that never dial) and every per-frame read — a silent or
 /// absent peer surfaces as a WireError naming the peer rank instead of
 /// hanging this rank forever. Unset or <= 0 keeps the original behavior
-/// (20 s connect budget, block-forever reads).
+/// (20 s connect budget, block-forever reads); a value that is not a whole
+/// integer throws ContractViolation.
 ///
 /// **Rendezvous.** Every rank knows the full host:port list (`NetConfig`,
 /// parsed from flags or the DELTACOL_RANK / DELTACOL_WORLD /
@@ -43,7 +45,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,8 +75,9 @@ struct NetConfig {
 
   /// Reads DELTACOL_RANK, DELTACOL_WORLD and DELTACOL_ENDPOINTS (or
   /// DELTACOL_PORT_BASE for an all-localhost cluster). Returns nullopt when
-  /// the variables are absent; throws ContractViolation when they are
-  /// present but inconsistent.
+  /// the variables are absent; throws ContractViolation, naming the
+  /// variable, when a number is not a whole base-10 integer or the values
+  /// are inconsistent.
   static std::optional<NetConfig> from_env();
 
   /// Validates rank/world/endpoint consistency (throws ContractViolation).
@@ -137,24 +142,27 @@ class SocketTransport final : public Transport {
   std::int64_t frames_sent() const { return frames_sent_; }
 
   /// Edge-frame payload bytes sent to *other* ranks across all exchanges —
-  /// the measured cross-shard payload (exchange_owned asserts per frame
-  /// that frame size = header + this payload), the number bench_e18
-  /// reports as the locality win.
+  /// the measured cross-shard payload, the number bench_e18 reports as the
+  /// locality win.
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:
-  /// read_frame with this transport's timeout, rethrowing WireError with
-  /// the peer rank named (the hardening contract).
-  std::vector<std::uint8_t> read_frame_from(int peer);
-  /// One pairwise leg of an allreduce: send our value to `peer`, return
-  /// theirs (synchronous, sequence-validated).
-  std::int64_t exchange_reduce_value(int peer, std::int64_t value);
+  /// The one collective step (see the file comment): frames `bodies[p]` to
+  /// every peer p, then hands each peer's body to `on_body(p, body)` in rank
+  /// order, as a view valid during the call. A WireError on a peer's frame
+  /// — I/O, header or body check — comes back naming both ranks, a read
+  /// error before a write error. Ticks seq_ once.
+  void all_to_all(
+      std::uint32_t tag, const std::vector<std::vector<std::uint8_t>>& bodies,
+      const std::function<void(int, std::span<const std::uint8_t>)>& on_body);
+  /// Every rank's `value`, indexed by rank: the allreduce step.
+  std::vector<std::int64_t> all_values(std::int64_t value);
   void close_all();
 
   int rank_ = -1;
   int world_ = 0;
   std::vector<int> fds_;  // per peer rank, -1 at rank_
-  std::uint32_t seq_ = 0;
+  std::uint32_t seq_ = 0;  // collectives completed; every frame carries it
   int net_timeout_ms_ = 0;  // DELTACOL_NET_TIMEOUT_MS; 0 = wait forever
   std::int64_t bytes_sent_ = 0;
   std::int64_t bytes_received_ = 0;

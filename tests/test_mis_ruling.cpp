@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 
-#include "coloring/linial.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "mis/luby_sync.h"
@@ -29,18 +28,6 @@ TEST_P(MisTest, LubyProducesMis) {
   const auto mis = luby_mis(g, rng, ledger, "mis");
   EXPECT_TRUE(is_mis(g, mis));
   EXPECT_GT(ledger.total(), 0);
-}
-
-TEST_P(MisTest, ColoringSweepProducesMis) {
-  const auto [n, d, seed] = GetParam();
-  Rng gen(static_cast<std::uint64_t>(seed) * 17 + 5);
-  const Graph g = random_regular(n, d, gen);
-  RoundLedger tmp, ledger;
-  const auto lin = linial_coloring(g, tmp);
-  const auto mis =
-      mis_from_coloring(g, lin.coloring, lin.num_colors, ledger, "mis");
-  EXPECT_TRUE(is_mis(g, mis));
-  EXPECT_EQ(ledger.total(), lin.num_colors);
 }
 
 INSTANTIATE_TEST_SUITE_P(

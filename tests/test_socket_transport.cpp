@@ -1,8 +1,10 @@
 // The distributed socket backend (net/): framing over real fds including
-// torn-frame / short-read / oversize injection, NetConfig rendezvous
-// parsing, the SocketTransport exchange primitive and barrier, per-rank
-// slice loading + halo exchange over the wire, peer loss and silent peers
-// surfacing as a WireError naming the rank, and the headline differential:
+// torn-frame / short-read / oversize injection, strict NetConfig rendezvous
+// parsing, the SocketTransport exchange primitive and barrier, the wire
+// invariants every collective checks (header tag, sender and seq; owned
+// destination and world), per-rank slice loading + halo exchange over the
+// wire, peer loss and silent peers surfacing as a WireError naming the
+// rank, and the headline differential:
 // Luby's MIS on the message-passing engine over a 2-rank socket cluster is
 // bit-identical — colorings, ledgers, and byte counters — to the
 // InProcessTransport at S=2, for every zoo workload under LOCAL and
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -94,6 +97,16 @@ void run_ranks(int world, Body body) {
     if (e) std::rethrow_exception(e);
   }
 }
+
+// Restores (unsets) an environment variable on scope exit, so a test that
+// fails mid-way cannot leak its value into later tests.
+struct EnvGuard {
+  std::string name;
+  EnvGuard(const std::string& n, const std::string& value) : name(n) {
+    ::setenv(name.c_str(), value.c_str(), 1);
+  }
+  ~EnvGuard() { ::unsetenv(name.c_str()); }
+};
 
 // --- framing over real fds -------------------------------------------------
 
@@ -191,6 +204,8 @@ TEST(NetConfig, ParsesEndpointLists) {
   EXPECT_THROW(NetConfig::parse_endpoints(":80"), ContractViolation);
   EXPECT_THROW(NetConfig::parse_endpoints("host:notaport"), ContractViolation);
   EXPECT_THROW(NetConfig::parse_endpoints("host:99999"), ContractViolation);
+  EXPECT_THROW(NetConfig::parse_endpoints("127.0.0.1:80x"), ContractViolation);
+  EXPECT_THROW(NetConfig::parse_endpoints("host: 80"), ContractViolation);
 }
 
 TEST(NetConfig, LocalhostEndpointsAndValidation) {
@@ -234,6 +249,46 @@ TEST(NetConfig, FromEnvRoundTrip) {
   ASSERT_EQ(::unsetenv("DELTACOL_RANK"), 0);
   ASSERT_EQ(::unsetenv("DELTACOL_PORT_BASE"), 0);
   EXPECT_FALSE(NetConfig::from_env().has_value());
+}
+
+// Every number in the cluster config is a whole base-10 integer: "abc" is
+// not rank 0, "2x" is not world 2, and "5s" is not a 5 ms timeout. The
+// error names the variable and the value.
+TEST(NetConfig, NonIntegerValuesAreRejectedNamingTheVariable) {
+  const auto expect_rejected = [](const std::string& var,
+                                  const std::string& value, auto make) {
+    EnvGuard guard(var, value);
+    try {
+      make();
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(var), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+    }
+  };
+  EnvGuard endpoints("DELTACOL_ENDPOINTS", "127.0.0.1:7000,127.0.0.1:7001");
+  {
+    EnvGuard world("DELTACOL_WORLD", "2");
+    expect_rejected("DELTACOL_RANK", "abc", [] { NetConfig::from_env(); });
+    expect_rejected("DELTACOL_RANK", "", [] { NetConfig::from_env(); });
+  }
+  EnvGuard rank("DELTACOL_RANK", "1");
+  expect_rejected("DELTACOL_WORLD", "2x", [] { NetConfig::from_env(); });
+  {
+    EnvGuard world("DELTACOL_WORLD", "2");
+    ASSERT_EQ(::unsetenv("DELTACOL_ENDPOINTS"), 0);
+    expect_rejected("DELTACOL_PORT_BASE", "6100x",
+                    [] { NetConfig::from_env(); });
+  }
+  // The timeout is read when a transport is built.
+  for (const std::string value : {"5s", "abc"}) {
+    FdPair fds;
+    expect_rejected("DELTACOL_NET_TIMEOUT_MS", value, [&] {
+      SocketTransport t(0, 2, std::vector<int>{-1, fds.a});
+    });
+    fds.close_remaining();  // a throwing constructor owns nothing
+  }
 }
 
 // --- the local shard and the barrier ---------------------------------------
@@ -311,16 +366,6 @@ TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {
 
 // --- the exchange primitive --------------------------------------------------
 
-// Restores (unsets) an environment variable on scope exit, so a test that
-// fails mid-way cannot leak its timeout into later tests.
-struct EnvGuard {
-  std::string name;
-  EnvGuard(const std::string& n, const std::string& value) : name(n) {
-    ::setenv(name.c_str(), value.c_str(), 1);
-  }
-  ~EnvGuard() { ::unsetenv(name.c_str()); }
-};
-
 TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   auto [t0, t1] = loopback_pair();
   std::vector<Transport::OwnedExchange> got(2);
@@ -359,6 +404,155 @@ TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   bad[0] = {1};
   EXPECT_THROW(t0->exchange_owned(std::move(bad), {0, 0}, {0, 0}),
                ContractViolation);
+}
+
+// --- wire invariants: the frame header and the owned body -----------------
+//
+// Rank 0 is a real transport; the test plays rank 1 through the raw other
+// end of the socketpair, writing hand-built frames. Rank 0's own frames fit
+// in the socket buffer, so nobody has to drain them.
+
+// The collective tags and frame layout of net/socket_transport.cpp: a
+// (tag, sender, seq) header of three u32, then the collective's body.
+constexpr std::uint32_t kOwnedTag = 0xDC0Eu;
+constexpr std::uint32_t kReduceTag = 0xDC0Fu;
+constexpr std::uint32_t kGatherTag = 0xDC10u;
+
+WireBuf frame_of(std::uint32_t tag, std::uint32_t sender, std::uint32_t seq,
+                 const WireBuf& body) {
+  WireWriter w;
+  w.put_u32(tag);
+  w.put_u32(sender);
+  w.put_u32(seq);
+  WireBuf frame = w.take();
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+WireBuf reduce_body(std::int64_t value) {
+  WireWriter w;
+  w.put_u64(static_cast<std::uint64_t>(value));
+  return w.take();
+}
+
+// An owned-exchange body with an empty slot and zero tallies for a 2-rank
+// world, addressed to `dest` and claiming a world of `world`.
+WireBuf owned_body(std::uint32_t dest, std::uint32_t world) {
+  WireWriter w;
+  w.put_u32(dest);
+  w.put_u32(world);
+  for (int i = 0; i < 4; ++i) w.put_u64(0);  // counts and bits rows
+  w.put_u32(0);                              // slot length
+  return w.take();
+}
+
+// Runs `call` on rank 0 and expects a WireError naming rank 1 and `check`.
+template <typename Call>
+void expect_wire_error(const std::string& label, const std::string& check,
+                       Call call) {
+  try {
+    call();
+    ADD_FAILURE() << label << ": no error";
+  } catch (const WireError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("from rank 1"), std::string::npos)
+        << label << ": " << what;
+    EXPECT_NE(what.find(check + " check"), std::string::npos)
+        << label << ": " << what;
+  }
+}
+
+TEST(SocketTransport, HeaderChecksNameThePeerAndTheCheck) {
+  const VertexPartition part = VertexPartition::contiguous(6, 2);
+  struct Collective {
+    std::string name;
+    std::uint32_t tag;
+    WireBuf body;  // what a well-behaved rank 1 sends
+    std::function<void(SocketTransport&)> run;
+  };
+  WireWriter gather;  // rank 1 owns 3 vertices
+  gather.put_u32(3);
+  for (int i = 0; i < 3; ++i) gather.put_u32(1);
+  const std::vector<Collective> collectives = {
+      {"barrier", kReduceTag, reduce_body(0),
+       [](SocketTransport& t) { t.barrier(); }},
+      {"allreduce_max", kReduceTag, reduce_body(9),
+       [](SocketTransport& t) { t.allreduce_max(5); }},
+      {"gather_colors", kGatherTag, gather.take(),
+       [&part](SocketTransport& t) {
+         std::vector<int> colors(6, 0);
+         t.gather_colors(part, colors);
+       }},
+      {"exchange_owned", kOwnedTag, owned_body(0, 2),
+       [](SocketTransport& t) { exchange_nothing(t); }},
+  };
+  struct Fault {
+    std::string check;
+    bool wrong_tag;
+    std::uint32_t sender;
+    std::uint32_t seq;
+  };
+  // Rank 0 completes one barrier first, so it expects seq 1 and a frame
+  // with seq 0 is a stale one from the step before.
+  const std::vector<Fault> faults = {
+      {"tag", true, 1, 1}, {"sender", false, 0, 1}, {"seq", false, 1, 0}};
+  for (const Collective& c : collectives) {
+    for (const Fault& f : faults) {
+      FdPair fds;
+      SocketTransport rank0(0, 2, std::vector<int>{-1, fds.a});
+      fds.a = -1;
+      write_frame(fds.b, frame_of(kReduceTag, 1, 0, reduce_body(0)));
+      rank0.barrier();
+      const std::uint32_t tag =
+          f.wrong_tag ? (c.tag == kGatherTag ? kReduceTag : kGatherTag)
+                      : c.tag;
+      write_frame(fds.b, frame_of(tag, f.sender, f.seq, c.body));
+      expect_wire_error(c.name + "/" + f.check, f.check,
+                        [&] { c.run(rank0); });
+      fds.close_remaining();
+    }
+  }
+}
+
+TEST(SocketTransport, ExchangeOwnedRejectsAnotherDestinationOrWorld) {
+  struct Fault {
+    std::string check;
+    std::uint32_t dest;
+    std::uint32_t world;
+  };
+  for (const Fault& f :
+       {Fault{"destination", 1, 2}, Fault{"world", 0, 3}}) {
+    FdPair fds;
+    SocketTransport rank0(0, 2, std::vector<int>{-1, fds.a});
+    fds.a = -1;
+    write_frame(fds.b, frame_of(kOwnedTag, 1, 0, owned_body(f.dest, f.world)));
+    expect_wire_error(f.check, f.check, [&] { exchange_nothing(rank0); });
+    fds.close_remaining();
+  }
+}
+
+// Two real ranks out of step by a whole collective: each reads the other's
+// frame, fails the tag check, and names the other rank.
+TEST(SocketTransport, RanksRunningDifferentCollectivesBothThrow) {
+  auto [t0, t1] = loopback_pair();
+  const VertexPartition part = VertexPartition::contiguous(6, 2);
+  std::vector<std::string> errors(2);
+  run_ranks(2, [&](int r) {
+    try {
+      if (r == 0) {
+        t0->allreduce_sum(1);
+      } else {
+        std::vector<int> colors(6, 0);
+        t1->gather_colors(part, colors);
+      }
+    } catch (const WireError& e) {
+      errors[static_cast<std::size_t>(r)] = e.what();
+    }
+  });
+  EXPECT_NE(errors[0].find("from rank 1"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[0].find("tag check"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[1].find("from rank 0"), std::string::npos) << errors[1];
+  EXPECT_NE(errors[1].find("tag check"), std::string::npos) << errors[1];
 }
 
 // --- multi-machine hardening (DELTACOL_NET_TIMEOUT_MS) ---------------------

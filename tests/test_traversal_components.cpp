@@ -37,22 +37,6 @@ TEST(Bfs, DisconnectedUnreachable) {
   EXPECT_EQ(d[5], kUnreachable);
 }
 
-TEST(Bfs, MultiSourceNearest) {
-  const Graph g = path_graph(10);
-  const auto ms = multi_source_bfs(g, {0, 9});
-  EXPECT_EQ(ms.dist[4], 4);
-  EXPECT_EQ(ms.source[4], 0);
-  EXPECT_EQ(ms.dist[6], 3);
-  EXPECT_EQ(ms.source[6], 9);
-}
-
-TEST(Bfs, MultiSourceTieBreaksTowardSmallerId) {
-  const Graph g = path_graph(5);
-  const auto ms = multi_source_bfs(g, {0, 4});
-  EXPECT_EQ(ms.dist[2], 2);
-  EXPECT_EQ(ms.source[2], 0);  // tie: prefer source 0
-}
-
 TEST(Bfs, BallContents) {
   const Graph g = grid_graph(5, 5, false);
   const auto b = ball(g, 12, 1);  // center of the grid

@@ -1,11 +1,9 @@
-// Unit tests for src/util: rng, math helpers, statistics, csv.
+// Unit tests for src/util: rng, math helpers, statistics.
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -175,20 +173,6 @@ TEST(Stats, LinearFitRecoversLine) {
   EXPECT_NEAR(fit.slope, 2.0, 1e-9);
   EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
   EXPECT_NEAR(fit.r2, 1.0, 1e-9);
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  std::ostringstream os;
-  CsvWriter w(os, {"a", "b"});
-  w.row({1.0, 2.5});
-  w.row(std::vector<std::string>{"x", "y"});
-  EXPECT_EQ(os.str(), "a,b\n1,2.5\nx,y\n");
-}
-
-TEST(Csv, RowWidthMismatchThrows) {
-  std::ostringstream os;
-  CsvWriter w(os, {"a", "b"});
-  EXPECT_THROW(w.row({1.0}), ContractViolation);
 }
 
 }  // namespace
