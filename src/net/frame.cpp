@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -7,7 +8,10 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
+
+#include "util/check.h"
 
 namespace deltacol {
 
@@ -19,24 +23,32 @@ using Deadline = std::chrono::steady_clock::time_point;
   throw WireError(std::string(what) + ": " + std::strerror(errno));
 }
 
-// write(2) raises SIGPIPE (fatal by default) when the peer has gone; send(2)
-// with MSG_NOSIGNAL turns that into EPIPE, which we surface as WireError.
-// Non-socket fds (the framing tests run over pipes too) fall back to write.
-std::ptrdiff_t write_some(int fd, const std::uint8_t* data, std::size_t n) {
-  std::ptrdiff_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-  if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
-  return w;
-}
-
-void write_all(int fd, const std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    const std::ptrdiff_t w = write_some(fd, data, n);
+// Writes the byte runs `iov[0, count)` whole, looping over partial writes
+// and EINTR. write(2) raises SIGPIPE (fatal by default) when the peer has
+// gone; sendmsg(2) with MSG_NOSIGNAL turns that into EPIPE, which we
+// surface as WireError. Non-socket fds (the framing tests run over pipes
+// too) fall back to writev.
+void write_all(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(count);
+    std::ptrdiff_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, iov, count);
     if (w < 0) {
       if (errno == EINTR) continue;
       io_fail("frame write failed");
     }
-    data += w;
-    n -= static_cast<std::size_t>(w);
+    auto done = static_cast<std::size_t>(w);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
 }
 
@@ -87,14 +99,30 @@ std::size_t read_upto(int fd, std::uint8_t* data, std::size_t n,
 }  // namespace
 
 void write_frame(int fd, const WireBuf& payload) {
+  write_frame_parts(fd, {payload});
+}
+
+void write_frame_parts(
+    int fd, std::initializer_list<std::span<const std::uint8_t>> parts) {
+  DC_REQUIRE(parts.size() <= kMaxFrameParts,
+             "write_frame_parts: more than kMaxFrameParts parts");
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  const std::uint32_t len = static_cast<std::uint32_t>(total);
   std::uint8_t prefix[4];
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   prefix[0] = static_cast<std::uint8_t>(len);
   prefix[1] = static_cast<std::uint8_t>(len >> 8);
   prefix[2] = static_cast<std::uint8_t>(len >> 16);
   prefix[3] = static_cast<std::uint8_t>(len >> 24);
-  write_all(fd, prefix, 4);
-  write_all(fd, payload.data(), payload.size());
+  std::array<iovec, kMaxFrameParts + 1> iov{};
+  iov[0] = {prefix, sizeof prefix};
+  int count = 1;
+  for (const auto& part : parts) {
+    // writev never writes through iov_base; the cast only drops const.
+    iov[static_cast<std::size_t>(count++)] = {
+        const_cast<std::uint8_t*>(part.data()), part.size()};
+  }
+  write_all(fd, iov.data(), count);
 }
 
 bool try_read_frame(int fd, WireBuf& out, int timeout_ms) {

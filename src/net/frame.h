@@ -15,7 +15,10 @@
 /// peer can make this process allocate.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 
 #include "net/wire_codec.h"
 
@@ -33,6 +36,13 @@ inline constexpr std::int64_t kFramePrefixBytes = 4;
 /// writes. Throws WireError on any I/O error (including a peer that closed
 /// the connection — SIGPIPE is suppressed).
 void write_frame(int fd, const WireBuf& payload);
+
+/// write_frame for a payload given as up to kMaxFrameParts byte runs, sent
+/// back to back with gathered writes: a bulk run goes out behind a small
+/// head without being copied next to it first.
+inline constexpr std::size_t kMaxFrameParts = 3;
+void write_frame_parts(int fd,
+                       std::initializer_list<std::span<const std::uint8_t>> parts);
 
 /// Reads one whole frame's payload, looping over partial reads. Throws
 /// WireError on a torn frame (EOF mid-frame), an oversized length prefix, or

@@ -40,9 +40,6 @@ constexpr std::uint32_t kGatherMagic = 0xDC10u;  // gather_colors
 /// Every collective frame leads with u32 tag, u32 sender rank, u32 seq.
 constexpr std::size_t kHeaderBytes = 12;
 
-/// A received frame's body: a view into the frame, valid during on_body.
-using Body = std::span<const std::uint8_t>;
-
 /// The wire invariants every collective frame must hold, checked once per
 /// received frame: it belongs to the collective this rank runs (tag), it
 /// comes from the rank at the other end of the connection (sender), and it
@@ -68,6 +65,11 @@ void check_header(const WireBuf& frame, std::uint32_t tag, int peer,
                     ", expected " + std::to_string(seq) +
                     " — the ranks are out of step");
   }
+}
+
+/// A reader over a checked frame's body, past the header.
+WireReader body_reader(const WireBuf& frame) {
+  return WireReader(frame.data() + kHeaderBytes, frame.size() - kHeaderBytes);
 }
 
 /// `text` as a whole base-10 integer — the rule examples/flag_parse.h
@@ -310,22 +312,22 @@ void SocketTransport::close_all() {
 }
 
 void SocketTransport::all_to_all(
-    std::uint32_t tag, const std::vector<WireBuf>& bodies,
-    const std::function<void(int, Body)>& on_body) {
-  // Frame every body up front on the calling thread (the counters are not
-  // thread-safe).
-  std::vector<WireBuf> frames(static_cast<std::size_t>(world_));
+    std::uint32_t tag, const std::vector<BodyParts>& bodies,
+    const std::function<void(int, WireBuf&)>& on_frame) {
+  // One header for every peer; each frame goes out as header + body parts
+  // in gathered writes, so no body is copied. Count on the calling thread
+  // (the counters are not thread-safe).
+  WireWriter w;
+  w.put_u32(tag);
+  w.put_u32(static_cast<std::uint32_t>(rank_));
+  w.put_u32(seq_);
+  const WireBuf header = w.take();
   for (int p = 0; p < world_; ++p) {
     if (p == rank_) continue;
-    const WireBuf& body = bodies[static_cast<std::size_t>(p)];
-    WireWriter header;
-    header.put_u32(tag);
-    header.put_u32(static_cast<std::uint32_t>(rank_));
-    header.put_u32(seq_);
-    WireBuf& frame = frames[static_cast<std::size_t>(p)];
-    frame = header.take();
-    frame.insert(frame.end(), body.begin(), body.end());
-    bytes_sent_ += static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
+    const BodyParts& body = bodies[static_cast<std::size_t>(p)];
+    bytes_sent_ += static_cast<std::int64_t>(header.size() + body[0].size() +
+                                             body[1].size()) +
+                   kFramePrefixBytes;
     ++frames_sent_;
   }
 
@@ -339,10 +341,11 @@ void SocketTransport::all_to_all(
       static_cast<std::size_t>(world_));
   for (int p = 0; p < world_; ++p) {
     if (p == rank_) continue;
-    writers.emplace_back([this, p, &frames, &write_errors] {
+    writers.emplace_back([this, p, &header, &bodies, &write_errors] {
       try {
-        write_frame(fds_[static_cast<std::size_t>(p)],
-                    frames[static_cast<std::size_t>(p)]);
+        const BodyParts& body = bodies[static_cast<std::size_t>(p)];
+        write_frame_parts(fds_[static_cast<std::size_t>(p)],
+                          {header, body[0], body[1]});
       } catch (...) {
         write_errors[static_cast<std::size_t>(p)] = std::current_exception();
       }
@@ -353,12 +356,12 @@ void SocketTransport::all_to_all(
     for (int p = 0; p < world_; ++p) {
       if (p == rank_) continue;
       try {
-        const WireBuf frame =
+        WireBuf frame =
             read_frame(fds_[static_cast<std::size_t>(p)], net_timeout_ms_);
         bytes_received_ +=
             static_cast<std::int64_t>(frame.size()) + kFramePrefixBytes;
         check_header(frame, tag, p, seq_);
-        on_body(p, Body(frame).subspan(kHeaderBytes));
+        on_frame(p, frame);
       } catch (const WireError& e) {
         throw WireError("rank " + std::to_string(rank_) +
                         ": reading from rank " + std::to_string(p) + ": " +
@@ -392,7 +395,9 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
   // edge frame for the destination (net/wire_codec.h). The tally rows ride
   // along so every rank reassembles the full S×S counters without a second
   // collective.
-  std::vector<WireBuf> bodies(static_cast<std::size_t>(world_));
+  // The slot goes out as the body's second part, uncopied.
+  std::vector<WireBuf> heads(static_cast<std::size_t>(world_));
+  std::vector<BodyParts> bodies(static_cast<std::size_t>(world_));
   for (int d = 0; d < world_; ++d) {
     if (d == rank_) continue;
     const WireBuf& slot = to_peers[static_cast<std::size_t>(d)];
@@ -402,9 +407,9 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
     for (std::int64_t c : row_counts) w.put_u64(static_cast<std::uint64_t>(c));
     for (std::int64_t b : row_bits) w.put_u64(static_cast<std::uint64_t>(b));
     w.put_u32(static_cast<std::uint32_t>(slot.size()));
-    WireBuf& body = bodies[static_cast<std::size_t>(d)];
-    body = w.take();
-    body.insert(body.end(), slot.begin(), slot.end());
+    heads[static_cast<std::size_t>(d)] = w.take();
+    bodies[static_cast<std::size_t>(d)] = {heads[static_cast<std::size_t>(d)],
+                                           slot};
     cross_payload_bytes_ += static_cast<std::int64_t>(slot.size());
   }
 
@@ -421,8 +426,8 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
     out.slot_counts[row_at(rank_, d)] = row_counts[static_cast<std::size_t>(d)];
     out.slot_bits[row_at(rank_, d)] = row_bits[static_cast<std::size_t>(d)];
   }
-  all_to_all(kOwnedMagic, bodies, [&](int s, Body body) {
-    WireReader r(body.data(), body.size());
+  all_to_all(kOwnedMagic, bodies, [&](int s, WireBuf& frame) {
+    WireReader r = body_reader(frame);
     const std::uint32_t dest = r.get_u32();
     const std::uint32_t world = r.get_u32();
     if (dest != static_cast<std::uint32_t>(rank_)) {
@@ -446,7 +451,10 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
                       std::to_string(len) + ", " +
                       std::to_string(r.remaining()) + " bytes follow");
     }
-    out.slots[static_cast<std::size_t>(s)].assign(body.end() - len, body.end());
+    // The slot is the frame's tail: keep the buffer, drop what precedes it.
+    frame.erase(frame.begin(),
+                frame.end() - static_cast<std::ptrdiff_t>(len));
+    out.slots[static_cast<std::size_t>(s)] = std::move(frame);
   });
   return out;
 }
@@ -454,11 +462,12 @@ Transport::OwnedExchange SocketTransport::exchange_owned(
 std::vector<std::int64_t> SocketTransport::all_values(std::int64_t value) {
   WireWriter w;
   w.put_u64(static_cast<std::uint64_t>(value));
-  std::vector<WireBuf> bodies(static_cast<std::size_t>(world_), w.take());
-  bodies[static_cast<std::size_t>(rank_)].clear();
+  const WireBuf body = w.take();
   std::vector<std::int64_t> out(static_cast<std::size_t>(world_), value);
-  all_to_all(kReduceMagic, bodies, [&out](int s, Body body) {
-    WireReader r(body.data(), body.size());
+  all_to_all(kReduceMagic,
+             std::vector<BodyParts>(static_cast<std::size_t>(world_), {body}),
+             [&out](int s, WireBuf& frame) {
+    WireReader r = body_reader(frame);
     out[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(r.get_u64());
     if (!r.done()) {
       throw WireError("length check failed: trailing bytes after the value");
@@ -496,10 +505,11 @@ void SocketTransport::gather_colors(const VertexPartition& part,
     w.put_u32(static_cast<std::uint32_t>(
         values[static_cast<std::size_t>(part.owned_vertex(rank_, i))]));
   }
-  std::vector<WireBuf> bodies(static_cast<std::size_t>(world_), w.take());
-  bodies[static_cast<std::size_t>(rank_)].clear();
-  all_to_all(kGatherMagic, bodies, [&](int s, Body body) {
-    WireReader r(body.data(), body.size());
+  const WireBuf body = w.take();
+  all_to_all(kGatherMagic,
+             std::vector<BodyParts>(static_cast<std::size_t>(world_), {body}),
+             [&](int s, WireBuf& frame) {
+    WireReader r = body_reader(frame);
     const std::uint32_t count = r.get_u32();
     if (count != static_cast<std::uint32_t>(part.size(s))) {
       throw WireError("count check failed: " + std::to_string(count) +

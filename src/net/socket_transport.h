@@ -8,11 +8,12 @@
 ///   * `local_shard()` is this process's rank; the other ranks' vertices
 ///     live in the other processes.
 ///   * Every collective is one lockstep step (`all_to_all`): each rank sends
-///     every peer one frame, on a writer thread per peer, while it reads the
-///     peers in rank order. Each frame leads with a (tag, sender, seq)
-///     header, checked on receipt, so a rank that drifted a round or runs a
-///     different collective fails with a WireError naming the peer and the
-///     failed check instead of delivering stale messages.
+///     every peer one frame, on a writer thread per peer and without copying
+///     its body, while it reads the peers in rank order. Each frame leads
+///     with a (tag, sender, seq) header, checked on receipt, so a rank that
+///     drifted a round or runs a different collective fails with a
+///     WireError naming the peer and the failed check instead of delivering
+///     stale messages.
 ///   * `exchange_owned()` moves one engine round: each peer gets ONLY the
 ///     edge frame addressed to it, plus this rank's tally row so every rank
 ///     reassembles the full S×S counters. `allreduce_sum()` /
@@ -44,6 +45,7 @@
 /// scripts/run_local_cluster.sh and the tcp-2rank CI leg.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -147,14 +149,18 @@ class SocketTransport final : public Transport {
   std::int64_t cross_payload_bytes() const { return cross_payload_bytes_; }
 
  private:
-  /// The one collective step (see the file comment): frames `bodies[p]` to
-  /// every peer p, then hands each peer's body to `on_body(p, body)` in rank
-  /// order, as a view valid during the call. A WireError on a peer's frame
-  /// — I/O, header or body check — comes back naming both ranks, a read
-  /// error before a write error. Ticks seq_ once.
+  /// A frame body as up to two byte runs sent back to back, so a bulk run
+  /// (an edge frame) goes out behind its small head without a copy.
+  using BodyParts = std::array<std::span<const std::uint8_t>, 2>;
+  /// The one collective step (see the file comment): sends every peer p the
+  /// header and `bodies[p]`, then hands each peer's received frame to
+  /// `on_frame(p, frame)` in rank order, its header already checked; the
+  /// body follows the 12-byte header, and on_frame may keep the buffer. A
+  /// WireError on a peer's frame — I/O, header or body check — comes back
+  /// naming both ranks, a read error before a write error. Ticks seq_ once.
   void all_to_all(
-      std::uint32_t tag, const std::vector<std::vector<std::uint8_t>>& bodies,
-      const std::function<void(int, std::span<const std::uint8_t>)>& on_body);
+      std::uint32_t tag, const std::vector<BodyParts>& bodies,
+      const std::function<void(int, std::vector<std::uint8_t>&)>& on_frame);
   /// Every rank's `value`, indexed by rank: the allreduce step.
   std::vector<std::int64_t> all_values(std::int64_t value);
   void close_all();

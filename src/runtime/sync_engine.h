@@ -56,6 +56,7 @@
 #include "runtime/message_size.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
+#include "util/page_allocator.h"
 
 namespace deltacol {
 
@@ -316,6 +317,11 @@ class SyncEngine {
     std::vector<int> cursor(offsets_.begin(), offsets_.end() - 1);
     std::vector<int> next(peer_begin_);  // distributed: next outgoing slot
     if (owner_local_state()) peer_inbox_.assign(at(num_shards), {});
+    for (int d = 0; owner_local_state() && d < num_shards; ++d) {
+      if (d == local_) continue;
+      peer_inbox_[at(d)].reserve(
+          static_cast<std::size_t>(shards_->view(d).cross_edges(local_)));
+    }
     for (int x = 0; x < graph_.num_vertices(); ++x) {
       const int sx = owner(x);
       const bool x_held = !owner_local_state() || sx == local_;
@@ -374,7 +380,7 @@ class SyncEngine {
               "exchange_owned returned a malformed result");
     for (int s = 0; s < num_shards; ++s) {
       if (s == local_) continue;
-      const std::vector<int>& inbox = peer_inbox_[at(s)];
+      const PageVector<int>& inbox = peer_inbox_[at(s)];
       decode_edge_frame<Msg>(result.slots[at(s)], inbox.size(),
                              [&](std::size_t j, Msg msg) {
                                Slot& slot = slots_[at(inbox[j])];
@@ -393,19 +399,21 @@ class SyncEngine {
   ShardRuntime* shards_;
   int local_ = -1;      // transport().local_shard(); -1 = every vertex local
   int owned_base_ = 0;  // partition().begin(local) on a distributed rank
-  std::vector<State> states_;  // by local index
+  // The O(n + m) tables are page-mapped (util/page_allocator.h): an engine
+  // lives for one run, often on a thread of its own.
+  PageVector<State> states_;  // by local index
   // Local index i's ports and inbox slots are [offsets_[i], offsets_[i+1]).
-  std::vector<int> offsets_;
+  PageVector<int> offsets_;
   // Port -> the slot its message lands in: an inbox slot, or (distributed)
   // an outgoing slot of the receiver's rank.
-  std::vector<int> target_;
-  std::vector<int> pair_;  // port -> tally cell; empty without a runtime
+  PageVector<int> target_;
+  PageVector<int> pair_;  // port -> tally cell; empty without a runtime
   // Inbox slots, then (distributed) peer d's outgoing slots at
   // [peer_begin_[d], peer_begin_[d + 1]), in frame list order.
-  std::vector<Slot> slots_;
+  PageVector<Slot> slots_;
   std::vector<int> peer_begin_;
   // Distributed: frame index j from peer s -> the inbox slot it fills.
-  std::vector<std::vector<int>> peer_inbox_;
+  std::vector<PageVector<int>> peer_inbox_;
   std::vector<Tally> tallies_;  // one per pool chunk, reused every round
   std::uint32_t round_ = 0;
 };

@@ -164,6 +164,52 @@ TEST(Frame, OversizedLengthPrefixThrows) {
   fds.close_remaining();
 }
 
+TEST(Frame, PartsArriveAsOnePayload) {
+  FdPair fds;
+  const WireBuf head = {1, 2, 3};
+  const WireBuf tail = {250, 251};
+  write_frame_parts(fds.a, {head, {}, tail});  // empty parts are legal
+  write_frame_parts(fds.a, {});
+  EXPECT_EQ(read_frame(fds.b), (WireBuf{1, 2, 3, 250, 251}));
+  EXPECT_EQ(read_frame(fds.b), WireBuf{});
+  EXPECT_THROW(write_frame_parts(fds.a, {head, head, head, head}),
+               ContractViolation);
+  fds.close_remaining();
+}
+
+// Parts far larger than a socket buffer: the gathered write comes back
+// short, inside a part and on part boundaries, while the peer drains it.
+// Over a pipe the write falls back to writev.
+TEST(Frame, LargePartsSurvivePartialWrites) {
+  WireBuf head(1000), tail(std::size_t{3} << 20);
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    head[i] = static_cast<std::uint8_t>(i);
+  }
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    tail[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  WireBuf want = head;
+  want.insert(want.end(), tail.begin(), tail.end());
+
+  FdPair fds;
+  std::thread writer([&] { write_frame_parts(fds.a, {head, tail, head}); });
+  const WireBuf got = read_frame(fds.b);
+  writer.join();
+  WireBuf want3 = want;
+  want3.insert(want3.end(), head.begin(), head.end());
+  EXPECT_EQ(got, want3);
+  fds.close_remaining();
+
+  int p[2];
+  ASSERT_EQ(::pipe(p), 0);
+  std::thread pipe_writer([&] { write_frame_parts(p[1], {head, tail}); });
+  const WireBuf via_pipe = read_frame(p[0]);
+  pipe_writer.join();
+  EXPECT_EQ(via_pipe, want);
+  ::close(p[0]);
+  ::close(p[1]);
+}
+
 // Rank 0's side of one exchange_owned call with nothing to send: an empty
 // payload for the peer and zero tallies.
 Transport::OwnedExchange exchange_nothing(SocketTransport& t) {

@@ -1,10 +1,16 @@
-// Unit tests for src/util: rng, math helpers, statistics.
+// Unit tests for src/util: rng, math helpers, statistics, the page
+// allocator.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "util/check.h"
 #include "util/math_util.h"
+#include "util/page_allocator.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -173,6 +179,27 @@ TEST(Stats, LinearFitRecoversLine) {
   EXPECT_NEAR(fit.slope, 2.0, 1e-9);
   EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
   EXPECT_NEAR(fit.r2, 1.0, 1e-9);
+}
+
+TEST(PageAllocator, SmallAndLargeBlocksHoldTheirValues) {
+  PageVector<int> small(100, 7);
+  EXPECT_EQ(std::count(small.begin(), small.end(), 7), 100);
+
+  // A block of kPageMapBytes or more is mapped from the kernel, so it
+  // starts on a page boundary; growth and copies go through the same path.
+  const std::size_t n = kPageMapBytes / sizeof(int) + 1;
+  PageVector<int> large(n);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(large.data()) %
+                static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE)),
+            0u);
+  for (std::size_t i = 0; i < n; ++i) large[i] = static_cast<int>(i);
+  const PageVector<int> copy = large;
+  large.resize(2 * n, -1);
+  EXPECT_TRUE(std::equal(copy.begin(), copy.end(), large.begin()));
+  EXPECT_EQ(large.back(), -1);
+  large.clear();
+  large.shrink_to_fit();
+  EXPECT_EQ(copy[n - 1], static_cast<int>(n - 1));
 }
 
 }  // namespace
