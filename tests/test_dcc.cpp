@@ -1,7 +1,9 @@
 // Degree-choosable component machinery (Definitions 6-9, DESIGN.md §4).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "dcc/dcc.h"
 #include "graph/generators.h"
@@ -9,6 +11,7 @@
 #include "graph/structure.h"
 #include "graph/traversal.h"
 #include "local/round_ledger.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -108,6 +111,122 @@ TEST(Dcc, TorusBallsSeeFourCycles) {
   const auto det = detect_dccs(g, 2, ledger, "dcc");
   // Every torus vertex lies on a 4-cycle: all balls contain DCCs.
   for (int v = 0; v < g.num_vertices(); ++v) EXPECT_TRUE(det.has_dcc[v]);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (x >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Every observable of a DccDetection folded through FNV-1a.
+std::uint64_t detection_fingerprint(const DccDetection& d) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (bool b : d.has_dcc) h = fnv1a(h, b ? 1u : 0u);
+  for (int s : d.selected) h = fnv1a(h, static_cast<std::uint64_t>(s));
+  h = fnv1a(h, d.dccs.size());
+  for (const auto& set : d.dccs) {
+    h = fnv1a(h, set.size());
+    for (int x : set) h = fnv1a(h, static_cast<std::uint64_t>(x));
+  }
+  return fnv1a(h, static_cast<std::uint64_t>(d.max_dcc_radius));
+}
+
+// A rows x cols torus whose ids are a seeded random permutation, so balls
+// are not laid out in id order.
+Graph scrambled_torus(int rows, int cols, std::uint64_t seed) {
+  const Graph t = grid_graph(rows, cols, true);
+  std::vector<int> perm(static_cast<std::size_t>(t.num_vertices()));
+  for (int v = 0; v < t.num_vertices(); ++v) {
+    perm[static_cast<std::size_t>(v)] = v;
+  }
+  Rng rng(seed);
+  rng.shuffle(perm);
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : t.edge_list()) {
+    edges.emplace_back(perm[static_cast<std::size_t>(u)],
+                       perm[static_cast<std::size_t>(v)]);
+  }
+  return Graph::from_edges(t.num_vertices(), edges);
+}
+
+struct DetectionGolden {
+  const char* graph;
+  int r;
+  std::uint64_t hash;
+};
+
+// Frozen Phase (1) output (has_dcc, selected, dccs, max_dcc_radius) per
+// graph and radius. Any change to the ball kernel must land on these hashes
+// serially and on a pool.
+constexpr DetectionGolden kDetectionGoldens[] = {
+    {"regular-500-6", 1, 0xf5693a9f9b2959c5ULL},
+    {"regular-500-6", 2, 0xdc785d868c7c4620ULL},
+    {"regular-500-6", 3, 0xfd43fa4a4ce0f71cULL},
+    {"regular-500-6", 4, 0x3b7ac9854cf625dfULL},
+    {"regular-500-6", 5, 0x3b7ac9854cf625dfULL},
+    {"gallai-400-4", 1, 0x303007c9cc90f1e5ULL},
+    {"gallai-400-4", 2, 0x303007c9cc90f1e5ULL},
+    {"gallai-400-4", 3, 0x303007c9cc90f1e5ULL},
+    {"gallai-400-4", 4, 0x303007c9cc90f1e5ULL},
+    {"gallai-400-4", 5, 0x303007c9cc90f1e5ULL},
+    {"sparse-400-6", 1, 0x303007c9cc90f1e5ULL},
+    {"sparse-400-6", 2, 0xa3731f181ba310caULL},
+    {"sparse-400-6", 3, 0xc948c7d78a5cf262ULL},
+    {"sparse-400-6", 4, 0xbf1e884b6ca66cf1ULL},
+    {"sparse-400-6", 5, 0xa13dfb1707ec6127ULL},
+    {"3-components", 1, 0xf63b2af5fe587b1aULL},
+    {"3-components", 2, 0x8fed43c90976dc1eULL},
+    {"3-components", 3, 0xe4812afd73f1b56bULL},
+    {"3-components", 4, 0x6a05d1d556d8e0a9ULL},
+    {"3-components", 5, 0xcf1211c8698ba5a7ULL},
+    {"triangle-cactus", 1, 0x4e2c36fa0b58043dULL},
+    {"triangle-cactus", 2, 0x4e2c36fa0b58043dULL},
+    {"triangle-cactus", 3, 0x4e2c36fa0b58043dULL},
+    {"triangle-cactus", 4, 0x4e2c36fa0b58043dULL},
+    {"triangle-cactus", 5, 0x4e2c36fa0b58043dULL},
+    {"torus-40-scrambled", 1, 0xf55ce4731ce4f665ULL},
+    {"torus-40-scrambled", 2, 0x092a5e0ea91344e9ULL},
+    {"torus-40-scrambled", 3, 0x092a5e0ea91344e9ULL},
+    {"torus-40-scrambled", 4, 0x092a5e0ea91344e9ULL},
+    {"torus-40-scrambled", 5, 0x092a5e0ea91344e9ULL},
+    {"regular-3000-8", 1, 0xc953c182a7f6844eULL},
+    {"regular-3000-8", 2, 0xcf4cd94e81a0114dULL},
+    {"regular-3000-8", 3, 0xadc5db5242a56a0aULL},
+};
+
+TEST(Dcc, DetectionLandsOnFrozenHashes) {
+  struct Workload {
+    std::string name;
+    Graph g;
+  };
+  std::vector<Workload> graphs;
+  for (auto& w : generator_zoo()) {
+    graphs.push_back({w.name, std::move(w.graph)});
+  }
+  graphs.push_back({"torus-40-scrambled", scrambled_torus(40, 40, 5)});
+  Rng rng(19);
+  graphs.push_back({"regular-3000-8", random_regular(3000, 8, rng)});
+
+  ThreadPool pool(4);
+  for (const DetectionGolden& golden : kDetectionGoldens) {
+    const Graph* g = nullptr;
+    for (const auto& w : graphs) {
+      if (w.name == golden.graph) g = &w.g;
+    }
+    ASSERT_NE(g, nullptr) << golden.graph;
+    RoundLedger serial_ledger, pooled_ledger;
+    EXPECT_EQ(detection_fingerprint(
+                  detect_dccs(*g, golden.r, serial_ledger, "dcc")),
+              golden.hash)
+        << golden.graph << " r=" << golden.r << " serial";
+    EXPECT_EQ(detection_fingerprint(
+                  detect_dccs(*g, golden.r, pooled_ledger, "dcc", &pool)),
+              golden.hash)
+        << golden.graph << " r=" << golden.r << " pool of 4";
+  }
 }
 
 }  // namespace

@@ -59,7 +59,9 @@ struct Golden {
   std::uint64_t hash;
 };
 
-// Captured with seed 2024, serial run (threads = 1, shards = 1).
+// Captured with seed 2024, serial run (threads = 1, shards = 1). The
+// "large" rows pin Phase (1) at rand_large's default radius r = 2; the
+// "small" rows reach it only at r = ceil(log2 log2 n) per component.
 constexpr Golden kGoldens[] = {
     {"regular-500-6", "det", 0x9dc681a19a5fb1d4ULL},
     {"regular-500-6", "small", 0x4ae385a1b0f38fb2ULL},
@@ -76,11 +78,17 @@ constexpr Golden kGoldens[] = {
     {"triangle-cactus", "det", 0xbcf2c1db7d613405ULL},
     {"triangle-cactus", "small", 0x3aedd525c48be4d6ULL},
     {"triangle-cactus", "naive", 0xc4e498016540fa74ULL},
+    {"regular-500-6", "large", 0x5a939e36c0fa9290ULL},
+    {"gallai-400-4", "large", 0xaf66ac8718b9c794ULL},
+    {"sparse-400-6", "large", 0x03ffe0f54802b502ULL},
+    {"3-components", "large", 0xb64d8f71d8ae215aULL},
+    {"triangle-cactus", "large", 0x92dc5e087f2c9a63ULL},
 };
 
 Algorithm alg_from_tag(const std::string& tag) {
   if (tag == "det") return Algorithm::kDeterministic;
   if (tag == "small") return Algorithm::kRandomizedSmall;
+  if (tag == "large") return Algorithm::kRandomizedLarge;
   return Algorithm::kBaselineGreedyBrooks;
 }
 
