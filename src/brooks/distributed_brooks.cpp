@@ -119,7 +119,7 @@ BrooksFixResult brooks_fix(const Graph& g, Coloring& c, int v0, int delta,
   }
   const auto ball_sub = induced_subgraph(g, ball_nodes);
   const Graph& B = ball_sub.graph;
-  const int v0_local = ball_sub.from_parent[static_cast<std::size_t>(v0)];
+  const int v0_local = ball_sub.local_id(v0);
 
   // Candidate targets inside the ball: vertices of global degree < delta, or
   // vertices lying in a DCC block of the ball.
@@ -203,13 +203,11 @@ BrooksFixResult brooks_fix(const Graph& g, Coloring& c, int v0, int delta,
     // Early free color, or the deficient-node case.
     c[static_cast<std::size_t>(token)] = *x;
     res.used_deficient_node =
-        deficient[static_cast<std::size_t>(
-            ball_sub.from_parent[static_cast<std::size_t>(token)])] != 0;
+        deficient[static_cast<std::size_t>(ball_sub.local_id(token))] != 0;
   } else {
     // DCC case: the token reached the component's nearest vertex without
     // finding slack. Uncolor the block and recolor it from lists.
-    const int token_local =
-        ball_sub.from_parent[static_cast<std::size_t>(token)];
+    const int token_local = ball_sub.local_id(token);
     DC_ENSURE(in_dcc[static_cast<std::size_t>(token_local)] != 0,
               "token ended neither at slack nor at a DCC");
     const auto& block = blocks[static_cast<std::size_t>(

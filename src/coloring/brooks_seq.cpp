@@ -48,7 +48,7 @@ Coloring color_regular_biconnected(const Graph& g, int delta) {
         // Order by decreasing distance from w measured in G - {u1, u2}:
         // every vertex then has an uncolored neighbor (its BFS parent in the
         // reduced graph) at coloring time; u1/u2 are pre-colored.
-        const int w_local = rest.from_parent[static_cast<std::size_t>(w)];
+        const int w_local = rest.local_id(w);
         std::vector<int> order;
         for (int x : decreasing_bfs_order(rest.graph, w_local)) {
           order.push_back(rest.to_parent[static_cast<std::size_t>(x)]);
@@ -77,7 +77,7 @@ Coloring color_regular_with_cut_vertex(const Graph& g, int cut, int delta) {
     std::vector<int> piece_vertices{cut};
     for (int v : comp) piece_vertices.push_back(rest.to_parent[static_cast<std::size_t>(v)]);
     const auto piece = induced_subgraph(g, piece_vertices);
-    const int cut_local = piece.from_parent[static_cast<std::size_t>(cut)];
+    const int cut_local = piece.local_id(cut);
     // In the piece, the cut vertex lost at least one neighbor, so its degree
     // is < delta: use it as the deficient root with the global palette.
     Coloring pc = color_with_deficient_root(piece.graph, cut_local, delta);

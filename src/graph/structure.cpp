@@ -52,13 +52,4 @@ bool is_gallai_tree(const Graph& g) {
   return true;
 }
 
-bool induces_clique(const Graph& g, std::span<const int> vertices) {
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    for (std::size_t j = i + 1; j < vertices.size(); ++j) {
-      if (!g.has_edge(vertices[i], vertices[j])) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace deltacol

@@ -23,7 +23,16 @@ bool is_nice(const Graph& g);
 // NOT degree-choosable.
 bool is_gallai_tree(const Graph& g);
 
-// Does the vertex subset induce a clique in g?
-bool induces_clique(const Graph& g, std::span<const int> vertices);
+// Does the vertex subset induce a clique in g? G is any graph type with
+// has_edge(u, v) (e.g. Graph).
+template <typename G>
+bool induces_clique(const G& g, std::span<const int> vertices) {
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    for (std::size_t j = i + 1; j < vertices.size(); ++j) {
+      if (!g.has_edge(vertices[i], vertices[j])) return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace deltacol

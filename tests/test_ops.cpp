@@ -1,6 +1,8 @@
 // Induced subgraphs, vertex removal, power graphs, disjoint unions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -18,9 +20,9 @@ TEST(Ops, InducedSubgraphMapsBothWays) {
   EXPECT_EQ(sub.graph.num_vertices(), 4);
   EXPECT_EQ(sub.graph.num_edges(), 2);  // 1-2, 2-3 survive; 5 is isolated
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(sub.from_parent[sub.to_parent[i]], i);
+    EXPECT_EQ(sub.local_id(sub.to_parent[i]), i);
   }
-  EXPECT_EQ(sub.from_parent[0], -1);
+  EXPECT_EQ(sub.local_id(0), -1);
 }
 
 TEST(Ops, InducedSubgraphDedupes) {
@@ -28,6 +30,54 @@ TEST(Ops, InducedSubgraphDedupes) {
   const auto sub = induced_subgraph(g, std::vector<int>{2, 2, 1});
   EXPECT_EQ(sub.graph.num_vertices(), 2);
   EXPECT_EQ(sub.graph.num_edges(), 1);
+}
+
+// induced_subgraph builds a set small next to g by binary search, a larger
+// one through a dense id map, and the whole vertex set as a copy of g. On
+// each side local_id inverts to_parent, misses non-members, and the edges
+// are exactly g's edges between members.
+TEST(Ops, LocalIdOnEverySubgraphSide) {
+  Rng rng(5);
+  const Graph g = random_regular(20000, 6, rng);
+  const int n = g.num_vertices();
+  std::vector<int> small{15000, 7, 42, 43, 999};
+  for (int u : g.neighbors(42)) small.push_back(u);
+  std::vector<int> large;
+  for (int v = n - 1; v >= 0; v -= 2) large.push_back(v);
+  std::vector<int> whole(static_cast<std::size_t>(n));
+  std::iota(whole.rbegin(), whole.rend(), 0);
+  for (const auto* set : {&small, &large, &whole}) {
+    const auto sub = induced_subgraph(g, *set);
+    std::vector<char> member(static_cast<std::size_t>(n), 0);
+    for (int v : *set) member[static_cast<std::size_t>(v)] = 1;
+    const int k = sub.graph.num_vertices();
+    ASSERT_EQ(k, static_cast<int>(sub.to_parent.size()));
+    EXPECT_TRUE(std::is_sorted(sub.to_parent.begin(), sub.to_parent.end()));
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(sub.local_id(sub.to_parent[static_cast<std::size_t>(i)]), i);
+    }
+    std::int64_t inside = 0;
+    for (int v = 0; v < n; ++v) {
+      if (!member[static_cast<std::size_t>(v)]) {
+        EXPECT_EQ(sub.local_id(v), -1) << "vertex " << v << ", |S| = " << k;
+        continue;
+      }
+      for (int w : g.neighbors(v)) {
+        inside += w > v && member[static_cast<std::size_t>(w)];
+      }
+    }
+    EXPECT_EQ(sub.local_id(-1), -1);
+    EXPECT_EQ(sub.local_id(n), -1);
+    EXPECT_EQ(sub.graph.num_edges(), inside) << "|S| = " << k;
+    for (const auto& [a, b] : sub.graph.edge_list()) {
+      EXPECT_TRUE(g.has_edge(sub.to_parent[static_cast<std::size_t>(a)],
+                             sub.to_parent[static_cast<std::size_t>(b)]));
+    }
+  }
+  const auto all = induced_subgraph(g, whole);
+  EXPECT_EQ(all.graph.edge_list(), g.edge_list());
+  EXPECT_EQ(all.graph.max_degree(), g.max_degree());
+  EXPECT_EQ(all.graph.min_degree(), g.min_degree());
 }
 
 TEST(Ops, RemoveVertices) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -148,6 +151,38 @@ TEST(BlockDecomposition, KnownShapes) {
   const auto bd3 = block_decomposition(path_graph(6));
   EXPECT_EQ(bd3.blocks.size(), 5u);
   for (const auto& b : bd3.blocks) EXPECT_EQ(b.size(), 2u);
+}
+
+// The counting core behind block_decomposition reports, per block, the
+// same vertex set and the edge count of the subgraph that set induces.
+TEST(BlockDecomposition, CountingCoreMatchesInducedBlocks) {
+  std::vector<Graph> graphs;
+  Rng rng(23);
+  for (int i = 0; i < 6; ++i) {
+    graphs.push_back(random_graph_max_degree(60, 5, 1.2 + 0.2 * i, rng));
+    graphs.push_back(random_gallai_tree(80, 3 + i % 3, rng));
+  }
+  for (auto& w : generator_zoo()) graphs.push_back(std::move(w.graph));
+  BlockScratch scratch;  // reused across graphs of different sizes
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const auto bd = block_decomposition(g);
+    std::size_t index = 0;
+    for_each_block(g, scratch,
+                   [&](std::span<const int> block, std::int64_t edges) {
+      EXPECT_LT(index, bd.blocks.size()) << "graph " << gi;
+      if (index >= bd.blocks.size()) return false;
+      std::vector<int> verts(block.begin(), block.end());
+      std::sort(verts.begin(), verts.end());
+      EXPECT_EQ(verts, bd.blocks[index])
+          << "graph " << gi << " block " << index;
+      EXPECT_EQ(edges, induced_subgraph(g, verts).graph.num_edges())
+          << "graph " << gi << " block " << index;
+      ++index;
+      return true;
+    });
+    EXPECT_EQ(index, bd.blocks.size()) << "graph " << gi;
+  }
 }
 
 TEST(BlockDecomposition, DeepPathNoStackOverflow) {
