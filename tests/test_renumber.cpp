@@ -1,7 +1,7 @@
 // Locality-aware partitioning (graph/renumber.h + PartitionStrategy):
-// permutation validity, relabeled-graph isomorphism, the
-// golden placement-only contract (Luby bit-identical between the contiguous
-// and cluster strategies at S ∈ {2, 8}), the
+// permutation validity, the frozen permutation hashes, relabeled-graph
+// isomorphism, the golden placement-only contract (Luby bit-identical
+// between the contiguous and cluster strategies at S ∈ {2, 8}), the
 // cross_edge_fraction metric, renumbered streaming slices, and a hermetic
 // 2-rank socketpair differential under the cluster partition.
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -92,6 +94,95 @@ TEST(Renumber, IdentityRenumbering) {
   const Renumbering id = identity_renumbering(5);
   expect_bijection(id, 5, "identity");
   for (int v = 0; v < 5; ++v) EXPECT_EQ(id.position_of(v), v);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (x >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// to_old, then num_clusters, folded through FNV-1a.
+std::uint64_t permutation_fingerprint(const Renumbering& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int p = 0; p < r.num_vertices(); ++p) {
+    h = fnv1a(h, static_cast<std::uint64_t>(r.original_of(p)));
+  }
+  return fnv1a(h, static_cast<std::uint64_t>(r.num_clusters));
+}
+
+// A rows x cols torus whose ids are a seeded random permutation, so BFS
+// growth does not follow id order.
+Graph scrambled_torus(int rows, int cols, std::uint64_t seed) {
+  const Graph t = grid_graph(rows, cols, true);
+  std::vector<int> perm(static_cast<std::size_t>(t.num_vertices()));
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(seed);
+  rng.shuffle(perm);
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : t.edge_list()) {
+    edges.emplace_back(perm[static_cast<std::size_t>(u)],
+                       perm[static_cast<std::size_t>(v)]);
+  }
+  return Graph::from_edges(t.num_vertices(), edges);
+}
+
+struct PermutationGolden {
+  const char* graph;
+  // At targets 0 (the default, max(1, n/64)), 1, 2, 7 and n, in that order.
+  std::uint64_t hash[5];
+};
+
+// Frozen cluster_renumbering output per graph and target. Every other
+// renumbering test passes for any bijection; this one pins the permutation
+// the cluster partition, its slices and its wire bytes are built from.
+constexpr PermutationGolden kPermutationGoldens[] = {
+    {"regular-500-6",
+     {0x60d81f14191eea75ULL, 0x8c9e17db926b182aULL, 0x4aad8e20c1ff5556ULL,
+      0x60d81f14191eea75ULL, 0x861001eaba705e90ULL}},
+    {"gallai-400-4",
+     {0xdc3d52886ec4b10bULL, 0x61ee865b6bcf266eULL, 0xdc5bf3397dec2667ULL,
+      0x0cc6e72d23a5e01aULL, 0x75562ff2d94d61b8ULL}},
+    {"sparse-400-6",
+     {0x57e61aeb8e496913ULL, 0x6e56fafc08271c0aULL, 0xbc70818514b847beULL,
+      0x2aa7928688fc15edULL, 0x81bea49375a55754ULL}},
+    {"3-components",
+     {0x68590866a5838065ULL, 0x1fb8e41852cb44deULL, 0x76cbee3dd6edb2fbULL,
+      0x47a9e129efc63f80ULL, 0x7e78da6e8f63a262ULL}},
+    {"triangle-cactus",
+     {0xeed0cea3bb5f5ee5ULL, 0xeab4812989e3e33cULL, 0x7bcd8e0b5433e227ULL,
+      0xb93c89d1649c3993ULL, 0xcd302539d3726c77ULL}},
+    {"torus-40-scrambled",
+     {0x7e242bf7433d1838ULL, 0xbfb1206541dbaa7fULL, 0xe8a223cb7e86c802ULL,
+      0xf74a788619389da9ULL, 0xd4c3248a4f1742e8ULL}},
+    {"regular-3000-8",
+     {0x1b9c524115531d6dULL, 0x539db4e957019a6cULL, 0x1ad8af2a9704f446ULL,
+      0x2d299aa8d81a42f9ULL, 0x5562a7ed926ddb0cULL}},
+    {"pa-3000-3",
+     {0xf88f08d144b064a0ULL, 0x1ed216ca9567435cULL, 0x33633418f448d321ULL,
+      0x30a92fae77ae053eULL, 0xffefeaf02ebcc81cULL}},
+};
+
+TEST(Renumber, ClusterPermutationLandsOnFrozenHashes) {
+  std::vector<NamedWorkload> graphs = generator_zoo();
+  graphs.push_back({"torus-40-scrambled", scrambled_torus(40, 40, 5)});
+  Rng rng(19);
+  graphs.push_back({"regular-3000-8", random_regular(3000, 8, rng)});
+  graphs.push_back({"pa-3000-3", preferential_attachment(3000, 3, rng)});
+  ASSERT_EQ(graphs.size(), std::size(kPermutationGoldens));
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const PermutationGolden& golden = kPermutationGoldens[i];
+    const Graph& g = graphs[i].graph;
+    ASSERT_EQ(graphs[i].name, golden.graph);
+    const int targets[5] = {0, 1, 2, 7, g.num_vertices()};
+    for (int t = 0; t < 5; ++t) {
+      EXPECT_EQ(permutation_fingerprint(cluster_renumbering(g, targets[t])),
+                golden.hash[t])
+          << golden.graph << " target=" << targets[t];
+    }
+  }
 }
 
 TEST(Renumber, RelabeledGraphIsIsomorphic) {
