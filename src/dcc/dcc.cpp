@@ -92,6 +92,7 @@ struct BallCsr {
 // balls, so a ball allocates nothing once the buffers have grown.
 struct BallKernelScratch {
   BfsScratch ball;
+  std::vector<char> in_ball;     // ball membership marks, 0 between balls
   std::vector<int> local_index;  // parent id -> ball-local id, or -1
   BallCsr csr;
   BlockScratch blocks;
@@ -182,10 +183,15 @@ std::vector<int> nominate(const Graph& g, int v, int r, BallKernelScratch& s) {
   const auto ball = s.ball.order();
   const auto k = static_cast<std::int64_t>(ball.size());
   // A connected ball with k - 1 edges is a tree: all its blocks are K2.
+  // The count reads byte marks, a quarter of the BFS stamps' footprint.
+  for (int u : ball) s.in_ball[static_cast<std::size_t>(u)] = 1;
   std::int64_t twice_edges = 0;
   for (int u : ball) {
-    for (int w : g.neighbors(u)) twice_edges += s.ball.visited(w) ? 1 : 0;
+    for (int w : g.neighbors(u)) {
+      twice_edges += s.in_ball[static_cast<std::size_t>(w)];
+    }
   }
+  for (int u : ball) s.in_ball[static_cast<std::size_t>(u)] = 0;
   if (twice_edges == 2 * (k - 1)) return {};
 
   for (std::size_t i = 0; i < ball.size(); ++i) {
@@ -281,15 +287,16 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
   // DCC indices are identical for every thread count.
   std::vector<std::vector<int>> best_sets(static_cast<std::size_t>(n));
   auto analyze_range = [&](int /*chunk*/, int lo, int hi) {
-    // One scratch per chunk: the BFS stamps and the local-id map are O(n),
-    // allocated once and amortized over the chunk's balls.
+    // One scratch per chunk: its O(n) arrays (BFS stamps, ball marks, local
+    // ids) are allocated once and amortized over the chunk's balls.
     BallKernelScratch scratch;
+    scratch.in_ball.assign(static_cast<std::size_t>(n), 0);
     scratch.local_index.assign(static_cast<std::size_t>(n), -1);
     for (int v = lo; v < hi; ++v) {
       best_sets[static_cast<std::size_t>(v)] = nominate(g, v, r, scratch);
     }
   };
-  // Chunk cap = one per executor: each chunk allocates two O(n) scratch
+  // Chunk cap = one per executor: each chunk allocates its O(n) scratch
   // vectors, so more chunks than executors would only multiply that cost
   // (chunk boundaries are not observable — results are unchanged).
   pooled_ranges(pool, 0, n, analyze_range,

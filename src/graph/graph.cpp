@@ -8,34 +8,35 @@ namespace deltacol {
 
 Graph Graph::from_edges(int n, std::span<const Edge> edges) {
   DC_REQUIRE(n >= 0, "vertex count must be non-negative");
-  std::vector<Edge> normalized;
-  normalized.reserve(edges.size());
+  Graph g;
+  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) {
     DC_REQUIRE(0 <= u && u < n && 0 <= v && v < n, "edge endpoint out of range");
     DC_REQUIRE(u != v, "self-loops are not allowed in simple graphs");
-    normalized.emplace_back(std::min(u, v), std::max(u, v));
-  }
-  std::sort(normalized.begin(), normalized.end());
-  normalized.erase(std::unique(normalized.begin(), normalized.end()),
-                   normalized.end());
-
-  Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : normalized) {
     ++g.offsets_[static_cast<std::size_t>(u) + 1];
     ++g.offsets_[static_cast<std::size_t>(v) + 1];
   }
   for (int v = 0; v < n; ++v) g.offsets_[v + 1] += g.offsets_[v];
-  g.adj_.resize(normalized.size() * 2);
+  // Counting sort: scatter both orientations into their rows, then sort
+  // each row and drop its duplicates, compacting the rows leftwards.
+  g.adj_.resize(edges.size() * 2);
   std::vector<int> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : normalized) {
+  for (const auto& [u, v] : edges) {
     g.adj_[static_cast<std::size_t>(cursor[u]++)] = v;
     g.adj_[static_cast<std::size_t>(cursor[v]++)] = u;
   }
+  auto first = g.adj_.begin();
+  auto out = first;
   for (int v = 0; v < n; ++v) {
-    auto nb = g.adj_.begin() + g.offsets_[v];
-    std::sort(nb, g.adj_.begin() + g.offsets_[v + 1]);
+    const auto last = g.adj_.begin() + g.offsets_[v + 1];
+    std::sort(first, last);
+    const auto row_end = std::unique(first, last);
+    out = out == first ? row_end : std::copy(first, row_end, out);
+    g.offsets_[v + 1] = static_cast<int>(out - g.adj_.begin());
+    first = last;
   }
+  g.adj_.erase(out, g.adj_.end());
+  g.adj_.shrink_to_fit();
   g.max_degree_ = 0;
   g.min_degree_ = n > 0 ? n : 0;
   for (int v = 0; v < n; ++v) {

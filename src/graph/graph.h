@@ -22,8 +22,10 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a graph from an edge list. Self-loops are rejected (throws via
-  /// DC_REQUIRE); duplicate edges (in either orientation) are merged.
+  /// Builds a graph from an edge list by a counting sort into rows, then a
+  /// sort of each row. The first self-loop or out-of-range edge in input
+  /// order throws via DC_REQUIRE; duplicate edges (in either orientation)
+  /// are merged.
   static Graph from_edges(int n, std::span<const Edge> edges);
   static Graph from_edges(int n, const std::vector<Edge>& edges) {
     return from_edges(n, std::span<const Edge>(edges));

@@ -64,14 +64,13 @@ VertexPartition VertexPartition::renumbered(
   auto owned = std::make_shared<std::vector<std::vector<int>>>(
       static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    auto& list = (*owned)[static_cast<std::size_t>(s)];
-    list.reserve(static_cast<std::size_t>(part.size(s)));
-    for (int p = part.begin(s); p < part.end(s); ++p) {
-      list.push_back((*part.to_old_)[static_cast<std::size_t>(p)]);
-    }
-    // Owned ids ascend in *original* id: owned_vertex(s, i) enumerates a
-    // shard in id order under every layout (GraphView, gather_colors).
-    std::sort(list.begin(), list.end());
+    (*owned)[static_cast<std::size_t>(s)].reserve(
+        static_cast<std::size_t>(part.size(s)));
+  }
+  // Owned ids ascend in *original* id: owned_vertex(s, i) enumerates a
+  // shard in id order under every layout (GraphView, gather_colors).
+  for (int v = 0; v < n; ++v) {
+    (*owned)[static_cast<std::size_t>(part.shard_of(v))].push_back(v);
   }
   part.owned_ = std::move(owned);
   return part;
@@ -89,6 +88,7 @@ GraphView::GraphView(const Graph& g, const VertexPartition& part, int shard)
   lo_ = part.begin(shard);
   hi_ = part.end(shard);
   cross_.assign(static_cast<std::size_t>(part.num_shards()), 0);
+  std::vector<char> in_halo(static_cast<std::size_t>(g.num_vertices()), 0);
   for (int i = 0; i < part.size(shard); ++i) {
     const int v = part.owned_vertex(shard, i);
     for (int u : g.neighbors(v)) {
@@ -96,13 +96,16 @@ GraphView::GraphView(const Graph& g, const VertexPartition& part, int shard)
         // Counted once per undirected internal edge (from its smaller end).
         if (v < u) ++internal_edges_;
       } else {
-        halo_.push_back(u);
+        // Each halo vertex is pushed once, at its first cut edge.
+        if (!in_halo[static_cast<std::size_t>(u)]) {
+          in_halo[static_cast<std::size_t>(u)] = 1;
+          halo_.push_back(u);
+        }
         ++cross_[static_cast<std::size_t>(part.shard_of(u))];
       }
     }
   }
   std::sort(halo_.begin(), halo_.end());
-  halo_.erase(std::unique(halo_.begin(), halo_.end()), halo_.end());
 }
 
 bool GraphView::in_halo(int v) const {

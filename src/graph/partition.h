@@ -148,11 +148,11 @@ class VertexPartition {
 
 /// One shard's view of a Graph: owned contiguous layout range + halo table.
 /// Zero-copy — adjacency reads go straight to the parent CSR; only the halo
-/// table and the per-shard cross-edge counters are materialized (O(owned
-/// adjacency) build, once). Under a renumbered partition the owned range
-/// [owned_begin(), owned_end()) is in *layout* space; `owned_vertex(i)`
-/// enumerates the owned original ids, and halo()/neighbors() stay in
-/// original ids throughout.
+/// table and the per-shard cross-edge counters are materialized (built once,
+/// in one pass over the owned adjacency plus an n-byte halo mark). Under a
+/// renumbered partition the owned range [owned_begin(), owned_end()) is in
+/// *layout* space; `owned_vertex(i)` enumerates the owned original ids, and
+/// halo()/neighbors() stay in original ids throughout.
 class GraphView {
  public:
   GraphView() = default;

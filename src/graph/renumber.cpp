@@ -4,7 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "graph/frontier_bfs.h"
 #include "util/check.h"
 
 namespace deltacol {
@@ -52,43 +51,56 @@ Renumbering identity_renumbering(int n) {
 Renumbering cluster_renumbering(const Graph& g, int target_cluster_size) {
   const int n = g.num_vertices();
   if (target_cluster_size <= 0) target_cluster_size = std::max(1, n / 64);
+  const auto target = static_cast<std::size_t>(target_cluster_size);
 
-  // ---- 1. Grow clusters: lowest unassigned seed, filtered BFS, take the
-  // first `target` vertices of the visit order. -----------------------------
+  // ---- 1. Grow clusters: lowest unassigned seed, BFS over unassigned
+  // vertices until `target` are claimed. The claimed vertices are both the
+  // BFS queue and cluster c's members, members[cluster_begin[c],
+  // cluster_begin[c + 1]) in growth order, seed first. ---------------------
   std::vector<int> cluster_of(static_cast<std::size_t>(n), -1);
-  std::vector<int> cluster_seed;
-  BfsScratch scratch;
+  std::vector<int> members;
+  members.reserve(static_cast<std::size_t>(n));
+  std::vector<std::size_t> cluster_begin;
   for (int seed = 0; seed < n; ++seed) {
     if (cluster_of[static_cast<std::size_t>(seed)] >= 0) continue;
-    const int c = static_cast<int>(cluster_seed.size());
-    scratch.run_filtered(g, seed, /*max_dist=*/-1, [&](int v) {
-      return cluster_of[static_cast<std::size_t>(v)] < 0;
-    });
-    const auto order = scratch.order();
-    const std::size_t take = std::min(
-        order.size(), static_cast<std::size_t>(target_cluster_size));
-    for (std::size_t i = 0; i < take; ++i) {
-      cluster_of[static_cast<std::size_t>(order[i])] = c;
+    const int c = static_cast<int>(cluster_begin.size());
+    const std::size_t begin = members.size();
+    const std::size_t full = begin + target;
+    cluster_begin.push_back(begin);
+    cluster_of[static_cast<std::size_t>(seed)] = c;
+    members.push_back(seed);
+    for (std::size_t head = begin;
+         head < members.size() && members.size() < full; ++head) {
+      for (int u : g.neighbors(members[head])) {
+        if (cluster_of[static_cast<std::size_t>(u)] >= 0) continue;
+        cluster_of[static_cast<std::size_t>(u)] = c;
+        members.push_back(u);
+        if (members.size() == full) break;
+      }
     }
-    cluster_seed.push_back(seed);
   }
-  const int num_clusters = static_cast<int>(cluster_seed.size());
+  const int num_clusters = static_cast<int>(cluster_begin.size());
+  cluster_begin.push_back(members.size());
 
   // ---- 2+3. Linearize: DFS over the cluster quotient (ascending cluster
   // ids, lowest-unvisited restart), emitting each cluster's members in
-  // within-cluster DFS preorder. --------------------------------------------
+  // within-cluster DFS preorder. Quotient row c lists the clusters adjacent
+  // to c's members, each pushed once (stamped with c), then sorted. ---------
   std::vector<std::vector<int>> quotient(
       static_cast<std::size_t>(num_clusters));
-  for (int v = 0; v < n; ++v) {
-    const int cv = cluster_of[static_cast<std::size_t>(v)];
-    for (int u : g.neighbors(v)) {
-      const int cu = cluster_of[static_cast<std::size_t>(u)];
-      if (cu != cv) quotient[static_cast<std::size_t>(cv)].push_back(cu);
+  std::vector<int> stamp(static_cast<std::size_t>(num_clusters), -1);
+  for (int c = 0; c < num_clusters; ++c) {
+    auto& adj = quotient[static_cast<std::size_t>(c)];
+    for (std::size_t i = cluster_begin[static_cast<std::size_t>(c)];
+         i < cluster_begin[static_cast<std::size_t>(c) + 1]; ++i) {
+      for (int u : g.neighbors(members[i])) {
+        const int cu = cluster_of[static_cast<std::size_t>(u)];
+        if (cu == c || stamp[static_cast<std::size_t>(cu)] == c) continue;
+        stamp[static_cast<std::size_t>(cu)] = c;
+        adj.push_back(cu);
+      }
     }
-  }
-  for (auto& adj : quotient) {
     std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
   }
 
   auto to_old = std::make_shared<std::vector<int>>();
@@ -105,9 +117,9 @@ Renumbering cluster_renumbering(const Graph& g, int target_cluster_size) {
     while (!cstack.empty()) {
       const int c = cstack.back();
       cstack.pop_back();
-      cluster_preorder_into(g, cluster_of, c,
-                            cluster_seed[static_cast<std::size_t>(c)],
-                            on_stack, vstack, *to_old);
+      cluster_preorder_into(
+          g, cluster_of, c, members[cluster_begin[static_cast<std::size_t>(c)]],
+          on_stack, vstack, *to_old);
       const auto& adj = quotient[static_cast<std::size_t>(c)];
       for (auto it = adj.rbegin(); it != adj.rend(); ++it) {
         if (cluster_done[static_cast<std::size_t>(*it)]) continue;

@@ -14,14 +14,14 @@
 /// (experiment E18 measures the drop).
 ///
 /// The algorithm (chosen over label propagation — see DESIGN.md §6 for the
-/// justification) is deterministic BFS ball growing on one `BfsScratch`
-/// (graph/frontier_bfs.h), the same machinery the paper's network
-/// decomposition uses for cluster growing:
+/// justification) is deterministic BFS ball growing, the same idea the
+/// paper's network decomposition uses for cluster growing:
 ///
-///  1. **Grow.** Repeatedly take the lowest still-unassigned id as a seed,
-///     run a filtered BFS over unassigned vertices, and carve off the first
-///     `target_cluster_size` vertices of its visit order (a prefix of BFS
-///     visit order is connected, so every cluster is connected).
+///  1. **Grow.** Repeatedly take the lowest still-unassigned id as a seed
+///     and run a BFS over unassigned vertices that stops once it has
+///     claimed `target_cluster_size` of them: the cluster is that prefix of
+///     the BFS visit order (a prefix of BFS visit order is connected, so
+///     every cluster is connected).
 ///  2. **Linearize within clusters.** Order each cluster's members by an
 ///     ascending-neighbor DFS preorder from the seed, restricted to the
 ///     cluster. DFS subtree contiguity keeps any *slice* of a cluster's
@@ -35,9 +35,10 @@
 ///
 /// The result is a pure function of the graph — no seeds, no shard count —
 /// so every rank derives the identical permutation locally, and one
-/// permutation serves every S. Cost: O(K·(n+m)) with K = ceil(n /
-/// target_cluster_size) clusters per component (the filtered BFS re-scans
-/// the shrinking unassigned region once per cluster).
+/// permutation serves every S. Cost: O(n + m) plus sorting the quotient
+/// rows. Each growth BFS scans only its own members' adjacency, and each
+/// quotient row is built from its cluster's members, each neighboring
+/// cluster pushed once.
 #pragma once
 
 #include <memory>

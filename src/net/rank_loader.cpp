@@ -55,37 +55,55 @@ namespace {
 
 // Shared streaming core: parses through graph/io.h's scan_edge_list,
 // obtains the partition from make_part(n) at the header, then keeps only
-// the layout rows owned by `shard`.
+// the layout rows owned by `shard`, as one flat CSR.
 template <typename MakePart>
 CsrSlice stream_slice(std::istream& in, int shard, MakePart&& make_part) {
-  int n = 0;
-  int lo = 0, hi = 0;
+  CsrSlice slice;
   VertexPartition part;
-  std::vector<std::vector<int>> rows;
+  // (owned row, layout target) of every kept edge end, in file order.
+  std::vector<std::pair<int, int>> ends;
   scan_edge_list(
       in,
       [&](int header_n, std::int64_t) {
-        n = header_n;
-        part = make_part(n);
+        part = make_part(header_n);
         DC_REQUIRE(shard >= 0 && shard < part.num_shards(),
                    "shard out of range");
-        lo = part.begin(shard);
-        hi = part.end(shard);
-        rows.resize(static_cast<std::size_t>(hi - lo));
+        slice.n_global = header_n;
+        slice.lo = part.begin(shard);
+        slice.hi = part.end(shard);
       },
       [&](int u, int v) {
         // Relabel into layout space (identity when contiguous) and keep
         // only what this rank owns; everything else streams past.
         const int pu = part.position_of(u);
         const int pv = part.position_of(v);
-        if (pu >= lo && pu < hi) {
-          rows[static_cast<std::size_t>(pu - lo)].push_back(pv);
-        }
-        if (pv >= lo && pv < hi) {
-          rows[static_cast<std::size_t>(pv - lo)].push_back(pu);
-        }
+        if (slice.owns(pu)) ends.emplace_back(pu - slice.lo, pv);
+        if (slice.owns(pv)) ends.emplace_back(pv - slice.lo, pu);
       });
-  return slice_from_rows(n, lo, hi, std::move(rows));
+  // Counting sort by row, then sort each row and drop its duplicates,
+  // compacting the rows leftwards.
+  auto& offsets = slice.offsets;
+  offsets.assign(static_cast<std::size_t>(slice.num_owned()) + 1, 0);
+  for (const auto& e : ends) ++offsets[static_cast<std::size_t>(e.first) + 1];
+  for (std::size_t r = 1; r < offsets.size(); ++r) offsets[r] += offsets[r - 1];
+  slice.targets.resize(ends.size());
+  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const auto& [row, target] : ends) {
+    slice.targets[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(row)]++)] = target;
+  }
+  auto first = slice.targets.begin();
+  auto out = first;
+  for (std::size_t r = 1; r < offsets.size(); ++r) {
+    const auto last = slice.targets.begin() + offsets[r];
+    std::sort(first, last);
+    const auto row_end = std::unique(first, last);
+    out = out == first ? row_end : std::copy(first, row_end, out);
+    offsets[r] = out - slice.targets.begin();
+    first = last;
+  }
+  slice.targets.erase(out, slice.targets.end());
+  return slice;
 }
 
 }  // namespace

@@ -80,7 +80,9 @@ CsrSlice slice_of(const Graph& g, const VertexPartition& part, int shard);
 
 /// Streams the graph/io.h edge-list format and keeps only the rows owned by
 /// \p shard under the contiguous partition of n into \p num_shards. Any
-/// rank's slice of a file equals `slice_of` on the fully loaded graph.
+/// rank's slice of a file equals `slice_of` on the fully loaded graph. The
+/// kept (row, target) pairs are counting-sorted into one flat CSR, then
+/// each row is sorted and de-duplicated, so repeated edges merge.
 CsrSlice load_edge_list_slice(std::istream& in, int num_shards, int shard);
 CsrSlice load_edge_list_slice(const std::string& path, int num_shards,
                               int shard);

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
+#include <vector>
 
 #include "graph/components.h"
 #include "graph/generators.h"
@@ -23,6 +26,52 @@ TEST(Graph, FromEdgesDedupesAndSorts) {
   EXPECT_FALSE(g.has_edge(0, 2));
   const auto nb = g.neighbors(1);
   EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
+}
+
+// from_edges against a reference build that keeps each row in a std::set,
+// on shuffled edge lists with repeats in both orientations; the last
+// quarter of the ids never gets an edge. Trials 0 and 1 are n = 0 and 1.
+TEST(Graph, FromEdgesMatchesSetReference) {
+  Rng rng(41);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = trial < 2 ? trial : 2 + static_cast<int>(rng.next_below(80));
+    const int touched = n - n / 4;
+    std::vector<Edge> edges;
+    std::vector<std::set<int>> rows(static_cast<std::size_t>(n));
+    const int m = touched < 2 ? 0 : static_cast<int>(rng.next_below(3 * n));
+    for (int i = 0; i < m; ++i) {
+      const int u = rng.next_int(0, touched - 1);
+      const int v = rng.next_int(0, touched - 1);
+      if (u == v) continue;
+      edges.emplace_back(u, v);
+      if (rng.next_below(3) == 0) edges.emplace_back(v, u);
+      if (rng.next_below(5) == 0) edges.emplace_back(u, v);
+      rows[static_cast<std::size_t>(u)].insert(v);
+      rows[static_cast<std::size_t>(v)].insert(u);
+    }
+    rng.shuffle(edges);
+    const Graph g = Graph::from_edges(n, edges);
+
+    std::vector<int> expect_offsets{0}, expect_adj, offsets{0}, adj;
+    int max_degree = 0;
+    int min_degree = n;
+    for (int v = 0; v < n; ++v) {
+      const auto& row = rows[static_cast<std::size_t>(v)];
+      expect_adj.insert(expect_adj.end(), row.begin(), row.end());
+      expect_offsets.push_back(static_cast<int>(expect_adj.size()));
+      max_degree = std::max(max_degree, static_cast<int>(row.size()));
+      min_degree = std::min(min_degree, static_cast<int>(row.size()));
+      const auto nb = g.neighbors(v);
+      adj.insert(adj.end(), nb.begin(), nb.end());
+      offsets.push_back(static_cast<int>(adj.size()));
+    }
+    ASSERT_EQ(g.num_vertices(), n) << "trial " << trial;
+    EXPECT_EQ(offsets, expect_offsets) << "trial " << trial;
+    EXPECT_EQ(adj, expect_adj) << "trial " << trial;
+    EXPECT_EQ(g.num_edges(), static_cast<std::int64_t>(adj.size()) / 2);
+    EXPECT_EQ(g.max_degree(), max_degree) << "trial " << trial;
+    EXPECT_EQ(g.min_degree(), n == 0 ? 0 : min_degree) << "trial " << trial;
+  }
 }
 
 TEST(Graph, RejectsSelfLoopsAndOutOfRange) {

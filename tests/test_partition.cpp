@@ -1,7 +1,8 @@
 // The shard data layer (graph/partition.h): the contiguous deterministic
 // VertexPartition (boundary cases: more shards than vertices/components,
 // singleton and empty shards, the O(1) shard_of closed form) and GraphView
-// halo tables / cross-edge counts pinned against the global adjacency.
+// halo tables / cross-edge counts pinned against the global adjacency,
+// under the contiguous and the cluster partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "graph/partition.h"
+#include "graph/renumber.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -70,36 +72,46 @@ TEST(VertexPartition, ResolveNumShards) {
 }
 
 // Brute-force halo of one shard straight from the global adjacency.
-std::vector<int> reference_halo(const Graph& g, int lo, int hi) {
+std::vector<int> reference_halo(const Graph& g, const GraphView& view) {
   std::set<int> halo;
-  for (int v = lo; v < hi; ++v) {
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (!view.owns(v)) continue;
     for (int u : g.neighbors(v)) {
-      if (u < lo || u >= hi) halo.insert(u);
+      if (!view.owns(u)) halo.insert(u);
     }
   }
   return {halo.begin(), halo.end()};
+}
+
+// The contiguous partition and the cluster layout, whose shards own ids
+// scattered over [0, n).
+std::vector<VertexPartition> both_partitions(const Graph& g, int num_shards) {
+  return {VertexPartition::contiguous(g.num_vertices(), num_shards),
+          make_partition(g, num_shards, PartitionStrategy::kCluster)};
 }
 
 TEST(GraphView, HaloMatchesGlobalAdjacency) {
   Rng rng(11);
   const Graph g = random_graph_max_degree(300, 7, 2.0, rng);
   for (int num_shards : {1, 2, 3, 8}) {
-    const VertexPartition p =
-        VertexPartition::contiguous(g.num_vertices(), num_shards);
-    const auto views = build_graph_views(g, p);
-    ASSERT_EQ(static_cast<int>(views.size()), num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      const GraphView& view = views[static_cast<std::size_t>(s)];
-      const auto expect = reference_halo(g, p.begin(s), p.end(s));
-      const auto halo = view.halo();
-      ASSERT_EQ(halo.size(), expect.size()) << "shard " << s;
-      for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(halo[i], expect[i]) << "shard " << s << " entry " << i;
-      }
-      for (int u : expect) EXPECT_TRUE(view.in_halo(u));
-      // Owned vertices are never in their own halo.
-      for (int v = view.owned_begin(); v < view.owned_end(); ++v) {
-        EXPECT_FALSE(view.in_halo(v));
+    for (const VertexPartition& p : both_partitions(g, num_shards)) {
+      const char* kind = p.is_contiguous() ? "contiguous" : "cluster";
+      const auto views = build_graph_views(g, p);
+      ASSERT_EQ(static_cast<int>(views.size()), num_shards);
+      for (int s = 0; s < num_shards; ++s) {
+        const GraphView& view = views[static_cast<std::size_t>(s)];
+        const auto expect = reference_halo(g, view);
+        const auto halo = view.halo();
+        ASSERT_EQ(halo.size(), expect.size()) << kind << " shard " << s;
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+          EXPECT_EQ(halo[i], expect[i])
+              << kind << " shard " << s << " entry " << i;
+        }
+        for (int u : expect) EXPECT_TRUE(view.in_halo(u));
+        // Owned vertices are never in their own halo.
+        for (int i = 0; i < view.num_owned(); ++i) {
+          EXPECT_FALSE(view.in_halo(view.owned_vertex(i))) << kind;
+        }
       }
     }
   }
@@ -139,21 +151,30 @@ TEST(GraphView, CrossEdgeDestinationsMatchBruteForce) {
   Rng rng(17);
   const Graph g = random_graph_max_degree(150, 5, 1.7, rng);
   const int num_shards = 4;
-  const VertexPartition p =
-      VertexPartition::contiguous(g.num_vertices(), num_shards);
-  const auto views = build_graph_views(g, p);
-  for (int s = 0; s < num_shards; ++s) {
-    std::vector<std::int64_t> expect(static_cast<std::size_t>(num_shards), 0);
-    for (int v = p.begin(s); v < p.end(s); ++v) {
-      for (int u : g.neighbors(v)) {
-        const int d = p.shard_of(u);
-        if (d != s) ++expect[static_cast<std::size_t>(d)];
+  for (const VertexPartition& p : both_partitions(g, num_shards)) {
+    const char* kind = p.is_contiguous() ? "contiguous" : "cluster";
+    const auto views = build_graph_views(g, p);
+    // The shard whose view owns u, found by asking every view.
+    const auto owner = [&](int u) {
+      int d = 0;
+      while (!views[static_cast<std::size_t>(d)].owns(u)) ++d;
+      return d;
+    };
+    for (int s = 0; s < num_shards; ++s) {
+      std::vector<std::int64_t> expect(static_cast<std::size_t>(num_shards),
+                                       0);
+      for (int v = 0; v < g.num_vertices(); ++v) {
+        if (!views[static_cast<std::size_t>(s)].owns(v)) continue;
+        for (int u : g.neighbors(v)) {
+          const int d = owner(u);
+          if (d != s) ++expect[static_cast<std::size_t>(d)];
+        }
       }
-    }
-    for (int d = 0; d < num_shards; ++d) {
-      EXPECT_EQ(views[static_cast<std::size_t>(s)].cross_edges(d),
-                expect[static_cast<std::size_t>(d)])
-          << "shard " << s << " -> " << d;
+      for (int d = 0; d < num_shards; ++d) {
+        EXPECT_EQ(views[static_cast<std::size_t>(s)].cross_edges(d),
+                  expect[static_cast<std::size_t>(d)])
+            << kind << " shard " << s << " -> " << d;
+      }
     }
   }
 }
@@ -187,8 +208,7 @@ TEST(GraphView, MoreShardsThanComponents) {
   const VertexPartition p = VertexPartition::contiguous(g.num_vertices(), 8);
   const auto views = build_graph_views(g, p);
   for (const auto& view : views) {
-    const auto expect =
-        reference_halo(g, view.owned_begin(), view.owned_end());
+    const auto expect = reference_halo(g, view);
     ASSERT_EQ(view.halo().size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
       EXPECT_EQ(view.halo()[i], expect[i]);

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -32,6 +33,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/partition.h"
+#include "graph/renumber.h"
 #include "local/round_ledger.h"
 #include "mis/luby_sync.h"
 #include "net/frame.h"
@@ -380,6 +382,48 @@ TEST(RankLoader, StreamedSliceMatchesInMemorySlice) {
       EXPECT_TRUE(std::equal(halo.begin(), halo.end(), view.halo().begin(),
                              view.halo().end()))
           << w.name;
+    }
+  }
+}
+
+// save_edge_list never repeats an edge; a hand-written file may. This one
+// (9 distinct edges, ids scrambled so the cluster layout is not the
+// identity) repeats edges in both orientations and has comments and blank
+// lines. Every streamed slice must merge the repeats exactly as
+// load_edge_list does.
+TEST(RankLoader, StreamedSliceOfRepeatedEdgesMatchesSliceOf) {
+  const std::string path = ::testing::TempDir() + "deltacol_slice_repeats.el";
+  {
+    std::ofstream out(path);
+    out << "# 7 vertices, 16 edge lines\n"
+        << "7 16\n"
+        << "0 4\n4 0\n\n4 2\n2 4\n4 2\n"
+        << "# the far side\n"
+        << "2 6\n6 1\n1 6\n   \n1 5\n5 3\n3 0\n0 3\n0 6\n6 0\n2 5\n5 2\n";
+  }
+  const Graph g = load_edge_list(path);
+  ASSERT_EQ(g.num_edges(), 9);
+  for (int num_shards : {2, 3}) {
+    for (PartitionStrategy strategy :
+         {PartitionStrategy::kContiguous, PartitionStrategy::kCluster}) {
+      const VertexPartition part = make_partition(g, num_shards, strategy);
+      for (int r = 0; r < num_shards; ++r) {
+        const std::string tag = std::string(partition_strategy_name(strategy)) +
+                                " S=" + std::to_string(num_shards) +
+                                " r=" + std::to_string(r);
+        const CsrSlice direct = slice_of(g, part, r);
+        std::vector<CsrSlice> streamed{load_edge_list_slice(path, part, r)};
+        if (part.is_contiguous()) {
+          streamed.push_back(load_edge_list_slice(path, num_shards, r));
+        }
+        for (const CsrSlice& slice : streamed) {
+          EXPECT_EQ(slice.n_global, direct.n_global) << tag;
+          EXPECT_EQ(slice.lo, direct.lo) << tag;
+          EXPECT_EQ(slice.hi, direct.hi) << tag;
+          EXPECT_EQ(slice.offsets, direct.offsets) << tag;
+          EXPECT_EQ(slice.targets, direct.targets) << tag;
+        }
+      }
     }
   }
 }
