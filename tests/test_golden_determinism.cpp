@@ -61,7 +61,10 @@ struct Golden {
 
 // Captured with seed 2024, serial run (threads = 1, shards = 1). The
 // "large" rows pin Phase (1) at rand_large's default radius r = 2; the
-// "small" rows reach it only at r = ceil(log2 log2 n) per component.
+// "small" rows reach it only at r = ceil(log2 log2 n) per component. The
+// "det-rand" rows run det with the randomized list engine, and the
+// power-law rows pin the wide palettes (Delta > 64) of the schedule and
+// the layer instances.
 constexpr Golden kGoldens[] = {
     {"regular-500-6", "det", 0x9dc681a19a5fb1d4ULL},
     {"regular-500-6", "small", 0x4ae385a1b0f38fb2ULL},
@@ -83,10 +86,14 @@ constexpr Golden kGoldens[] = {
     {"sparse-400-6", "large", 0x03ffe0f54802b502ULL},
     {"3-components", "large", 0xb64d8f71d8ae215aULL},
     {"triangle-cactus", "large", 0x92dc5e087f2c9a63ULL},
+    {"powerlaw-2000-3", "det", 0xb0eb6dc2d98c20e1ULL},
+    {"powerlaw-2000-3", "large", 0x0575680c4f836146ULL},
+    {"regular-500-6", "det-rand", 0x20dbf5da205a704eULL},
+    {"3-components", "det-rand", 0xd9587578ed3ca6c2ULL},
 };
 
 Algorithm alg_from_tag(const std::string& tag) {
-  if (tag == "det") return Algorithm::kDeterministic;
+  if (tag == "det" || tag == "det-rand") return Algorithm::kDeterministic;
   if (tag == "small") return Algorithm::kRandomizedSmall;
   if (tag == "large") return Algorithm::kRandomizedLarge;
   return Algorithm::kBaselineGreedyBrooks;
@@ -95,8 +102,9 @@ Algorithm alg_from_tag(const std::string& tag) {
 TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
   // The zoo of tests/test_parallel_determinism.cpp, reproduced exactly
   // (same seed, same construction order — the generators consume one
-  // shared stream).
+  // shared stream), then a power-law graph from a stream of its own.
   Rng rng(71);
+  Rng powerlaw_rng(29);
   struct Workload {
     const char* name;
     Graph g;
@@ -110,6 +118,7 @@ TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
                                      random_regular(90, 4, rng)),
                       random_graph_max_degree(150, 6, 1.8, rng))},
       {"triangle-cactus", triangle_cactus(1500)},
+      {"powerlaw-2000-3", preferential_attachment(2000, 3, powerlaw_rng)},
   };
   for (const Golden& golden : kGoldens) {
     const Graph* g = nullptr;
@@ -122,6 +131,9 @@ TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
       DeltaColoringOptions opt;
       opt.seed = 2024;
       opt.num_threads = threads;
+      if (std::string(golden.alg) == "det-rand") {
+        opt.list_engine = ListEngine::kRandomized;
+      }
       const DeltaColoringResult res = delta_color(*g, alg, opt);
       EXPECT_EQ(result_fingerprint(res), golden.hash)
           << golden.graph << " / " << golden.alg << " / T=" << threads;

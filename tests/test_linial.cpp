@@ -1,9 +1,16 @@
-// Linial's O(Delta^2) coloring: correctness, palette size, round count.
+// Linial's O(Delta^2) coloring: correctness, palette size, round count, and
+// the frozen schedule hashes.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "coloring/linial.h"
 #include "graph/generators.h"
 #include "local/round_ledger.h"
+#include "runtime/thread_pool.h"
+#include "test_support.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/rng.h"
@@ -108,6 +115,62 @@ TEST(Linial, RoundsGrowSlowlyWithN) {
   const auto rs = linial_coloring(small, ls);
   const auto rb = linial_coloring(big, lb);
   EXPECT_LE(rb.rounds, rs.rounds + 3);
+}
+
+// The coloring, num_colors and rounds of a LinialResult folded through
+// FNV-1a.
+std::uint64_t schedule_fingerprint(const LinialResult& r) {
+  using test_support::fnv1a;
+  std::uint64_t h = test_support::kFnvOffset;
+  for (Color c : r.coloring) h = fnv1a(h, static_cast<std::uint64_t>(c));
+  h = fnv1a(h, static_cast<std::uint64_t>(r.num_colors));
+  return fnv1a(h, static_cast<std::uint64_t>(r.rounds));
+}
+
+struct ScheduleGolden {
+  const char* graph;
+  std::uint64_t linial;    // linial_coloring
+  std::uint64_t schedule;  // delta_plus_one_schedule
+};
+
+// Frozen output of both schedule entry points. Any change to the Linial
+// rounds or the class reduction must land on these hashes serially and on
+// a pool.
+constexpr ScheduleGolden kScheduleGoldens[] = {
+    {"regular-500-6", 0x3ea3ad4506b1e0afULL, 0x12aa82f1dcce9d83ULL},
+    {"gallai-400-4", 0x26ba0f482c86cea7ULL, 0x40e2155d0b5f9812ULL},
+    {"sparse-400-6", 0x3423df8aec7cf676ULL, 0x9abdc8c591b804c6ULL},
+    {"3-components", 0x01bb6d300d55798bULL, 0x71b83f89cd4ecaa6ULL},
+    {"triangle-cactus", 0x4145abfc5870653eULL, 0x131565584e9b8fd4ULL},
+    {"regular-3000-8", 0x59f5f5573a05ffbdULL, 0x93191090c43e5558ULL},
+    {"pa-3000-3", 0x9cd95d617ac1fbb4ULL, 0xef18a1c86cbe67e3ULL},
+};
+
+TEST(Linial, ScheduleLandsOnFrozenHashes) {
+  std::vector<NamedWorkload> graphs = generator_zoo();
+  Rng rng(19);
+  graphs.push_back({"regular-3000-8", random_regular(3000, 8, rng)});
+  graphs.push_back({"pa-3000-3", preferential_attachment(3000, 3, rng)});
+
+  ThreadPool pool(4);
+  for (const ScheduleGolden& golden : kScheduleGoldens) {
+    const Graph* g = nullptr;
+    for (const auto& w : graphs) {
+      if (w.name == golden.graph) g = &w.graph;
+    }
+    ASSERT_NE(g, nullptr) << golden.graph;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const char* shape = p == nullptr ? "serial" : "pool of 4";
+      RoundLedger linial_ledger, schedule_ledger;
+      EXPECT_EQ(schedule_fingerprint(linial_coloring(*g, linial_ledger, p)),
+                golden.linial)
+          << golden.graph << " linial " << shape;
+      EXPECT_EQ(schedule_fingerprint(
+                    delta_plus_one_schedule(*g, schedule_ledger, p)),
+                golden.schedule)
+          << golden.graph << " schedule " << shape;
+    }
+  }
 }
 
 }  // namespace
