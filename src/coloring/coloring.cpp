@@ -1,6 +1,8 @@
 #include "coloring/coloring.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "util/check.h"
@@ -97,9 +99,27 @@ std::vector<Color> free_colors(const Graph& g, const Coloring& c, int v,
 
 std::optional<Color> first_free_color(const Graph& g, const Coloring& c, int v,
                                       int palette_size) {
-  const auto fc = free_colors(g, c, v, palette_size);
-  if (fc.empty()) return std::nullopt;
-  return fc.front();
+  // v's neighbors hold at most deg(v) colors, so the smallest free color,
+  // if one exists, lies below b: one word of free bits when b <= 64.
+  const int b = std::min(palette_size, g.degree(v) + 1);
+  if (b <= 0) return std::nullopt;
+  if (b <= 64) {
+    std::uint64_t free = ~std::uint64_t{0} >> (64 - b);
+    for (int u : g.neighbors(v)) {
+      if (c[u] != kUncolored && c[u] < b) free &= ~(std::uint64_t{1} << c[u]);
+    }
+    if (free == 0) return std::nullopt;
+    return std::countr_zero(free);
+  }
+  std::vector<bool> used(static_cast<std::size_t>(b), false);
+  for (int u : g.neighbors(v)) {
+    if (c[u] != kUncolored && c[u] < b) {
+      used[static_cast<std::size_t>(c[u])] = true;
+    }
+  }
+  const auto it = std::find(used.begin(), used.end(), false);
+  if (it == used.end()) return std::nullopt;
+  return static_cast<Color>(it - used.begin());
 }
 
 }  // namespace deltacol

@@ -45,7 +45,9 @@ void validate_delta_coloring(const Graph& g, const Coloring& c, int delta);
 std::vector<Color> free_colors(const Graph& g, const Coloring& c, int v,
                                int palette_size);
 
-// Convenience: the smallest free color, or nullopt.
+// The smallest free color, or nullopt: one scan of v's neighbors into a
+// bitmap of min(palette_size, deg(v) + 1) bits, a single word (no
+// allocation) when that is at most 64.
 std::optional<Color> first_free_color(const Graph& g, const Coloring& c, int v,
                                       int palette_size);
 

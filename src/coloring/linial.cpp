@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "coloring/list_coloring.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/math_util.h"
@@ -10,23 +11,6 @@
 namespace deltacol {
 
 namespace {
-
-// Evaluate the base-q digit polynomial of `color` at point x, over GF(q).
-// p(x) = sum_i digit_i * x^i mod q.
-int eval_poly(std::uint64_t color, std::uint64_t q, int degree_bound,
-              std::uint64_t x) {
-  // Horner from the highest digit.
-  std::uint64_t digits[64];
-  for (int i = 0; i < degree_bound; ++i) {
-    digits[i] = color % q;
-    color /= q;
-  }
-  std::uint64_t acc = 0;
-  for (int i = degree_bound - 1; i >= 0; --i) {
-    acc = (acc * x + digits[i]) % q;
-  }
-  return static_cast<int>(acc);
-}
 
 // Choose (q, d) for reducing m colors: d digits over GF(q) must encode m
 // colors (q^d >= m) and q > Delta*(d-1) must leave a free evaluation point.
@@ -70,34 +54,47 @@ LinialResult linial_coloring(const Graph& g, RoundLedger& ledger,
     const Params p = choose_params(m, delta);
     const std::uint64_t new_m = p.q * p.q;
     if (new_m >= m) break;  // reached the O(Delta^2) fixpoint
+    // q^2 < m <= max(2, n) < 2^31, so q <= 46,340: a digit fits in 16 bits
+    // and a Horner step acc * x + digit (each below q) stays under 2^31.
+    DC_ENSURE(p.q <= 46340, "Linial modulus exceeds the 16-bit digit range");
+    const auto q = static_cast<std::uint32_t>(p.q);
+    const auto d = static_cast<std::size_t>(p.d);
+    // Every vertex's d base-q digits, lowest first, extracted once a round.
+    std::vector<std::uint16_t> digits(static_cast<std::size_t>(n) * d);
+    pooled_for(pool, 0, n, [&](int v) {
+      auto color =
+          static_cast<std::uint32_t>(res.coloring[static_cast<std::size_t>(v)]);
+      std::uint16_t* out = &digits[static_cast<std::size_t>(v) * d];
+      for (std::size_t i = 0; i < d; ++i) {
+        out[i] = static_cast<std::uint16_t>(color % q);
+        color /= q;
+      }
+    });
+    // p(x) = sum_i digit_i * x^i mod q, by Horner from the highest digit.
+    const auto eval = [&](int v, std::uint32_t x) {
+      const std::uint16_t* dv = &digits[static_cast<std::size_t>(v) * d];
+      std::uint32_t acc = 0;
+      for (std::size_t i = d; i-- > 0;) acc = (acc * x + dv[i]) % q;
+      return acc;
+    };
     // One synchronous round: nodes exchange current colors, then each picks
-    // an evaluation point avoiding all neighbors' polynomials. Each node
-    // reads the previous coloring and writes next[v]: a parallel-for.
+    // the first evaluation point where its polynomial differs from every
+    // neighbor's (distinct colors are distinct polynomials). Each node reads
+    // the digit table and writes next[v]: a parallel-for.
     Coloring next(static_cast<std::size_t>(n), kUncolored);
     pooled_for(pool, 0, n, [&](int v) {
-      const std::uint64_t cv =
-          static_cast<std::uint64_t>(res.coloring[static_cast<std::size_t>(v)]);
-      int chosen_x = -1;
-      for (std::uint64_t x = 0; x < p.q && chosen_x < 0; ++x) {
-        bool ok = true;
-        const int pv = eval_poly(cv, p.q, p.d, x);
+      const auto free_at = [&](std::uint32_t x) {
+        const std::uint32_t pv = eval(v, x);
         for (int u : g.neighbors(v)) {
-          const std::uint64_t cu = static_cast<std::uint64_t>(
-              res.coloring[static_cast<std::size_t>(u)]);
-          if (cu == cv) continue;  // cannot happen in a proper coloring
-          if (eval_poly(cu, p.q, p.d, x) == pv) {
-            ok = false;
-            break;
-          }
+          if (eval(u, x) == pv) return false;
         }
-        if (ok) chosen_x = static_cast<int>(x);
-      }
-      DC_ENSURE(chosen_x >= 0,
+        return true;
+      };
+      std::uint32_t x = 0;
+      while (x < q && !free_at(x)) ++x;
+      DC_ENSURE(x < q,
                 "Linial step found no valid evaluation point (q too small?)");
-      next[static_cast<std::size_t>(v)] = static_cast<int>(
-          static_cast<std::uint64_t>(chosen_x) * p.q +
-          static_cast<std::uint64_t>(
-              eval_poly(cv, p.q, p.d, static_cast<std::uint64_t>(chosen_x))));
+      next[static_cast<std::size_t>(v)] = static_cast<int>(x * q + eval(v, x));
     });
     res.coloring = std::move(next);
     m = new_m;
@@ -119,34 +116,28 @@ LinialResult reduce_to_delta_plus_one(const Graph& g, const Coloring& start,
   LinialResult res;
   res.coloring = start;
   res.num_colors = std::max(target, start_colors);
-  // Bucket the to-be-recolored classes once: members leave their class for a
-  // color < target and never re-enter, so the buckets stay valid across
-  // rounds (and the sweep is O(n + m) total instead of O(n) per class).
-  std::vector<std::vector<int>> members;
-  if (start_colors > target) {
-    members.resize(static_cast<std::size_t>(start_colors - target));
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      const int c = res.coloring[static_cast<std::size_t>(v)];
-      if (c >= target) {
-        members[static_cast<std::size_t>(c - target)].push_back(v);
-      }
+  // Class c >= target is swept as schedule class start_colors - 1 - c, so
+  // the highest class goes first. A class is an independent set: all its
+  // members recolor simultaneously to their smallest free color below
+  // target, and no neighbor of a member is in its class, so the reads are
+  // stable under the parallel-for. Members leave their class for good.
+  std::vector<int> members;
+  Coloring step(start.size());
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const int c = start[static_cast<std::size_t>(v)];
+    if (c >= target) {
+      members.push_back(v);
+      step[static_cast<std::size_t>(v)] = start_colors - 1 - c;
     }
   }
-  for (int c = start_colors - 1; c >= target; --c) {
-    // Color class c is an independent set: all its members recolor
-    // simultaneously to their smallest free color below c. No neighbor of a
-    // class-c member is in class c, so the reads are stable under the
-    // parallel-for.
-    const auto& cls = members[static_cast<std::size_t>(c - target)];
-    pooled_for(pool, 0, static_cast<int>(cls.size()), [&](int i) {
-      const int v = cls[static_cast<std::size_t>(i)];
-      const auto x = first_free_color(g, res.coloring, v, target);
-      DC_ENSURE(x.has_value(), "no free color among Delta+1");
-      res.coloring[static_cast<std::size_t>(v)] = *x;
-    });
-    ++res.rounds;
-    ledger.charge(1, "color-reduction");
-  }
+  res.rounds = std::max(0, start_colors - target);
+  sweep_schedule_classes(
+      members, step, res.rounds,
+      [&](int v) {
+        res.coloring[static_cast<std::size_t>(v)] =
+            first_free_color(g, res.coloring, v, target).value();
+      },
+      ledger, "color-reduction", pool);
   res.num_colors = target;
   DC_ENSURE(is_proper_with_palette(g, res.coloring, res.num_colors),
             "color reduction broke the coloring");

@@ -10,7 +10,9 @@
 // < d over GF(q) (its base-q digits). With q > Delta*(d-1), every vertex can
 // pick an evaluation point x where it differs from all neighbors, giving a
 // proper q^2-coloring (pair (x, p(x))) in ONE communication round. Iterating
-// reaches O(Delta^2) colors in O(log* m) rounds.
+// reaches O(Delta^2) colors in O(log* m) rounds. Each round extracts every
+// vertex's digits once into a flat 16-bit table and evaluates by 32-bit
+// Horner: a round runs only while q^2 < m <= max(2, n) < 2^31, so q <= 46,340.
 #pragma once
 
 #include "coloring/coloring.h"
@@ -34,7 +36,8 @@ LinialResult linial_coloring(const Graph& g, RoundLedger& ledger,
 
 // Standard one-color-per-round reduction: from a proper m-coloring to a
 // proper (Delta+1)-coloring in m - (Delta+1) rounds (each round the highest
-// color class recolors greedily — an independent set, so no conflicts).
+// color class recolors greedily — an independent set, so no conflicts — on
+// the shared class sweep of coloring/list_coloring.h).
 // Computing this once makes every later schedule sweep cost Delta+1 rounds
 // instead of O(Delta^2).
 LinialResult reduce_to_delta_plus_one(const Graph& g, const Coloring& start,

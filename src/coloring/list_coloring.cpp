@@ -1,6 +1,7 @@
 #include "coloring/list_coloring.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -39,6 +40,32 @@ Color first_feasible(const Graph& g, const ListAssignment& lists,
 
 }  // namespace
 
+void sweep_schedule_classes(std::span<const int> members,
+                            const Coloring& schedule, int num_schedule_colors,
+                            const std::function<void(int)>& pick,
+                            RoundLedger& ledger, std::string_view phase,
+                            ThreadPool* pool) {
+  const auto class_of = [&](int v) {
+    return static_cast<std::size_t>(schedule[static_cast<std::size_t>(v)]);
+  };
+  // Class s is order[begin[s] .. begin[s + 1]), its members in their
+  // relative order in `members`.
+  std::vector<int> begin(static_cast<std::size_t>(num_schedule_colors) + 1, 0);
+  for (int v : members) ++begin[class_of(v) + 1];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<int> order(members.size());
+  std::vector<int> fill(begin.begin(), begin.end() - 1);
+  for (int v : members) {
+    order[static_cast<std::size_t>(fill[class_of(v)]++)] = v;
+  }
+  for (int s = 0; s < num_schedule_colors; ++s) {
+    pooled_for(pool, begin[static_cast<std::size_t>(s)],
+               begin[static_cast<std::size_t>(s) + 1],
+               [&](int i) { pick(order[static_cast<std::size_t>(i)]); });
+    ledger.charge(1, phase);
+  }
+}
+
 void det_list_coloring(const Graph& g, const ListAssignment& lists,
                        const Coloring& schedule, int num_schedule_colors,
                        Coloring& out, RoundLedger& ledger,
@@ -47,34 +74,20 @@ void det_list_coloring(const Graph& g, const ListAssignment& lists,
              "output coloring size mismatch");
   DC_REQUIRE(is_proper_with_palette(g, schedule, num_schedule_colors),
              "schedule must be a proper coloring");
-  // Bucket the vertices by schedule class once; the round loop then touches
-  // each vertex exactly once (still charging one round per class — empty
-  // classes cost a round on a real network too, since nobody knows they are
-  // empty).
-  std::vector<std::vector<int>> buckets(
-      static_cast<std::size_t>(num_schedule_colors));
+  std::vector<int> members;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    if (out[static_cast<std::size_t>(v)] == kUncolored) {
-      buckets[static_cast<std::size_t>(schedule[static_cast<std::size_t>(v)])]
-          .push_back(v);
-    }
+    if (out[static_cast<std::size_t>(v)] == kUncolored) members.push_back(v);
   }
-  for (int s = 0; s < num_schedule_colors; ++s) {
-    // All vertices of schedule class s choose simultaneously; the class is
-    // an independent set, so their choices cannot conflict — and no member
-    // reads a slot another member writes, so the class sweep is a
-    // parallel-for.
-    const auto& bucket = buckets[static_cast<std::size_t>(s)];
-    pooled_for(pool, 0, static_cast<int>(bucket.size()), [&](int i) {
-      const int v = bucket[static_cast<std::size_t>(i)];
-      const Color x = first_feasible(g, lists, out, v);
-      DC_ENSURE(x != kUncolored,
-                "det_list_coloring: vertex ran out of list colors (instance "
-                "violated the deg+1 precondition)");
-      out[static_cast<std::size_t>(v)] = x;
-    });
-    ledger.charge(1, phase);
-  }
+  sweep_schedule_classes(
+      members, schedule, num_schedule_colors,
+      [&](int v) {
+        const Color x = first_feasible(g, lists, out, v);
+        DC_ENSURE(x != kUncolored,
+                  "det_list_coloring: vertex ran out of list colors (instance "
+                  "violated the deg+1 precondition)");
+        out[static_cast<std::size_t>(v)] = x;
+      },
+      ledger, phase, pool);
 }
 
 void rand_list_coloring(const Graph& g, const ListAssignment& lists,

@@ -16,6 +16,8 @@
 // which the (deg+1) precondition guarantees.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <string_view>
 
 #include "coloring/coloring.h"
@@ -29,6 +31,18 @@ class ThreadPool;  // src/runtime/thread_pool.h; nullptr = serial
 
 // Checks |L(v)| >= deg_g(v) + 1 for all v (the instance precondition).
 bool lists_have_deg_plus_one(const Graph& g, const ListAssignment& lists);
+
+// The class sweep of every deterministic engine (det_list_coloring, the
+// layer instances of core/layering.h, the color reduction): buckets
+// `members` by schedule class (counting sort), then for each class s in
+// [0, num_schedule_colors), in order, runs pick(v) for its members on the
+// pool and charges one round, empty classes too (nobody knows they are
+// empty). Each class must be an independent set: picks run concurrently.
+void sweep_schedule_classes(std::span<const int> members,
+                            const Coloring& schedule, int num_schedule_colors,
+                            const std::function<void(int)>& pick,
+                            RoundLedger& ledger, std::string_view phase,
+                            ThreadPool* pool);
 
 // Colors every vertex with out[v] == kUncolored; already-colored entries are
 // fixed and respected. `schedule` must be a proper coloring of g with colors

@@ -1,6 +1,8 @@
 #include "core/layering.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 
 #include "coloring/list_coloring.h"
 #include "graph/frontier_bfs.h"
@@ -67,11 +69,74 @@ void color_vertex_set_as_list_instance(const Graph& g,
                                        RoundLedger& ledger,
                                        std::string_view phase,
                                        ThreadPool* pool) {
+  // The instance: the uncolored vertices, sorted and de-duplicated (the
+  // vertex order of their induced subgraph).
   std::vector<int> todo;
   for (int v : vertices) {
     if (c[static_cast<std::size_t>(v)] == kUncolored) todo.push_back(v);
   }
   if (todo.empty()) return;
+  std::sort(todo.begin(), todo.end());
+  todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
+  const int n = g.num_vertices();
+  const int k = static_cast<int>(todo.size());
+  DC_REQUIRE(todo.front() >= 0 && todo.back() < n,
+             "subgraph vertex out of range");
+  // Both checks in one pass over each member's neighbors, with membership
+  // looked up by induced_subgraph's rule.
+  std::atomic<bool> short_list{false};  // fewer than deg + 1 free colors
+  std::atomic<bool> clash{false};  // a class out of range or not independent
+  const auto check = [&](auto&& member) {
+    pooled_for(pool, 0, k, [&](int i) {
+      const int v = todo[static_cast<std::size_t>(i)];
+      const Color sv = schedule[static_cast<std::size_t>(v)];
+      int degree = 0;   // in the instance
+      int colored = 0;  // neighbors holding a color of [0, delta)
+      if (sv < 0 || sv >= schedule_colors) clash = true;
+      for (int w : g.neighbors(v)) {
+        if (member(w)) {
+          ++degree;
+          if (schedule[static_cast<std::size_t>(w)] == sv) clash = true;
+        } else if (c[w] != kUncolored && c[w] < delta) {
+          ++colored;
+        }
+      }
+      // The colored neighbors hold at most `colored` distinct colors, so
+      // only a vertex with colored + degree >= delta can lack deg + 1.
+      if (colored + degree >= delta &&
+          static_cast<int>(free_colors(g, c, v, delta).size()) < degree + 1) {
+        short_list = true;
+      }
+    });
+  };
+  if (static_cast<std::int64_t>(k) * kDenseSubgraphRatio < n) {
+    check([&](int w) {
+      return std::binary_search(todo.begin(), todo.end(), w);
+    });
+  } else {
+    std::vector<char> in_todo(static_cast<std::size_t>(n), 0);
+    for (int v : todo) in_todo[static_cast<std::size_t>(v)] = 1;
+    check([&](int w) { return in_todo[static_cast<std::size_t>(w)] != 0; });
+  }
+  DC_ENSURE(!short_list,
+            "layer instance is not (deg+1): some vertex lacks an uncolored "
+            "lower-layer neighbor");
+  if (engine == ListEngine::kDeterministic) {
+    DC_REQUIRE(!clash, "schedule must be a proper coloring");
+    // In place: each member takes the smallest color of [0, delta) no
+    // G-neighbor holds, which is the first color of its list (free at the
+    // start) that no member colored in an earlier class took. The (deg + 1)
+    // check leaves every member one.
+    sweep_schedule_classes(
+        todo, schedule, schedule_colors,
+        [&](int v) {
+          c[static_cast<std::size_t>(v)] =
+              first_free_color(g, c, v, delta).value();
+        },
+        ledger, phase, pool);
+    return;
+  }
+  DC_REQUIRE(rng != nullptr, "randomized engine needs an Rng");
   const auto sub = induced_subgraph(g, todo);
   ListAssignment lists(static_cast<std::size_t>(sub.graph.num_vertices()));
   Coloring sub_schedule(static_cast<std::size_t>(sub.graph.num_vertices()));
@@ -83,21 +148,9 @@ void color_vertex_set_as_list_instance(const Graph& g,
     sub_schedule[static_cast<std::size_t>(i)] =
         schedule[static_cast<std::size_t>(p)];
   });
-  DC_ENSURE(lists_have_deg_plus_one(sub.graph, lists),
-            "layer instance is not (deg+1): some vertex lacks an uncolored "
-            "lower-layer neighbor");
   Coloring sub_c(static_cast<std::size_t>(sub.graph.num_vertices()), kUncolored);
-  switch (engine) {
-    case ListEngine::kDeterministic:
-      det_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, sub_c,
-                        ledger, phase, pool);
-      break;
-    case ListEngine::kRandomized:
-      DC_REQUIRE(rng != nullptr, "randomized engine needs an Rng");
-      rand_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, *rng,
-                         sub_c, ledger, phase, pool);
-      break;
-  }
+  rand_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, *rng,
+                     sub_c, ledger, phase, pool);
   for (int i = 0; i < sub.graph.num_vertices(); ++i) {
     c[sub.to_parent[static_cast<std::size_t>(i)]] = sub_c[i];
   }

@@ -61,6 +61,11 @@ void color_layers_in_reverse(const Graph& g, const Layering& layering,
 
 // One (deg+1)-list instance: color exactly `vertices` (those uncolored in c)
 // from palette {0..delta-1} minus colored neighbors. Shared by all phases.
+// Throws ContractViolation if a vertex has fewer free colors than instance
+// neighbors + 1, then (det engine) if `schedule` is improper on the
+// instance. The det engine colors in place, one class sweep in which each
+// vertex takes first_free_color; the randomized engine runs
+// rand_list_coloring on the induced subgraph with free-color lists.
 void color_vertex_set_as_list_instance(const Graph& g,
                                        const std::vector<int>& vertices,
                                        int delta, const Coloring& schedule,

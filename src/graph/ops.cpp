@@ -1,24 +1,12 @@
 #include "graph/ops.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "graph/frontier_bfs.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 
 namespace deltacol {
-
-namespace {
-
-// induced_subgraph switches from binary search to a dense id map once the
-// set holds at least 1/kDenseSubgraphRatio of g's vertices. On random
-// 8-regular n = 200k (4 vCPUs) the two cross near |S| = n/2000: binary
-// search takes 1.6 against 28 us at |S| = 4, and 0.84 against 0.33 ms at
-// |S| = 1024, where the map's O(n) fill no longer dominates.
-constexpr std::int64_t kDenseSubgraphRatio = 1024;
-
-}  // namespace
 
 int Subgraph::local_id(int parent) const {
   const auto it = std::lower_bound(to_parent.begin(), to_parent.end(), parent);

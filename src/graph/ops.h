@@ -3,6 +3,7 @@
 // distance, Lemma 20).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,6 +23,13 @@ struct Subgraph {
   // Subgraph id of parent vertex `parent`, or -1 if it is not a member.
   int local_id(int parent) const;
 };
+
+// A vertex set S of g (induced_subgraph, core/layering.h's instances) looks
+// up membership by binary search while |S| * kDenseSubgraphRatio < n, in a
+// dense map of g's size above. On random 8-regular n = 200k (4 vCPUs) the
+// two cross near |S| = n/2000: binary search takes 1.6 against 28 us at
+// |S| = 4, and 0.84 against 0.33 ms at |S| = 1024.
+inline constexpr std::int64_t kDenseSubgraphRatio = 1024;
 
 // The subgraph induced by `vertices` (any order, duplicates merged). A set
 // that is small next to g costs O(|S| log |S|) plus its adjacency scan:
