@@ -71,17 +71,16 @@ void color_vertex_set_as_list_instance(const Graph& g,
                                        ThreadPool* pool) {
   // The instance: the uncolored vertices, sorted and de-duplicated (the
   // vertex order of their induced subgraph).
+  const int n = g.num_vertices();
   std::vector<int> todo;
   for (int v : vertices) {
+    DC_REQUIRE(0 <= v && v < n, "subgraph vertex out of range");
     if (c[static_cast<std::size_t>(v)] == kUncolored) todo.push_back(v);
   }
   if (todo.empty()) return;
   std::sort(todo.begin(), todo.end());
   todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-  const int n = g.num_vertices();
   const int k = static_cast<int>(todo.size());
-  DC_REQUIRE(todo.front() >= 0 && todo.back() < n,
-             "subgraph vertex out of range");
   // Both checks in one pass over each member's neighbors, with membership
   // looked up by induced_subgraph's rule.
   std::atomic<bool> short_list{false};  // fewer than deg + 1 free colors

@@ -6,6 +6,7 @@
 #include "coloring/greedy.h"
 #include "graph/generators.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace deltacol {
 namespace {
@@ -40,6 +41,51 @@ TEST(Coloring, FreeColors) {
   EXPECT_EQ(fc, (std::vector<Color>{2, 3}));
   EXPECT_EQ(first_free_color(g, c, 0, 4), 2);
   EXPECT_EQ(first_free_color(g, c, 0, 2), std::nullopt);
+}
+
+// first_free_color bounds its scan by min(palette, deg + 1) and keeps one
+// word of bits up to 64: palettes and degrees on both sides of 64, and
+// colors outside the palette, must give free_colors(...).front().
+TEST(Coloring, FirstFreeColorMatchesFreeList) {
+  Rng rng(13);
+  const Graph graphs[] = {star_graph(100), star_graph(40), clique_graph(70),
+                          random_regular(200, 8, rng),
+                          preferential_attachment(1000, 3, rng)};
+  for (const Graph& g : graphs) {
+    for (int trial = 0; trial < 8; ++trial) {
+      for (int palette : {1, 2, 8, 63, 64, 65, 100, 130}) {
+        // A third uncolored, the rest uniform over twice the palette.
+        Coloring c(static_cast<std::size_t>(g.num_vertices()));
+        for (Color& x : c) {
+          x = rng.next_below(3) == 0
+                  ? kUncolored
+                  : static_cast<Color>(rng.next_below(
+                        static_cast<std::uint64_t>(2 * palette)));
+        }
+        for (int v = 0; v < g.num_vertices(); ++v) {
+          const auto fc = free_colors(g, c, v, palette);
+          const std::optional<Color> want =
+              fc.empty() ? std::nullopt : std::optional<Color>(fc.front());
+          ASSERT_EQ(first_free_color(g, c, v, palette), want)
+              << "v=" << v << " palette=" << palette << " trial=" << trial;
+        }
+      }
+    }
+  }
+  // The center of star_graph(100), its leaves colored 0..99: palettes of 64
+  // (one word) and 100 (a bit vector) are exhausted, 101 leaves color 100.
+  const Graph star = star_graph(100);
+  Coloring c(101, kUncolored);
+  for (int leaf = 1; leaf <= 100; ++leaf) {
+    c[static_cast<std::size_t>(leaf)] = leaf - 1;
+  }
+  EXPECT_EQ(first_free_color(star, c, 0, 64), std::nullopt);
+  EXPECT_EQ(first_free_color(star, c, 0, 100), std::nullopt);
+  EXPECT_EQ(first_free_color(star, c, 0, 101), 100);
+  c[64] = kUncolored;  // frees color 63
+  EXPECT_EQ(first_free_color(star, c, 0, 64), 63);
+  EXPECT_EQ(first_free_color(star, c, 0, 130), 63);
+  EXPECT_EQ(first_free_color(star, c, 0, 0), std::nullopt);
 }
 
 TEST(Coloring, RespectsLists) {

@@ -12,6 +12,7 @@
 #include "graph/traversal.h"
 #include "local/round_ledger.h"
 #include "runtime/thread_pool.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -113,17 +114,10 @@ TEST(Dcc, TorusBallsSeeFourCycles) {
   for (int v = 0; v < g.num_vertices(); ++v) EXPECT_TRUE(det.has_dcc[v]);
 }
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Every observable of a DccDetection folded through FNV-1a.
 std::uint64_t detection_fingerprint(const DccDetection& d) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  using test_support::fnv1a;
+  std::uint64_t h = test_support::kFnvOffset;
   for (bool b : d.has_dcc) h = fnv1a(h, b ? 1u : 0u);
   for (int s : d.selected) h = fnv1a(h, static_cast<std::uint64_t>(s));
   h = fnv1a(h, d.dccs.size());
@@ -132,24 +126,6 @@ std::uint64_t detection_fingerprint(const DccDetection& d) {
     for (int x : set) h = fnv1a(h, static_cast<std::uint64_t>(x));
   }
   return fnv1a(h, static_cast<std::uint64_t>(d.max_dcc_radius));
-}
-
-// A rows x cols torus whose ids are a seeded random permutation, so balls
-// are not laid out in id order.
-Graph scrambled_torus(int rows, int cols, std::uint64_t seed) {
-  const Graph t = grid_graph(rows, cols, true);
-  std::vector<int> perm(static_cast<std::size_t>(t.num_vertices()));
-  for (int v = 0; v < t.num_vertices(); ++v) {
-    perm[static_cast<std::size_t>(v)] = v;
-  }
-  Rng rng(seed);
-  rng.shuffle(perm);
-  std::vector<Edge> edges;
-  for (const auto& [u, v] : t.edge_list()) {
-    edges.emplace_back(perm[static_cast<std::size_t>(u)],
-                       perm[static_cast<std::size_t>(v)]);
-  }
-  return Graph::from_edges(t.num_vertices(), edges);
 }
 
 struct DetectionGolden {
@@ -206,7 +182,8 @@ TEST(Dcc, DetectionLandsOnFrozenHashes) {
   for (auto& w : generator_zoo()) {
     graphs.push_back({w.name, std::move(w.graph)});
   }
-  graphs.push_back({"torus-40-scrambled", scrambled_torus(40, 40, 5)});
+  graphs.push_back(
+      {"torus-40-scrambled", test_support::scrambled_torus(40, 40, 5)});
   Rng rng(19);
   graphs.push_back({"regular-3000-8", random_regular(3000, 8, rng)});
 

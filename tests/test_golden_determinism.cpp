@@ -19,21 +19,15 @@
 #include "core/api.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace deltacol {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t result_fingerprint(const DeltaColoringResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  using test_support::fnv1a;
+  std::uint64_t h = test_support::kFnvOffset;
   for (Color c : r.coloring) h = fnv1a(h, static_cast<std::uint64_t>(c));
   h = fnv1a(h, static_cast<std::uint64_t>(r.delta));
   h = fnv1a(h, static_cast<std::uint64_t>(r.ledger.total()));

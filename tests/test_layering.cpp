@@ -1,10 +1,19 @@
 // The layering driver shared by every algorithm (paper Section 3).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "coloring/linial.h"
+#include "coloring/list_coloring.h"
 #include "core/layering.h"
 #include "graph/generators.h"
+#include "graph/ops.h"
 #include "graph/traversal.h"
+#include "runtime/thread_pool.h"
+#include "test_support.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -103,6 +112,173 @@ TEST(LayerColoring, VertexSetInstanceSkipsColored) {
                                     nullptr, c, ledger, "t");
   EXPECT_EQ(c[0], 0);
   EXPECT_TRUE(is_proper_complete(g, c));
+}
+
+// The list path the det engine's layers took before they were colored in
+// place: per layer, the induced subgraph, free_colors lists and
+// det_list_coloring on the restricted schedule.
+void color_layers_through_lists(const Graph& g, const Layering& layering,
+                                int delta, const Coloring& schedule,
+                                int schedule_colors, Coloring& c,
+                                RoundLedger& ledger, ThreadPool* pool) {
+  for (int i = layering.num_layers - 1; i >= 1; --i) {
+    std::vector<int> todo;
+    for (int v : layering.members[static_cast<std::size_t>(i)]) {
+      if (c[static_cast<std::size_t>(v)] == kUncolored) todo.push_back(v);
+    }
+    if (todo.empty()) continue;
+    const auto sub = induced_subgraph(g, todo);
+    const int k = sub.graph.num_vertices();
+    ListAssignment lists(static_cast<std::size_t>(k));
+    Coloring sub_schedule(static_cast<std::size_t>(k));
+    for (int j = 0; j < k; ++j) {
+      const int p = sub.to_parent[static_cast<std::size_t>(j)];
+      lists[static_cast<std::size_t>(j)] = free_colors(g, c, p, delta);
+      sub_schedule[static_cast<std::size_t>(j)] =
+          schedule[static_cast<std::size_t>(p)];
+    }
+    ASSERT_TRUE(lists_have_deg_plus_one(sub.graph, lists)) << "layer " << i;
+    Coloring sub_c(static_cast<std::size_t>(k), kUncolored);
+    det_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, sub_c,
+                      ledger, "t", pool);
+    for (int j = 0; j < k; ++j) {
+      c[static_cast<std::size_t>(sub.to_parent[static_cast<std::size_t>(j)])] =
+          sub_c[static_cast<std::size_t>(j)];
+    }
+  }
+}
+
+TEST(LayerColoring, InPlaceMatchesListInstance) {
+  std::vector<NamedWorkload> graphs = generator_zoo();
+  Rng rng(37);
+  graphs.push_back({"pa-2000-3", preferential_attachment(2000, 3, rng)});
+  graphs.push_back(
+      {"torus-40-scrambled", test_support::scrambled_torus(40, 40, 5)});
+  // Instances of at most 2 of 20,001 vertices: membership by binary search.
+  graphs.push_back({"cycle-20001", cycle_graph(20001)});
+
+  ThreadPool pool(4);
+  for (const auto& w : graphs) {
+    const Graph& g = w.graph;
+    const int n = g.num_vertices();
+    const int delta = g.max_degree();
+    RoundLedger tmp;
+    const LinialResult sched = delta_plus_one_schedule(g, tmp);
+    const Layering layering = build_layers(g, {0, n / 3, 2 * n / 3}, -1);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const char* shape = p == nullptr ? "serial" : "pool of 4";
+      Coloring in_place(static_cast<std::size_t>(n), kUncolored);
+      Coloring listed = in_place;
+      RoundLedger in_place_ledger, listed_ledger;
+      color_layers_in_reverse(g, layering, delta, sched.coloring,
+                              sched.num_colors, ListEngine::kDeterministic,
+                              nullptr, in_place, in_place_ledger, "t", p);
+      color_layers_through_lists(g, layering, delta, sched.coloring,
+                                 sched.num_colors, listed, listed_ledger, p);
+      EXPECT_EQ(in_place, listed) << w.name << " " << shape;
+      EXPECT_EQ(in_place_ledger.total(), listed_ledger.total())
+          << w.name << " " << shape;
+      EXPECT_GT(in_place_ledger.total(), 0) << w.name << " " << shape;
+    }
+  }
+}
+
+// The ContractViolation message f throws, or "" if it throws none.
+std::string violation(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Vertices base, base + 1, base + 2 of a path of n vertices as one
+// instance: below n = 3072 membership is a dense mark, above it a binary
+// search.
+std::string instance_violation(int n, int base, int delta,
+                               const Coloring& schedule_head,
+                               int schedule_colors, ListEngine engine) {
+  const Graph g = path_graph(n);
+  Coloring schedule(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) schedule[static_cast<std::size_t>(v)] = v % 2;
+  for (int i = 0; i < 3; ++i) {
+    schedule[static_cast<std::size_t>(base + i)] =
+        schedule_head[static_cast<std::size_t>(i)];
+  }
+  Coloring c(static_cast<std::size_t>(n), kUncolored);
+  RoundLedger ledger;
+  Rng rng(3);
+  return violation([&] {
+    color_vertex_set_as_list_instance(g, {base, base + 1, base + 2}, delta,
+                                      schedule, schedule_colors, engine, &rng,
+                                      c, ledger, "t");
+  });
+}
+
+TEST(LayerColoring, InstanceWithoutDegPlusOneThrows) {
+  // The middle vertex has 2 instance neighbors and only 2 colors.
+  for (const auto engine :
+       {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    for (const auto& [n, base] : {std::pair{3, 0}, std::pair{5000, 10}}) {
+      EXPECT_NE(instance_violation(n, base, 2, {0, 1, 0}, 2, engine)
+                    .find("layer instance is not (deg+1)"),
+                std::string::npos)
+          << "n=" << n;
+      // Checked before the schedule, which is improper here as well.
+      EXPECT_NE(instance_violation(n, base, 2, {0, 0, 0}, 2, engine)
+                    .find("layer instance is not (deg+1)"),
+                std::string::npos)
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(LayerColoring, VertexOutOfRangeThrowsBeforeItIsRead) {
+  const Graph g = path_graph(3);
+  const Coloring schedule{0, 1, 0};
+  for (const auto engine :
+       {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    for (const int bad : {-1, 3, 1 << 20}) {
+      Coloring c(3, kUncolored);
+      RoundLedger ledger;
+      Rng rng(3);
+      EXPECT_NE(violation([&] {
+                  color_vertex_set_as_list_instance(g, {0, bad}, 2, schedule,
+                                                    2, engine, &rng, c, ledger,
+                                                    "t");
+                }).find("subgraph vertex out of range"),
+                std::string::npos)
+          << bad;
+      EXPECT_EQ(c, Coloring(3, kUncolored));
+    }
+  }
+}
+
+TEST(LayerColoring, ScheduleImproperOnTheInstanceThrows) {
+  for (const auto& [n, base] : {std::pair{3, 0}, std::pair{5000, 10}}) {
+    const auto det = ListEngine::kDeterministic;
+    for (const Coloring& head : {Coloring{0, 0, 1}, Coloring{0, 1, 2},
+                                 Coloring{0, -1, 0}}) {
+      EXPECT_NE(instance_violation(n, base, 3, head, 2, det)
+                    .find("schedule must be a proper coloring"),
+                std::string::npos)
+          << "n=" << n << " head " << head[0] << head[1] << head[2];
+    }
+    EXPECT_EQ(instance_violation(n, base, 3, {1, 0, 1}, 2, det), "")
+        << "n=" << n;
+  }
+  // Only the instance's own edges count: a schedule conflict with a vertex
+  // outside it is no violation.
+  const Graph g = path_graph(4);
+  Coloring c(4, kUncolored);
+  RoundLedger ledger;
+  color_vertex_set_as_list_instance(g, {0, 1}, 3, {0, 1, 1, 0}, 2,
+                                    ListEngine::kDeterministic, nullptr, c,
+                                    ledger, "t");
+  EXPECT_TRUE(is_proper_partial(g, c));
+  EXPECT_EQ(count_uncolored(c), 2);
+  EXPECT_EQ(ledger.total(), 2);  // one round per schedule class
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +28,7 @@
 #include "net/rank_loader.h"
 #include "net/socket_transport.h"
 #include "runtime/mailbox.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -96,37 +96,14 @@ TEST(Renumber, IdentityRenumbering) {
   for (int v = 0; v < 5; ++v) EXPECT_EQ(id.position_of(v), v);
 }
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // to_old, then num_clusters, folded through FNV-1a.
 std::uint64_t permutation_fingerprint(const Renumbering& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  using test_support::fnv1a;
+  std::uint64_t h = test_support::kFnvOffset;
   for (int p = 0; p < r.num_vertices(); ++p) {
     h = fnv1a(h, static_cast<std::uint64_t>(r.original_of(p)));
   }
   return fnv1a(h, static_cast<std::uint64_t>(r.num_clusters));
-}
-
-// A rows x cols torus whose ids are a seeded random permutation, so BFS
-// growth does not follow id order.
-Graph scrambled_torus(int rows, int cols, std::uint64_t seed) {
-  const Graph t = grid_graph(rows, cols, true);
-  std::vector<int> perm(static_cast<std::size_t>(t.num_vertices()));
-  std::iota(perm.begin(), perm.end(), 0);
-  Rng rng(seed);
-  rng.shuffle(perm);
-  std::vector<Edge> edges;
-  for (const auto& [u, v] : t.edge_list()) {
-    edges.emplace_back(perm[static_cast<std::size_t>(u)],
-                       perm[static_cast<std::size_t>(v)]);
-  }
-  return Graph::from_edges(t.num_vertices(), edges);
 }
 
 struct PermutationGolden {
@@ -167,7 +144,8 @@ constexpr PermutationGolden kPermutationGoldens[] = {
 
 TEST(Renumber, ClusterPermutationLandsOnFrozenHashes) {
   std::vector<NamedWorkload> graphs = generator_zoo();
-  graphs.push_back({"torus-40-scrambled", scrambled_torus(40, 40, 5)});
+  graphs.push_back(
+      {"torus-40-scrambled", test_support::scrambled_torus(40, 40, 5)});
   Rng rng(19);
   graphs.push_back({"regular-3000-8", random_regular(3000, 8, rng)});
   graphs.push_back({"pa-3000-3", preferential_attachment(3000, 3, rng)});
