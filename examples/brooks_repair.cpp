@@ -8,21 +8,37 @@
 // 2 log_{Delta-1} n bound.
 //
 //   ./brooks_repair [n] [delta] [resets] [seed]
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 
 #include "brooks/distributed_brooks.h"
 #include "core/api.h"
+#include "flag_parse.h"
 #include "graph/generators.h"
 #include "util/stats.h"
 
 using namespace deltacol;
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 20000;
-  const int delta = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int resets = argc > 3 ? std::atoi(argv[3]) : 500;
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 5;
+  int n = 0;
+  int delta = 0;
+  int resets = 0;
+  std::uint64_t seed = 0;
+  try {
+    using flag_parse::positional;
+    if (argc > 5) {
+      throw flag_parse::UsageError(
+          "usage: brooks_repair [n] [delta] [resets] [seed]");
+    }
+    n = positional(argc, argv, 1, "n", 20000, 1, INT_MAX);
+    delta = positional(argc, argv, 2, "delta", 4, 1, INT_MAX);
+    resets = positional(argc, argv, 3, "resets", 500, 0, INT_MAX);
+    seed = positional<std::uint64_t>(argc, argv, 4, "seed", 5, 0, UINT64_MAX);
+  } catch (const flag_parse::UsageError& e) {
+    std::cerr << "brooks_repair: " << e.what() << "\n";
+    return 2;
+  }
 
   Rng rng(seed);
   const Graph g = random_regular(n, delta, rng);

@@ -1,7 +1,9 @@
 // Strict command-line value parsing shared by the launchers (deltacol_cli,
-// deltacol_mpi_like). A malformed flag is a usage error: the launcher prints
-// the message, which names the flag, and exits 2. Nothing is coerced —
-// "abc", "12x", "" and out-of-range values are all rejected.
+// deltacol_mpi_like) and the examples' positional arguments (quickstart,
+// brooks_repair, frequency_assignment, tdma_scheduling). A malformed flag or
+// argument is a usage error: the program prints the message, which names
+// it, and exits 2. Nothing is coerced — "abc", "12x", "" and out-of-range
+// values are all rejected.
 #pragma once
 
 #include <charconv>
@@ -37,6 +39,14 @@ T integer(const std::string& flag, const std::string& text, T lo, T hi) {
                      ", " + std::to_string(hi) + "], got '" + text + "'");
   }
   return out;
+}
+
+// Positional argument argv[pos], named `name` in the message, read by
+// integer(); `fallback` when the command line ends before it.
+template <typename T>
+T positional(int argc, char** argv, int pos, const std::string& name,
+             T fallback, T lo, T hi) {
+  return pos < argc ? integer<T>(name, argv[pos], lo, hi) : fallback;
 }
 
 }  // namespace flag_parse

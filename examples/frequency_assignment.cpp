@@ -8,19 +8,34 @@
 // and Brooks' theorem applies.
 //
 //   ./frequency_assignment [rows] [cols] [seed]
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 
 #include "core/api.h"
+#include "flag_parse.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
 
 using namespace deltacol;
 
 int main(int argc, char** argv) {
-  const int rows = argc > 1 ? std::atoi(argv[1]) : 40;
-  const int cols = argc > 2 ? std::atoi(argv[2]) : 40;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  int rows = 0;
+  int cols = 0;
+  std::uint64_t seed = 0;
+  try {
+    using flag_parse::positional;
+    if (argc > 4) {
+      throw flag_parse::UsageError(
+          "usage: frequency_assignment [rows] [cols] [seed]");
+    }
+    rows = positional(argc, argv, 1, "rows", 40, 1, INT_MAX);
+    cols = positional(argc, argv, 2, "cols", 40, 1, INT_MAX);
+    seed = positional<std::uint64_t>(argc, argv, 3, "seed", 7, 0, UINT64_MAX);
+  } catch (const flag_parse::UsageError& e) {
+    std::cerr << "frequency_assignment: " << e.what() << "\n";
+    return 2;
+  }
 
   // Torus mesh with ~5% dead transmitters removed.
   const Graph full = grid_graph(rows, cols, true);

@@ -6,18 +6,32 @@
 // Builds a random Delta-regular graph, runs the paper's algorithms
 // (Theorems 1, 3, 4) and the two baselines, validates each coloring, and
 // prints the per-phase round ledger of the randomized algorithm.
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 
 #include "core/api.h"
+#include "flag_parse.h"
 #include "graph/generators.h"
 
 using namespace deltacol;
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 4096;
-  const int delta = argc > 2 ? std::atoi(argv[2]) : 4;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+  int n = 0;
+  int delta = 0;
+  std::uint64_t seed = 0;
+  try {
+    using flag_parse::positional;
+    if (argc > 4) {
+      throw flag_parse::UsageError("usage: quickstart [n] [delta] [seed]");
+    }
+    n = positional(argc, argv, 1, "n", 4096, 1, INT_MAX);
+    delta = positional(argc, argv, 2, "delta", 4, 1, INT_MAX);
+    seed = positional<std::uint64_t>(argc, argv, 3, "seed", 1, 0, UINT64_MAX);
+  } catch (const flag_parse::UsageError& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
+  }
 
   Rng rng(seed);
   const Graph g = random_regular(n, delta, rng);

@@ -8,10 +8,12 @@
 // apply directly.
 //
 //   ./tdma_scheduling [n] [d] [seed]
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 
 #include "core/api.h"
+#include "flag_parse.h"
 #include "graph/generators.h"
 
 using namespace deltacol;
@@ -45,9 +47,21 @@ Graph line_graph(const Graph& g, std::vector<Edge>& edge_of_vertex) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n = argc > 1 ? std::atoi(argv[1]) : 600;
-  const int d = argc > 2 ? std::atoi(argv[2]) : 4;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 3;
+  int n = 0;
+  int d = 0;
+  std::uint64_t seed = 0;
+  try {
+    using flag_parse::positional;
+    if (argc > 4) {
+      throw flag_parse::UsageError("usage: tdma_scheduling [n] [d] [seed]");
+    }
+    n = positional(argc, argv, 1, "n", 600, 1, INT_MAX);
+    d = positional(argc, argv, 2, "d", 4, 1, INT_MAX);
+    seed = positional<std::uint64_t>(argc, argv, 3, "seed", 3, 0, UINT64_MAX);
+  } catch (const flag_parse::UsageError& e) {
+    std::cerr << "tdma_scheduling: " << e.what() << "\n";
+    return 2;
+  }
 
   Rng rng(seed);
   const Graph net = random_regular(n, d, rng);
