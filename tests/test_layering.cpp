@@ -114,9 +114,9 @@ TEST(LayerColoring, VertexSetInstanceSkipsColored) {
   EXPECT_TRUE(is_proper_complete(g, c));
 }
 
-// The list path the det engine's layers took before they were colored in
-// place: per layer, the induced subgraph, free_colors lists and
-// det_list_coloring on the restricted schedule.
+// The reference for the det engine's in-place layers: per layer, the
+// induced subgraph, free_colors lists and det_list_coloring on the
+// restricted schedule.
 void color_layers_through_lists(const Graph& g, const Layering& layering,
                                 int delta, const Coloring& schedule,
                                 int schedule_colors, Coloring& c,
