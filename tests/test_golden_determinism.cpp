@@ -55,10 +55,15 @@ struct Golden {
 
 // Captured with seed 2024, serial run (threads = 1, shards = 1). The
 // "large" rows pin Phase (1) at rand_large's default radius r = 2; the
-// "small" rows reach it only at r = ceil(log2 log2 n) per component. The
-// "det-rand" rows run det with the randomized list engine, and the
-// power-law rows pin the wide palettes (Delta > 64) of the schedule and
-// the layer instances.
+// "small" rows reach it only at r = ceil(log2 log2 n) per component. A
+// "-rand" row runs its algorithm with the randomized list engine, which
+// also builds the (Delta + 1) schedule by trial coloring; "ps" is the
+// network-decomposition baseline, whose cluster graph is colored by the
+// randomized engine with per-vertex palettes deg + 1. The power-law rows
+// pin the wide palettes (Delta > 64) of the schedule and the layer
+// instances, and "naive" and "-rand" send them through the randomized
+// engine. small-rand leaves the power-law graph out: one call takes
+// seconds.
 constexpr Golden kGoldens[] = {
     {"regular-500-6", "det", 0x9dc681a19a5fb1d4ULL},
     {"regular-500-6", "small", 0x4ae385a1b0f38fb2ULL},
@@ -84,12 +89,32 @@ constexpr Golden kGoldens[] = {
     {"powerlaw-2000-3", "large", 0x0575680c4f836146ULL},
     {"regular-500-6", "det-rand", 0x20dbf5da205a704eULL},
     {"3-components", "det-rand", 0xd9587578ed3ca6c2ULL},
+    {"regular-500-6", "large-rand", 0x89e80d57d258c6edULL},
+    {"3-components", "large-rand", 0x982f20236b31d095ULL},
+    {"powerlaw-2000-3", "large-rand", 0x3d71525bf03e6c35ULL},
+    {"regular-500-6", "small-rand", 0x3ad447c4c4552e7bULL},
+    {"3-components", "small-rand", 0xb010a722c2b99ea0ULL},
+    {"regular-500-6", "ps", 0x1d1777903b0716ddULL},
+    {"gallai-400-4", "ps", 0x6b55bef053173e69ULL},
+    {"sparse-400-6", "ps", 0x82086afb7503dd9fULL},
+    {"3-components", "ps", 0x7b71104044c77869ULL},
+    {"triangle-cactus", "ps", 0xaa13247b7810a6c0ULL},
+    {"powerlaw-2000-3", "ps", 0x0a11e9601b27c8d4ULL},
+    {"powerlaw-2000-3", "det-rand", 0xd9d5bd212eaca5c0ULL},
+    {"powerlaw-2000-3", "naive", 0x42a2b223d838ab30ULL},
 };
 
-Algorithm alg_from_tag(const std::string& tag) {
-  if (tag == "det" || tag == "det-rand") return Algorithm::kDeterministic;
+// A "-rand" suffix runs the algorithm with the randomized list engine.
+bool randomized_engine(const std::string& tag) {
+  return tag.ends_with("-rand");
+}
+
+Algorithm alg_from_tag(std::string tag) {
+  if (randomized_engine(tag)) tag.resize(tag.size() - 5);
+  if (tag == "det") return Algorithm::kDeterministic;
   if (tag == "small") return Algorithm::kRandomizedSmall;
   if (tag == "large") return Algorithm::kRandomizedLarge;
+  if (tag == "ps") return Algorithm::kBaselineND;
   return Algorithm::kBaselineGreedyBrooks;
 }
 
@@ -125,7 +150,7 @@ TEST(GoldenDeterminism, EveryShapeLandsOnThePrePrFingerprint) {
       DeltaColoringOptions opt;
       opt.seed = 2024;
       opt.num_threads = threads;
-      if (std::string(golden.alg) == "det-rand") {
+      if (randomized_engine(golden.alg)) {
         opt.list_engine = ListEngine::kRandomized;
       }
       const DeltaColoringResult res = delta_color(*g, alg, opt);
