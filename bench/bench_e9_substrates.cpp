@@ -6,6 +6,8 @@
 // for both engines; Luby MIS rounds vs n (expect ~log n).
 #include "bench_common.h"
 
+#include <numeric>
+
 #include "coloring/linial.h"
 #include "coloring/list_coloring.h"
 #include "mis/mis.h"
@@ -28,24 +30,23 @@ void E9_Linial(benchmark::State& state) {
   state.counters["colors"] = colors;
 }
 
-ListAssignment full_lists(const Graph& g, int palette) {
-  std::vector<Color> all;
-  for (Color x = 0; x < palette; ++x) all.push_back(x);
-  return ListAssignment(static_cast<std::size_t>(g.num_vertices()), all);
-}
-
+// Both list engines on the instance of an uncolored d-regular graph with
+// palette d + 1: every vertex may take any color of [0, d].
 void E9_ListColoringDet(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int d = static_cast<int>(state.range(1));
   const Graph g = make_regular(n, d, 92);
   RoundLedger tmp;
   const auto lin = linial_coloring(g, tmp);
-  const auto lists = full_lists(g, d + 1);
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
   std::int64_t rounds = 0;
   for (auto _ : state) {
     Coloring c(static_cast<std::size_t>(n), kUncolored);
     RoundLedger ledger;
-    det_list_coloring(g, lists, lin.coloring, lin.num_colors, c, ledger, "b");
+    color_vertex_set_as_list_instance(
+        g, all, [d](int) { return d + 1; }, lin.coloring, lin.num_colors,
+        ListEngine::kDeterministic, nullptr, c, ledger, "b");
     rounds = ledger.total();
   }
   state.counters["rounds"] = static_cast<double>(rounds);
@@ -57,14 +58,16 @@ void E9_ListColoringRand(benchmark::State& state) {
   const Graph g = make_regular(n, d, 93);
   RoundLedger tmp;
   const auto lin = linial_coloring(g, tmp);
-  const auto lists = full_lists(g, d + 1);
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
   std::int64_t rounds = 0;
   Rng rng(3);
   for (auto _ : state) {
     Coloring c(static_cast<std::size_t>(n), kUncolored);
     RoundLedger ledger;
-    rand_list_coloring(g, lists, lin.coloring, lin.num_colors, rng, c, ledger,
-                       "b");
+    color_vertex_set_as_list_instance(
+        g, all, [d](int) { return d + 1; }, lin.coloring, lin.num_colors,
+        ListEngine::kRandomized, &rng, c, ledger, "b");
     rounds = ledger.total();
   }
   state.counters["rounds"] = static_cast<double>(rounds);

@@ -218,20 +218,9 @@ BrooksFixResult brooks_fix(const Graph& g, Coloring& c, int v0, int delta,
       block_parent.push_back(ball_sub.to_parent[static_cast<std::size_t>(v)]);
     }
     for (int p : block_parent) c[static_cast<std::size_t>(p)] = kUncolored;
-    const auto comp = induced_subgraph(g, block_parent);
-    ListAssignment lists(static_cast<std::size_t>(comp.graph.num_vertices()));
-    for (int i = 0; i < comp.graph.num_vertices(); ++i) {
-      const int p = comp.to_parent[static_cast<std::size_t>(i)];
-      for (Color col : free_colors(g, c, p, delta)) {
-        lists[static_cast<std::size_t>(i)].push_back(col);
-      }
-    }
-    const auto colored = degree_choosable_coloring(comp.graph, lists);
-    DC_ENSURE(colored.has_value(),
+    const bool recolored = color_from_free_colors(g, block_parent, delta, c);
+    DC_ENSURE(recolored,
               "DCC recoloring failed: block was not degree-choosable?");
-    for (int i = 0; i < comp.graph.num_vertices(); ++i) {
-      c[comp.to_parent[static_cast<std::size_t>(i)]] = (*colored)[i];
-    }
     res.used_dcc = true;
   }
 

@@ -104,4 +104,22 @@ std::optional<Coloring> degree_choosable_coloring(const Graph& g,
   return brute_force_list_coloring(g, lists);
 }
 
+bool color_from_free_colors(const Graph& g, std::span<const int> vertices,
+                            int palette, Coloring& c) {
+  const auto sub = induced_subgraph(g, vertices);
+  const int k = sub.graph.num_vertices();
+  ListAssignment lists(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    lists[static_cast<std::size_t>(i)] =
+        free_colors(g, c, sub.to_parent[static_cast<std::size_t>(i)], palette);
+  }
+  const auto colored = degree_choosable_coloring(sub.graph, lists);
+  if (!colored) return false;
+  for (int i = 0; i < k; ++i) {
+    c[static_cast<std::size_t>(sub.to_parent[static_cast<std::size_t>(i)])] =
+        (*colored)[static_cast<std::size_t>(i)];
+  }
+  return true;
+}
+
 }  // namespace deltacol

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "coloring/coloring.h"
 #include "graph/graph.h"
@@ -25,5 +26,12 @@ namespace deltacol {
 // lists). For degree-choosable g with |L(v)| >= deg(v), always succeeds.
 std::optional<Coloring> degree_choosable_coloring(const Graph& g,
                                                   const ListAssignment& lists);
+
+// Theorem 8 completion of an uncolored vertex set of g that induces a
+// connected subgraph (any order, duplicates merged): colors each member
+// from its free colors, those of [0, palette) no G-neighbor holds. Returns
+// false, leaving c untouched, if degree_choosable_coloring finds none.
+bool color_from_free_colors(const Graph& g, std::span<const int> vertices,
+                            int palette, Coloring& c);
 
 }  // namespace deltacol

@@ -1,44 +1,16 @@
 #include "coloring/list_coloring.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <numeric>
 
+#include "graph/ops.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
 namespace deltacol {
-
-bool lists_have_deg_plus_one(const Graph& g, const ListAssignment& lists) {
-  if (static_cast<int>(lists.size()) != g.num_vertices()) return false;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (static_cast<int>(lists[static_cast<std::size_t>(v)].size()) <
-        g.degree(v) + 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-// First color in v's list not used by a colored neighbor; kUncolored if none.
-Color first_feasible(const Graph& g, const ListAssignment& lists,
-                     const Coloring& c, int v) {
-  for (Color x : lists[static_cast<std::size_t>(v)]) {
-    bool ok = true;
-    for (int u : g.neighbors(v)) {
-      if (c[u] == x) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return x;
-  }
-  return kUncolored;
-}
-
-}  // namespace
 
 void sweep_schedule_classes(std::span<const int> members,
                             const Coloring& schedule, int num_schedule_colors,
@@ -66,111 +38,164 @@ void sweep_schedule_classes(std::span<const int> members,
   }
 }
 
-void det_list_coloring(const Graph& g, const ListAssignment& lists,
-                       const Coloring& schedule, int num_schedule_colors,
-                       Coloring& out, RoundLedger& ledger,
-                       std::string_view phase, ThreadPool* pool) {
-  DC_REQUIRE(static_cast<int>(out.size()) == g.num_vertices(),
-             "output coloring size mismatch");
-  DC_REQUIRE(is_proper_with_palette(g, schedule, num_schedule_colors),
-             "schedule must be a proper coloring");
-  std::vector<int> members;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (out[static_cast<std::size_t>(v)] == kUncolored) members.push_back(v);
-  }
-  sweep_schedule_classes(
-      members, schedule, num_schedule_colors,
-      [&](int v) {
-        const Color x = first_feasible(g, lists, out, v);
-        DC_ENSURE(x != kUncolored,
-                  "det_list_coloring: vertex ran out of list colors (instance "
-                  "violated the deg+1 precondition)");
-        out[static_cast<std::size_t>(v)] = x;
-      },
-      ledger, phase, pool);
-}
-
-void rand_list_coloring(const Graph& g, const ListAssignment& lists,
-                        const Coloring& schedule, int num_schedule_colors,
-                        Rng& rng, Coloring& out, RoundLedger& ledger,
-                        std::string_view phase, ThreadPool* pool) {
-  DC_REQUIRE(static_cast<int>(out.size()) == g.num_vertices(),
-             "output coloring size mismatch");
+void color_vertex_set_as_list_instance(const Graph& g,
+                                       const std::vector<int>& vertices,
+                                       const std::function<int(int)>& palette,
+                                       const Coloring& schedule,
+                                       int schedule_colors, ListEngine engine,
+                                       Rng* rng, Coloring& c,
+                                       RoundLedger& ledger,
+                                       std::string_view phase,
+                                       ThreadPool* pool) {
+  // The instance: the uncolored vertices, sorted and de-duplicated. A
+  // member's position in `todo` indexes its per-member state.
   const int n = g.num_vertices();
-  std::vector<int> active;
-  for (int v = 0; v < n; ++v) {
-    if (out[static_cast<std::size_t>(v)] == kUncolored) active.push_back(v);
+  std::vector<int> todo;
+  for (int v : vertices) {
+    DC_REQUIRE(0 <= v && v < n, "subgraph vertex out of range");
+    if (c[static_cast<std::size_t>(v)] == kUncolored) todo.push_back(v);
   }
-  const int max_rounds =
-      4 * ceil_log2(static_cast<std::uint64_t>(std::max(2, n))) + 16;
-  std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
-  std::vector<std::vector<Color>> feasible(active.size());
-  std::vector<char> clash(active.size());
-  for (int round = 0; round < max_rounds && !active.empty(); ++round) {
-    const int num_active = static_cast<int>(active.size());
-    feasible.resize(active.size());
-    clash.resize(active.size());
-    // Feasible sets: the expensive part, and a pure function of `out` —
-    // computed in parallel.
-    pooled_for(pool, 0, num_active, [&](int i) {
-      const int v = active[static_cast<std::size_t>(i)];
-      auto& feas = feasible[static_cast<std::size_t>(i)];
-      feas.clear();
-      for (Color x : lists[static_cast<std::size_t>(v)]) {
-        bool ok = true;
-        for (int u : g.neighbors(v)) {
-          if (out[static_cast<std::size_t>(u)] == x) {
-            ok = false;
+  if (todo.empty()) return;
+  std::sort(todo.begin(), todo.end());
+  todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
+  const int k = static_cast<int>(todo.size());
+  // Member lookups follow induced_subgraph's rule: binary search in todo
+  // for an instance small next to g, a dense map of g's size above.
+  // with_position(body) calls body(position), where position(w) is w's
+  // index in todo, or -1 if w is no member.
+  std::vector<int> dense;
+  if (static_cast<std::int64_t>(k) * kDenseSubgraphRatio >= n) {
+    dense.assign(static_cast<std::size_t>(n), -1);
+    for (int i = 0; i < k; ++i) {
+      dense[static_cast<std::size_t>(todo[static_cast<std::size_t>(i)])] = i;
+    }
+  }
+  const auto with_position = [&](auto&& body) {
+    if (dense.empty()) {
+      body([&](int w) {
+        const auto it = std::lower_bound(todo.begin(), todo.end(), w);
+        return it != todo.end() && *it == w
+                   ? static_cast<int>(it - todo.begin())
+                   : -1;
+      });
+    } else {
+      body([&](int w) { return dense[static_cast<std::size_t>(w)]; });
+    }
+  };
+  // Both checks in one pass over each member's neighbors.
+  std::atomic<bool> short_list{false};  // fewer than deg + 1 free colors
+  std::atomic<bool> clash{false};  // a class out of range or not independent
+  with_position([&](auto&& position) {
+    pooled_for(pool, 0, k, [&](int i) {
+      const int v = todo[static_cast<std::size_t>(i)];
+      const int p = palette(v);
+      const Color sv = schedule[static_cast<std::size_t>(v)];
+      int degree = 0;   // in the instance
+      int colored = 0;  // neighbors holding a color of [0, p)
+      if (sv < 0 || sv >= schedule_colors) clash = true;
+      for (int w : g.neighbors(v)) {
+        if (position(w) != -1) {
+          ++degree;
+          if (schedule[static_cast<std::size_t>(w)] == sv) clash = true;
+        } else if (c[w] != kUncolored && c[w] < p) {
+          ++colored;
+        }
+      }
+      // The colored neighbors hold at most `colored` distinct colors, so
+      // only a vertex with colored + degree >= p can lack deg + 1.
+      if (colored + degree >= p &&
+          static_cast<int>(free_colors(g, c, v, p).size()) < degree + 1) {
+        short_list = true;
+      }
+    });
+  });
+  DC_ENSURE(!short_list,
+            "layer instance is not (deg+1): some vertex lacks an uncolored "
+            "lower-layer neighbor");
+  // The det sweep: each member takes the smallest color of [0, palette(v))
+  // no G-neighbor holds, which is the first color of its list (free at the
+  // start) that no member colored in an earlier class took. The (deg + 1)
+  // check leaves every member one.
+  const auto sweep = [&](std::span<const int> members) {
+    DC_REQUIRE(!clash, "schedule must be a proper coloring");
+    sweep_schedule_classes(
+        members, schedule, schedule_colors,
+        [&](int v) {
+          c[static_cast<std::size_t>(v)] =
+              first_free_color(g, c, v, palette(v)).value();
+        },
+        ledger, phase, pool);
+  };
+  if (engine == ListEngine::kDeterministic) {
+    sweep(todo);
+    return;
+  }
+  DC_REQUIRE(rng != nullptr, "randomized engine needs an Rng");
+  std::vector<int> active(static_cast<std::size_t>(k));  // uncolored positions
+  std::iota(active.begin(), active.end(), 0);
+  with_position([&](auto&& position) {
+    const int max_rounds =
+        4 * ceil_log2(static_cast<std::uint64_t>(std::max(2, k))) + 16;
+    std::vector<Color> proposal(static_cast<std::size_t>(k), kUncolored);
+    std::vector<std::vector<Color>> feasible;
+    std::vector<char> lost;
+    for (int round = 0; round < max_rounds && !active.empty(); ++round) {
+      const int num_active = static_cast<int>(active.size());
+      feasible.resize(active.size());
+      lost.resize(active.size());
+      // Free colors: the expensive part, and a pure function of c —
+      // computed in parallel. The (deg + 1) check leaves every set
+      // non-empty.
+      pooled_for(pool, 0, num_active, [&](int j) {
+        const int v = todo[static_cast<std::size_t>(
+            active[static_cast<std::size_t>(j)])];
+        feasible[static_cast<std::size_t>(j)] =
+            free_colors(g, c, v, palette(v));
+      });
+      // Draws stay serial, in member order: the shared Rng stream (and
+      // hence the run) is identical for every thread count.
+      for (int j = 0; j < num_active; ++j) {
+        const auto& feas = feasible[static_cast<std::size_t>(j)];
+        proposal[static_cast<std::size_t>(active[static_cast<std::size_t>(j)])] =
+            feas[static_cast<std::size_t>(rng->next_below(feas.size()))];
+      }
+      // Resolve: keep the proposal iff no uncolored member neighbor chose
+      // it too. Proposals are frozen, so the test is again a parallel-for.
+      pooled_for(pool, 0, num_active, [&](int j) {
+        const int i = active[static_cast<std::size_t>(j)];
+        const Color mine = proposal[static_cast<std::size_t>(i)];
+        bool hit = false;
+        for (int w : g.neighbors(todo[static_cast<std::size_t>(i)])) {
+          if (c[static_cast<std::size_t>(w)] != kUncolored) continue;
+          const int pw = position(w);
+          if (pw != -1 && proposal[static_cast<std::size_t>(pw)] == mine) {
+            hit = true;
             break;
           }
         }
-        if (ok) feas.push_back(x);
-      }
-      DC_ENSURE(!feas.empty(),
-                "rand_list_coloring: empty feasible set (instance violated "
-                "the deg+1 precondition)");
-    });
-    // Draws stay serial, in active order: the shared Rng stream (and hence
-    // the run) is identical for every thread count.
-    for (int i = 0; i < num_active; ++i) {
-      const auto& feas = feasible[static_cast<std::size_t>(i)];
-      proposal[static_cast<std::size_t>(active[static_cast<std::size_t>(i)])] =
-          feas[static_cast<std::size_t>(rng.next_below(feas.size()))];
-    }
-    // Resolve: keep the proposal iff no competing neighbor chose it too.
-    // Proposals are frozen, so the clash test is again a parallel-for.
-    pooled_for(pool, 0, num_active, [&](int i) {
-      const int v = active[static_cast<std::size_t>(i)];
-      const Color mine = proposal[static_cast<std::size_t>(v)];
-      bool c = false;
-      for (int u : g.neighbors(v)) {
-        if (out[static_cast<std::size_t>(u)] == kUncolored &&
-            proposal[static_cast<std::size_t>(u)] == mine) {
-          c = true;
-          break;
+        lost[static_cast<std::size_t>(j)] = hit ? 1 : 0;
+      });
+      int kept = 0;
+      for (int j = 0; j < num_active; ++j) {
+        const int i = active[static_cast<std::size_t>(j)];
+        if (lost[static_cast<std::size_t>(j)]) {
+          active[static_cast<std::size_t>(kept++)] = i;
+        } else {
+          c[static_cast<std::size_t>(todo[static_cast<std::size_t>(i)])] =
+              proposal[static_cast<std::size_t>(i)];
         }
       }
-      clash[static_cast<std::size_t>(i)] = c ? 1 : 0;
-    });
-    std::vector<int> still_active;
-    for (int i = 0; i < num_active; ++i) {
-      const int v = active[static_cast<std::size_t>(i)];
-      if (clash[static_cast<std::size_t>(i)]) {
-        still_active.push_back(v);
-      } else {
-        out[static_cast<std::size_t>(v)] =
-            proposal[static_cast<std::size_t>(v)];
-      }
-      proposal[static_cast<std::size_t>(v)] = kUncolored;
+      active.resize(static_cast<std::size_t>(kept));
+      ledger.charge(1, phase);
     }
-    active = std::move(still_active);
-    ledger.charge(1, phase);
-  }
+  });
   if (!active.empty()) {
     // The w.h.p. bound did not materialize at this size/seed; finish
     // deterministically so the caller always gets a complete coloring.
-    det_list_coloring(g, lists, schedule, num_schedule_colors, out, ledger,
-                      phase, pool);
+    std::vector<int> rest;
+    rest.reserve(active.size());
+    for (int i : active) rest.push_back(todo[static_cast<std::size_t>(i)]);
+    sweep(rest);
   }
 }
 

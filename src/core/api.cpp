@@ -1,6 +1,7 @@
 #include "core/api.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "coloring/linial.h"
 #include "coloring/list_coloring.h"
@@ -53,23 +54,22 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   Rng rng(seed);
 
   // Symmetry-breaking schedule: a proper (Delta+1)-coloring computed once,
-  // so every later class sweep costs Delta+1 rounds. The deterministic
-  // pipeline reduces Linial's O(Delta^2) colors one class per round
-  // (O(Delta^2) rounds, once); the randomized pipeline gets the same
-  // schedule by trial coloring in O(log n) rounds — this is where Theorem
-  // 3's O(log Delta) headstart over deterministic substrates comes from.
+  // so every later class sweep costs Delta+1 rounds. opt.list_engine picks
+  // how, for every algorithm, the randomized ones included: kDeterministic
+  // reduces Linial's O(Delta^2) colors one class per round (O(Delta^2)
+  // rounds, once); kRandomized trial-colors g on palette Delta+1 in
+  // O(log n) rounds — this is where Theorem 3's O(log Delta) headstart over
+  // deterministic substrates comes from.
   LinialResult lin;
   if (opt.list_engine == ListEngine::kRandomized) {
     const LinialResult raw = linial_coloring(g, res.ledger, pool);
-    ListAssignment lists(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      for (Color x = 0; x <= delta; ++x) {
-        lists[static_cast<std::size_t>(v)].push_back(x);
-      }
-    }
+    std::vector<int> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), 0);
     lin.coloring.assign(static_cast<std::size_t>(n), kUncolored);
-    rand_list_coloring(g, lists, raw.coloring, raw.num_colors, rng,
-                       lin.coloring, res.ledger, "schedule", pool);
+    color_vertex_set_as_list_instance(
+        g, all, [delta](int) { return delta + 1; }, raw.coloring,
+        raw.num_colors, ListEngine::kRandomized, &rng, lin.coloring,
+        res.ledger, "schedule", pool);
     lin.num_colors = delta + 1;
   } else {
     lin = delta_plus_one_schedule(g, res.ledger, pool);
@@ -117,17 +117,15 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
       // Not a nice Delta-regular-ish component: a single (deg+1)-list
       // instance colors it (every vertex has list size Delta >= deg+1).
       std::vector<int> all(static_cast<std::size_t>(comp.num_vertices()));
-      for (int v = 0; v < comp.num_vertices(); ++v) {
-        all[static_cast<std::size_t>(v)] = v;
-      }
+      std::iota(all.begin(), all.end(), 0);
       DC_ENSURE(comp.max_degree() < delta,
                 "clique/cycle/path component with max degree == Delta "
                 "cannot occur (K_{Delta+1} rejected; cycles/paths have "
                 "degree 2 < 3)");
-      color_vertex_set_as_list_instance(comp, all, delta, local_schedule,
-                                        lin.num_colors, opt.list_engine,
-                                        &comp_rng, local, ledger,
-                                        "trivial-component", pool);
+      color_vertex_set_as_list_instance(
+          comp, all, [delta](int) { return delta; }, local_schedule,
+          lin.num_colors, opt.list_engine, &comp_rng, local, ledger,
+          "trivial-component", pool);
     } else {
       switch (alg) {
         case Algorithm::kDeterministic:

@@ -65,7 +65,11 @@ struct DeltaColoringOptions {
   double selection_prob = -1.0;
   bool use_paper_constants = false;
 
-  /// Engine for the per-layer (deg+1)-list instances.
+  /// Engine of the (deg+1)-list instances on palette Delta (the layers and
+  /// components colored as one instance), and of every algorithm's (Delta+1)
+  /// schedule: kRandomized builds it by Linial plus trial coloring instead
+  /// of the one-class-per-round reduction. The baselines' own instances (ND
+  /// clusters, greedy+Brooks' Delta+1 colors) are randomized either way.
   ListEngine list_engine = ListEngine::kDeterministic;
 
   /// Strict mode disables all repair fallbacks (tests use this to verify the

@@ -11,13 +11,12 @@
 // run_baseline_greedy_brooks — the "obvious" approach: distributed
 // (Delta+1)-coloring, then eliminate the overflow color class by scheduled
 // applications of the distributed Brooks fix.
-#include <algorithm>
+#include <numeric>
 
 #include "brooks/distributed_brooks.h"
 #include "coloring/list_coloring.h"
 #include "core/internal.h"
 #include "decomp/network_decomposition.h"
-#include "graph/ops.h"
 #include "mis/mis.h"
 #include "mis/ruling_set.h"
 #include "util/check.h"
@@ -111,15 +110,13 @@ void run_baseline_greedy_brooks(ComponentContext& ctx, Coloring& c) {
   const int delta = ctx.delta;
 
   // Stage 1: (Delta+1)-coloring by randomized trial coloring.
-  ListAssignment lists(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    for (Color x = 0; x <= delta; ++x) {
-      lists[static_cast<std::size_t>(v)].push_back(x);
-    }
-  }
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
   Coloring wide(static_cast<std::size_t>(n), kUncolored);
-  rand_list_coloring(g, lists, ctx.schedule, ctx.schedule_colors, ctx.rng,
-                     wide, ctx.ledger, "naive/delta-plus-one", ctx.pool);
+  color_vertex_set_as_list_instance(
+      g, all, [delta](int) { return delta + 1; }, ctx.schedule,
+      ctx.schedule_colors, ListEngine::kRandomized, &ctx.rng, wide,
+      ctx.ledger, "naive/delta-plus-one", ctx.pool);
 
   // Stage 2: keep colors < Delta; the overflow class (an independent set)
   // is repaired by Brooks fixes scheduled via an MIS of the (2 rho + 1)-th

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "coloring/coloring.h"
+#include "coloring/list_coloring.h"
 #include "graph/graph.h"
 #include "local/round_ledger.h"
 #include "util/rng.h"
@@ -45,34 +46,16 @@ Layering build_layers_restricted(const Graph& g, const std::vector<int>& base,
                                  int max_depth,
                                  const std::vector<bool>& allowed);
 
-// Which engine completes each layer's (deg+1)-list instance.
-enum class ListEngine { kDeterministic, kRandomized };
-
 // Colors layers num_layers-1, ..., 1 (NOT layer 0) of the layering, in
-// reverse order, respecting whatever `c` already contains. `schedule` is the
-// O(Delta^2) symmetry-breaking coloring (Linial) used by the deterministic
-// engine and by the randomized engine's fallback. Charges one list-coloring
-// instance per layer to `phase`.
+// reverse order, respecting whatever `c` already contains: each layer is
+// one (deg+1)-list instance on palette {0..delta-1}
+// (color_vertex_set_as_list_instance, coloring/list_coloring.h), charged to
+// `phase`. `schedule` is the symmetry-breaking coloring used by the
+// deterministic engine and by the randomized engine's fallback.
 void color_layers_in_reverse(const Graph& g, const Layering& layering,
                              int delta, const Coloring& schedule,
                              int schedule_colors, ListEngine engine, Rng* rng,
                              Coloring& c, RoundLedger& ledger,
                              std::string_view phase, ThreadPool* pool = nullptr);
-
-// One (deg+1)-list instance: color exactly `vertices` (those uncolored in c)
-// from palette {0..delta-1} minus colored neighbors. Shared by all phases.
-// Throws ContractViolation if a vertex has fewer free colors than instance
-// neighbors + 1, then (det engine) if `schedule` is improper on the
-// instance. The det engine colors in place, one class sweep in which each
-// vertex takes first_free_color; the randomized engine runs
-// rand_list_coloring on the induced subgraph with free-color lists.
-void color_vertex_set_as_list_instance(const Graph& g,
-                                       const std::vector<int>& vertices,
-                                       int delta, const Coloring& schedule,
-                                       int schedule_colors, ListEngine engine,
-                                       Rng* rng, Coloring& c,
-                                       RoundLedger& ledger,
-                                       std::string_view phase,
-                                       ThreadPool* pool = nullptr);
 
 }  // namespace deltacol

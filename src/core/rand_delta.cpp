@@ -348,9 +348,9 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
                             ctx.schedule_colors, ctx.opt.list_engine, &ctx.rng,
                             c, ctx.ledger, "rand/7-c-coloring", ctx.pool);
     color_vertex_set_as_list_instance(
-        g, c_layers.members.front(), delta, ctx.schedule, ctx.schedule_colors,
-        ctx.opt.list_engine, &ctx.rng, c, ctx.ledger, "rand/7-c-coloring",
-        ctx.pool);
+        g, c_layers.members.front(), [delta](int) { return delta; },
+        ctx.schedule, ctx.schedule_colors, ctx.opt.list_engine, &ctx.rng, c,
+        ctx.ledger, "rand/7-c-coloring", ctx.pool);
   }
 
   // ---- Phase (8): color layers Bs..B1 -------------------------------------
@@ -364,20 +364,13 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   if (!base.empty()) {
     for (std::size_t i = 0; i < det.dccs.size(); ++i) {
       if (!dcc_in_m[i]) continue;
-      const auto comp = induced_subgraph(g, det.dccs[i]);
-      ListAssignment lists(static_cast<std::size_t>(comp.graph.num_vertices()));
-      for (int j = 0; j < comp.graph.num_vertices(); ++j) {
-        const int pv = comp.to_parent[static_cast<std::size_t>(j)];
+      for (int pv : det.dccs[i]) {
         DC_ENSURE(c[static_cast<std::size_t>(pv)] == kUncolored,
                   "B0 vertex colored before Phase (9)");
-        lists[static_cast<std::size_t>(j)] = free_colors(g, c, pv, delta);
       }
-      const auto colored = degree_choosable_coloring(comp.graph, lists);
-      DC_ENSURE(colored.has_value(),
+      const bool colored = color_from_free_colors(g, det.dccs[i], delta, c);
+      DC_ENSURE(colored,
                 "selected DCC was not degree-choosable (Theorem 8 violated?)");
-      for (int j = 0; j < comp.graph.num_vertices(); ++j) {
-        c[comp.to_parent[static_cast<std::size_t>(j)]] = (*colored)[j];
-      }
     }
     ctx.ledger.charge(2 * det.max_dcc_radius + 2, "rand/9-b0-coloring");
   }

@@ -147,9 +147,9 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
       members_parent.push_back(sub.to_parent[static_cast<std::size_t>(v)]);
     }
     color_vertex_set_as_list_instance(
-        g, members_parent, delta, ctx.schedule, ctx.schedule_colors,
-        ctx.opt.list_engine, &ctx.rng, c, ctx.ledger, "small/d-coloring",
-        ctx.pool);
+        g, members_parent, [delta](int) { return delta; }, ctx.schedule,
+        ctx.schedule_colors, ctx.opt.list_engine, &ctx.rng, c, ctx.ledger,
+        "small/d-coloring", ctx.pool);
   }
 
   // D0: the ruling-set objects are pairwise non-adjacent, color each
@@ -173,17 +173,8 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
         obj_parent.push_back(pv);
       }
       DC_ENSURE(!already, "anchor DCC partially colored before D0");
-      const auto dsub = induced_subgraph(g, obj_parent);
-      ListAssignment lists(static_cast<std::size_t>(dsub.graph.num_vertices()));
-      for (int j = 0; j < dsub.graph.num_vertices(); ++j) {
-        lists[static_cast<std::size_t>(j)] = free_colors(
-            g, c, dsub.to_parent[static_cast<std::size_t>(j)], delta);
-      }
-      const auto colored = degree_choosable_coloring(dsub.graph, lists);
-      DC_ENSURE(colored.has_value(), "anchor DCC not degree-choosable");
-      for (int j = 0; j < dsub.graph.num_vertices(); ++j) {
-        c[dsub.to_parent[static_cast<std::size_t>(j)]] = (*colored)[j];
-      }
+      const bool colored = color_from_free_colors(g, obj_parent, delta, c);
+      DC_ENSURE(colored, "anchor DCC not degree-choosable");
     }
   }
   ctx.ledger.charge(2 * std::max(1, det.max_dcc_radius) + 1, "small/d0");

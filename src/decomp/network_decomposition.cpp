@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "coloring/coloring.h"
@@ -117,18 +118,16 @@ NetworkDecomposition random_shift_decomposition(const Graph& g, double beta,
   // cluster-graph round costs O(D) base rounds (clusters talk via their
   // trees). We charge max_shift per cluster round.
   const Graph cg = build_cluster_graph(g, nd.cluster, k);
-  ListAssignment lists(static_cast<std::size_t>(k));
-  for (int c = 0; c < k; ++c) {
-    for (int x = 0; x <= cg.degree(c); ++x) {
-      lists[static_cast<std::size_t>(c)].push_back(x);
-    }
-  }
+  std::vector<int> clusters(static_cast<std::size_t>(k));
+  std::iota(clusters.begin(), clusters.end(), 0);
   RoundLedger cluster_ledger;
   cluster_ledger.set_congest_bits(ledger.congest_bits());
   Coloring cc(static_cast<std::size_t>(k), kUncolored);
   const LinialResult lin = linial_coloring(cg, cluster_ledger);
-  rand_list_coloring(cg, lists, lin.coloring, lin.num_colors, rng, cc,
-                     cluster_ledger, phase);
+  color_vertex_set_as_list_instance(
+      cg, clusters, [&cg](int x) { return cg.degree(x) + 1; }, lin.coloring,
+      lin.num_colors, ListEngine::kRandomized, &rng, cc, cluster_ledger,
+      phase);
   ledger.charge(cluster_ledger.total() * std::max(1, assignment.max_shift),
                 phase);
 

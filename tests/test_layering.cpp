@@ -1,6 +1,8 @@
 // The layering driver shared by every algorithm (paper Section 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "runtime/thread_pool.h"
 #include "test_support.h"
 #include "util/check.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -107,20 +110,113 @@ TEST(LayerColoring, VertexSetInstanceSkipsColored) {
   Coloring c(6, kUncolored);
   c[0] = 0;
   RoundLedger ledger;
-  color_vertex_set_as_list_instance(g, {0, 1, 2, 3, 4, 5}, 3, lin.coloring,
+  color_vertex_set_as_list_instance(g, {0, 1, 2, 3, 4, 5},
+                                    [](int) { return 3; }, lin.coloring,
                                     lin.num_colors, ListEngine::kDeterministic,
                                     nullptr, c, ledger, "t");
   EXPECT_EQ(c[0], 0);
   EXPECT_TRUE(is_proper_complete(g, c));
 }
 
-// The reference for the det engine's in-place layers: per layer, the
-// induced subgraph, free_colors lists and det_list_coloring on the
-// restricted schedule.
+// The reference for the in-place layers: the list path the instances ran
+// before, per layer the induced subgraph, free_colors lists and a
+// list-based engine on the restricted schedule.
+
+// First color in v's list not used by a colored neighbor; kUncolored if none.
+Color first_feasible(const Graph& g, const ListAssignment& lists,
+                     const Coloring& c, int v) {
+  for (Color x : lists[static_cast<std::size_t>(v)]) {
+    bool ok = true;
+    for (int u : g.neighbors(v)) {
+      if (c[u] == x) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) return x;
+  }
+  return kUncolored;
+}
+
+// Colors every vertex with out[v] == kUncolored, one schedule class per
+// round, each taking its first feasible list color.
+void det_list_coloring(const Graph& g, const ListAssignment& lists,
+                       const Coloring& schedule, int num_schedule_colors,
+                       Coloring& out, RoundLedger& ledger, ThreadPool* pool) {
+  ASSERT_TRUE(is_proper_with_palette(g, schedule, num_schedule_colors));
+  std::vector<int> members;
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (out[static_cast<std::size_t>(v)] == kUncolored) members.push_back(v);
+  }
+  sweep_schedule_classes(
+      members, schedule, num_schedule_colors,
+      [&](int v) {
+        out[static_cast<std::size_t>(v)] = first_feasible(g, lists, out, v);
+      },
+      ledger, "t", pool);
+}
+
+// Trial coloring: every uncolored vertex proposes a random feasible list
+// color (draws serial, in vertex order) and keeps it unless an uncolored
+// neighbor proposed the same; after 4 ceil(log2 n) + 16 rounds the det
+// engine completes the rest.
+void rand_list_coloring(const Graph& g, const ListAssignment& lists,
+                        const Coloring& schedule, int num_schedule_colors,
+                        Rng& rng, Coloring& out, RoundLedger& ledger,
+                        ThreadPool* pool) {
+  const int n = g.num_vertices();
+  std::vector<int> active;
+  for (int v = 0; v < n; ++v) {
+    if (out[static_cast<std::size_t>(v)] == kUncolored) active.push_back(v);
+  }
+  const int max_rounds =
+      4 * ceil_log2(static_cast<std::uint64_t>(std::max(2, n))) + 16;
+  std::vector<Color> proposal(static_cast<std::size_t>(n), kUncolored);
+  for (int round = 0; round < max_rounds && !active.empty(); ++round) {
+    for (int v : active) {
+      std::vector<Color> feas;
+      for (Color x : lists[static_cast<std::size_t>(v)]) {
+        bool ok = true;
+        for (int u : g.neighbors(v)) {
+          if (out[static_cast<std::size_t>(u)] == x) ok = false;
+        }
+        if (ok) feas.push_back(x);
+      }
+      ASSERT_FALSE(feas.empty());
+      proposal[static_cast<std::size_t>(v)] =
+          feas[static_cast<std::size_t>(rng.next_below(feas.size()))];
+    }
+    // Resolve against the frozen proposals, then commit the winners.
+    std::vector<int> still_active, won;
+    for (int v : active) {
+      bool clash = false;
+      for (int u : g.neighbors(v)) {
+        if (out[static_cast<std::size_t>(u)] == kUncolored &&
+            proposal[static_cast<std::size_t>(u)] ==
+                proposal[static_cast<std::size_t>(v)]) {
+          clash = true;
+        }
+      }
+      (clash ? still_active : won).push_back(v);
+    }
+    for (int v : won) {
+      out[static_cast<std::size_t>(v)] = proposal[static_cast<std::size_t>(v)];
+    }
+    for (int v : active) proposal[static_cast<std::size_t>(v)] = kUncolored;
+    active = std::move(still_active);
+    ledger.charge(1, "t");
+  }
+  if (!active.empty()) {
+    det_list_coloring(g, lists, schedule, num_schedule_colors, out, ledger,
+                      pool);
+  }
+}
+
 void color_layers_through_lists(const Graph& g, const Layering& layering,
                                 int delta, const Coloring& schedule,
-                                int schedule_colors, Coloring& c,
-                                RoundLedger& ledger, ThreadPool* pool) {
+                                int schedule_colors, ListEngine engine,
+                                Rng& rng, Coloring& c, RoundLedger& ledger,
+                                ThreadPool* pool) {
   for (int i = layering.num_layers - 1; i >= 1; --i) {
     std::vector<int> todo;
     for (int v : layering.members[static_cast<std::size_t>(i)]) {
@@ -134,13 +230,20 @@ void color_layers_through_lists(const Graph& g, const Layering& layering,
     for (int j = 0; j < k; ++j) {
       const int p = sub.to_parent[static_cast<std::size_t>(j)];
       lists[static_cast<std::size_t>(j)] = free_colors(g, c, p, delta);
+      ASSERT_GT(lists[static_cast<std::size_t>(j)].size(),
+                static_cast<std::size_t>(sub.graph.degree(j)))
+          << "layer " << i;
       sub_schedule[static_cast<std::size_t>(j)] =
           schedule[static_cast<std::size_t>(p)];
     }
-    ASSERT_TRUE(lists_have_deg_plus_one(sub.graph, lists)) << "layer " << i;
     Coloring sub_c(static_cast<std::size_t>(k), kUncolored);
-    det_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, sub_c,
-                      ledger, "t", pool);
+    if (engine == ListEngine::kDeterministic) {
+      det_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, sub_c,
+                        ledger, pool);
+    } else {
+      rand_list_coloring(sub.graph, lists, sub_schedule, schedule_colors, rng,
+                         sub_c, ledger, pool);
+    }
     for (int j = 0; j < k; ++j) {
       c[static_cast<std::size_t>(sub.to_parent[static_cast<std::size_t>(j)])] =
           sub_c[static_cast<std::size_t>(j)];
@@ -165,20 +268,27 @@ TEST(LayerColoring, InPlaceMatchesListInstance) {
     RoundLedger tmp;
     const LinialResult sched = delta_plus_one_schedule(g, tmp);
     const Layering layering = build_layers(g, {0, n / 3, 2 * n / 3}, -1);
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const char* shape = p == nullptr ? "serial" : "pool of 4";
-      Coloring in_place(static_cast<std::size_t>(n), kUncolored);
-      Coloring listed = in_place;
-      RoundLedger in_place_ledger, listed_ledger;
-      color_layers_in_reverse(g, layering, delta, sched.coloring,
-                              sched.num_colors, ListEngine::kDeterministic,
-                              nullptr, in_place, in_place_ledger, "t", p);
-      color_layers_through_lists(g, layering, delta, sched.coloring,
-                                 sched.num_colors, listed, listed_ledger, p);
-      EXPECT_EQ(in_place, listed) << w.name << " " << shape;
-      EXPECT_EQ(in_place_ledger.total(), listed_ledger.total())
-          << w.name << " " << shape;
-      EXPECT_GT(in_place_ledger.total(), 0) << w.name << " " << shape;
+    for (const auto engine :
+         {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const std::string shape =
+            std::string(engine == ListEngine::kDeterministic ? "det" : "rand") +
+            (p == nullptr ? " serial" : " pool of 4");
+        Coloring in_place(static_cast<std::size_t>(n), kUncolored);
+        Coloring listed = in_place;
+        RoundLedger in_place_ledger, listed_ledger;
+        Rng in_place_rng(41), listed_rng(41);
+        color_layers_in_reverse(g, layering, delta, sched.coloring,
+                                sched.num_colors, engine, &in_place_rng,
+                                in_place, in_place_ledger, "t", p);
+        color_layers_through_lists(g, layering, delta, sched.coloring,
+                                   sched.num_colors, engine, listed_rng, listed,
+                                   listed_ledger, p);
+        EXPECT_EQ(in_place, listed) << w.name << " " << shape;
+        EXPECT_EQ(in_place_ledger.total(), listed_ledger.total())
+            << w.name << " " << shape;
+        EXPECT_GT(in_place_ledger.total(), 0) << w.name << " " << shape;
+      }
     }
   }
 }
@@ -210,9 +320,9 @@ std::string instance_violation(int n, int base, int delta,
   RoundLedger ledger;
   Rng rng(3);
   return violation([&] {
-    color_vertex_set_as_list_instance(g, {base, base + 1, base + 2}, delta,
-                                      schedule, schedule_colors, engine, &rng,
-                                      c, ledger, "t");
+    color_vertex_set_as_list_instance(
+        g, {base, base + 1, base + 2}, [delta](int) { return delta; },
+        schedule, schedule_colors, engine, &rng, c, ledger, "t");
   });
 }
 
@@ -244,9 +354,9 @@ TEST(LayerColoring, VertexOutOfRangeThrowsBeforeItIsRead) {
       RoundLedger ledger;
       Rng rng(3);
       EXPECT_NE(violation([&] {
-                  color_vertex_set_as_list_instance(g, {0, bad}, 2, schedule,
-                                                    2, engine, &rng, c, ledger,
-                                                    "t");
+                  color_vertex_set_as_list_instance(
+                      g, {0, bad}, [](int) { return 2; }, schedule, 2, engine,
+                      &rng, c, ledger, "t");
                 }).find("subgraph vertex out of range"),
                 std::string::npos)
           << bad;
@@ -273,9 +383,9 @@ TEST(LayerColoring, ScheduleImproperOnTheInstanceThrows) {
   const Graph g = path_graph(4);
   Coloring c(4, kUncolored);
   RoundLedger ledger;
-  color_vertex_set_as_list_instance(g, {0, 1}, 3, {0, 1, 1, 0}, 2,
-                                    ListEngine::kDeterministic, nullptr, c,
-                                    ledger, "t");
+  color_vertex_set_as_list_instance(g, {0, 1}, [](int) { return 3; },
+                                    {0, 1, 1, 0}, 2, ListEngine::kDeterministic,
+                                    nullptr, c, ledger, "t");
   EXPECT_TRUE(is_proper_partial(g, c));
   EXPECT_EQ(count_uncolored(c), 2);
   EXPECT_EQ(ledger.total(), 2);  // one round per schedule class
