@@ -118,9 +118,8 @@ TEST(LayerColoring, VertexSetInstanceSkipsColored) {
   EXPECT_TRUE(is_proper_complete(g, c));
 }
 
-// The reference for the in-place layers: the list path the instances ran
-// before, per layer the induced subgraph, free_colors lists and a
-// list-based engine on the restricted schedule.
+// The reference for the in-place layers: per layer, the induced subgraph,
+// free_colors lists and a list-based engine on the restricted schedule.
 
 // First color in v's list not used by a colored neighbor; kUncolored if none.
 Color first_feasible(const Graph& g, const ListAssignment& lists,
