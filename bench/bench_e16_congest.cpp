@@ -1,5 +1,5 @@
-// E16 — CONGEST mode (runtime/message_size.h + the CongestLedger mode of
-// local/round_ledger.h).
+// E16 — CONGEST mode (WireCodec<T>::bits in net/wire_codec.h + the
+// CongestLedger mode of local/round_ledger.h).
 //
 // Two claims, two series:
 //
@@ -11,7 +11,7 @@
 //    the paper's LOCAL analysis abstracts away.
 //
 //  * E16_CongestVolume — Luby's MIS on the message-passing engine over a
-//    ShardRuntime: wire BYTES (MessageSize sizing) per round and per shard,
+//    ShardRuntime: wire BYTES (message_bits sizing) per round and per shard,
 //    plus the cross-shard byte fraction — the serialization budget a
 //    distributed transport would pay. Messages per round are
 //    bytes_per_round · 8 / bits_per_msg.

@@ -2,7 +2,7 @@
 // net/socket_transport.h).
 //
 // One series, one claim: the physical bytes a 2-rank loopback cluster moves
-// for Luby's MIS decompose exactly into the MessageSize-priced payload of
+// for Luby's MIS decompose exactly into the WireCodec-encoded payload of
 // the cross-rank messages plus a fixed, enumerable framing overhead —
 // nothing hidden, nothing lost.
 //

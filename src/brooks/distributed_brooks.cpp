@@ -277,7 +277,6 @@ ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
   const int k = static_cast<int>(bases.size());
   ScheduledBrooksFixes out;
   out.results.resize(static_cast<std::size_t>(k));
-  out.executed.assign(static_cast<std::size_t>(k), 0);
   if (k == 0) return out;
 #ifndef NDEBUG
   assert_disjoint_brooks_balls(g, bases, max_radius);
@@ -311,10 +310,7 @@ ScheduledBrooksFixes schedule_disjoint_brooks_fixes(
       r = brooks_fix(g, c, v, delta, max_radius, &serial_scratch,
                      /*defer_emergency=*/false);
     }
-    out.executed[static_cast<std::size_t>(i)] = 1;
     ++out.num_executed;
-    if (r.used_component_recolor) ++out.num_emergencies;
-    out.max_radius_used = std::max(out.max_radius_used, r.radius_used);
   }
   return out;
 }

@@ -69,14 +69,11 @@ BrooksFixResult brooks_fix(const Graph& g, Coloring& c, int v0, int delta,
 // Outcome of a scheduled batch of Brooks fixes (index-aligned with the
 // input bases).
 struct ScheduledBrooksFixes {
+  // A base that an earlier emergency recolor of the serial pass had already
+  // colored (only possible after a Lemma-27 fallback) is skipped: it gets no
+  // fix, its result keeps deferred_emergency set, and num_executed omits it.
   std::vector<BrooksFixResult> results;
-  // 0 for a base that was skipped because an earlier emergency recolor in
-  // the serial pass had already colored it (only possible after a Lemma-27
-  // fallback; such bases get no fix and a default-constructed result).
-  std::vector<char> executed;
   int num_executed = 0;
-  int num_emergencies = 0;  // results[i].used_component_recolor count
-  int max_radius_used = 0;
 };
 
 // Schedules the token-walk fixes of `bases` on the pool. REQUIRES pairwise
@@ -89,7 +86,7 @@ struct ScheduledBrooksFixes {
 //     concurrent walks touch disjoint balls only.
 //  2. Serial pass, ascending index: deferred Lemma-27 emergencies complete
 //     with the component recolor enabled (a recolor may color later
-//     deferred bases — those are skipped, see `executed`).
+//     deferred bases — those are skipped, see `results`).
 //
 // Results are bit-identical for every thread count: the parallel-pass fixes
 // commute (disjoint read/write sets) and the serial pass is index-ordered.

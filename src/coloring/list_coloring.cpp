@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "graph/ops.h"
 #include "runtime/thread_pool.h"
@@ -11,6 +12,19 @@
 #include "util/math_util.h"
 
 namespace deltacol {
+
+namespace {
+
+// The (deg+1) check's message, which names the instance. Kept out of line
+// and cold: built inside color_vertex_set_as_list_instance, it made GCC stop
+// inlining one of that function's loop bodies.
+[[gnu::cold]] std::string not_deg_plus_one(std::string_view phase) {
+  return "(deg+1)-list instance '" + std::string(phase) +
+         "' is not (deg+1): a member has no more free colors than member "
+         "neighbors";
+}
+
+}  // namespace
 
 void sweep_schedule_classes(std::span<const int> members,
                             const Coloring& schedule, int num_schedule_colors,
@@ -109,9 +123,7 @@ void color_vertex_set_as_list_instance(const Graph& g,
       }
     });
   });
-  DC_ENSURE(!short_list,
-            "layer instance is not (deg+1): some vertex lacks an uncolored "
-            "lower-layer neighbor");
+  DC_ENSURE(!short_list, not_deg_plus_one(phase));
   // The det sweep: each member takes the smallest color of [0, palette(v))
   // no G-neighbor holds, which is the first color of its list (free at the
   // start) that no member colored in an earlier class took. The (deg + 1)

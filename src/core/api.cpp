@@ -9,7 +9,6 @@
 #include "graph/components.h"
 #include "graph/ops.h"
 #include "graph/structure.h"
-#include "runtime/component_scheduler.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 
@@ -76,7 +75,7 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   }
 
   // Components run in parallel in a real network: charge the maximum
-  // component cost on top of the shared Linial rounds. The scheduler makes
+  // component cost on top of the shared Linial rounds. pooled_chunks makes
   // the wall-clock execution match — components run concurrently — while
   // every observable stays index-keyed: private RNG streams are pre-split
   // here in component order, every job writes only its own ledger / stats /
@@ -90,8 +89,7 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
   for (auto& cl : comp_ledgers) cl.set_congest_bits(opt.congest_bits);
   std::vector<PhaseStats> comp_stats(comps.size());
 
-  const ComponentScheduler scheduler(pool);
-  const auto component_job = [&](int ci) {
+  pooled_chunks(pool, num_comps, [&](int ci) {
     const auto& comp_vertices = comps[static_cast<std::size_t>(ci)];
     const auto sub = induced_subgraph(g, comp_vertices);
     const Graph& comp = sub.graph;
@@ -112,16 +110,13 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
                          opt,    comp_rng, ledger,
                          comp_stats[static_cast<std::size_t>(ci)], pool};
 
-    if (comp.max_degree() < delta || is_clique(comp) || is_cycle(comp) ||
-        is_path(comp)) {
-      // Not a nice Delta-regular-ish component: a single (deg+1)-list
-      // instance colors it (every vertex has list size Delta >= deg+1).
+    // A component below the global max degree is a single (deg+1)-list
+    // instance on palette Delta (every vertex has Delta >= deg+1 colors).
+    // Cliques, cycles and paths always land here: K_{Delta+1} is rejected
+    // above, and cycles and paths have degree <= 2 < 3 <= Delta.
+    if (comp.max_degree() < delta) {
       std::vector<int> all(static_cast<std::size_t>(comp.num_vertices()));
       std::iota(all.begin(), all.end(), 0);
-      DC_ENSURE(comp.max_degree() < delta,
-                "clique/cycle/path component with max degree == Delta "
-                "cannot occur (K_{Delta+1} rejected; cycles/paths have "
-                "degree 2 < 3)");
       color_vertex_set_as_list_instance(
           comp, all, [delta](int) { return delta; }, local_schedule,
           lin.num_colors, opt.list_engine, &comp_rng, local, ledger,
@@ -154,10 +149,9 @@ DeltaColoringResult attempt(const Graph& g, Algorithm alg,
     for (int v = 0; v < comp.num_vertices(); ++v) {
       res.coloring[sub.to_parent[static_cast<std::size_t>(v)]] = local[v];
     }
-  };
-  scheduler.run(num_comps, component_job);
+  });
 
-  // Serial folds in component order (see scheduler comment above).
+  // Serial folds in component order (see the comment above).
   for (const auto& stats : comp_stats) {
     internal::merge_component_stats(res.stats, stats);
   }

@@ -91,9 +91,9 @@ struct DeltaColoringOptions {
   /// CONGEST(B) bandwidth cap in bits per directed edge per round
   /// (local/round_ledger.h). <= 0 (the default) runs in the LOCAL model:
   /// every message round costs 1. A positive B puts every ledger of the run
-  /// (including per-component and scheduler-private child ledgers) into
+  /// (including the per-component and Phase (6) child ledgers) into
   /// congest mode: a message round whose heaviest directed edge carries W
-  /// wire bits (MessageSize, runtime/message_size.h) is charged
+  /// wire bits (message_bits, net/wire_codec.h) is charged
   /// ceil(W / B) rounds. Pure accounting overlay — execution, colorings and
   /// stats are bit-for-bit identical to LOCAL for every B; only the charged
   /// round totals grow, monotonically as B shrinks (enforced by

@@ -57,51 +57,18 @@ void color_vertex_set_via_nd(const Graph& g, const std::vector<int>& vertices,
 }  // namespace
 
 void run_baseline_nd(ComponentContext& ctx, Coloring& c) {
-  const Graph& g = ctx.g;
-  const int n = g.num_vertices();
-  const int delta = ctx.delta;
-
+  // The decomposition comes first, so `ps/decomposition` charges first; the
+  // rest is Theorem 4's pipeline with the ND sweep as its layer step.
   const NetworkDecomposition nd = random_shift_decomposition(
-      g, 0.25, ctx.rng, ctx.ledger, "ps/decomposition", ctx.pool);
-
-  const int rho = brooks_search_radius(n, delta);
-  const int R = 2 * rho + 2;
-  std::vector<int> all(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
-  const std::vector<int> base =
-      ruling_set(g, all, R, RulingSetEngine::kDeterministic, nullptr,
-                 ctx.ledger, "ps/ruling-set", ctx.pool);
-  ctx.stats.base_layer_size += static_cast<int>(base.size());
-
-  const int z =
-      (R - 1) * ruling_set_cover_radius(n, RulingSetEngine::kDeterministic);
-  const Layering layering = build_layers(g, base, z);
-  ctx.ledger.charge(layering.num_layers, "ps/layering");
-  ctx.stats.num_b_layers += layering.num_layers;
-  for (int v = 0; v < n; ++v) {
-    DC_ENSURE(layering.layer[static_cast<std::size_t>(v)] != kNoLayer,
-              "ruling set covering failed to reach a vertex");
-  }
-
-  for (int i = layering.num_layers - 1; i >= 1; --i) {
-    color_vertex_set_via_nd(g, layering.members[static_cast<std::size_t>(i)],
-                            delta, nd, c, ctx.ledger, "ps/layer-coloring");
-  }
-
-  // The base fixes have pairwise-disjoint recoloring balls (distance-R
-  // ruling set, R = 2*rho + 2): fan them out over the pool with the
-  // emergency path deferred to a serial index-ordered pass.
-  const auto fixes =
-      schedule_disjoint_brooks_fixes(g, c, base, delta, rho, ctx.pool);
-  ctx.stats.brooks_fixes += fixes.num_executed;
-  for (const auto& fix : fixes.results) {
-    if (fix.used_component_recolor) {
-      DC_ENSURE(!ctx.opt.strict, "strict mode: Brooks fix exceeded radius");
-      ++ctx.stats.repairs;
-      ctx.ledger.charge(2 * fix.radius_used + 1, "ps/base-layer");
-    }
-  }
-  ctx.ledger.charge(2 * rho + 1, "ps/base-layer");
+      ctx.g, 0.25, ctx.rng, ctx.ledger, "ps/decomposition", ctx.pool);
+  run_layered_brooks(
+      ctx, c, "ps", [&](const Layering& layering, std::string_view phase) {
+        for (int i = layering.num_layers - 1; i >= 1; --i) {
+          color_vertex_set_via_nd(
+              ctx.g, layering.members[static_cast<std::size_t>(i)],
+              ctx.delta, nd, c, ctx.ledger, phase);
+        }
+      });
 }
 
 void run_baseline_greedy_brooks(ComponentContext& ctx, Coloring& c) {
@@ -140,8 +107,7 @@ void run_baseline_greedy_brooks(ComponentContext& ctx, Coloring& c) {
     DC_ENSURE(!batch.empty(), "scheduling MIS returned empty batch");
     // The batch is a distance-(2*rho+2) ruling set, so its fixes have
     // disjoint balls and run concurrently; an emergency recolor (serial
-    // pass) may side-color later batch members, which are then skipped
-    // (`executed` = 0) exactly as the old serial loop skipped them.
+    // pass) may side-color later batch members, which are then skipped.
     const auto fixes =
         schedule_disjoint_brooks_fixes(g, c, batch, delta, rho, ctx.pool);
     ctx.stats.brooks_fixes += fixes.num_executed;

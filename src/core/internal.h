@@ -2,6 +2,8 @@
 // algorithm implementations. Not part of the public API.
 #pragma once
 
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "core/api.h"
@@ -28,6 +30,19 @@ void run_deterministic(ComponentContext& ctx, Coloring& c);
 void run_baseline_nd(ComponentContext& ctx, Coloring& c);
 void run_baseline_greedy_brooks(ComponentContext& ctx, Coloring& c);
 void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant);
+
+// Colors the layers of `layering` above B0, charging `phase`.
+using LayerStep =
+    std::function<void(const Layering& layering, std::string_view phase)>;
+
+// Theorem 4's pipeline, shared by det and the ND baseline (det_delta.cpp):
+// a distance-(2 rho + 2) ruling set B0, layers by distance to it,
+// color_layers on the layers above B0, then B0 by scheduled Brooks fixes.
+// Charges `<prefix>/ruling-set`, `<prefix>/layering` and
+// `<prefix>/base-layer`, and hands color_layers `<prefix>/layer-coloring`.
+void run_layered_brooks(ComponentContext& ctx, Coloring& c,
+                        std::string_view prefix,
+                        const LayerStep& color_layers);
 
 // Folds one component's counters into the run-wide stats (sums, except
 // max_leftover_component which is a max; retries_used is owned by the

@@ -24,7 +24,6 @@
 #include "graph/ops.h"
 #include "graph/traversal.h"
 #include "mis/mis.h"
-#include "runtime/component_scheduler.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/math_util.h"
@@ -296,6 +295,7 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
         static_cast<std::size_t>(num_comps));
     std::vector<Rng> comp_rngs;
     comp_rngs.reserve(comps.size());
+    std::vector<RoundLedger> comp_ledgers(static_cast<std::size_t>(num_comps));
     for (int i = 0; i < num_comps; ++i) {
       const auto& comp = comps[static_cast<std::size_t>(i)];
       ctx.stats.max_leftover_component = std::max(
@@ -306,28 +306,32 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
         parent_ids.push_back(lsub.to_parent[static_cast<std::size_t>(x)]);
       }
       comp_rngs.push_back(ctx.rng.split());
+      comp_ledgers[static_cast<std::size_t>(i)].set_congest_bits(
+          ctx.ledger.congest_bits());
     }
     std::vector<PhaseStats> comp_stats(static_cast<std::size_t>(num_comps));
     std::vector<char> needs_repair(static_cast<std::size_t>(num_comps), 0);
-    const ComponentScheduler scheduler(ctx.pool);
-    const auto leftover_job = [&](int i, RoundLedger& child) {
-      ComponentContext child_ctx{
-          ctx.g,
-          ctx.delta,
-          ctx.schedule,
-          ctx.schedule_colors,
-          ctx.opt,
-          comp_rngs[static_cast<std::size_t>(i)],
-          child,
-          comp_stats[static_cast<std::size_t>(i)],
-          ctx.pool};
-      if (!color_small_component(child_ctx, c,
-                                 comp_parents[static_cast<std::size_t>(i)])) {
-        needs_repair[static_cast<std::size_t>(i)] = 1;
+    pooled_chunks(ctx.pool, num_comps, [&](int i) {
+      const auto at = static_cast<std::size_t>(i);
+      ComponentContext child_ctx{ctx.g,
+                                 ctx.delta,
+                                 ctx.schedule,
+                                 ctx.schedule_colors,
+                                 ctx.opt,
+                                 comp_rngs[at],
+                                 comp_ledgers[at],
+                                 comp_stats[at],
+                                 ctx.pool};
+      if (!color_small_component(child_ctx, c, comp_parents[at])) {
+        needs_repair[at] = 1;
       }
-    };
-    const std::int64_t max_rounds = scheduler.run_max_total(
-        num_comps, leftover_job, ctx.ledger.congest_bits());
+    });
+    // The largest child total, one network-time figure: the children's
+    // phase breakdowns are not merged.
+    std::int64_t max_rounds = 0;
+    for (const auto& cl : comp_ledgers) {
+      max_rounds = std::max(max_rounds, cl.total());
+    }
     for (const auto& cs : comp_stats) merge_component_stats(ctx.stats, cs);
     ctx.ledger.charge(max_rounds, "rand/6-small-components");
     // Deferred Lemma-27 fallback (see internal.h): the repair may color

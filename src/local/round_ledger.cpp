@@ -115,4 +115,19 @@ void RoundLedger::reset() {
   phases_.clear();
 }
 
+void charge_max_component(RoundLedger& parent,
+                          const std::vector<RoundLedger>& children) {
+  // Strictly-greater scan from 0 in index order: a run whose components all
+  // charged nothing merges nothing (matching the serial engine's fold).
+  const RoundLedger* best = nullptr;
+  std::int64_t best_total = 0;
+  for (const auto& child : children) {
+    if (child.total() > best_total) {
+      best = &child;
+      best_total = child.total();
+    }
+  }
+  if (best != nullptr) parent.merge(*best);
+}
+
 }  // namespace deltacol

@@ -45,12 +45,13 @@ namespace deltacol {
 /// move the same data, with the per-round maximum taken across edges because
 /// all edges transfer in parallel. The message engine (runtime/sync_engine.h)
 /// carries at most one message per directed edge per round, so an edge's
-/// load is the MessageSize of the one message in its slot. B <= 0 (the
-/// default) is the LOCAL model, i.e. B = infinity: every message round
-/// charges exactly 1, so LOCAL round counts are recovered exactly. The mode
-/// only changes what charge_message_round() records — execution, message
-/// delivery, colorings and stats are untouched, which is what makes
-/// CONGEST-vs-LOCAL differential testing meaningful (tests/test_congest.cpp).
+/// load is the message_bits (net/wire_codec.h) of the one message in its
+/// slot. B <= 0 (the default) is the LOCAL model, i.e. B = infinity: every
+/// message round charges exactly 1, so LOCAL round counts are recovered
+/// exactly. The mode only changes what charge_message_round() records —
+/// execution, message delivery, colorings and stats are untouched, which is
+/// what makes CONGEST-vs-LOCAL differential testing meaningful
+/// (tests/test_congest.cpp).
 class RoundLedger {
  public:
   RoundLedger() = default;
@@ -97,7 +98,7 @@ class RoundLedger {
   /// Merge another ledger into this one (used when a subroutine ran with its
   /// own ledger, e.g. recursive calls on components; components run in
   /// parallel, so the caller usually charges the max child instead — see
-  /// runtime/component_scheduler.h).
+  /// charge_max_component below).
   void merge(const RoundLedger& child);
 
   /// Human-readable multi-line report.
@@ -114,5 +115,11 @@ class RoundLedger {
   std::int64_t congest_bits_ = 0;  // 0 = LOCAL (unbounded messages)
   std::vector<PhaseTotal> phases_;
 };
+
+/// LOCAL-model accounting for parallel component runs: merges into `parent`
+/// the child ledger with the largest total (ties broken by lowest index,
+/// exactly like the serial max-scan). No-op when `children` is empty.
+void charge_max_component(RoundLedger& parent,
+                          const std::vector<RoundLedger>& children);
 
 }  // namespace deltacol

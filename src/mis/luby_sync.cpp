@@ -26,20 +26,15 @@ struct Msg {
 
 }  // namespace
 
-// Wire size registration (runtime/message_size.h): 1-bit flag + 64-bit
-// priority, matching the kLubyMessageBits constant the tests pin.
-template <>
-struct MessageSize<Msg> {
-  static std::int64_t bits(const Msg&) { return kLubyMessageBits; }
-};
+// Wire registration (net/wire_codec.h). Charged: 1-bit flag + 64-bit
+// priority, the kLubyMessageBits constant the tests pin. Encoded field by
+// field: 1 byte for the sub-byte flag + 8 bytes priority = 9 bytes =
+// ceil(1/8) + ceil(64/8) — the per-field rounding the fuzz suite pins.
 static_assert(kLubyMessageBits == 1 + 64,
               "Luby wire format: 1-bit join flag + 64-bit priority");
-
-// Wire codec registration (net/wire_codec.h), field by field beside the
-// sizing above: 1 byte for the sub-byte flag + 8 bytes priority = 9 bytes =
-// ceil(1/8) + ceil(64/8) — the per-field rounding the fuzz suite pins.
 template <>
 struct WireCodec<Msg> {
+  static std::int64_t bits(const Msg&) { return kLubyMessageBits; }
   static void encode(const Msg& m, WireWriter& w) {
     WireCodec<bool>::encode(m.is_join, w);
     WireCodec<std::uint64_t>::encode(m.priority, w);

@@ -23,8 +23,8 @@ namespace deltacol {
 class ThreadPool;     // src/runtime/thread_pool.h; nullptr = serial
 class ShardRuntime;   // src/runtime/mailbox.h; nullptr = no runtime
 
-// Wire size of one Luby message under the MessageSize convention
-// (runtime/message_size.h): a 1-bit join flag plus a 64-bit priority. The
+// Wire size of one Luby message under the sizing convention of
+// net/wire_codec.h: a 1-bit join flag plus a 64-bit priority. The
 // CONGEST(B) cost of each Luby round is ceil(kLubyMessageBits / B) — tests
 // pin byte counters against this constant (tests/test_message_size.cpp,
 // tests/test_fuzz.cpp).

@@ -1,29 +1,39 @@
 /// \file
-/// Wire serialization for the message-passing layer — the byte-level twin of
-/// the CONGEST sizing traits (runtime/message_size.h).
+/// The wire format of the message-passing layer: what a message costs in
+/// CONGEST mode (DESIGN.md §6, "CONGEST accounting") and which bytes it
+/// occupies on a real link.
 ///
-/// `WireCodec<Msg>` answers the question MessageSize only prices: what bytes
-/// does `msg` occupy on a real link? The two families follow the same
-/// convention field by field, so bytes-on-wire and bits-charged stay provably
-/// proportional:
+/// `WireCodec<Msg>` registers a message type once: `bits(msg)` prices it,
+/// `encode` / `decode` give its bytes. Every message type that flows through
+/// the `SyncEngine` (runtime/sync_engine.h) or crosses a distributed
+/// Transport specializes it; the primary template is deliberately left undefined, so
+/// an unregistered message type is a compile error, never a silent
+/// under-charge or a silently wrong byte stream. The engine charges a
+/// CONGEST round by the heaviest message in any slot: with one message per
+/// directed edge per round, that is the heaviest edge load. The charges are
+/// pinned against a hand-computed table in tests/test_message_size.cpp.
 ///
-///   | field             | MessageSize charge | WireCodec encoding          |
+/// Sizing convention: payload bits only. Addressing (sender/receiver ids) is
+/// carried by the edge itself in the CONGEST model — a node knows which port
+/// a message arrived on — so addressing is neither charged nor encoded.
+/// Fixed-width fields are charged at their declared width, a bool/flag is 1
+/// bit, and variable-length payloads charge a 32-bit length prefix plus
+/// their elements:
+///
+///   | field             | bits               | encoding                    |
 ///   |-------------------|--------------------|-----------------------------|
-///   | bool              | 1 bit              | 1 byte (0/1)                |
-///   | i32 / u32         | 32 bits            | 4 bytes, little-endian      |
-///   | i64 / u64         | 64 bits            | 8 bytes, little-endian      |
-///   | pair<A, B>        | concat             | concat                      |
-///   | vector<T>         | 32-bit prefix + T* | u32 prefix + elements       |
+///   | bool              | 1                  | 1 byte (0/1)                |
+///   | i32 / u32         | 32                 | 4 bytes, little-endian      |
+///   | i64 / u64         | 64                 | 8 bytes, little-endian      |
+///   | pair<A, B>        | sum of the fields  | concat                      |
+///   | vector<T>         | 32 + the elements  | u32 prefix + elements       |
 ///
 /// i.e. the encoded payload of any registered message is exactly the sum of
 /// ceil(field_bits / 8) over its fields (sub-byte fields round up to whole
 /// bytes — the only place wire bytes exceed charged bits). The fuzz suite
 /// pins this equality for every registered type (tests/test_fuzz.cpp).
-///
-/// Like MessageSize, the primary template is deliberately left undefined:
-/// an unregistered message type is a compile error, never a silently wrong
-/// byte stream. Algorithm translation units that define private message
-/// structs specialize both traits side by side (see mis/luby_sync.cpp).
+/// Algorithm translation units that define private message structs register
+/// them in their own file (see mis/luby_sync.cpp).
 ///
 /// Decoding is strict: a `WireReader` that runs out of bytes, a bool byte
 /// outside {0, 1}, or a vector length that cannot fit the remaining bytes
@@ -127,15 +137,22 @@ class WireReader {
 };
 
 /// Primary template: intentionally undefined — specialize for every message
-/// type that crosses a distributed Transport (the mirror of MessageSize's
-/// registration discipline; see the file comment for the convention).
+/// type the pipelines send (see the file comment for the convention).
 template <typename Msg>
 struct WireCodec;
+
+/// Bits `msg` occupies on the wire (the quantity the CONGEST B-bit cap and
+/// the per-shard bit counters are measured in).
+template <typename Msg>
+inline std::int64_t message_bits(const Msg& msg) {
+  return WireCodec<Msg>::bits(msg);
+}
 
 // --- scalar payloads -------------------------------------------------------
 
 template <>
 struct WireCodec<bool> {
+  static std::int64_t bits(const bool&) { return 1; }
   static void encode(const bool& x, WireWriter& w) { w.put_u8(x ? 1 : 0); }
   static bool decode(WireReader& r) {
     const std::uint8_t b = r.get_u8();
@@ -146,12 +163,14 @@ struct WireCodec<bool> {
 
 template <>
 struct WireCodec<std::uint32_t> {
+  static std::int64_t bits(const std::uint32_t&) { return 32; }
   static void encode(const std::uint32_t& x, WireWriter& w) { w.put_u32(x); }
   static std::uint32_t decode(WireReader& r) { return r.get_u32(); }
 };
 
 template <>
 struct WireCodec<std::int32_t> {
+  static std::int64_t bits(const std::int32_t&) { return 32; }
   static void encode(const std::int32_t& x, WireWriter& w) {
     w.put_u32(static_cast<std::uint32_t>(x));
   }
@@ -162,12 +181,14 @@ struct WireCodec<std::int32_t> {
 
 template <>
 struct WireCodec<std::uint64_t> {
+  static std::int64_t bits(const std::uint64_t&) { return 64; }
   static void encode(const std::uint64_t& x, WireWriter& w) { w.put_u64(x); }
   static std::uint64_t decode(WireReader& r) { return r.get_u64(); }
 };
 
 template <>
 struct WireCodec<std::int64_t> {
+  static std::int64_t bits(const std::int64_t&) { return 64; }
   static void encode(const std::int64_t& x, WireWriter& w) {
     w.put_u64(static_cast<std::uint64_t>(x));
   }
@@ -180,6 +201,9 @@ struct WireCodec<std::int64_t> {
 
 template <typename A, typename B>
 struct WireCodec<std::pair<A, B>> {
+  static std::int64_t bits(const std::pair<A, B>& p) {
+    return message_bits(p.first) + message_bits(p.second);
+  }
   static void encode(const std::pair<A, B>& p, WireWriter& w) {
     WireCodec<A>::encode(p.first, w);
     WireCodec<B>::encode(p.second, w);
@@ -192,8 +216,14 @@ struct WireCodec<std::pair<A, B>> {
   }
 };
 
+/// Variable-length payload: 32-bit length prefix + the elements.
 template <typename T>
 struct WireCodec<std::vector<T>> {
+  static std::int64_t bits(const std::vector<T>& v) {
+    std::int64_t total = 32;
+    for (const T& x : v) total += message_bits(x);
+    return total;
+  }
   static void encode(const std::vector<T>& v, WireWriter& w) {
     w.put_u32(static_cast<std::uint32_t>(v.size()));
     for (const T& x : v) WireCodec<T>::encode(x, w);
@@ -224,8 +254,7 @@ struct WireCodec<std::vector<T>> {
 //
 // Both ranks list the k edges the same way — by ascending (receiver id,
 // sender id) — from (graph, partition), so a frame carries no vertex ids:
-// its only overhead over the MessageSize-priced payload is one bit per
-// cross edge.
+// its only overhead over the encoded payloads is one bit per cross edge.
 
 /// Encodes one edge frame. msg_at(j) returns a pointer to edge j's message,
 /// or nullptr when edge j carries none this round.

@@ -18,9 +18,9 @@
 ///
 ///  * `ShardRuntime` — one graph's shard bundle: partition + views +
 ///    transport + cumulative message-volume counters per (owner of sender,
-///    owner of receiver), in messages AND in wire bits (MessageSize,
-///    runtime/message_size.h) — the CONGEST metrics bench_e16 reports and
-///    the serialization sizing a socket Transport needs.
+///    owner of receiver), in messages AND in wire bits (message_bits,
+///    net/wire_codec.h) — the CONGEST metrics bench_e16 reports and the
+///    serialization sizing a socket Transport needs.
 ///
 /// The header keeps its historical name because the repository benchmark
 /// (perfbench/) includes it.
@@ -159,7 +159,7 @@ class ShardRuntime {
   std::int64_t slot_messages(int src, int dst) const {
     return sent_[slot_index(src, dst)];
   }
-  /// Cumulative wire bits from shard src to shard dst (MessageSize sizing).
+  /// Cumulative wire bits from shard src to shard dst (message_bits sizing).
   std::int64_t slot_bits(int src, int dst) const {
     return sent_bits_[slot_index(src, dst)];
   }
@@ -188,7 +188,7 @@ class ShardRuntime {
   std::vector<GraphView> views_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::int64_t> sent_;       // row-major (src, dst), cumulative
-  std::vector<std::int64_t> sent_bits_;  // same shape, MessageSize bits
+  std::vector<std::int64_t> sent_bits_;  // same shape, message_bits
   std::int64_t rounds_ = 0;
 };
 

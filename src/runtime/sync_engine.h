@@ -24,7 +24,7 @@
 /// the same for every thread count, shard count and partition (DESIGN.md §6).
 ///
 /// **Shards.** With a ShardRuntime attached, every round records its message
-/// counts and MessageSize bits per (owner of sender, owner of receiver) on
+/// counts and message bits per (owner of sender, owner of receiver) on
 /// the runtime. An in-process runtime (transport().local_shard() == -1)
 /// changes nothing else. A distributed transport (local_shard() >= 0) makes
 /// the engine hold state and inbox slots for its own shard only: messages to
@@ -53,7 +53,6 @@
 #include "local/round_ledger.h"
 #include "net/wire_codec.h"
 #include "runtime/mailbox.h"
-#include "runtime/message_size.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/page_allocator.h"
@@ -71,7 +70,7 @@ class SyncEngine {
   // are row-major over (owner of sender, owner of receiver).
   struct Tally {
     std::vector<std::int64_t> counts;  // messages per cell
-    std::vector<std::int64_t> bits;    // MessageSize bits per cell
+    std::vector<std::int64_t> bits;    // message_bits per cell
     std::int64_t max_bits = 0;         // heaviest single message
   };
 

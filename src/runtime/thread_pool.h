@@ -147,4 +147,18 @@ inline void pooled_ranges(ThreadPool* pool, int begin, int end,
   }
 }
 
+/// One dynamically claimed chunk per index: job(0) .. job(count - 1) on the
+/// pool when one is attached, as a plain serial loop otherwise. For jobs of
+/// wildly different sizes, such as the connected components and the Phase
+/// (6) leftovers of delta_color. Either way the lowest failing index's
+/// exception is rethrown (the serial loop stops at it).
+inline void pooled_chunks(ThreadPool* pool, int count,
+                          const std::function<void(int)>& job) {
+  if (pool != nullptr) {
+    pool->parallel_chunks(count, job);
+  } else {
+    for (int i = 0; i < count; ++i) job(i);
+  }
+}
+
 }  // namespace deltacol

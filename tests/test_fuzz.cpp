@@ -25,7 +25,6 @@
 #include "net/rank_loader.h"
 #include "net/wire_codec.h"
 #include "runtime/mailbox.h"
-#include "runtime/message_size.h"
 #include "runtime/sync_engine.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -163,7 +162,7 @@ TEST(FuzzStress, EightSameSeedRunsAreBitIdentical) {
 
 // CONGEST byte-counter consistency under fuzz: for random graphs, shard
 // counts and thread counts, the ShardRuntime's wire-bit counters must equal
-// MessageSize times the message counts, split per slot exactly as the
+// message_bits times the message counts, split per slot exactly as the
 // GraphViews count internal/cross edges — and the charged rounds must be
 // the engine's message_round_cost of the actual heaviest edge load.
 TEST_P(FuzzTest, ByteCountersConsistentWithPostedMessages) {
@@ -237,11 +236,10 @@ TEST_P(FuzzTest, ByteCountersConsistentWithPostedMessages) {
 
 // --- wire-codec fuzz -------------------------------------------------------
 //
-// The WireCodec family (net/wire_codec.h) must stay the byte-level twin of
-// MessageSize: for every registered type, encoded length == the sum of
+// A WireCodec's bytes (net/wire_codec.h) must stay the twin of its charged
+// bits: for every registered type, encoded length == the sum of
 // ceil(field_bits / 8) over its fields, and decode(encode(x)) == x. A
-// custom struct registering BOTH traits side by side (the luby_sync.cpp
-// pattern) is fuzzed too.
+// custom struct registered the luby_sync.cpp way is fuzzed too.
 
 namespace wire_fuzz {
 
@@ -256,14 +254,10 @@ struct FuzzMsg {
 }  // namespace wire_fuzz
 
 template <>
-struct MessageSize<wire_fuzz::FuzzMsg> {
+struct WireCodec<wire_fuzz::FuzzMsg> {
   static std::int64_t bits(const wire_fuzz::FuzzMsg& m) {
     return 1 + 32 + 64 + message_bits(m.tail);
   }
-};
-
-template <>
-struct WireCodec<wire_fuzz::FuzzMsg> {
   static void encode(const wire_fuzz::FuzzMsg& m, WireWriter& w) {
     WireCodec<bool>::encode(m.flag, w);
     WireCodec<std::uint32_t>::encode(m.a, w);
@@ -283,7 +277,7 @@ struct WireCodec<wire_fuzz::FuzzMsg> {
 namespace {
 
 // Expected on-wire bytes, per-field ceil(bits / 8) — the mirror of the
-// codec registry, computed independently of both traits.
+// codec registry, computed independently of it.
 template <typename T>
 struct WireBytes;
 template <>
@@ -328,7 +322,7 @@ struct WireBytes<wire_fuzz::FuzzMsg> {
 };
 
 // One round trip: encode, check the per-field length law (and, when the
-// type has no sub-byte fields, the exact bits/8 relation to MessageSize),
+// type has no sub-byte fields, the exact bits/8 relation to message_bits),
 // decode, compare payloads, and require the reader to be fully consumed.
 template <typename T>
 void check_round_trip(const T& value, std::int64_t sub_byte_fields) {

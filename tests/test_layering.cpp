@@ -331,15 +331,34 @@ TEST(LayerColoring, InstanceWithoutDegPlusOneThrows) {
        {ListEngine::kDeterministic, ListEngine::kRandomized}) {
     for (const auto& [n, base] : {std::pair{3, 0}, std::pair{5000, 10}}) {
       EXPECT_NE(instance_violation(n, base, 2, {0, 1, 0}, 2, engine)
-                    .find("layer instance is not (deg+1)"),
+                    .find("(deg+1)-list instance 't' is not (deg+1)"),
                 std::string::npos)
           << "n=" << n;
       // Checked before the schedule, which is improper here as well.
       EXPECT_NE(instance_violation(n, base, 2, {0, 0, 0}, 2, engine)
-                    .find("layer instance is not (deg+1)"),
+                    .find("(deg+1)-list instance 't' is not (deg+1)"),
                 std::string::npos)
           << "n=" << n;
     }
+  }
+}
+
+TEST(LayerColoring, InstanceWithoutLayersNamesItsPhase) {
+  // An odd 5-cycle on palette 2 is no layer: each member has two member
+  // neighbors and two colors, and the message names the instance.
+  const Graph g = cycle_graph(5);
+  const Coloring schedule{0, 1, 0, 1, 2};
+  for (const auto engine :
+       {ListEngine::kDeterministic, ListEngine::kRandomized}) {
+    Coloring c(5, kUncolored);
+    RoundLedger ledger;
+    Rng rng(3);
+    EXPECT_NE(violation([&] {
+                color_vertex_set_as_list_instance(
+                    g, {0, 1, 2, 3, 4}, [](int) { return 2; }, schedule, 3,
+                    engine, &rng, c, ledger, "odd-cycle");
+              }).find("(deg+1)-list instance 'odd-cycle' is not (deg+1)"),
+              std::string::npos);
   }
 }
 

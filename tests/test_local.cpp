@@ -1,6 +1,8 @@
 // The LOCAL-model simulator: round ledger and the synchronous message engine.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "local/round_ledger.h"
@@ -34,6 +36,40 @@ TEST(RoundLedger, MergeAndReset) {
   a.reset();
   EXPECT_EQ(a.total(), 0);
   EXPECT_TRUE(a.breakdown().empty());
+}
+
+TEST(RoundLedger, ChargeMaxComponentMergesTheLargestChild) {
+  std::vector<RoundLedger> ledgers(9);
+  for (int i = 0; i < 9; ++i) {
+    ledgers[static_cast<std::size_t>(i)].charge(i * 3, "phase-a");
+    ledgers[static_cast<std::size_t>(i)].charge(i, "phase-b");
+  }
+  RoundLedger parent;
+  parent.charge(7, "shared");
+  charge_max_component(parent, ledgers);
+  // Max child is index 8: 24 + 8 = 32 on top of the shared 7.
+  EXPECT_EQ(parent.total(), 7 + 32);
+  EXPECT_EQ(parent.phase_total("phase-a"), 24);
+  EXPECT_EQ(parent.phase_total("phase-b"), 8);
+}
+
+TEST(RoundLedger, ChargeMaxComponentBreaksTiesByLowestIndex) {
+  std::vector<RoundLedger> ledgers(3);
+  ledgers[1].charge(5, "first");
+  ledgers[2].charge(5, "second");
+  RoundLedger parent;
+  charge_max_component(parent, ledgers);
+  EXPECT_EQ(parent.phase_total("first"), 5);
+  EXPECT_EQ(parent.phase_total("second"), 0);
+}
+
+TEST(RoundLedger, ChargeMaxComponentOfAllZeroChildrenMergesNothing) {
+  std::vector<RoundLedger> ledgers(4);
+  ledgers[1].charge(0, "noise");  // a 0-round phase must not leak through
+  RoundLedger parent;
+  charge_max_component(parent, ledgers);
+  EXPECT_EQ(parent.total(), 0);
+  EXPECT_TRUE(parent.breakdown().empty());
 }
 
 TEST(RoundLedger, ReportMentionsPhases) {

@@ -1,5 +1,5 @@
-// Pins every registered MessageSize specialization against a hand-computed
-// table (runtime/message_size.h sizing convention: payload bits only, fixed
+// Pins every registered WireCodec<T>::bits against a hand-computed table
+// (the net/wire_codec.h sizing convention: payload bits only, fixed
 // widths as declared, 1-bit flags, 32-bit length prefix on vectors). These
 // constants ARE the CONGEST cost model — a silent change here would shift
 // every charged round count and every byte counter, so the table is explicit
@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "mis/luby_sync.h"
-#include "runtime/message_size.h"
+#include "net/wire_codec.h"
 
 namespace deltacol {
 namespace {
 
-TEST(MessageSize, ScalarTable) {
+TEST(MessageBits, ScalarTable) {
   EXPECT_EQ(message_bits(true), 1);
   EXPECT_EQ(message_bits(false), 1);
   EXPECT_EQ(message_bits(std::int32_t{0}), 32);
@@ -26,7 +26,7 @@ TEST(MessageSize, ScalarTable) {
   EXPECT_EQ(message_bits(std::uint64_t{0}), 64);
 }
 
-TEST(MessageSize, PairSumsItsFields) {
+TEST(MessageBits, PairSumsItsFields) {
   EXPECT_EQ(message_bits(std::pair<bool, std::uint64_t>{true, 7}), 65);
   EXPECT_EQ(message_bits(std::pair<std::int32_t, std::int32_t>{1, 2}), 64);
   EXPECT_EQ(
@@ -34,7 +34,7 @@ TEST(MessageSize, PairSumsItsFields) {
       66);
 }
 
-TEST(MessageSize, VectorChargesPrefixPlusElements) {
+TEST(MessageBits, VectorChargesPrefixPlusElements) {
   EXPECT_EQ(message_bits(std::vector<std::int32_t>{}), 32);  // prefix only
   EXPECT_EQ(message_bits(std::vector<std::int32_t>{1, 2, 3}), 32 + 3 * 32);
   EXPECT_EQ(message_bits(std::vector<bool>{true, false}), 32 + 2);
@@ -43,7 +43,7 @@ TEST(MessageSize, VectorChargesPrefixPlusElements) {
             32 + (32 + 64) + 32);
 }
 
-TEST(MessageSize, LubyMessageIsSixtyFiveBits) {
+TEST(MessageBits, LubyMessageIsSixtyFiveBits) {
   // The literal message-passing MIS sends {1-bit join flag, 64-bit
   // priority}; the constant is exported so tests and benches can factor
   // charged totals without re-deriving the wire format.

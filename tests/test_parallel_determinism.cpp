@@ -90,8 +90,8 @@ TEST(ParallelDeterminism, AllAlgorithmsOnConstantDegree) {
 }
 
 TEST(ParallelDeterminism, MultiComponentGraphSchedulesDeterministically) {
-  // Several components of different sizes: the ComponentScheduler fans them
-  // out; colorings, max-charging and stats folds must stay index-ordered.
+  // Several components of different sizes: pooled_chunks fans them out;
+  // colorings, max-charging and stats folds must stay index-ordered.
   Rng rng(31);
   const Graph a = random_regular(400, 5, rng);
   const Graph b = random_regular(150, 4, rng);
@@ -126,11 +126,11 @@ TEST(ParallelDeterminism, RandomizedListEngineSharesOneRngStream) {
   }
 }
 
-TEST(ParallelDeterminism, LeftoverComponentSchedulerIsDeterministic) {
+TEST(ParallelDeterminism, LeftoverComponentFanOutIsDeterministic) {
   // A deep Gallai-tree interior with a small happiness radius leaves
   // SEVERAL leftover components inside one nice component, so Phase (6)'s
-  // inner ComponentScheduler fan-out — not just the outer per-component one
-  // — is what runs here. Pre-split RNG streams, index-private ledgers/stats
+  // inner pooled_chunks fan-out — not just the outer per-component one — is
+  // what runs here. Pre-split RNG streams, index-private ledgers/stats
   // and the max-total charge must make every observable thread-invariant.
   const Graph g = triangle_cactus(5000);
   DeltaColoringOptions serial_opt;

@@ -95,5 +95,23 @@ TEST(RoundAccounting, TrivialComponentsAreCheap) {
   EXPECT_LT(res.ledger.total(), 300);
 }
 
+TEST(RoundAccounting, LeftoverComponentsChargeTheLargestChild) {
+  // Phase (6) colors two leftover components of this cactus, each on its
+  // own ledger in the run's CONGEST mode, and charges the larger child's
+  // total. Captured with seed 2024; the sum of the children, or children
+  // charging in LOCAL mode at B = 16, reads differently.
+  const Graph g = triangle_cactus(5000);
+  DeltaColoringOptions opt;
+  opt.seed = 2024;
+  opt.small_variant_radius_cap = 2;
+  const auto local = delta_color(g, Algorithm::kRandomizedSmall, opt);
+  ASSERT_EQ(local.stats.leftover_components, 2);
+  EXPECT_EQ(local.ledger.phase_total("rand/6-small-components"), 52);
+  opt.congest_bits = 16;
+  const auto congest = delta_color(g, Algorithm::kRandomizedSmall, opt);
+  EXPECT_EQ(congest.coloring, local.coloring);
+  EXPECT_EQ(congest.ledger.phase_total("rand/6-small-components"), 61);
+}
+
 }  // namespace
 }  // namespace deltacol

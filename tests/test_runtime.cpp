@@ -14,7 +14,6 @@
 #include "local/round_ledger.h"
 #include "mis/luby_sync.h"
 #include "mis/mis.h"
-#include "runtime/component_scheduler.h"
 #include "runtime/mailbox.h"
 #include "runtime/sync_engine.h"
 #include "runtime/thread_pool.h"
@@ -199,35 +198,32 @@ TEST(SyncEngine, SumFoldFloodLandsOnTheFrozenHash) {
   }
 }
 
-TEST(ComponentScheduler, RunsEveryJobOnceAndChargesMax) {
+TEST(PooledChunks, RunsEveryIndexOnce) {
   for (int threads : {1, 4}) {
     ThreadPool pool(threads);
-    const ComponentScheduler sched(threads > 1 ? &pool : nullptr);
     std::vector<int> ran(9, 0);
-    std::vector<RoundLedger> ledgers(9);
-    sched.run(9, [&](int i) {
-      ran[static_cast<std::size_t>(i)] += 1;
-      ledgers[static_cast<std::size_t>(i)].charge(i * 3, "phase-a");
-      ledgers[static_cast<std::size_t>(i)].charge(i, "phase-b");
-    });
-    for (int r : ran) EXPECT_EQ(r, 1);
-    RoundLedger parent;
-    parent.charge(7, "shared");
-    charge_max_component(parent, ledgers);
-    // Max child is index 8: 24 + 8 = 32 on top of the shared 7.
-    EXPECT_EQ(parent.total(), 7 + 32);
-    EXPECT_EQ(parent.phase_total("phase-a"), 24);
-    EXPECT_EQ(parent.phase_total("phase-b"), 8);
+    pooled_chunks(threads > 1 ? &pool : nullptr, 9,
+                  [&](int i) { ran[static_cast<std::size_t>(i)] += 1; });
+    for (int r : ran) EXPECT_EQ(r, 1) << "T=" << threads;
   }
 }
 
-TEST(ComponentScheduler, AllZeroChildrenMergeNothing) {
-  std::vector<RoundLedger> ledgers(4);
-  ledgers[1].charge(0, "noise");  // a 0-round phase must not leak through
-  RoundLedger parent;
-  charge_max_component(parent, ledgers);
-  EXPECT_EQ(parent.total(), 0);
-  EXPECT_TRUE(parent.breakdown().empty());
+TEST(PooledChunks, LowestFailingIndexSurfaces) {
+  // The serial loop stops at index 3; the pool runs every index and then
+  // rethrows index 3's exception. Callers see the same one either way.
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    try {
+      pooled_chunks(threads > 1 ? &pool : nullptr, 9, [](int i) {
+        if (i == 3 || i == 6) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "expected an exception at T=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 3") << "T=" << threads;
+    }
+  }
 }
 
 TEST(RoundLedger, ConcurrentChargingIsSafeAndSumsExactly) {
