@@ -136,7 +136,9 @@ struct DetectionGolden {
 
 // Frozen Phase (1) output (has_dcc, selected, dccs, max_dcc_radius) per
 // graph and radius. Any change to the ball kernel must land on these hashes
-// serially and on a pool.
+// serially, on a pool and on a salted pool (whose jittered chunk counts move
+// every per-chunk buffer boundary). On the power-law rows the hubs lie in
+// many balls, so deduplication and radii see large, overlapping sets.
 constexpr DetectionGolden kDetectionGoldens[] = {
     {"regular-500-6", 1, 0xf5693a9f9b2959c5ULL},
     {"regular-500-6", 2, 0xdc785d868c7c4620ULL},
@@ -171,6 +173,9 @@ constexpr DetectionGolden kDetectionGoldens[] = {
     {"regular-3000-8", 1, 0xc953c182a7f6844eULL},
     {"regular-3000-8", 2, 0xcf4cd94e81a0114dULL},
     {"regular-3000-8", 3, 0xadc5db5242a56a0aULL},
+    {"powerlaw-2000-3", 1, 0x31c339a4c3706a9aULL},
+    {"powerlaw-2000-3", 2, 0x01c9e04ad76d352cULL},
+    {"powerlaw-2000-3", 3, 0x747953608eae3480ULL},
 };
 
 TEST(Dcc, DetectionLandsOnFrozenHashes) {
@@ -186,15 +191,20 @@ TEST(Dcc, DetectionLandsOnFrozenHashes) {
       {"torus-40-scrambled", test_support::scrambled_torus(40, 40, 5)});
   Rng rng(19);
   graphs.push_back({"regular-3000-8", random_regular(3000, 8, rng)});
+  Rng pa_rng(29);
+  graphs.push_back(
+      {"powerlaw-2000-3", preferential_attachment(2000, 3, pa_rng)});
 
   ThreadPool pool(4);
+  ThreadPool salted_pool(4);
+  salted_pool.set_perturb_salt(0x5eed);
   for (const DetectionGolden& golden : kDetectionGoldens) {
     const Graph* g = nullptr;
     for (const auto& w : graphs) {
       if (w.name == golden.graph) g = &w.g;
     }
     ASSERT_NE(g, nullptr) << golden.graph;
-    RoundLedger serial_ledger, pooled_ledger;
+    RoundLedger serial_ledger, pooled_ledger, salted_ledger;
     EXPECT_EQ(detection_fingerprint(
                   detect_dccs(*g, golden.r, serial_ledger, "dcc")),
               golden.hash)
@@ -203,6 +213,10 @@ TEST(Dcc, DetectionLandsOnFrozenHashes) {
                   detect_dccs(*g, golden.r, pooled_ledger, "dcc", &pool)),
               golden.hash)
         << golden.graph << " r=" << golden.r << " pool of 4";
+    EXPECT_EQ(detection_fingerprint(detect_dccs(*g, golden.r, salted_ledger,
+                                                "dcc", &salted_pool)),
+              golden.hash)
+        << golden.graph << " r=" << golden.r << " salted pool of 4";
   }
 }
 
