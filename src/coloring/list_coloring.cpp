@@ -13,19 +13,6 @@
 
 namespace deltacol {
 
-namespace {
-
-// The (deg+1) check's message, which names the instance. Kept out of line
-// and cold: built inside color_vertex_set_as_list_instance, it made GCC stop
-// inlining one of that function's loop bodies.
-[[gnu::cold]] std::string not_deg_plus_one(std::string_view phase) {
-  return "(deg+1)-list instance '" + std::string(phase) +
-         "' is not (deg+1): a member has no more free colors than member "
-         "neighbors";
-}
-
-}  // namespace
-
 void sweep_schedule_classes(std::span<const int> members,
                             const Coloring& schedule, int num_schedule_colors,
                             const std::function<void(int)>& pick,
@@ -123,7 +110,10 @@ void color_vertex_set_as_list_instance(const Graph& g,
       }
     });
   });
-  DC_ENSURE(!short_list, not_deg_plus_one(phase));
+  DC_ENSURE(!short_list,
+            "(deg+1)-list instance '" + std::string(phase) +
+                "' is not (deg+1): a member has no more free colors than "
+                "member neighbors");
   // The det sweep: each member takes the smallest color of [0, palette(v))
   // no G-neighbor holds, which is the first color of its list (free at the
   // start) that no member colored in an earlier class took. The (deg + 1)

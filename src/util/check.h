@@ -20,9 +20,15 @@ class ContractViolation : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] inline void contract_fail(const char* kind, const char* expr,
-                                       const char* file, int line,
-                                       const std::string& msg) {
+// Builds the message only on failure: the check site passes it as a lambda,
+// so a message built from strings costs the fast path no code (an inline
+// std::string expression at the site can stop GCC inlining the loop around
+// the check).
+template <typename MakeMessage>
+[[noreturn, gnu::cold, gnu::noinline]] void contract_fail(
+    const char* kind, const char* expr, const char* file, int line,
+    const MakeMessage& make_message) {
+  const std::string msg(make_message());
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
@@ -36,12 +42,12 @@ namespace detail {
   do {                                                                       \
     if (!(cond))                                                             \
       ::deltacol::detail::contract_fail("DC_REQUIRE", #cond, __FILE__,       \
-                                        __LINE__, (msg));                    \
+                                        __LINE__, [&] { return (msg); });    \
   } while (0)
 
 #define DC_ENSURE(cond, msg)                                                 \
   do {                                                                       \
     if (!(cond))                                                             \
       ::deltacol::detail::contract_fail("DC_ENSURE", #cond, __FILE__,        \
-                                        __LINE__, (msg));                    \
+                                        __LINE__, [&] { return (msg); });    \
   } while (0)
