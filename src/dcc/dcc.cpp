@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 
 #include "graph/components.h"
@@ -11,6 +10,7 @@
 #include "graph/traversal.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace deltacol {
 
@@ -99,6 +99,9 @@ struct BallKernelScratch {
   std::vector<int> best_block;   // ball-local ids of the nearest DCC block
   std::vector<int> key, best_key;
   std::vector<char> in_block;    // membership marks of best_block
+  // extract_small_dcc's BFS over the block and its even-cycle candidates.
+  std::vector<int> depth, parent, order;
+  std::vector<int> cycle, cycle_tail, best_cycle;
 };
 
 // Extracts a small DCC from a non-Gallai block: the vertex set of any even
@@ -112,73 +115,78 @@ struct BallKernelScratch {
 // Falls back to the full block when no such edge exists (rare: all non-tree
 // edges level-parallel) or the cycle induces K4.
 //
-// The block is given as its vertices (any order), their membership marks
-// `in_block`, and its smallest vertex `root`, where the BFS starts. Returns
-// ball-local ids in no particular order.
-std::vector<int> extract_small_dcc(const BallCsr& g,
-                                   std::span<const int> block, int root,
-                                   const std::vector<char>& in_block) {
-  if (block.size() <= 6) return {block.begin(), block.end()};
-  std::vector<int> depth(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<int> parent(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<int> order{root};
+// The block is s.best_block, marked in s.in_block, and `root` is its
+// smallest vertex, where the BFS starts. Returns ball-local ids in no
+// particular order, as a view into s valid until the next call.
+std::span<const int> extract_small_dcc(const BallCsr& g, int root,
+                                       BallKernelScratch& s) {
+  const std::span<const int> block = s.best_block;
+  if (block.size() <= 6) return block;
+  auto& depth = s.depth;
+  auto& parent = s.parent;
+  depth.assign(static_cast<std::size_t>(g.num_vertices()), -1);
+  parent.assign(static_cast<std::size_t>(g.num_vertices()), -1);
+  s.order.assign(1, root);
   depth[static_cast<std::size_t>(root)] = 0;
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const int u = order[head];
+  for (std::size_t head = 0; head < s.order.size(); ++head) {
+    const int u = s.order[head];
     for (int w : g.neighbors(u)) {
-      if (!in_block[static_cast<std::size_t>(w)]) continue;
+      if (!s.in_block[static_cast<std::size_t>(w)]) continue;
       if (depth[static_cast<std::size_t>(w)] == -1) {
         depth[static_cast<std::size_t>(w)] = depth[static_cast<std::size_t>(u)] + 1;
         parent[static_cast<std::size_t>(w)] = u;
-        order.push_back(w);
+        s.order.push_back(w);
       }
     }
   }
   auto cycle_of = [&](int u, int w) {
     // u at depth d, w at depth d+1 with parent(w) != u: walk both up to the
     // LCA; the union plus edge (u, w) is an even cycle.
-    std::vector<int> pu{u}, pw{w};
+    s.cycle.assign(1, u);
+    s.cycle_tail.assign(1, w);
     int a = u, b = w;
     while (depth[static_cast<std::size_t>(b)] >
            depth[static_cast<std::size_t>(a)]) {
       b = parent[static_cast<std::size_t>(b)];
-      pw.push_back(b);
+      s.cycle_tail.push_back(b);
     }
     while (a != b) {
       a = parent[static_cast<std::size_t>(a)];
       b = parent[static_cast<std::size_t>(b)];
-      pu.push_back(a);
-      pw.push_back(b);
+      s.cycle.push_back(a);
+      s.cycle_tail.push_back(b);
     }
-    pw.pop_back();  // LCA appears in pu already
-    pu.insert(pu.end(), pw.begin(), pw.end());
-    return pu;
+    s.cycle_tail.pop_back();  // LCA appears in s.cycle already
+    s.cycle.insert(s.cycle.end(), s.cycle_tail.begin(), s.cycle_tail.end());
   };
-  std::vector<int> best;
-  for (int u : order) {
+  s.best_cycle.clear();
+  for (int u : s.order) {
     for (int w : g.neighbors(u)) {
-      if (!in_block[static_cast<std::size_t>(w)]) continue;
+      if (!s.in_block[static_cast<std::size_t>(w)]) continue;
       if (depth[static_cast<std::size_t>(w)] !=
               depth[static_cast<std::size_t>(u)] + 1 ||
           parent[static_cast<std::size_t>(w)] == u) {
         continue;
       }
-      auto cyc = cycle_of(u, w);
+      cycle_of(u, w);
       // An even cycle inducing a complete graph (K4, K6, ...) is a clique,
       // not a DCC; skip those candidates.
-      if (induces_clique(g, cyc)) continue;
-      if (best.empty() || cyc.size() < best.size()) best = std::move(cyc);
+      if (induces_clique(g, std::span<const int>(s.cycle))) continue;
+      if (s.best_cycle.empty() || s.cycle.size() < s.best_cycle.size()) {
+        s.best_cycle.swap(s.cycle);
+      }
     }
   }
-  if (best.empty()) return {block.begin(), block.end()};
-  return best;
+  if (s.best_cycle.empty()) return block;
+  return s.best_cycle;
 }
 
-// v's nomination: the sorted parent ids of a small DCC inside the nearest
-// non-Gallai block of v's r-ball, or an empty set when the ball is a Gallai
-// tree. Costs one BFS and an edge count for a tree ball; other balls add a
-// ball-local CSR and one lowpoint DFS over it.
-std::vector<int> nominate(const Graph& g, int v, int r, BallKernelScratch& s) {
+// v's nomination: appends to `out` the sorted parent ids of a small DCC
+// inside the nearest non-Gallai block of v's r-ball, or nothing when the
+// ball is a Gallai tree. Costs one BFS and an edge count for a tree ball;
+// other balls add a ball-local CSR and one lowpoint DFS over it.
+void nominate(const Graph& g, int v, int r, BallKernelScratch& s,
+              std::vector<int>& out) {
   s.ball.run(g, v, r);
   const auto ball = s.ball.order();
   const auto k = static_cast<std::int64_t>(ball.size());
@@ -192,7 +200,7 @@ std::vector<int> nominate(const Graph& g, int v, int r, BallKernelScratch& s) {
     }
   }
   for (int u : ball) s.in_ball[static_cast<std::size_t>(u)] = 0;
-  if (twice_edges == 2 * (k - 1)) return {};
+  if (twice_edges == 2 * (k - 1)) return;
 
   for (std::size_t i = 0; i < ball.size(); ++i) {
     s.local_index[static_cast<std::size_t>(ball[i])] = static_cast<int>(i);
@@ -241,7 +249,7 @@ std::vector<int> nominate(const Graph& g, int v, int r, BallKernelScratch& s) {
     s.best_block.assign(block.begin(), block.end());
     return true;
   });
-  if (best_dist == -1) return {};
+  if (best_dist == -1) return;
 
   // Shrink the winning block to a small DCC (see extract_small_dcc).
   if (s.in_block.size() < ball.size()) s.in_block.resize(ball.size(), 0);
@@ -250,13 +258,21 @@ std::vector<int> nominate(const Graph& g, int v, int r, BallKernelScratch& s) {
     s.in_block[static_cast<std::size_t>(x)] = 1;
     root = std::min(root, x);
   }
-  std::vector<int> best_set;
-  for (int x : extract_small_dcc(s.csr, s.best_block, root, s.in_block)) {
-    best_set.push_back(ball[static_cast<std::size_t>(x)]);
+  const auto begin = static_cast<std::ptrdiff_t>(out.size());
+  for (int x : extract_small_dcc(s.csr, root, s)) {
+    out.push_back(ball[static_cast<std::size_t>(x)]);
   }
   for (int x : s.best_block) s.in_block[static_cast<std::size_t>(x)] = 0;
-  std::sort(best_set.begin(), best_set.end());
-  return best_set;
+  std::sort(out.begin() + begin, out.end());
+}
+
+std::uint64_t hash_set(std::span<const int> set) {
+  std::uint64_t h = set.size();
+  for (int x : set) {
+    std::uint64_t state = h ^ static_cast<std::uint32_t>(x);
+    h = splitmix64(state);
+  }
+  return h;
 }
 
 }  // namespace
@@ -282,51 +298,109 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
 
   // Every node inspects its own ball and nominates one DCC vertex set — a
   // pure function of the graph, so the balls are analyzed in parallel (the
-  // hottest loop of the randomized pipeline). best_sets[v] is v-private;
-  // the cross-node deduplication happens serially below, in id order, so
-  // DCC indices are identical for every thread count.
-  std::vector<std::vector<int>> best_sets(static_cast<std::size_t>(n));
-  auto analyze_range = [&](int /*chunk*/, int lo, int hi) {
+  // hottest loop of the randomized pipeline). A chunk appends its
+  // nominations to its own flat buffer: v's set is
+  // chunk_sets[c][set_begin[v] .. set_begin[v] + set_size[v]) for the chunk
+  // c whose ascending range ends at chunk_end[c] and holds v. The cross-node
+  // deduplication happens serially below, in id order, so DCC indices are
+  // identical for every thread count.
+  // Chunk cap = one per executor: each chunk allocates its O(n) scratch
+  // vectors, so more chunks than executors would only multiply that cost
+  // (chunk boundaries are not observable — results are unchanged).
+  const int max_chunks = pool != nullptr ? pool->num_threads() : 1;
+  const int num_chunks =
+      pool != nullptr ? pool->num_range_chunks(n, max_chunks) : 1;
+  std::vector<std::vector<int>> chunk_sets(static_cast<std::size_t>(num_chunks));
+  std::vector<int> chunk_end(static_cast<std::size_t>(num_chunks), 0);
+  std::vector<int> set_begin(static_cast<std::size_t>(n), 0);
+  std::vector<int> set_size(static_cast<std::size_t>(n), 0);
+  auto analyze_range = [&](int chunk, int lo, int hi) {
     // One scratch per chunk: its O(n) arrays (BFS stamps, ball marks, local
     // ids) are allocated once and amortized over the chunk's balls.
     BallKernelScratch scratch;
     scratch.in_ball.assign(static_cast<std::size_t>(n), 0);
     scratch.local_index.assign(static_cast<std::size_t>(n), -1);
+    auto& sets = chunk_sets[static_cast<std::size_t>(chunk)];
     for (int v = lo; v < hi; ++v) {
-      best_sets[static_cast<std::size_t>(v)] = nominate(g, v, r, scratch);
+      const auto begin = sets.size();
+      nominate(g, v, r, scratch, sets);
+      set_begin[static_cast<std::size_t>(v)] = static_cast<int>(begin);
+      set_size[static_cast<std::size_t>(v)] =
+          static_cast<int>(sets.size() - begin);
     }
+    chunk_end[static_cast<std::size_t>(chunk)] = hi;
   };
-  // Chunk cap = one per executor: each chunk allocates its O(n) scratch
-  // vectors, so more chunks than executors would only multiply that cost
-  // (chunk boundaries are not observable — results are unchanged).
-  pooled_ranges(pool, 0, n, analyze_range,
-                pool != nullptr ? pool->num_threads() : 1);
+  pooled_ranges(pool, 0, n, analyze_range, max_chunks);
 
-  // Serial deduplication in id order: first nominator wins the index.
-  std::map<std::vector<int>, int> dcc_index;
+  // Serial deduplication in id order through an open-addressing table of
+  // DCC indices: the first nominator of a set wins its index.
+  int nominators = 0;
   for (int v = 0; v < n; ++v) {
-    auto& best_set = best_sets[static_cast<std::size_t>(v)];
-    if (best_set.empty()) continue;
-    out.has_dcc[static_cast<std::size_t>(v)] = true;
-    const auto [it, inserted] =
-        dcc_index.try_emplace(std::move(best_set),
-                              static_cast<int>(out.dccs.size()));
-    if (inserted) out.dccs.push_back(it->first);
-    out.selected[static_cast<std::size_t>(v)] = it->second;
+    if (set_size[static_cast<std::size_t>(v)] > 0) ++nominators;
+  }
+  std::size_t capacity = 1;
+  while (capacity < 2 * static_cast<std::size_t>(nominators)) capacity *= 2;
+  std::vector<int> table(capacity, -1);
+  int v = 0;
+  for (int c = 0; c < num_chunks; ++c) {
+    const auto& sets = chunk_sets[static_cast<std::size_t>(c)];
+    for (; v < chunk_end[static_cast<std::size_t>(c)]; ++v) {
+      const int size = set_size[static_cast<std::size_t>(v)];
+      if (size == 0) continue;
+      const std::span<const int> set(
+          sets.data() + set_begin[static_cast<std::size_t>(v)],
+          static_cast<std::size_t>(size));
+      std::size_t slot = hash_set(set) & (capacity - 1);
+      while (table[slot] != -1 &&
+             !std::ranges::equal(
+                 out.dccs[static_cast<std::size_t>(table[slot])], set)) {
+        slot = (slot + 1) & (capacity - 1);
+      }
+      if (table[slot] == -1) {
+        table[slot] = static_cast<int>(out.dccs.size());
+        out.dccs.emplace_back(set.begin(), set.end());
+      }
+      out.has_dcc[static_cast<std::size_t>(v)] = true;
+      out.selected[static_cast<std::size_t>(v)] = table[slot];
+    }
   }
 
-  // Radii of the selected DCCs: independent BFS sweeps, max-combined (order
-  // free), so the scan parallelizes over DCC indices.
+  // Radii of the selected DCCs: each is the smallest eccentricity of a BFS
+  // confined to the DCC's members. The max over DCCs is order free, so the
+  // scan runs in chunks of DCC indices, each with its own BFS scratch and
+  // member marks; a DCC stops at the first member whose eccentricity cannot
+  // raise its chunk's max.
+  if (out.dccs.empty()) return out;
   const int num_dccs = static_cast<int>(out.dccs.size());
-  std::vector<int> radius(static_cast<std::size_t>(num_dccs), 0);
-  pooled_for(pool, 0, num_dccs, [&](int i) {
-    const auto sub = induced_subgraph(g, out.dccs[static_cast<std::size_t>(i)]);
-    radius[static_cast<std::size_t>(i)] = graph_radius(sub.graph);
-  });
-  for (int i = 0; i < num_dccs; ++i) {
-    out.max_dcc_radius = std::max(out.max_dcc_radius,
-                                  radius[static_cast<std::size_t>(i)]);
-  }
+  const int radius_chunks =
+      pool != nullptr ? pool->num_range_chunks(num_dccs, max_chunks) : 1;
+  std::vector<int> chunk_radius(static_cast<std::size_t>(radius_chunks), 0);
+  pooled_ranges(
+      pool, 0, num_dccs,
+      [&](int chunk, int lo, int hi) {
+        BfsScratch bfs;
+        std::vector<char> member(static_cast<std::size_t>(n), 0);
+        const auto is_member = [&](int w) {
+          return member[static_cast<std::size_t>(w)] != 0;
+        };
+        int best = 0;
+        for (int i = lo; i < hi; ++i) {
+          const auto& dcc = out.dccs[static_cast<std::size_t>(i)];
+          for (int v : dcc) member[static_cast<std::size_t>(v)] = 1;
+          int radius = n;
+          for (int v : dcc) {
+            bfs.run_filtered(g, v, -1, is_member);
+            radius = std::min(radius, bfs.num_levels() - 1);
+            if (radius <= best) break;
+          }
+          best = std::max(best, radius);
+          for (int v : dcc) member[static_cast<std::size_t>(v)] = 0;
+        }
+        chunk_radius[static_cast<std::size_t>(chunk)] = best;
+      },
+      max_chunks);
+  out.max_dcc_radius =
+      *std::max_element(chunk_radius.begin(), chunk_radius.end());
   return out;
 }
 
