@@ -147,13 +147,12 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   std::vector<int> base;
   std::vector<char> dcc_in_m;
   if (!det.dccs.empty()) {
-    const Graph gdcc = build_dcc_virtual_graph(g, det.dccs);
-    // One GDCC round costs a gather across two DCC diameters plus the
-    // connecting edge.
+    // Luby on GDCC, run through the DCCs' members. One GDCC round costs a
+    // gather across two DCC diameters plus the connecting edge.
     const int per_step = 2 * det.max_dcc_radius + 1;
-    const std::vector<bool> in_m = luby_mis(gdcc, ctx.rng, ctx.ledger,
-                                            "rand/2-gdcc-ruling", per_step,
-                                            ctx.pool);
+    const std::vector<bool> in_m =
+        luby_mis_over_sets(g, det.dccs, ctx.rng, ctx.ledger,
+                           "rand/2-gdcc-ruling", per_step, ctx.pool);
     dcc_in_m.assign(det.dccs.size(), 0);
     for (std::size_t i = 0; i < det.dccs.size(); ++i) {
       if (in_m[i]) {

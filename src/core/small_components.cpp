@@ -103,15 +103,14 @@ bool color_small_component(ComponentContext& ctx, Coloring& c,
 
   // CDCC is the GDCC construction over singleton free nodes plus DCCs; its
   // ruling set (paper: (2, gamma)) is a Luby MIS, covering radius 1 in CDCC
-  // hops.
+  // hops, run through the objects' members.
   std::vector<std::vector<int>> objects;  // component-local vertex sets
   for (int f : free_nodes) objects.push_back({f});
   objects.insert(objects.end(), det.dccs.begin(), det.dccs.end());
-  const Graph cdcc = build_dcc_virtual_graph(comp, objects);
   const int per_step = 2 * std::max(1, det.max_dcc_radius) + 1;
-  const std::vector<bool> in_m = luby_mis(cdcc, ctx.rng, ctx.ledger,
-                                          "small/cdcc-ruling", per_step,
-                                          ctx.pool);
+  const std::vector<bool> in_m =
+      luby_mis_over_sets(comp, objects, ctx.rng, ctx.ledger,
+                         "small/cdcc-ruling", per_step, ctx.pool);
 
   std::vector<int> anchors;  // component-local ids, deduplicated
   std::vector<char> anchor_object(objects.size(), 0);

@@ -58,7 +58,10 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
                          std::string_view phase, ThreadPool* pool = nullptr);
 
 // The virtual graph GDCC: one vertex per DCC; two DCCs are adjacent iff they
-// share a vertex or are joined by an edge of g (paper Phase (1)).
+// share a vertex or are joined by an edge of g (paper Phase (1)). The
+// pipeline never builds it: Phases (2) and (6) run luby_mis_over_sets
+// (mis/mis.h) through the members, and luby_mis on this graph is that
+// function's test oracle.
 Graph build_dcc_virtual_graph(const Graph& g,
                               const std::vector<std::vector<int>>& dccs);
 

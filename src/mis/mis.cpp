@@ -1,5 +1,9 @@
 #include "mis/mis.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+
 #include "runtime/thread_pool.h"
 #include "util/check.h"
 
@@ -63,6 +67,141 @@ std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
     // joiners (1-bit). Under CONGEST(B) each message round is charged by its
     // heaviest edge load (round_ledger.h); in LOCAL both cost 1, recovering
     // the original 2 * rounds_per_step.
+    ledger.charge_message_round(64, phase, rounds_per_step);
+    ledger.charge_message_round(1, phase, rounds_per_step);
+  }
+  return in_set;
+}
+
+std::vector<bool> luby_mis_over_sets(const Graph& g,
+                                     const std::vector<std::vector<int>>& sets,
+                                     Rng& rng, RoundLedger& ledger,
+                                     std::string_view phase,
+                                     int rounds_per_step, ThreadPool* pool) {
+  DC_REQUIRE(rounds_per_step >= 1, "rounds_per_step must be >= 1");
+  const int n = g.num_vertices();
+  const int k = static_cast<int>(sets.size());
+  // Membership as a CSR built by counting sort: the indices of the sets
+  // containing v, ascending, are member_of[offset[v] .. offset[v + 1]).
+  std::vector<int> offset(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& set : sets) {
+    for (int v : set) {
+      DC_REQUIRE(0 <= v && v < n, "set member out of range");
+      ++offset[static_cast<std::size_t>(v) + 1];
+    }
+  }
+  std::vector<int> members;  // vertices in some set, ascending
+  for (int v = 0; v < n; ++v) {
+    if (offset[static_cast<std::size_t>(v) + 1] > 0) members.push_back(v);
+    offset[static_cast<std::size_t>(v) + 1] += offset[static_cast<std::size_t>(v)];
+  }
+  std::vector<int> member_of(static_cast<std::size_t>(offset.back()));
+  {
+    std::vector<int> cursor(offset.begin(), offset.end() - 1);
+    for (int i = 0; i < k; ++i) {
+      for (int v : sets[static_cast<std::size_t>(i)]) {
+        member_of[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = i;
+      }
+    }
+  }
+  const auto sets_of = [&](int v) {
+    const auto vi = static_cast<std::size_t>(v);
+    return std::span<const int>(member_of.data() + offset[vi],
+                                static_cast<std::size_t>(offset[vi + 1] - offset[vi]));
+  };
+
+  std::vector<bool> in_set(static_cast<std::size_t>(k), false);
+  std::vector<char> active(static_cast<std::size_t>(k), 1);
+  std::vector<int> live(static_cast<std::size_t>(k));  // active sets, ascending
+  for (int i = 0; i < k; ++i) live[static_cast<std::size_t>(i)] = i;
+  std::vector<std::uint64_t> priority(static_cast<std::size_t>(k));
+  std::vector<char> joins(static_cast<std::size_t>(k), 0);
+  // Per vertex: the smallest active set containing it (-1: none), the
+  // smallest one over its closed neighborhood, and whether a joining set
+  // lies in that neighborhood. Only members ever hold anything but -1 / 0.
+  std::vector<int> own_min(static_cast<std::size_t>(n), -1);
+  std::vector<int> closed_min(static_cast<std::size_t>(n), -1);
+  std::vector<char> covered(static_cast<std::size_t>(n), 0);
+  // (priority, index) order, -1 last.
+  const auto precedes = [&](int a, int b) {
+    if (a == -1) return false;
+    if (b == -1) return true;
+    const auto pa = priority[static_cast<std::size_t>(a)];
+    const auto pb = priority[static_cast<std::size_t>(b)];
+    return pa < pb || (pa == pb && a < b);
+  };
+  const int num_members = static_cast<int>(members.size());
+  while (!live.empty()) {
+    // Priority draws stay serial in index order, as in luby_mis.
+    for (int i : live) priority[static_cast<std::size_t>(i)] = rng.next_u64();
+    // Each sweep reads what the previous one wrote and writes only its own
+    // vertex's or set's slot: parallel-fors.
+    pooled_for(pool, 0, num_members, [&](int m) {
+      const int v = members[static_cast<std::size_t>(m)];
+      int best = -1;
+      for (int i : sets_of(v)) {
+        if (active[static_cast<std::size_t>(i)] && precedes(i, best)) best = i;
+      }
+      own_min[static_cast<std::size_t>(v)] = best;
+    });
+    pooled_for(pool, 0, num_members, [&](int m) {
+      const int v = members[static_cast<std::size_t>(m)];
+      int best = own_min[static_cast<std::size_t>(v)];
+      if (best == -1) return;  // in no active set: nobody reads v
+      for (int u : g.neighbors(v)) {
+        const int other = own_min[static_cast<std::size_t>(u)];
+        if (precedes(other, best)) best = other;
+      }
+      closed_min[static_cast<std::size_t>(v)] = best;
+    });
+    // A set joins iff it is the minimum of every member's closed
+    // neighborhood, i.e. of its closed neighborhood in the virtual graph.
+    pooled_for(pool, 0, static_cast<int>(live.size()), [&](int l) {
+      const int i = live[static_cast<std::size_t>(l)];
+      bool local_min = true;
+      for (int v : sets[static_cast<std::size_t>(i)]) {
+        if (closed_min[static_cast<std::size_t>(v)] != i) {
+          local_min = false;
+          break;
+        }
+      }
+      joins[static_cast<std::size_t>(i)] = local_min ? 1 : 0;
+    });
+    // A member of a joining set has that set as its own minimum (the sets
+    // sharing it are its virtual neighbors), so own_min finds them.
+    const auto joining = [&](int u) {
+      const int i = own_min[static_cast<std::size_t>(u)];
+      return i != -1 && joins[static_cast<std::size_t>(i)] != 0;
+    };
+    pooled_for(pool, 0, num_members, [&](int m) {
+      const int v = members[static_cast<std::size_t>(m)];
+      if (own_min[static_cast<std::size_t>(v)] == -1) return;
+      bool near = joining(v);
+      for (int u : g.neighbors(v)) {
+        if (near) break;
+        near = joining(u);
+      }
+      covered[static_cast<std::size_t>(v)] = near ? 1 : 0;
+    });
+    // Joining sets (an empty one covers nothing) and every set with a
+    // member next to one deactivate.
+    std::size_t kept = 0;
+    for (int i : live) {
+      const auto& set = sets[static_cast<std::size_t>(i)];
+      if (joins[static_cast<std::size_t>(i)]) {
+        in_set[static_cast<std::size_t>(i)] = true;
+      } else if (std::none_of(set.begin(), set.end(), [&](int v) {
+                   return covered[static_cast<std::size_t>(v)] != 0;
+                 })) {
+        live[kept++] = i;
+        continue;
+      }
+      active[static_cast<std::size_t>(i)] = 0;
+    }
+    live.resize(kept);
+    // The same charges as luby_mis: one exchange of priorities (64-bit
+    // payloads) and one notification of joiners (1-bit), each a
+    // rounds_per_step-round gather through the members.
     ledger.charge_message_round(64, phase, rounds_per_step);
     ledger.charge_message_round(1, phase, rounds_per_step);
   }

@@ -24,6 +24,20 @@ std::vector<bool> luby_mis(const Graph& g, Rng& rng, RoundLedger& ledger,
                            std::string_view phase, int rounds_per_step = 1,
                            ThreadPool* pool = nullptr);
 
+// Luby's MIS on the virtual graph whose vertices are `sets` (vertex sets of
+// g) and whose edges join two sets that share a vertex or are joined by an
+// edge of g (GDCC, dcc/dcc.h), without building it: returns what luby_mis
+// returns on that graph, from the same priority draws and with the same
+// charges. A set learns the smallest priority in its closed virtual
+// neighborhood through its own members, so every iteration is a few sweeps
+// over the member vertices.
+std::vector<bool> luby_mis_over_sets(const Graph& g,
+                                     const std::vector<std::vector<int>>& sets,
+                                     Rng& rng, RoundLedger& ledger,
+                                     std::string_view phase,
+                                     int rounds_per_step = 1,
+                                     ThreadPool* pool = nullptr);
+
 // Test oracle: independent + maximal.
 bool is_mis(const Graph& g, const std::vector<bool>& in_set);
 

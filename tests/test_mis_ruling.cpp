@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "dcc/dcc.h"
 #include "graph/generators.h"
 #include "graph/traversal.h"
 #include "mis/luby_sync.h"
@@ -12,6 +16,7 @@
 #include "mis/packing.h"
 #include "mis/ruling_set.h"
 #include "runtime/thread_pool.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -89,6 +94,115 @@ TEST(Mis, VerifierRejectsBadSets) {
   EXPECT_FALSE(is_mis(g, {true, false, false, false}));  // not maximal
   EXPECT_TRUE(is_mis(g, {true, false, true, false}));
   EXPECT_TRUE(is_mis(g, {false, true, false, true}));
+}
+
+// luby_mis_over_sets against its oracle, luby_mis on the built virtual
+// graph: the same MIS, the same ledger (total and per-phase breakdown) and
+// the same Rng stream afterwards, for 3 seeds, in LOCAL and CONGEST(64),
+// serially, on a pool of 4 and on a salted pool of 4. Returns the serial
+// seed-1 LOCAL MIS.
+std::vector<bool> expect_matches_virtual_graph(
+    const Graph& g, const std::vector<std::vector<int>>& sets,
+    int rounds_per_step, const std::string& label) {
+  using Breakdown = std::vector<std::pair<std::string, std::int64_t>>;
+  const auto breakdown = [](const RoundLedger& ledger) {
+    Breakdown out;
+    for (const auto& p : ledger.breakdown()) out.emplace_back(p.phase, p.rounds);
+    return out;
+  };
+  const Graph virt = build_dcc_virtual_graph(g, sets);
+  ThreadPool pool(4);
+  ThreadPool salted_pool(4);
+  salted_pool.set_perturb_salt(0x5e75);
+  const std::pair<const char*, ThreadPool*> engines[] = {
+      {"serial", nullptr}, {"pool of 4", &pool}, {"salted pool of 4", &salted_pool}};
+  std::vector<bool> first;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    for (std::int64_t bits : {0, 64}) {
+      RoundLedger oracle_ledger;
+      oracle_ledger.set_congest_bits(bits);
+      Rng oracle_rng(seed);
+      const auto expected = luby_mis(virt, oracle_rng, oracle_ledger, "gdcc",
+                                     rounds_per_step);
+      EXPECT_TRUE(is_mis(virt, expected)) << label;
+      for (const auto& [engine, engine_pool] : engines) {
+        const std::string where = label + " seed=" + std::to_string(seed) +
+                                  " B=" + std::to_string(bits) + " " + engine;
+        RoundLedger ledger;
+        ledger.set_congest_bits(bits);
+        Rng rng(seed);
+        const auto got = luby_mis_over_sets(g, sets, rng, ledger, "gdcc",
+                                            rounds_per_step, engine_pool);
+        EXPECT_EQ(got, expected) << where;
+        EXPECT_EQ(ledger.total(), oracle_ledger.total()) << where;
+        EXPECT_EQ(breakdown(ledger), breakdown(oracle_ledger)) << where;
+        Rng oracle_after = oracle_rng;
+        EXPECT_EQ(rng.next_u64(), oracle_after.next_u64()) << where;
+        if (first.empty()) first = got;
+      }
+    }
+  }
+  return first;
+}
+
+TEST(LubyOverSets, MatchesVirtualGraphOnPhaseOneDccs) {
+  struct Workload {
+    std::string name;
+    Graph g;
+  };
+  std::vector<Workload> graphs;
+  for (auto& w : generator_zoo()) graphs.push_back({w.name, std::move(w.graph)});
+  graphs.push_back(
+      {"torus-40-scrambled", test_support::scrambled_torus(40, 40, 5)});
+  Rng pa_rng(29);
+  graphs.push_back(
+      {"powerlaw-2000-3", preferential_attachment(2000, 3, pa_rng)});
+  for (const auto& [name, g] : graphs) {
+    RoundLedger ledger;
+    const DccDetection det = detect_dccs(g, 2, ledger, "dcc");
+    expect_matches_virtual_graph(g, det.dccs, 2 * det.max_dcc_radius + 1,
+                                 name);
+  }
+}
+
+TEST(LubyOverSets, HandBuiltSets) {
+  const Graph path = path_graph(10);
+  const auto count = [](const std::vector<bool>& in_set) {
+    return std::count(in_set.begin(), in_set.end(), true);
+  };
+  // Two sets sharing vertex 2: exactly one joins.
+  EXPECT_EQ(count(expect_matches_virtual_graph(path, {{0, 1, 2}, {2, 3}}, 3,
+                                               "sharing")),
+            1);
+  // Disjoint, but the path edge 1-2 joins them: exactly one joins.
+  EXPECT_EQ(count(expect_matches_virtual_graph(path, {{0, 1}, {2, 3}}, 3,
+                                               "edge-joined")),
+            1);
+  // Far apart: both join.
+  EXPECT_EQ(count(expect_matches_virtual_graph(path, {{0, 1}, {7, 8}}, 3,
+                                               "far-apart")),
+            2);
+  // A single set joins alone, in one iteration of two message rounds.
+  RoundLedger ledger;
+  Rng rng(4);
+  EXPECT_EQ(luby_mis_over_sets(path, {{3, 4, 5}}, rng, ledger, "gdcc", 3),
+            std::vector<bool>{true});
+  EXPECT_EQ(ledger.total(), 2 * 3);
+  expect_matches_virtual_graph(path, {{3, 4, 5}}, 3, "single");
+  // No sets: nothing to run, nothing charged.
+  RoundLedger empty_ledger;
+  EXPECT_TRUE(luby_mis_over_sets(path, {}, rng, empty_ledger, "gdcc").empty());
+  EXPECT_EQ(empty_ledger.total(), 0);
+  // Phase (6)'s objects: singleton free nodes first, then the DCCs, some
+  // of which contain those nodes or their neighbors.
+  const Graph torus = grid_graph(6, 6, true);
+  RoundLedger det_ledger;
+  const DccDetection det = detect_dccs(torus, 2, det_ledger, "dcc");
+  std::vector<std::vector<int>> objects;
+  for (int v = 0; v < torus.num_vertices(); v += 5) objects.push_back({v});
+  objects.insert(objects.end(), det.dccs.begin(), det.dccs.end());
+  expect_matches_virtual_graph(torus, objects, 2 * det.max_dcc_radius + 1,
+                               "singletons-and-dccs");
 }
 
 class RulingSetTest
