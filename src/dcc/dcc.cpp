@@ -341,8 +341,7 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
   std::size_t capacity = 1;
   while (capacity < 2 * static_cast<std::size_t>(nominators)) capacity *= 2;
   std::vector<int> table(capacity, -1);
-  int v = 0;
-  for (int c = 0; c < num_chunks; ++c) {
+  for (int c = 0, v = 0; c < num_chunks; ++c) {
     const auto& sets = chunk_sets[static_cast<std::size_t>(c)];
     for (; v < chunk_end[static_cast<std::size_t>(c)]; ++v) {
       const int size = set_size[static_cast<std::size_t>(v)];
