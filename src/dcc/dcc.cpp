@@ -299,11 +299,10 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
   // Every node inspects its own ball and nominates one DCC vertex set — a
   // pure function of the graph, so the balls are analyzed in parallel (the
   // hottest loop of the randomized pipeline). A chunk appends its
-  // nominations to its own flat buffer: v's set is
-  // chunk_sets[c][set_begin[v] .. set_begin[v] + set_size[v]) for the chunk
-  // c whose ascending range ends at chunk_end[c] and holds v. The cross-node
-  // deduplication happens serially below, in id order, so DCC indices are
-  // identical for every thread count.
+  // nominations, in id order, to its own flat buffer chunk_sets[c], and
+  // set_size[v] is the length of v's. Chunk c's ascending range ends at
+  // chunk_end[c]. The cross-node deduplication happens serially below, in
+  // id order, so DCC indices are identical for every thread count.
   // Chunk cap = one per executor: each chunk allocates its O(n) scratch
   // vectors, so more chunks than executors would only multiply that cost
   // (chunk boundaries are not observable — results are unchanged).
@@ -312,7 +311,6 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
       pool != nullptr ? pool->num_range_chunks(n, max_chunks) : 1;
   std::vector<std::vector<int>> chunk_sets(static_cast<std::size_t>(num_chunks));
   std::vector<int> chunk_end(static_cast<std::size_t>(num_chunks), 0);
-  std::vector<int> set_begin(static_cast<std::size_t>(n), 0);
   std::vector<int> set_size(static_cast<std::size_t>(n), 0);
   auto analyze_range = [&](int chunk, int lo, int hi) {
     // One scratch per chunk: its O(n) arrays (BFS stamps, ball marks, local
@@ -322,11 +320,10 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
     scratch.local_index.assign(static_cast<std::size_t>(n), -1);
     auto& sets = chunk_sets[static_cast<std::size_t>(chunk)];
     for (int v = lo; v < hi; ++v) {
-      const auto begin = sets.size();
+      const auto before = sets.size();
       nominate(g, v, r, scratch, sets);
-      set_begin[static_cast<std::size_t>(v)] = static_cast<int>(begin);
       set_size[static_cast<std::size_t>(v)] =
-          static_cast<int>(sets.size() - begin);
+          static_cast<int>(sets.size() - before);
     }
     chunk_end[static_cast<std::size_t>(chunk)] = hi;
   };
@@ -342,13 +339,12 @@ DccDetection detect_dccs(const Graph& g, int r, RoundLedger& ledger,
   while (capacity < 2 * static_cast<std::size_t>(nominators)) capacity *= 2;
   std::vector<int> table(capacity, -1);
   for (int c = 0, v = 0; c < num_chunks; ++c) {
-    const auto& sets = chunk_sets[static_cast<std::size_t>(c)];
+    const int* next = chunk_sets[static_cast<std::size_t>(c)].data();
     for (; v < chunk_end[static_cast<std::size_t>(c)]; ++v) {
       const int size = set_size[static_cast<std::size_t>(v)];
       if (size == 0) continue;
-      const std::span<const int> set(
-          sets.data() + set_begin[static_cast<std::size_t>(v)],
-          static_cast<std::size_t>(size));
+      const std::span<const int> set(next, static_cast<std::size_t>(size));
+      next += size;
       std::size_t slot = hash_set(set) & (capacity - 1);
       while (table[slot] != -1 &&
              !std::ranges::equal(
