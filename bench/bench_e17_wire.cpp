@@ -119,8 +119,7 @@ void E17_WireVolume(benchmark::State& state) {
         out.ledger_total = ledger.total();
         out.total_bits = rt.total_bits();
         out.rounds = rt.rounds_recorded();
-        auto& st = static_cast<SocketTransport&>(rt.transport());
-        out.wire_sent = st.wire_bytes_sent();
+        out.wire_sent = rt.transport().wire_bytes_sent();
         out.peer_messages = rt.slot_messages(r, 1 - r);
         out.cross_edges = rt.view(r).cross_edges(1 - r);
         out.owned = rt.partition().size(r);

@@ -215,8 +215,7 @@ void E18_WirePayload(benchmark::State& state) {
     for (int r = 0; r < kWorld; ++r) {
       identical = identical && mis[static_cast<std::size_t>(r)] == oracle_mis;
       cross_payload +=
-          static_cast<SocketTransport&>(rts[static_cast<std::size_t>(r)]->transport())
-              .cross_payload_bytes();
+          rts[static_cast<std::size_t>(r)]->transport().cross_payload_bytes();
     }
     *ok = *ok && identical;
     return cross_payload;

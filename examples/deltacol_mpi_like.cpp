@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
           << runtime->cross_shard_bits() << " engine-rounds="
           << runtime->rounds_recorded() << "\n";
       if (tcp) {
-        auto& st = static_cast<SocketTransport&>(runtime->transport());
+        const SocketTransport& st = runtime->transport();
         out << "# rank=" << cfg.rank << " wire-bytes-sent="
             << st.wire_bytes_sent() << " wire-bytes-received="
             << st.wire_bytes_received() << " frames=" << st.frames_sent()
@@ -325,9 +325,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (tcp) {
-      static_cast<SocketTransport&>(runtime->transport()).barrier();
-    }
+    if (tcp) runtime->transport().barrier();
     out << "done\n";
     return 0;
   } catch (const std::exception& e) {

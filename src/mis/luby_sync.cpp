@@ -132,7 +132,7 @@ std::vector<bool> luby_mis_message_passing(const Graph& g, Rng& rng,
     remaining = count_active();
   }
   // Result extraction. Distributed ranks know only their shard's flags:
-  // the deterministic end-of-run gather (Transport::gather_colors)
+  // the deterministic end-of-run gather (SocketTransport::gather_colors)
   // reassembles the global MIS on every rank, bit-identical to the
   // in-process run.
   std::vector<int> flags(static_cast<std::size_t>(n), 0);

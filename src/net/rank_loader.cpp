@@ -148,11 +148,10 @@ std::vector<int> halo_of(const CsrSlice& slice) {
   return halo;
 }
 
-std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
-                                                      const CsrSlice& slice) {
+std::vector<HaloNeighborhood> exchange_halo_adjacency(
+    SocketTransport& transport, const CsrSlice& slice) {
   const int world = transport.num_shards();
   const int self = transport.local_shard();
-  DC_REQUIRE(self >= 0, "halo exchange needs a rank-aware transport");
   const VertexPartition part =
       VertexPartition::contiguous(slice.n_global, world);
   DC_REQUIRE(part.begin(self) == slice.lo && part.end(self) == slice.hi,

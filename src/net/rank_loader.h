@@ -12,7 +12,7 @@
 ///     a rank never holds the full graph.
 ///   * `halo_of` — the sorted global ids of non-owned endpoints reachable
 ///     from the slice, exactly the halo table `GraphView` builds centrally.
-///   * `exchange_halo_adjacency` — two `Transport::exchange_owned` trips
+///   * `exchange_halo_adjacency` — two `SocketTransport::exchange_owned` trips
 ///     (request halo ids from their owners, owners reply with the full
 ///     adjacency of each requested vertex), giving every rank the one-hop
 ///     neighborhoods of its halo without any rank loading remote rows from
@@ -37,7 +37,7 @@
 
 #include "graph/graph.h"
 #include "graph/partition.h"
-#include "runtime/mailbox.h"
+#include "net/socket_transport.h"
 
 namespace deltacol {
 
@@ -111,7 +111,7 @@ struct HaloNeighborhood {
 /// \p transport (two exchange_owned trips; see file comment). Every rank in
 /// the transport's world must call this collectively with its own slice.
 /// Results come back sorted by vertex id, aligned with halo_of(slice).
-std::vector<HaloNeighborhood> exchange_halo_adjacency(Transport& transport,
-                                                      const CsrSlice& slice);
+std::vector<HaloNeighborhood> exchange_halo_adjacency(
+    SocketTransport& transport, const CsrSlice& slice);
 
 }  // namespace deltacol

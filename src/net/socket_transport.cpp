@@ -379,7 +379,7 @@ void SocketTransport::all_to_all(
   ++seq_;
 }
 
-Transport::OwnedExchange SocketTransport::exchange_owned(
+SocketTransport::OwnedExchange SocketTransport::exchange_owned(
     std::vector<std::vector<std::uint8_t>> to_peers,
     std::vector<std::int64_t> row_counts, std::vector<std::int64_t> row_bits) {
   DC_REQUIRE(static_cast<int>(to_peers.size()) == world_,

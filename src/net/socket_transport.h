@@ -2,11 +2,11 @@
 /// The TCP backend of the shard runtime: one OS process per shard/rank,
 /// persistent connections, one point-to-point frame per peer per round.
 ///
-/// `SocketTransport` implements the distributed half of the `Transport`
-/// contract (runtime/mailbox.h):
+/// `SocketTransport` is what a distributed `ShardRuntime` (runtime/mailbox.h)
+/// moves its rounds over:
 ///
-///   * `local_shard()` is this process's rank; the other ranks' vertices
-///     live in the other processes.
+///   * `local_shard()` is this process's rank and `num_shards()` the world;
+///     the other ranks' vertices live in the other processes.
 ///   * Every collective is one lockstep step (`all_to_all`): each rank sends
 ///     every peer one frame, on a writer thread per peer and without copying
 ///     its body, while it reads the peers in rank order. Each frame leads
@@ -54,7 +54,7 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/mailbox.h"
+#include "graph/partition.h"
 
 namespace deltacol {
 
@@ -86,9 +86,9 @@ struct NetConfig {
   void validate() const;
 };
 
-/// The TCP `Transport`: see the file comment. Not thread-safe — one engine
-/// drives one transport, exactly like the in-process backends.
-class SocketTransport final : public Transport {
+/// The TCP transport: see the file comment. Not thread-safe — one engine
+/// drives one transport.
+class SocketTransport {
  public:
   /// Rendezvous constructor: listen + full-mesh connect per `cfg` (see file
   /// comment). Throws WireError if the mesh cannot be established within
@@ -100,42 +100,56 @@ class SocketTransport final : public Transport {
   /// ownership of the fds.
   SocketTransport(int rank, int world, std::vector<int> peer_fds);
 
-  ~SocketTransport() override;
+  ~SocketTransport();
 
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  int num_shards() const override { return world_; }
-  int local_shard() const override { return rank_; }
+  int num_shards() const { return world_; }
+  int local_shard() const { return rank_; }
 
-  /// Point-to-point frame exchange (see the file comment and the Transport
-  /// contract). `to_peers[rank()]` must be empty — local messages never
-  /// cross the wire — and the returned slots[rank()] is empty for the same
-  /// reason.
+  /// Result of exchange_owned. `slots[s]` is the frame payload rank s
+  /// addressed to this rank (empty at s == local_shard() — local messages
+  /// never cross the wire); `slot_counts` / `slot_bits` are the reassembled
+  /// full S×S row-major tallies (every rank's sent row, piggybacked on the
+  /// frames), so ShardRuntime::record_round sees the same counters the
+  /// in-process run sees.
+  struct OwnedExchange {
+    std::vector<std::vector<std::uint8_t>> slots;
+    std::vector<std::int64_t> slot_counts;
+    std::vector<std::int64_t> slot_bits;
+  };
+
+  /// Moves one engine round: ships `to_peers[d]` — this round's payload for
+  /// rank d (an edge frame, net/wire_codec.h) — point-to-point to rank d
+  /// only, together with this rank's sent tallies (`row_counts` /
+  /// `row_bits`, S entries each), and returns the payloads the peers
+  /// addressed to this rank plus the reassembled global tallies. Blocks
+  /// until every peer's frame arrived (the inter-round barrier).
+  /// `to_peers[local_shard()]` must be empty.
   OwnedExchange exchange_owned(std::vector<std::vector<std::uint8_t>> to_peers,
                                std::vector<std::int64_t> row_counts,
-                               std::vector<std::int64_t> row_bits) override;
+                               std::vector<std::int64_t> row_bits);
 
   /// Deterministic sum over every rank's value (exchanged all-to-all,
-  /// folded in ascending rank order — identical on every rank).
-  std::int64_t allreduce_sum(std::int64_t value) override;
+  /// folded in ascending rank order — identical on every rank). Distributed
+  /// runs use it for termination tests over owned-only state.
+  std::int64_t allreduce_sum(std::int64_t value);
 
-  /// Deterministic max over every rank's value.
-  std::int64_t allreduce_max(std::int64_t value) override;
+  /// Deterministic max over every rank's value: the CONGEST heaviest-edge
+  /// fold, order-free by construction.
+  std::int64_t allreduce_max(std::int64_t value);
 
   /// Gathers the owned entries of `values` from every rank (per `part`) so
   /// the whole array is globally agreed on return — the end-of-run result
-  /// reassembly of a distributed run.
-  void gather_colors(const VertexPartition& part,
-                     std::vector<int>& values) override;
+  /// reassembly of a distributed run (colorings, MIS flags, any per-vertex
+  /// int).
+  void gather_colors(const VertexPartition& part, std::vector<int>& values);
 
   /// Blocks until every rank reached this barrier (an allreduce_sum of 0).
   /// Used by launchers to fence phases that are replicated rather than
   /// exchanged.
   void barrier() { allreduce_sum(0); }
-
-  int rank() const { return rank_; }
-  int world() const { return world_; }
 
   // --- physically measured wire traffic (frame payloads + prefixes), the
   // --- denominator of the E17 framing-overhead ratio.

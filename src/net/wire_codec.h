@@ -5,8 +5,8 @@
 ///
 /// `WireCodec<Msg>` registers a message type once: `bits(msg)` prices it,
 /// `encode` / `decode` give its bytes. Every message type that flows through
-/// the `SyncEngine` (runtime/sync_engine.h) or crosses a distributed
-/// Transport specializes it; the primary template is deliberately left undefined, so
+/// the `SyncEngine` (runtime/sync_engine.h) or crosses a `SocketTransport`
+/// specializes it; the primary template is deliberately left undefined, so
 /// an unregistered message type is a compile error, never a silent
 /// under-charge or a silently wrong byte stream. The engine charges a
 /// CONGEST round by the heaviest message in any slot: with one message per
@@ -41,7 +41,7 @@
 /// plausible-looking message.
 ///
 /// A distributed engine round (runtime/sync_engine.h →
-/// `Transport::exchange_owned`) ships one edge frame per peer
+/// `SocketTransport::exchange_owned`) ships one edge frame per peer
 /// (`encode_edge_frame` / `decode_edge_frame` below); the halo exchange
 /// (net/rank_loader.h) ships its requests and replies through the
 /// vector/pair combinators.

@@ -4,30 +4,11 @@
 
 namespace deltacol {
 
-Transport::OwnedExchange Transport::exchange_owned(
-    std::vector<std::vector<std::uint8_t>> to_peers,
-    std::vector<std::int64_t> row_counts, std::vector<std::int64_t> row_bits) {
-  (void)to_peers;
-  (void)row_counts;
-  (void)row_bits;
-  DC_REQUIRE(false,
-             "exchange_owned: this transport has no wire — the byte "
-             "exchange is only meaningful when local_shard() >= 0");
-  return {};
-}
-
-InProcessTransport::InProcessTransport(int num_shards)
-    : num_shards_(num_shards) {
-  DC_REQUIRE(num_shards >= 1, "transport needs at least one shard");
-}
-
 ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool)
-    : ShardRuntime(g, num_shards, pool,
-                   std::make_unique<InProcessTransport>(
-                       VertexPartition::resolve_num_shards(num_shards))) {}
+    : ShardRuntime(g, num_shards, pool, nullptr) {}
 
 ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool,
-                           std::unique_ptr<Transport> transport)
+                           std::unique_ptr<SocketTransport> transport)
     : ShardRuntime(
           g,
           VertexPartition::contiguous(
@@ -37,20 +18,26 @@ ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool,
 
 ShardRuntime::ShardRuntime(const Graph& g, VertexPartition part,
                            ThreadPool* /*pool*/,
-                           std::unique_ptr<Transport> transport)
+                           std::unique_ptr<SocketTransport> transport)
     : part_(std::move(part)),
       views_(build_graph_views(g, part_)),
-      transport_(transport != nullptr ? std::move(transport)
-                                      : std::make_unique<InProcessTransport>(
-                                            part_.num_shards())),
+      transport_(std::move(transport)),
       sent_(static_cast<std::size_t>(part_.num_shards()) *
                 static_cast<std::size_t>(part_.num_shards()),
             0),
       sent_bits_(sent_.size(), 0) {
   DC_REQUIRE(part_.num_vertices() == g.num_vertices(),
              "partition does not span the graph");
-  DC_REQUIRE(transport_->num_shards() == part_.num_shards(),
+  DC_REQUIRE(transport_ == nullptr ||
+                 transport_->num_shards() == part_.num_shards(),
              "transport shard count disagrees with the partition");
+}
+
+SocketTransport& ShardRuntime::transport() const {
+  DC_REQUIRE(transport_ != nullptr,
+             "ShardRuntime::transport: every shard runs in this process, "
+             "so there is no transport");
+  return *transport_;
 }
 
 void ShardRuntime::record_round(

@@ -25,11 +25,11 @@
 ///
 /// **Shards.** With a ShardRuntime attached, every round records its message
 /// counts and message bits per (owner of sender, owner of receiver) on
-/// the runtime. An in-process runtime (transport().local_shard() == -1)
-/// changes nothing else. A distributed transport (local_shard() >= 0) makes
-/// the engine hold state and inbox slots for its own shard only: messages to
-/// another rank's vertices land in that peer's outgoing slots and travel as
-/// one frame per peer per round (encode_edge_frame, net/wire_codec.h) — a
+/// the runtime. An in-process runtime (local_shard() == -1) changes nothing
+/// else. A distributed rank (local_shard() >= 0, over a SocketTransport)
+/// makes the engine hold state and inbox slots for its own shard only:
+/// messages to another rank's vertices land in that peer's outgoing slots
+/// and travel as one frame per peer per round (encode_edge_frame, net/wire_codec.h) — a
 /// presence bitmap over the cross edges to the peer, listed by ascending
 /// (receiver id, sender id), then the payloads that are present. Both ranks
 /// derive that list from (graph, partition), so frames carry no vertex ids.
@@ -168,8 +168,8 @@ class SyncEngine {
 
   /// `pool` may be nullptr (rounds run on the calling thread). `shards` may
   /// be nullptr; attaching a runtime built over the same graph records
-  /// every round's message volume on it and, when its transport is
-  /// distributed, moves cross-rank messages over that transport.
+  /// every round's message volume on it and, when it has a transport,
+  /// moves cross-rank messages over that transport.
   SyncEngine(const Graph& g, RoundLedger& ledger, std::string phase,
              ThreadPool* pool = nullptr, ShardRuntime* shards = nullptr)
       : graph_(g),
@@ -181,7 +181,7 @@ class SyncEngine {
     if (shards_ != nullptr) {
       DC_REQUIRE(shards_->partition().num_vertices() == g.num_vertices(),
                  "shard runtime was built over a different graph");
-      local_ = shards_->transport().local_shard();
+      local_ = shards_->local_shard();
       if (local_ >= 0) {
         owned_base_ = shards_->partition().begin(local_);
         count = shards_->view(local_).num_owned();
@@ -207,9 +207,8 @@ class SyncEngine {
     build_ports();
   }
 
-  /// True when this engine holds owned-only state (a distributed
-  /// transport): state(v) is then valid ONLY for vertices the local shard
-  /// owns.
+  /// True when this engine holds owned-only state (a distributed rank):
+  /// state(v) is then valid ONLY for vertices the local shard owns.
   bool owner_local_state() const { return local_ >= 0; }
 
   /// True when this engine holds v's state: every vertex in process, the
@@ -396,7 +395,7 @@ class SyncEngine {
   std::string phase_;
   ThreadPool* pool_;
   ShardRuntime* shards_;
-  int local_ = -1;      // transport().local_shard(); -1 = every vertex local
+  int local_ = -1;      // shards_->local_shard(); -1 = every vertex local
   int owned_base_ = 0;  // partition().begin(local) on a distributed rank
   // The O(n + m) tables are page-mapped (util/page_allocator.h): an engine
   // lives for one run, often on a thread of its own.

@@ -7,7 +7,7 @@
 // rank, and the headline differential:
 // Luby's MIS on the message-passing engine over a 2-rank socket cluster is
 // bit-identical — colorings, ledgers, and byte counters — to the
-// InProcessTransport at S=2, for every zoo workload under LOCAL and
+// in-process runtime at S=2, for every zoo workload under LOCAL and
 // CONGEST(64), with the cross-rank payload equal to its closed form.
 //
 // The two ranks live in one process: each owns a SocketTransport built over
@@ -214,7 +214,7 @@ TEST(Frame, LargePartsSurvivePartialWrites) {
 
 // Rank 0's side of one exchange_owned call with nothing to send: an empty
 // payload for the peer and zero tallies.
-Transport::OwnedExchange exchange_nothing(SocketTransport& t) {
+SocketTransport::OwnedExchange exchange_nothing(SocketTransport& t) {
   return t.exchange_owned(std::vector<WireBuf>(2), {0, 0}, {0, 0});
 }
 
@@ -360,6 +360,28 @@ TEST(SocketTransport, LocalShardIsTheRankAndBarrierSynchronizes) {
   EXPECT_EQ(t0->cross_payload_bytes(), 0);
 }
 
+// A runtime without a transport runs every shard in process: it owns no
+// shard and has no transport to hand out. Over a SocketTransport it owns the
+// transport's rank, and the transport's world must be the partition's shard
+// count.
+TEST(ShardRuntime, LocalShardIsTheTransportsRank) {
+  const Graph g = cycle_graph(12);
+  const ShardRuntime inproc(g, 2, nullptr);
+  EXPECT_EQ(inproc.local_shard(), -1);
+  EXPECT_THROW(inproc.transport(), ContractViolation);
+
+  auto [t0, t1] = loopback_pair();
+  const ShardRuntime rank0(g, 2, nullptr, std::move(t0));
+  const ShardRuntime rank1(g, VertexPartition::contiguous(12, 2), nullptr,
+                           std::move(t1));
+  EXPECT_EQ(rank0.local_shard(), 0);
+  EXPECT_EQ(rank1.local_shard(), 1);
+  EXPECT_EQ(rank1.transport().num_shards(), 2);
+
+  auto [u0, u1] = loopback_pair();
+  EXPECT_THROW(ShardRuntime(g, 3, nullptr, std::move(u0)), ContractViolation);
+}
+
 // --- per-rank loading + halo exchange --------------------------------------
 
 TEST(RankLoader, StreamedSliceMatchesInMemorySlice) {
@@ -458,7 +480,7 @@ TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {
 
 TEST(SocketTransport, ExchangeOwnedMovesOnlyOffDiagonalSlots) {
   auto [t0, t1] = loopback_pair();
-  std::vector<Transport::OwnedExchange> got(2);
+  std::vector<SocketTransport::OwnedExchange> got(2);
   run_ranks(2, [&](int r) {
     // Rank r addresses one payload to the other rank; the local entry is
     // empty (the contract: local messages never cross the wire).
@@ -807,11 +829,8 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
 
         // Distributed: one ShardRuntime per rank over its end of the mesh,
         // all ranks running concurrently.
-        auto transports = socket_mesh(world);
-        std::vector<const SocketTransport*> traw;
         std::vector<std::unique_ptr<ShardRuntime>> rts;
-        for (auto& t : transports) {
-          traw.push_back(t.get());
+        for (auto& t : socket_mesh(world)) {
           rts.push_back(std::make_unique<ShardRuntime>(w.graph, world, nullptr,
                                                        std::move(t)));
         }
@@ -838,8 +857,9 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
                     ((golden_rt.view(r).cross_edges(d) + 7) / 8) +
                 golden_rt.slot_messages(r, d) * kLubyPayloadBytes;
           }
-          EXPECT_EQ(traw[static_cast<std::size_t>(r)]->cross_payload_bytes(),
-                    expected_payload)
+          EXPECT_EQ(
+              rts[static_cast<std::size_t>(r)]->transport().cross_payload_bytes(),
+              expected_payload)
               << rank;
           // Per-slot counters too: every rank saw exactly the messages the
           // in-process run sent.
