@@ -9,14 +9,12 @@
 /// views into the scratch, sized to the ball, valid until the next query.
 ///
 /// One query is serial. Parallelism lives one level up: callers that issue
-/// many independent queries (DCC balls, marking back-off, power graphs,
-/// eccentricity sweeps) fan them out over the pool with one scratch per
-/// chunk.
+/// many independent queries (DCC balls and radii, marking back-off, power
+/// graphs) fan them out over the pool with one scratch per chunk.
 ///
 /// The predicate-filtered variants take the predicate as a template
 /// parameter so the per-edge test inlines (no std::function indirection on
-/// the hot path); `traversal.h` keeps a `std::function` wrapper for ABI
-/// users.
+/// the hot path).
 #pragma once
 
 #include <algorithm>

@@ -63,17 +63,4 @@ std::vector<Edge> Graph::edge_list() const {
   return out;
 }
 
-void GraphBuilder::add_edge(int u, int v) {
-  DC_REQUIRE(0 <= u && u < n_ && 0 <= v && v < n_, "edge endpoint out of range");
-  DC_REQUIRE(u != v, "self-loops are not allowed in simple graphs");
-  edges_.emplace_back(u, v);
-}
-
-bool GraphBuilder::has_edge(int u, int v) const {
-  for (const auto& [a, b] : edges_) {
-    if ((a == u && b == v) || (a == v && b == u)) return true;
-  }
-  return false;
-}
-
 }  // namespace deltacol

@@ -4,7 +4,7 @@
 /// Vertices are dense integers [0, n). Adjacency lists are sorted, which makes
 /// has_edge O(log deg) and set operations over neighborhoods cheap. Graphs in
 /// this library are values: algorithms never mutate a Graph, they build new
-/// ones (e.g. induced subgraphs) via GraphBuilder.
+/// ones (e.g. induced subgraphs) from edge lists via Graph::from_edges.
 #pragma once
 
 #include <cstdint>
@@ -58,28 +58,6 @@ class Graph {
   std::vector<int> adj_;
   int max_degree_ = 0;
   int min_degree_ = 0;
-};
-
-/// Incremental construction helper; tolerates duplicate add_edge calls.
-class GraphBuilder {
- public:
-  explicit GraphBuilder(int n) : n_(n) {}
-
-  /// Records the undirected edge {u, v}; rejects self-loops and
-  /// out-of-range endpoints. Duplicates are merged at build().
-  void add_edge(int u, int v);
-  /// Linear scan over recorded edges (builder-side convenience; use
-  /// Graph::has_edge after build() for the O(log deg) version).
-  bool has_edge(int u, int v) const;
-  int num_vertices() const { return n_; }
-  const std::vector<Edge>& edges() const { return edges_; }
-
-  /// Materializes the immutable CSR Graph.
-  Graph build() const { return Graph::from_edges(n_, edges_); }
-
- private:
-  int n_;
-  std::vector<Edge> edges_;
 };
 
 }  // namespace deltacol

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/frontier_bfs.h"
-#include "runtime/thread_pool.h"
 #include "util/check.h"
 
 namespace deltacol {
@@ -29,14 +28,6 @@ std::vector<int> ball(const Graph& g, int v, int r) {
   return out;
 }
 
-std::vector<int> ball_filtered(const Graph& g, int v, int r,
-                               const std::function<bool(int)>& allowed) {
-  DC_REQUIRE(0 <= v && v < g.num_vertices(), "source out of range");
-  BfsScratch scratch;
-  scratch.run_filtered(g, v, r, [&](int u) { return allowed(u); });
-  return {scratch.order().begin(), scratch.order().end()};
-}
-
 std::vector<std::vector<int>> bfs_layers(const Graph& g, int v, int r) {
   DC_REQUIRE(0 <= v && v < g.num_vertices(), "source out of range");
   if (r < 0) return {};
@@ -60,27 +51,16 @@ int eccentricity(const Graph& g, int v) {
   return scratch.num_levels() - 1;
 }
 
-int graph_radius(const Graph& g, ThreadPool* pool) {
+int graph_radius(const Graph& g) {
   const int n = g.num_vertices();
   DC_REQUIRE(n > 0, "radius of empty graph");
-  // Chunk cap = one per executor: each chunk holds O(n) BFS scratch.
-  const int max_chunks = pool != nullptr ? pool->num_threads() : 1;
-  const int num_chunks =
-      pool != nullptr ? pool->num_range_chunks(n, max_chunks) : 1;
-  std::vector<int> chunk_min(static_cast<std::size_t>(num_chunks), n);
-  pooled_ranges(
-      pool, 0, n,
-      [&](int chunk, int lo, int hi) {
-        BfsScratch scratch;
-        int best = n;
-        for (int v = lo; v < hi; ++v) {
-          scratch.run(g, v);
-          best = std::min(best, scratch.num_levels() - 1);
-        }
-        chunk_min[static_cast<std::size_t>(chunk)] = best;
-      },
-      max_chunks);
-  return *std::min_element(chunk_min.begin(), chunk_min.end());
+  BfsScratch scratch;
+  int best = n;
+  for (int v = 0; v < n; ++v) {
+    scratch.run(g, v);
+    best = std::min(best, scratch.num_levels() - 1);
+  }
+  return best;
 }
 
 }  // namespace deltacol

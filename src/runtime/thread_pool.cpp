@@ -6,6 +6,7 @@
 #include <exception>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace deltacol {
 
@@ -13,16 +14,6 @@ namespace {
 // Ranges below this size run inline: dispatch latency would exceed the work.
 // Purely a performance threshold — results are chunk-count independent.
 constexpr int kMinParallelItems = 256;
-
-// SplitMix64 finalizer: the perturbation hooks need cheap stateless hashes
-// that are pure functions of their inputs (so num_range_chunks and
-// parallel_ranges always agree on the jittered chunk count).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 }  // namespace
 
 // One parallel_chunks call. Chunks are claimed through an atomic cursor (so
@@ -123,8 +114,9 @@ void ThreadPool::parallel_chunks(int num_chunks,
     // on this frame, which blocks until the region completes below.
     const std::uint64_t salt = perturb_salt_;
     const std::function<void(int)> stalled = [&chunk_fn, salt](int c) {
-      const std::uint64_t h =
-          mix64(salt ^ (0xc2b2ae3d27d4eb4fULL * (static_cast<std::uint64_t>(c) + 1)));
+      std::uint64_t state =
+          salt ^ (0xc2b2ae3d27d4eb4fULL * (static_cast<std::uint64_t>(c) + 1));
+      const std::uint64_t h = splitmix64(state);
       if ((h & 3u) == 0) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(50 + static_cast<long>((h >> 2) % 400)));
@@ -177,9 +169,10 @@ int ThreadPool::num_range_chunks(int count, int max_chunks) const {
     // the same caps as above. Purely a function of (count, max_chunks,
     // salt) — callers that pre-size per-chunk buffers with this function
     // see exactly the partition parallel_ranges dispatches.
-    const std::uint64_t h =
-        mix64(perturb_salt_ ^ (static_cast<std::uint64_t>(count) << 20) ^
-              static_cast<std::uint64_t>(max_chunks));
+    std::uint64_t state = perturb_salt_ ^
+                          (static_cast<std::uint64_t>(count) << 20) ^
+                          static_cast<std::uint64_t>(max_chunks);
+    const std::uint64_t h = splitmix64(state);
     int jittered = 1 + static_cast<int>(h % (2 * static_cast<std::uint64_t>(chunks)));
     jittered = std::min(jittered, count);
     if (max_chunks > 0) jittered = std::min(jittered, max_chunks);

@@ -39,21 +39,21 @@ TEST(BrooksSeq, GraphWithDeficientVertex) {
 // 3-regular graph with a bridge: two K4-minus-an-edge gadgets, each with an
 // apex joined to its two degree-2 vertices, apexes bridged.
 Graph cubic_bridge_graph() {
-  GraphBuilder b(10);
-  auto gadget = [&b](int base, int apex) {
+  std::vector<Edge> edges;
+  auto gadget = [&edges](int base, int apex) {
     // K4 minus edge {base, base+1} on {base..base+3}.
-    b.add_edge(base, base + 2);
-    b.add_edge(base, base + 3);
-    b.add_edge(base + 1, base + 2);
-    b.add_edge(base + 1, base + 3);
-    b.add_edge(base + 2, base + 3);
-    b.add_edge(apex, base);
-    b.add_edge(apex, base + 1);
+    edges.insert(edges.end(), {{base, base + 2},
+                               {base, base + 3},
+                               {base + 1, base + 2},
+                               {base + 1, base + 3},
+                               {base + 2, base + 3},
+                               {apex, base},
+                               {apex, base + 1}});
   };
   gadget(0, 8);
   gadget(4, 9);
-  b.add_edge(8, 9);
-  return b.build();
+  edges.emplace_back(8, 9);
+  return Graph::from_edges(10, edges);
 }
 
 TEST(BrooksSeq, RegularWithCutVertexOrBridge) {

@@ -30,12 +30,7 @@ TEST(Dcc, IsDccShapes) {
   EXPECT_TRUE(is_dcc(petersen_graph()));
   EXPECT_TRUE(is_dcc(clique_ring(3, 4)));
   // Triangle with pendant: not 2-connected.
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(0, 2);
-  b.add_edge(2, 3);
-  EXPECT_FALSE(is_dcc(b.build()));
+  EXPECT_FALSE(is_dcc(Graph::from_edges(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}})));
 }
 
 TEST(Dcc, DccBlocksAgreeWithGallaiTest) {

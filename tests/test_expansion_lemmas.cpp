@@ -13,6 +13,7 @@
 
 #include "dcc/dcc.h"
 #include "graph/components.h"
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "graph/structure.h"
@@ -162,13 +163,14 @@ TEST(Lemma12Spirit, MarkingPreservesExpansionOrder) {
     }
   }
   int checked = 0;
+  BfsScratch scratch;
   for (int v : regular_dcc_free_centers(g, r, delta)) {
     if (marked[static_cast<std::size_t>(v)]) continue;
-    const auto reach = ball_filtered(
+    scratch.run_filtered(
         g, v, r, [&](int u) { return !marked[static_cast<std::size_t>(u)]; });
     const auto dist = bfs_distances(g, v, r);
     int at_r = 0;
-    for (int u : reach) {
+    for (int u : scratch.order()) {
       if (dist[u] == r) ++at_r;  // conservative: distance in full graph
     }
     EXPECT_GE(static_cast<double>(at_r), std::pow(delta - 2, r / 2.0))

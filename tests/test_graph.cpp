@@ -95,16 +95,6 @@ TEST(Graph, MinMaxDegree) {
   EXPECT_EQ(g.min_degree(), 1);
 }
 
-TEST(GraphBuilder, Build) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  EXPECT_TRUE(b.has_edge(1, 0));
-  EXPECT_FALSE(b.has_edge(0, 2));
-  const Graph g = b.build();
-  EXPECT_EQ(g.num_edges(), 2);
-}
-
 TEST(Generators, PathCycleClique) {
   EXPECT_TRUE(is_path(path_graph(5)));
   EXPECT_TRUE(is_cycle(cycle_graph(6)));

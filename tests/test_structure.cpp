@@ -66,27 +66,14 @@ TEST(Structure, GallaiTreeExamples) {
 
 TEST(Structure, GallaiTreeComposite) {
   // Triangle sharing a vertex with a 5-cycle: both blocks odd => Gallai.
-  GraphBuilder b(7);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(0, 2);  // triangle 0-1-2
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  b.add_edge(4, 5);
-  b.add_edge(5, 6);
-  b.add_edge(6, 2);  // 5-cycle 2-3-4-5-6
-  EXPECT_TRUE(is_gallai_tree(b.build()));
+  EXPECT_TRUE(is_gallai_tree(Graph::from_edges(
+      7, {{0, 1}, {1, 2}, {0, 2},  // triangle 0-1-2
+          {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 2}})));  // 5-cycle 2-3-4-5-6
 
   // Same but with a 4-cycle: not Gallai.
-  GraphBuilder b2(6);
-  b2.add_edge(0, 1);
-  b2.add_edge(1, 2);
-  b2.add_edge(0, 2);
-  b2.add_edge(2, 3);
-  b2.add_edge(3, 4);
-  b2.add_edge(4, 5);
-  b2.add_edge(5, 2);  // 4-cycle 2-3-4-5
-  EXPECT_FALSE(is_gallai_tree(b2.build()));
+  EXPECT_FALSE(is_gallai_tree(Graph::from_edges(
+      6, {{0, 1}, {1, 2}, {0, 2},  // triangle 0-1-2
+          {2, 3}, {3, 4}, {4, 5}, {5, 2}})));  // 4-cycle 2-3-4-5
 }
 
 TEST(Structure, InducesClique) {

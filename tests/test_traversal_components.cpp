@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/components.h"
+#include "graph/frontier_bfs.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
 #include "graph/structure.h"
@@ -50,8 +51,9 @@ TEST(Bfs, BallContents) {
 
 TEST(Bfs, BallFilteredRespectsMask) {
   const Graph g = path_graph(7);
-  const auto b = ball_filtered(g, 3, 10, [](int v) { return v != 5; });
-  std::set<int> s(b.begin(), b.end());
+  BfsScratch scratch;
+  scratch.run_filtered(g, 3, 10, [](int v) { return v != 5; });
+  std::set<int> s(scratch.order().begin(), scratch.order().end());
   EXPECT_TRUE(s.count(4));
   EXPECT_FALSE(s.count(5));
   EXPECT_FALSE(s.count(6));  // blocked behind 5
