@@ -19,14 +19,6 @@ void greedy_color_in_order(const Graph& g, const std::vector<int>& order,
   }
 }
 
-Coloring greedy_coloring(const Graph& g) {
-  Coloring c(static_cast<std::size_t>(g.num_vertices()), kUncolored);
-  std::vector<int> order(static_cast<std::size_t>(g.num_vertices()));
-  for (int v = 0; v < g.num_vertices(); ++v) order[static_cast<std::size_t>(v)] = v;
-  greedy_color_in_order(g, order, g.max_degree() + 1, c);
-  return c;
-}
-
 std::vector<int> decreasing_bfs_order(const Graph& g, int root) {
   const auto dist = bfs_distances(g, root);
   std::vector<int> order;

@@ -1,6 +1,5 @@
-// Sequential greedy coloring — the (Delta+1)-coloring "triviality" the paper
-// contrasts against, plus ordering helpers used by the constructive Brooks
-// and degree-choosable colorers.
+// Sequential greedy coloring in a given order, plus the ordering helper the
+// constructive Brooks and degree-choosable colorers feed it.
 #pragma once
 
 #include <vector>
@@ -15,9 +14,6 @@ namespace deltacol {
 // entry) are respected and skipped. Throws if some vertex has no free color.
 void greedy_color_in_order(const Graph& g, const std::vector<int>& order,
                            int palette_size, Coloring& c);
-
-// (Delta+1)-coloring by greedy in vertex id order.
-Coloring greedy_coloring(const Graph& g);
 
 // Vertices in order of decreasing BFS distance from root (farthest first,
 // root last). Within a distance layer, increasing id. Only vertices reachable

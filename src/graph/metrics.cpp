@@ -82,48 +82,6 @@ DegeneracyResult degeneracy(const Graph& g) {
   return res;
 }
 
-std::int64_t count_triangles(const Graph& g) {
-  // For each edge (u, v) with u < v, intersect sorted neighborhoods above v.
-  std::int64_t triangles = 0;
-  for (int u = 0; u < g.num_vertices(); ++u) {
-    for (int v : g.neighbors(u)) {
-      if (v <= u) continue;
-      const auto nu = g.neighbors(u);
-      const auto nv = g.neighbors(v);
-      std::size_t i = 0, j = 0;
-      while (i < nu.size() && j < nv.size()) {
-        if (nu[i] < nv[j]) ++i;
-        else if (nu[i] > nv[j]) ++j;
-        else {
-          if (nu[i] > v) ++triangles;
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-  return triangles;
-}
-
-double clustering_coefficient(const Graph& g) {
-  std::int64_t wedges = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    const std::int64_t d = g.degree(v);
-    wedges += d * (d - 1) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(count_triangles(g)) /
-         static_cast<double>(wedges);
-}
-
-std::vector<int> degree_histogram(const Graph& g) {
-  std::vector<int> hist(static_cast<std::size_t>(g.max_degree()) + 1, 0);
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    ++hist[static_cast<std::size_t>(g.degree(v))];
-  }
-  return hist;
-}
-
 double cross_edge_fraction(const Graph& g, const VertexPartition& part) {
   DC_REQUIRE(part.num_vertices() == g.num_vertices(),
              "partition does not span the graph");

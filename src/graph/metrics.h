@@ -1,7 +1,7 @@
-// Workload characterization metrics: girth, degeneracy, clustering,
-// degree histograms. Used by the experiment harness to describe generated
-// graphs and by tests as independent oracles (e.g. girth > 2r+1 certifies
-// DCC-free r-balls).
+// Workload characterization metrics: girth, degeneracy and the cross-edge
+// fraction of a partition. Used by the experiment harness to describe
+// generated graphs and by tests as independent oracles (e.g. girth > 2r+1
+// certifies DCC-free r-balls).
 #pragma once
 
 #include <vector>
@@ -21,16 +21,6 @@ struct DegeneracyResult {
   std::vector<int> order;  // peeling order, lowest-degree-first
 };
 DegeneracyResult degeneracy(const Graph& g);
-
-// Global clustering coefficient: 3 * triangles / open wedges (0 if no
-// wedges).
-double clustering_coefficient(const Graph& g);
-
-// Number of triangles.
-std::int64_t count_triangles(const Graph& g);
-
-// histogram[d] = number of vertices of degree d.
-std::vector<int> degree_histogram(const Graph& g);
 
 // Fraction of undirected edges whose endpoints live on different shards of
 // `part` (0 for edgeless graphs or a single shard). This is the static

@@ -108,16 +108,6 @@ GraphView::GraphView(const Graph& g, const VertexPartition& part, int shard)
   std::sort(halo_.begin(), halo_.end());
 }
 
-bool GraphView::in_halo(int v) const {
-  return std::binary_search(halo_.begin(), halo_.end(), v);
-}
-
-std::int64_t GraphView::total_cross_edges() const {
-  std::int64_t total = 0;
-  for (std::int64_t c : cross_) total += c;
-  return total;
-}
-
 std::vector<GraphView> build_graph_views(const Graph& g,
                                          const VertexPartition& part) {
   std::vector<GraphView> views;

@@ -184,7 +184,6 @@ class GraphView {
   /// vertex adjacent to an owned one. A distributed shard replicates
   /// exactly these vertices' state.
   std::span<const int> halo() const { return {halo_.data(), halo_.size()}; }
-  bool in_halo(int v) const;
 
   /// Undirected edges with both endpoints owned.
   std::int64_t internal_edges() const { return internal_edges_; }
@@ -193,8 +192,6 @@ class GraphView {
   std::int64_t cross_edges(int dst_shard) const {
     return cross_[static_cast<std::size_t>(dst_shard)];
   }
-  /// Total directed cross edges leaving this shard.
-  std::int64_t total_cross_edges() const;
 
  private:
   const Graph* g_ = nullptr;

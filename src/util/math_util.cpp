@@ -20,15 +20,6 @@ int ceil_log2(std::uint64_t x) {
   return (std::uint64_t{1} << f) == x ? f : f + 1;
 }
 
-int log_star(double x) {
-  int r = 0;
-  while (x > 1.0) {
-    x = std::log2(x);
-    ++r;
-  }
-  return r;
-}
-
 double log_base(double b, double x) {
   DC_REQUIRE(b > 1.0, "log_base requires base > 1");
   if (x <= 1.0) return 0.0;

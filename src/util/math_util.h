@@ -11,10 +11,6 @@ int floor_log2(std::uint64_t x);
 // ceil(log2(x)) for x >= 1.
 int ceil_log2(std::uint64_t x);
 
-// The iterated logarithm log*(x): the number of times log2 must be applied
-// to x before the result drops to <= 1.
-int log_star(double x);
-
 // log base b of x, for b > 1 and x >= 1 (returns 0 for x <= 1).
 double log_base(double b, double x);
 

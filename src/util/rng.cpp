@@ -1,7 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
-
 namespace deltacol {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -61,21 +59,5 @@ bool Rng::next_bool(double p) {
 }
 
 Rng Rng::split() { return Rng(next_u64()); }
-
-std::vector<int> Rng::sample_without_replacement(int n, int k) {
-  DC_REQUIRE(0 <= k && k <= n, "sample size must be within [0, n]");
-  // Floyd's algorithm: O(k) expected insertions.
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(k));
-  for (int j = n - k; j < n; ++j) {
-    const int t = static_cast<int>(next_below(static_cast<std::uint64_t>(j) + 1));
-    if (std::find(out.begin(), out.end(), t) == out.end()) {
-      out.push_back(t);
-    } else {
-      out.push_back(j);
-    }
-  }
-  return out;
-}
 
 }  // namespace deltacol

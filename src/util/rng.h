@@ -48,9 +48,6 @@ class Rng {
     }
   }
 
-  // k distinct values sampled uniformly from [0, n) (k <= n).
-  std::vector<int> sample_without_replacement(int n, int k);
-
  private:
   std::uint64_t s_[4];
 };

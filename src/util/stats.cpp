@@ -59,36 +59,4 @@ std::string Summary::str() const {
   return os.str();
 }
 
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {
-  DC_REQUIRE(x.size() == y.size(), "fit_linear needs paired samples");
-  DC_REQUIRE(x.size() >= 2, "fit_linear needs at least two samples");
-  const double n = static_cast<double>(x.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-    syy += y[i] * y[i];
-  }
-  LinearFit fit;
-  const double denom = n * sxx - sx * sx;
-  if (denom == 0.0) {
-    fit.slope = 0.0;
-    fit.intercept = sy / n;
-    fit.r2 = 0.0;
-    return fit;
-  }
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  const double ss_tot = syy - sy * sy / n;
-  double ss_res = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double e = y[i] - (fit.intercept + fit.slope * x[i]);
-    ss_res += e * e;
-  }
-  fit.r2 = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
-  return fit;
-}
-
 }  // namespace deltacol

@@ -30,12 +30,4 @@ class Summary {
   double sum_ = 0.0;
 };
 
-// Ordinary least squares fit y = a + b*x over paired samples.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-};
-LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y);
-
 }  // namespace deltacol

@@ -95,15 +95,6 @@ TEST(Coloring, RespectsLists) {
   EXPECT_FALSE(respects_lists({2, kUncolored}, lists));
 }
 
-TEST(Greedy, DeltaPlusOneAlwaysWorks) {
-  Rng rng(21);
-  for (int trial = 0; trial < 5; ++trial) {
-    const Graph g = random_regular(60, 5, rng);
-    const Coloring c = greedy_coloring(g);
-    EXPECT_TRUE(is_proper_with_palette(g, c, 6));
-  }
-}
-
 TEST(Greedy, RespectsPrecoloring) {
   const Graph g = path_graph(3);
   Coloring c{kUncolored, 1, kUncolored};

@@ -112,27 +112,6 @@ TEST(Metrics, DegeneracyKnownValues) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Metrics, Triangles) {
-  EXPECT_EQ(count_triangles(clique_graph(4)), 4);
-  EXPECT_EQ(count_triangles(clique_graph(5)), 10);
-  EXPECT_EQ(count_triangles(cycle_graph(3)), 1);
-  EXPECT_EQ(count_triangles(cycle_graph(6)), 0);
-  EXPECT_EQ(count_triangles(petersen_graph()), 0);
-}
-
-TEST(Metrics, ClusteringCoefficient) {
-  EXPECT_DOUBLE_EQ(clustering_coefficient(clique_graph(5)), 1.0);
-  EXPECT_DOUBLE_EQ(clustering_coefficient(cycle_graph(6)), 0.0);
-  EXPECT_DOUBLE_EQ(clustering_coefficient(path_graph(4)), 0.0);
-}
-
-TEST(Metrics, DegreeHistogram) {
-  const auto h = degree_histogram(star_graph(4));
-  ASSERT_EQ(h.size(), 5u);
-  EXPECT_EQ(h[1], 4);
-  EXPECT_EQ(h[4], 1);
-}
-
 TEST(Metrics, GirthCertifiesDccFreeBalls) {
   // If girth(g) > 2r + 1 every r-ball is a tree, hence DCC-free: girth is
   // an independent oracle for the DCC machinery.

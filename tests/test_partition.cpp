@@ -107,10 +107,11 @@ TEST(GraphView, HaloMatchesGlobalAdjacency) {
           EXPECT_EQ(halo[i], expect[i])
               << kind << " shard " << s << " entry " << i;
         }
-        for (int u : expect) EXPECT_TRUE(view.in_halo(u));
         // Owned vertices are never in their own halo.
         for (int i = 0; i < view.num_owned(); ++i) {
-          EXPECT_FALSE(view.in_halo(view.owned_vertex(i))) << kind;
+          EXPECT_FALSE(std::binary_search(halo.begin(), halo.end(),
+                                          view.owned_vertex(i)))
+              << kind;
         }
       }
     }
@@ -128,11 +129,7 @@ TEST(GraphView, EdgeCountsPartitionTheGlobalEdgeSet) {
     std::int64_t cross_directed = 0;
     for (const auto& view : views) {
       internal += view.internal_edges();
-      cross_directed += view.total_cross_edges();
-      // Per-destination counts sum to the total.
-      std::int64_t per_dst = 0;
-      for (int d = 0; d < num_shards; ++d) per_dst += view.cross_edges(d);
-      EXPECT_EQ(per_dst, view.total_cross_edges());
+      for (int d = 0; d < num_shards; ++d) cross_directed += view.cross_edges(d);
       // A shard never counts itself as a cross destination.
       EXPECT_EQ(view.cross_edges(view.shard()), 0);
     }
@@ -192,7 +189,7 @@ TEST(GraphView, EmptyShardsHaveEmptyViews) {
       ++empty;
       EXPECT_TRUE(view.halo().empty());
       EXPECT_EQ(view.internal_edges(), 0);
-      EXPECT_EQ(view.total_cross_edges(), 0);
+      for (int d = 0; d < 9; ++d) EXPECT_EQ(view.cross_edges(d), 0);
     }
   }
   EXPECT_EQ(empty, 3);

@@ -91,23 +91,10 @@ TEST(Rng, ShufflePermutes) {
   EXPECT_EQ(copy, sorted);
 }
 
-TEST(Rng, SampleWithoutReplacement) {
-  Rng rng(19);
-  const auto s = rng.sample_without_replacement(20, 8);
-  EXPECT_EQ(s.size(), 8u);
-  std::set<int> uniq(s.begin(), s.end());
-  EXPECT_EQ(uniq.size(), 8u);
-  for (int x : s) {
-    EXPECT_GE(x, 0);
-    EXPECT_LT(x, 20);
-  }
-}
-
 TEST(Rng, ContractViolations) {
   Rng rng(1);
   EXPECT_THROW(rng.next_below(0), ContractViolation);
   EXPECT_THROW(rng.next_int(3, 2), ContractViolation);
-  EXPECT_THROW(rng.sample_without_replacement(3, 4), ContractViolation);
 }
 
 TEST(MathUtil, Logs) {
@@ -119,15 +106,6 @@ TEST(MathUtil, Logs) {
   EXPECT_EQ(ceil_log2(3), 2);
   EXPECT_EQ(ceil_log2(1024), 10);
   EXPECT_EQ(ceil_log2(1025), 11);
-}
-
-TEST(MathUtil, LogStar) {
-  EXPECT_EQ(log_star(1.0), 0);
-  EXPECT_EQ(log_star(2.0), 1);
-  EXPECT_EQ(log_star(4.0), 2);
-  EXPECT_EQ(log_star(16.0), 3);
-  EXPECT_EQ(log_star(65536.0), 4);
-  EXPECT_LE(log_star(1e30), 6);
 }
 
 TEST(MathUtil, LogBase) {
@@ -167,18 +145,6 @@ TEST(Stats, EmptySummaryThrows) {
   Summary s;
   EXPECT_THROW(s.mean(), ContractViolation);
   EXPECT_THROW(s.min(), ContractViolation);
-}
-
-TEST(Stats, LinearFitRecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const auto fit = fit_linear(x, y);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-9);
 }
 
 TEST(PageAllocator, SmallAndLargeBlocksHoldTheirValues) {
