@@ -189,6 +189,14 @@ void merge_component_stats(PhaseStats& into, const PhaseStats& from) {
 DeltaColoringResult delta_color(const Graph& g, Algorithm alg,
                                 const DeltaColoringOptions& opt) {
   const bool randomized = alg != Algorithm::kDeterministic;
+  // Checked once, before the retry loop: a bad option fails every attempt.
+  if (alg == Algorithm::kRandomizedLarge || alg == Algorithm::kRandomizedSmall) {
+    DC_REQUIRE(opt.dcc_radius >= 1, "dcc_radius must be at least 1, got " +
+                                        std::to_string(opt.dcc_radius));
+    DC_REQUIRE(opt.small_variant_radius_cap >= 2,
+               "small_variant_radius_cap must be at least 2, got " +
+                   std::to_string(opt.small_variant_radius_cap));
+  }
   const int tries = randomized && !opt.strict ? std::max(1, opt.max_retries + 1) : 1;
   // One pool for the whole call (retries included); num_threads <= 1 spawns
   // no workers and the runtime takes its inline serial paths throughout.

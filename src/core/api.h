@@ -7,8 +7,9 @@
 ///   * kRandomizedLarge      — Theorem 3 (Delta >= 4): DCC removal, marking /
 ///                             T-nodes, shattering, small components, layered
 ///                             unwind (Phases (1)-(9)).
-///   * kRandomizedSmall      — Theorem 1 (Delta >= 3, constant): backoff 12,
-///                             r = Theta(log log n).
+///   * kRandomizedSmall      — Theorem 1 (Delta >= 3, constant): r =
+///                             Theta(log log n); backoff 12 under
+///                             use_paper_constants.
 ///   * kBaselineND           — Theorem 21 = [PS95] baseline: network-
 ///                             decomposition-scheduled layering.
 ///   * kBaselineGreedyBrooks — natural baseline: distributed (Delta+1)-
@@ -51,16 +52,20 @@ struct DeltaColoringOptions {
 
   /// Phase (1) DCC-detection radius r for the large-Delta variant; the small
   /// variant derives r = Theta(log log n) from n (clamped to
-  /// small_variant_radius_cap to keep ball sizes laptop-sized).
+  /// [2, small_variant_radius_cap] to keep ball sizes laptop-sized). For
+  /// both randomized algorithms delta_color requires dcc_radius >= 1 and
+  /// small_variant_radius_cap >= 2, and otherwise throws ContractViolation
+  /// naming the option before any attempt runs.
   int dcc_radius = 2;
   int small_variant_radius_cap = 6;
 
-  /// Marking-process parameters. backoff < 0 means the paper's default (6
-  /// large / 12 small). selection_prob < 0 means auto: the paper's
-  /// Delta^{-6} is asymptotically correct but vanishes at laptop scale, so
-  /// auto picks max(Delta^{-6}, 1/(8*Delta)); every node left unhappy is
-  /// handled by the (always correct) later phases either way. Set
-  /// use_paper_constants to force p = Delta^{-6}.
+  /// Marking-process parameters. backoff < 0 means b = 3, or the paper's
+  /// 6 (large) / 12 (small) under use_paper_constants; an explicit backoff
+  /// must be >= 3. selection_prob < 0 means auto: p = Delta^{-b} with that
+  /// b, or the paper's Delta^{-6} under use_paper_constants, which is
+  /// asymptotically correct but selects almost nobody at laptop scale.
+  /// Every node left unhappy is handled by the (always correct) later
+  /// phases either way.
   int backoff = -1;
   double selection_prob = -1.0;
   bool use_paper_constants = false;

@@ -120,14 +120,13 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   const int delta = ctx.delta;
 
   // ---- Parameters -------------------------------------------------------
-  int r;
+  // delta_color has checked dcc_radius >= 1 and small_variant_radius_cap >= 2.
+  int r = ctx.opt.dcc_radius;
   if (small_variant) {
     const double loglog =
         std::log2(std::max(2.0, std::log2(static_cast<double>(std::max(4, n)))));
     r = std::clamp(static_cast<int>(std::ceil(loglog)), 2,
                    ctx.opt.small_variant_radius_cap);
-  } else {
-    r = std::max(1, ctx.opt.dcc_radius);
   }
   int b = ctx.opt.backoff;
   if (b < 0) b = ctx.opt.use_paper_constants ? (small_variant ? 12 : 6) : 3;

@@ -2,6 +2,8 @@
 // valid Delta-coloring (Theorems 1, 3, 4, 21 + baselines).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/api.h"
 #include "graph/generators.h"
 #include "graph/ops.h"
@@ -139,6 +141,44 @@ TEST(Algorithms, RandomizedLargeRejectsDelta3) {
   // The small variant accepts Delta = 3.
   const auto res = delta_color(petersen_graph(), Algorithm::kRandomizedSmall, {});
   EXPECT_NO_THROW(validate_delta_coloring(petersen_graph(), res.coloring, 3));
+}
+
+// The radius options are checked once, before the first attempt: on a
+// cycle every attempt would fail its own Delta >= 3 check first, so a
+// message that names the option shows that no attempt ran.
+TEST(Algorithms, RejectsOutOfRangeRadiusOptionsBeforeAnyAttempt) {
+  const auto message = [](Algorithm alg, const DeltaColoringOptions& opt) {
+    try {
+      delta_color(cycle_graph(8), alg, opt);
+    } catch (const ContractViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  DeltaColoringOptions cap1;
+  cap1.small_variant_radius_cap = 1;
+  DeltaColoringOptions radius0;
+  radius0.dcc_radius = 0;
+  for (const Algorithm alg :
+       {Algorithm::kRandomizedLarge, Algorithm::kRandomizedSmall}) {
+    const std::string cap_msg = message(alg, cap1);
+    EXPECT_NE(cap_msg.find("small_variant_radius_cap"), std::string::npos)
+        << cap_msg;
+    const std::string radius_msg = message(alg, radius0);
+    EXPECT_NE(radius_msg.find("dcc_radius"), std::string::npos) << radius_msg;
+  }
+
+  // The smallest valid values still color.
+  Rng rng(59);
+  const Graph g = random_regular(400, 4, rng);
+  DeltaColoringOptions smallest;
+  smallest.small_variant_radius_cap = 2;
+  smallest.dcc_radius = 1;
+  for (const Algorithm alg :
+       {Algorithm::kRandomizedLarge, Algorithm::kRandomizedSmall}) {
+    const auto res = delta_color(g, alg, smallest);
+    EXPECT_NO_THROW(validate_delta_coloring(g, res.coloring, 4));
+  }
 }
 
 TEST(Algorithms, PaperConstantsMode) {
