@@ -190,7 +190,8 @@ DeltaColoringResult delta_color(const Graph& g, Algorithm alg,
                                 const DeltaColoringOptions& opt) {
   const bool randomized = alg != Algorithm::kDeterministic;
   // Checked once, before the retry loop: a bad option fails every attempt.
-  if (alg == Algorithm::kRandomizedLarge || alg == Algorithm::kRandomizedSmall) {
+  if (alg == Algorithm::kRandomizedLarge ||
+      alg == Algorithm::kRandomizedSmall) {
     DC_REQUIRE(opt.dcc_radius >= 1, "dcc_radius must be at least 1, got " +
                                         std::to_string(opt.dcc_radius));
     DC_REQUIRE(opt.small_variant_radius_cap >= 2,

@@ -33,8 +33,9 @@ inline constexpr std::int64_t kLubyMessageBits = 65;
 // `pool` runs the engine's sweeps on a thread pool (bit-identical results
 // for any thread count; nullptr runs them on the calling thread). `shards`
 // (built over g) records per-round message volume on the runtime and, when
-// it has a transport, runs this rank's share of the rounds over it — still bit-identical for every (shards, threads, partition)
-// combination (the frozen goldens in tests/test_mailbox.cpp pin this).
+// it has a transport, runs this rank's share of the rounds over it — still
+// bit-identical for every (shards, threads, partition) combination (the
+// frozen goldens in tests/test_mailbox.cpp pin this).
 std::vector<bool> luby_mis_message_passing(
     const Graph& g, Rng& rng, RoundLedger& ledger, std::string_view phase,
     ThreadPool* pool = nullptr, ShardRuntime* shards = nullptr);

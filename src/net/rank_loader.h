@@ -12,8 +12,8 @@
 ///     a rank never holds the full graph.
 ///   * `halo_of` — the sorted global ids of non-owned endpoints reachable
 ///     from the slice, exactly the halo table `GraphView` builds centrally.
-///   * `exchange_halo_adjacency` — two `SocketTransport::exchange_owned` trips
-///     (request halo ids from their owners, owners reply with the full
+///   * `exchange_halo_adjacency` — two `SocketTransport::exchange_owned`
+///     trips (request halo ids from their owners, owners reply with the full
 ///     adjacency of each requested vertex), giving every rank the one-hop
 ///     neighborhoods of its halo without any rank loading remote rows from
 ///     disk. Payloads go through the WireCodec vector/pair combinators, so

@@ -4,9 +4,6 @@
 
 namespace deltacol {
 
-ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool)
-    : ShardRuntime(g, num_shards, pool, nullptr) {}
-
 ShardRuntime::ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool,
                            std::unique_ptr<SocketTransport> transport)
     : ShardRuntime(

@@ -40,14 +40,12 @@ enum class ExchangePolicy { kOwnerRouted };
 /// (perfbench/src/main.cpp) builds unchanged.
 class ShardRuntime {
  public:
-  /// In-process runtime over the contiguous S-shard partition.
-  ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool);
-  /// One rank of a distributed run over the contiguous partition.
+  /// Runtime over the contiguous S-shard partition. transport == nullptr
+  /// runs every shard in process; otherwise its world must equal S.
   ShardRuntime(const Graph& g, int num_shards, ThreadPool* pool,
-               std::unique_ptr<SocketTransport> transport);
+               std::unique_ptr<SocketTransport> transport = nullptr);
   /// Explicit partition (contiguous or renumbered — graph/renumber.h); the
-  /// partition's shard count is authoritative and the transport's world
-  /// must equal it. transport == nullptr runs every shard in process.
+  /// partition's shard count is authoritative, as above.
   ShardRuntime(const Graph& g, VertexPartition part, ThreadPool* pool,
                std::unique_ptr<SocketTransport> transport = nullptr);
 

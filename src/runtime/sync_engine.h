@@ -29,12 +29,13 @@
 /// else. A distributed rank (local_shard() >= 0, over a SocketTransport)
 /// makes the engine hold state and inbox slots for its own shard only:
 /// messages to another rank's vertices land in that peer's outgoing slots
-/// and travel as one frame per peer per round (encode_edge_frame, net/wire_codec.h) — a
-/// presence bitmap over the cross edges to the peer, listed by ascending
-/// (receiver id, sender id), then the payloads that are present. Both ranks
-/// derive that list from (graph, partition), so frames carry no vertex ids.
-/// Drivers that sweep or read global state go through num_local() /
-/// local_vertex() and the transport's collectives (mis/luby_sync.cpp).
+/// and travel as one frame per peer per round (encode_edge_frame,
+/// net/wire_codec.h) — a presence bitmap over the cross edges to the peer,
+/// listed by ascending (receiver id, sender id), then the payloads that are
+/// present. Both ranks derive that list from (graph, partition), so frames
+/// carry no vertex ids. Drivers that sweep or read global state go through
+/// num_local() / local_vertex() and the transport's collectives
+/// (mis/luby_sync.cpp).
 ///
 /// Callback contract: send(v, state, ports) reads only v's state and the
 /// graph and calls ports.send(p, msg) at most once per port p in

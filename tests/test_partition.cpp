@@ -129,7 +129,9 @@ TEST(GraphView, EdgeCountsPartitionTheGlobalEdgeSet) {
     std::int64_t cross_directed = 0;
     for (const auto& view : views) {
       internal += view.internal_edges();
-      for (int d = 0; d < num_shards; ++d) cross_directed += view.cross_edges(d);
+      for (int d = 0; d < num_shards; ++d) {
+        cross_directed += view.cross_edges(d);
+      }
       // A shard never counts itself as a cross destination.
       EXPECT_EQ(view.cross_edges(view.shard()), 0);
     }

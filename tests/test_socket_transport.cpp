@@ -857,9 +857,8 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
                     ((golden_rt.view(r).cross_edges(d) + 7) / 8) +
                 golden_rt.slot_messages(r, d) * kLubyPayloadBytes;
           }
-          EXPECT_EQ(
-              rts[static_cast<std::size_t>(r)]->transport().cross_payload_bytes(),
-              expected_payload)
+          const ShardRuntime& rt = *rts[static_cast<std::size_t>(r)];
+          EXPECT_EQ(rt.transport().cross_payload_bytes(), expected_payload)
               << rank;
           // Per-slot counters too: every rank saw exactly the messages the
           // in-process run sent.
