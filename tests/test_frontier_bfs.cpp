@@ -195,7 +195,7 @@ TEST(FrontierBfs, ClassicApiStillMatchesReference) {
   }
 }
 
-TEST(FrontierBfs, FilteredTemplateMatchesFunctionWrapper) {
+TEST(FrontierBfs, FilteredRunKeepsTheSourceAndHonorsTheMask) {
   Rng rng(11);
   const Graph g = random_regular(400, 6, rng);
   BfsScratch scratch;
