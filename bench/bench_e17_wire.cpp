@@ -121,7 +121,7 @@ void E17_WireVolume(benchmark::State& state) {
         out.rounds = rt.rounds_recorded();
         out.wire_sent = rt.transport().wire_bytes_sent();
         out.peer_messages = rt.slot_messages(r, 1 - r);
-        out.cross_edges = rt.view(r).cross_edges(1 - r);
+        out.cross_edges = rt.edges_between(r, 1 - r);
         out.owned = rt.partition().size(r);
       });
     }

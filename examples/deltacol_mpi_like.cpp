@@ -33,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -209,21 +210,18 @@ int main(int argc, char** argv) {
     // local rank. Slices live in the partition's layout space (identical to
     // original ids for the contiguous strategy).
     const VertexPartition part = make_partition(g, S, strategy, nullptr);
+    std::vector<CsrSlice> slices;
     for (int r = 0; r < S; ++r) {
-      const CsrSlice s = !load_path.empty()
-                             ? load_edge_list_slice(load_path, part, r)
-                             : slice_of(g, part, r);
-      const GraphView view(g, part, r);
-      DC_ENSURE(s.lo == view.owned_begin() && s.hi == view.owned_end(),
-                "slice bounds disagree with GraphView");
-      const std::vector<int> halo = halo_of(s);
-      DC_ENSURE(static_cast<int>(halo.size()) ==
-                    static_cast<int>(view.halo().size()),
-                "slice halo disagrees with GraphView halo");
-      std::int64_t entries = s.offsets.back();
+      const CsrSlice& s = slices.emplace_back(
+          !load_path.empty() ? load_edge_list_slice(load_path, part, r)
+                             : slice_of(g, part, r));
+      // Each internal edge sits in two owned rows.
+      const auto owned_targets = std::count_if(
+          s.rows.targets.begin(), s.rows.targets.end(),
+          [&s](int t) { return s.owns(t); });
       out << "shard=" << r << " owned=[" << s.lo << "," << s.hi
-          << ") adj-entries=" << entries << " internal-edges="
-          << view.internal_edges() << " halo=" << halo.size() << "\n";
+          << ") adj-entries=" << s.rows.targets.size() << " internal-edges="
+          << owned_targets / 2 << " halo=" << halo_of(s).size() << "\n";
     }
     {
       std::ostringstream frac;
@@ -242,36 +240,43 @@ int main(int argc, char** argv) {
     }
 
     // --- 2. halo adjacency over the wire ----------------------------------
-    if (tcp) {
-      const CsrSlice mine =
-          !load_path.empty() ? load_edge_list_slice(load_path, part, cfg.rank)
-                             : slice_of(g, part, cfg.rank);
-      const auto fetched =
-          exchange_halo_adjacency(runtime->transport(), mine);
-      for (const HaloNeighborhood& hn : fetched) {
-        // Slices speak layout positions; translate back to original ids to
-        // compare against the full graph.
-        const int v = part.vertex_at(hn.vertex);
-        std::vector<int> expect;
-        expect.reserve(g.neighbors(v).size());
-        for (int u : g.neighbors(v)) expect.push_back(part.position_of(u));
-        std::sort(expect.begin(), expect.end());
-        DC_ENSURE(std::equal(expect.begin(), expect.end(),
-                             hn.neighbors.begin(), hn.neighbors.end()),
-                  "wire-fetched halo adjacency disagrees with the graph");
-      }
-      out << "halo-exchange: verified\n";
-    } else {
-      // Reference mode: verify all ranks' halo adjacency centrally so the
-      // canonical line means the same thing.
-      for (int r = 0; r < S; ++r) {
-        const GraphView view(g, part, r);
-        for (int hv : view.halo()) {
-          DC_ENSURE(!view.owns(hv), "halo vertex owned by its own shard");
+    // Every halo row must equal the full graph's adjacency of that vertex.
+    // Rows speak layout positions; translate back to original ids to
+    // compare against the full graph.
+    const auto verify_halo = [&](const std::vector<int>& ids,
+                                 const auto& row_of) {
+      std::vector<int> expect;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        expect.clear();
+        for (int u : g.neighbors(part.vertex_at(ids[i]))) {
+          expect.push_back(part.position_of(u));
         }
+        std::sort(expect.begin(), expect.end());
+        const std::span<const int> got = row_of(i);
+        DC_ENSURE(std::equal(expect.begin(), expect.end(), got.begin(),
+                             got.end()),
+                  "halo adjacency disagrees with the graph");
       }
-      out << "halo-exchange: verified\n";
+    };
+    if (tcp) {
+      const HaloRows fetched = exchange_halo_adjacency(
+          runtime->transport(), slices[static_cast<std::size_t>(cfg.rank)]);
+      verify_halo(fetched.ids, [&](std::size_t i) {
+        return fetched.rows[static_cast<int>(i)];
+      });
+    } else {
+      // Reference mode: every shard's halo rows, cut from their owners'
+      // slices as the owners would send them, pass the same check.
+      for (const CsrSlice& s : slices) {
+        const std::vector<int> halo = halo_of(s);
+        verify_halo(halo, [&](std::size_t i) {
+          const int h = halo[i];
+          const int owner = part.shard_of(part.vertex_at(h));
+          return slices[static_cast<std::size_t>(owner)].neighbors(h);
+        });
+      }
     }
+    out << "halo-exchange: verified\n";
 
     // --- 3. Luby's MIS with every round's cross-rank messages on the wire -
     {

@@ -4,25 +4,34 @@
 # canonical output to be byte-identical to the in-process reference.
 #
 #   scripts/run_local_cluster.sh [BUILD_DIR] [WORLD] \
-#       [--partition contiguous|cluster]
+#       [--partition contiguous|cluster] [--load FILE]
 #
 # BUILD_DIR defaults to ./build, WORLD to 2, --partition picks the shard
 # ownership map (graph/renumber.h). Canonical output is checked the same way
-# for either choice, since the partition is placement-only. Canonical output
-# is every line of deltacol_mpi_like not starting with "# " (rank-local wire
-# counters are "# "-prefixed and excluded; see the launcher's file comment).
+# for either choice, since the partition is placement-only. --load FILE runs
+# the one edge list FILE (graph/io.h format) instead of the zoo: every rank
+# and the reference stream their slices from it, so the ranks answer halo
+# requests from streamed slices. Canonical output is every line of
+# deltacol_mpi_like not starting with "# " (rank-local wire counters are
+# "# "-prefixed and excluded; see the launcher's file comment).
 # Exit 0 iff every rank of every workload matches its reference.
 set -u
 
 BUILD_DIR=build
 WORLD=2
 PARTITION=contiguous
+LOAD=
 positional=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --partition)
       [[ $# -ge 2 ]] || { echo "error: --partition needs a value" >&2; exit 2; }
       PARTITION="$2"
+      shift 2
+      ;;
+    --load)
+      [[ $# -ge 2 ]] || { echo "error: --load needs a file" >&2; exit 2; }
+      LOAD="$2"
       shift 2
       ;;
     *)
@@ -46,7 +55,19 @@ if [[ ! -x "$BIN" ]]; then
   exit 2
 fi
 
-WORKLOADS=(regular-500-6 gallai-400-4 sparse-400-6 3-components triangle-cactus)
+if [[ -n "$LOAD" && ! -f "$LOAD" ]]; then
+  echo "error: --load file $LOAD not found" >&2
+  exit 2
+fi
+
+# deltacol_mpi_like reads each workload through SOURCE_FLAG.
+if [[ -n "$LOAD" ]]; then
+  SOURCE_FLAG=--load
+  WORKLOADS=("$LOAD")
+else
+  SOURCE_FLAG=--gen
+  WORKLOADS=(regular-500-6 gallai-400-4 sparse-400-6 3-components triangle-cactus)
+fi
 CONGEST=(0 64)
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -60,15 +81,15 @@ run_cluster() {
   for attempt in 1 2 3; do
     port_base=$((20000 + (RANDOM % 40000)))
     ref="$TMP/$tag-ref.txt"
-    if ! "$BIN" --gen "$gen" --transport inproc --world "$WORLD" \
+    if ! "$BIN" "$SOURCE_FLAG" "$gen" --transport inproc --world "$WORLD" \
          --congest-bits "$bits" --partition "$PARTITION" --out "$ref"; then
       echo "FAIL $gen B=$bits: in-process reference failed" >&2
       return 1
     fi
     local pids=()
     for ((r = 0; r < WORLD; ++r)); do
-      "$BIN" --gen "$gen" --transport tcp --rank "$r" --world "$WORLD" \
-        --port-base "$port_base" --congest-bits "$bits" \
+      "$BIN" "$SOURCE_FLAG" "$gen" --transport tcp --rank "$r" \
+        --world "$WORLD" --port-base "$port_base" --congest-bits "$bits" \
         --partition "$PARTITION" \
         --out "$TMP/$tag-rank$r.txt" 2> "$TMP/$tag-rank$r.err" &
       pids+=($!)
@@ -107,7 +128,7 @@ run=0
 for gen in "${WORKLOADS[@]}"; do
   for bits in "${CONGEST[@]}"; do
     run=$((run + 1))
-    tag="$gen-$bits"
+    tag="$(basename "$gen")-$bits"
     if ! run_cluster "$gen" "$bits" "$tag"; then
       failures=$((failures + 1))
       continue
@@ -115,7 +136,7 @@ for gen in "${WORKLOADS[@]}"; do
     echo "OK   $gen B=$bits partition=$PARTITION:" \
          "$WORLD ranks byte-identical to in-process"
     # Rank-local wire summary (legitimately differs per rank).
-    grep -h '^# ' "$TMP/$tag-rank"*.txt | sed "s/^# /  wire $gen B=$bits /"
+    grep -h '^# ' "$TMP/$tag-rank"*.txt | sed "s|^# |  wire $gen B=$bits |"
   done
 done
 

@@ -18,23 +18,16 @@ void sweep_schedule_classes(std::span<const int> members,
                             const std::function<void(int)>& pick,
                             RoundLedger& ledger, std::string_view phase,
                             ThreadPool* pool) {
-  const auto class_of = [&](int v) {
-    return static_cast<std::size_t>(schedule[static_cast<std::size_t>(v)]);
-  };
-  // Class s is order[begin[s] .. begin[s + 1]), its members in their
-  // relative order in `members`.
-  std::vector<int> begin(static_cast<std::size_t>(num_schedule_colors) + 1, 0);
-  for (int v : members) ++begin[class_of(v) + 1];
-  std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  std::vector<int> order(members.size());
-  std::vector<int> fill(begin.begin(), begin.end() - 1);
-  for (int v : members) {
-    order[static_cast<std::size_t>(fill[class_of(v)]++)] = v;
-  }
+  // Row s is class s, its members in their relative order in `members`.
+  const Rows classes =
+      bucket_rows(num_schedule_colors, members.size(), [&](const auto& emit) {
+        for (int v : members) emit(schedule[static_cast<std::size_t>(v)], v);
+      });
   for (int s = 0; s < num_schedule_colors; ++s) {
-    pooled_for(pool, begin[static_cast<std::size_t>(s)],
-               begin[static_cast<std::size_t>(s) + 1],
-               [&](int i) { pick(order[static_cast<std::size_t>(i)]); });
+    pooled_for(pool, classes.offsets[static_cast<std::size_t>(s)],
+               classes.offsets[static_cast<std::size_t>(s) + 1], [&](int i) {
+                 pick(classes.targets[static_cast<std::size_t>(i)]);
+               });
     ledger.charge(1, phase);
   }
 }

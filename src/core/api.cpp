@@ -197,6 +197,13 @@ DeltaColoringResult delta_color(const Graph& g, Algorithm alg,
     DC_REQUIRE(opt.small_variant_radius_cap >= 2,
                "small_variant_radius_cap must be at least 2, got " +
                    std::to_string(opt.small_variant_radius_cap));
+    DC_REQUIRE(opt.backoff < 0 || opt.backoff >= 3,
+               "backoff must be negative (auto) or at least 3, got " +
+                   std::to_string(opt.backoff));
+    // Negative means auto; NaN fails the comparison.
+    DC_REQUIRE(opt.selection_prob <= 1,
+               "selection_prob must be negative (auto) or in [0, 1], got " +
+                   std::to_string(opt.selection_prob));
   }
   const int tries = randomized && !opt.strict ? std::max(1, opt.max_retries + 1) : 1;
   // One pool for the whole call (retries included); num_threads <= 1 spawns

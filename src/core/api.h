@@ -61,11 +61,14 @@ struct DeltaColoringOptions {
 
   /// Marking-process parameters. backoff < 0 means b = 3, or the paper's
   /// 6 (large) / 12 (small) under use_paper_constants; an explicit backoff
-  /// must be >= 3. selection_prob < 0 means auto: p = Delta^{-b} with that
-  /// b, or the paper's Delta^{-6} under use_paper_constants, which is
-  /// asymptotically correct but selects almost nobody at laptop scale.
-  /// Every node left unhappy is handled by the (always correct) later
-  /// phases either way.
+  /// must be >= 3 (a smaller one can make the marks of distinct T-nodes
+  /// adjacent). selection_prob < 0 means auto: p = Delta^{-b} with that b,
+  /// or the paper's Delta^{-6} under use_paper_constants, which is
+  /// asymptotically correct but selects almost nobody at laptop scale; an
+  /// explicit p must lie in [0, 1] (NaN is rejected). For both randomized
+  /// algorithms delta_color throws ContractViolation naming the option
+  /// before any attempt runs. Every node left unhappy is handled by the
+  /// (always correct) later phases either way.
   int backoff = -1;
   double selection_prob = -1.0;
   bool use_paper_constants = false;

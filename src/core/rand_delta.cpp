@@ -120,7 +120,8 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   const int delta = ctx.delta;
 
   // ---- Parameters -------------------------------------------------------
-  // delta_color has checked dcc_radius >= 1 and small_variant_radius_cap >= 2.
+  // delta_color has checked dcc_radius >= 1, small_variant_radius_cap >= 2,
+  // an explicit backoff >= 3 and an explicit selection_prob in [0, 1].
   int r = ctx.opt.dcc_radius;
   if (small_variant) {
     const double loglog =
@@ -130,7 +131,6 @@ void run_randomized(ComponentContext& ctx, Coloring& c, bool small_variant) {
   }
   int b = ctx.opt.backoff;
   if (b < 0) b = ctx.opt.use_paper_constants ? (small_variant ? 12 : 6) : 3;
-  DC_REQUIRE(b >= 3, "backoff < 3 can make marks of distinct T-nodes adjacent");
   double p = ctx.opt.selection_prob;
   if (p < 0) {
     p = std::pow(static_cast<double>(delta),

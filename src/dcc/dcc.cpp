@@ -403,32 +403,21 @@ Graph build_dcc_virtual_graph(const Graph& g,
                               const std::vector<std::vector<int>>& dccs) {
   const int n = g.num_vertices();
   const int k = static_cast<int>(dccs.size());
-  // Membership as a CSR built by counting sort: the DCC indices containing
-  // v, ascending, are member[offset[v] .. offset[v + 1]).
-  std::vector<int> offset(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& dcc : dccs) {
-    for (int v : dcc) ++offset[static_cast<std::size_t>(v) + 1];
-  }
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    offset[v + 1] += offset[v];
-  }
-  std::vector<int> member(static_cast<std::size_t>(offset.back()));
-  std::vector<int> cursor(offset.begin(), offset.end() - 1);
-  for (int i = 0; i < k; ++i) {
-    for (int v : dccs[static_cast<std::size_t>(i)]) {
-      auto& at = cursor[static_cast<std::size_t>(v)];
-      member[static_cast<std::size_t>(at++)] = i;
+  // Row v: the indices of the DCCs containing v, ascending.
+  std::size_t num_pairs = 0;
+  for (const auto& dcc : dccs) num_pairs += dcc.size();
+  const Rows member = bucket_rows(n, num_pairs, [&](const auto& emit) {
+    for (int i = 0; i < k; ++i) {
+      for (int v : dccs[static_cast<std::size_t>(i)]) emit(v, i);
     }
-  }
+  });
   // DCC i links to every j > i that contains one of its vertices (a shared
   // vertex) or a neighbor of one (a joining edge of g). Each such edge is
   // emitted once, from its lower end: linked_from[j] == i marks it done.
   std::vector<int> linked_from(static_cast<std::size_t>(k), -1);
   std::vector<Edge> edges;
   auto link = [&](int i, int u) {
-    for (int idx = offset[static_cast<std::size_t>(u)];
-         idx < offset[static_cast<std::size_t>(u) + 1]; ++idx) {
-      const int j = member[static_cast<std::size_t>(idx)];
+    for (int j : member[u]) {
       if (j > i && linked_from[static_cast<std::size_t>(j)] != i) {
         linked_from[static_cast<std::size_t>(j)] = i;
         edges.emplace_back(i, j);

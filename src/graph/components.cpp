@@ -1,7 +1,8 @@
 #include "graph/components.h"
 
 #include <algorithm>
-#include <queue>
+
+#include "graph/frontier_bfs.h"
 
 namespace deltacol {
 
@@ -17,22 +18,12 @@ ConnectedComponents connected_components(const Graph& g) {
   ConnectedComponents cc;
   const int n = g.num_vertices();
   cc.component.assign(static_cast<std::size_t>(n), -1);
+  BfsScratch bfs;
   for (int s = 0; s < n; ++s) {
-    if (cc.component[s] != -1) continue;
+    if (cc.component[static_cast<std::size_t>(s)] != -1) continue;
     const int id = cc.count++;
-    std::queue<int> q;
-    cc.component[s] = id;
-    q.push(s);
-    while (!q.empty()) {
-      const int u = q.front();
-      q.pop();
-      for (int w : g.neighbors(u)) {
-        if (cc.component[w] == -1) {
-          cc.component[w] = id;
-          q.push(w);
-        }
-      }
-    }
+    bfs.run(g, s);
+    for (int v : bfs.order()) cc.component[static_cast<std::size_t>(v)] = id;
   }
   return cc;
 }

@@ -2,48 +2,42 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace deltacol {
+
+void sort_unique_rows(Rows& rows) {
+  auto first = rows.targets.begin();
+  auto out = first;
+  for (std::size_t r = 1; r < rows.offsets.size(); ++r) {
+    const auto last = rows.targets.begin() + rows.offsets[r];
+    std::sort(first, last);
+    const auto row_end = std::unique(first, last);
+    out = out == first ? row_end : std::copy(first, row_end, out);
+    rows.offsets[r] = static_cast<int>(out - rows.targets.begin());
+    first = last;
+  }
+  rows.targets.erase(out, rows.targets.end());
+  rows.targets.shrink_to_fit();
+}
 
 Graph Graph::from_edges(int n, std::span<const Edge> edges) {
   DC_REQUIRE(n >= 0, "vertex count must be non-negative");
   Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    DC_REQUIRE(0 <= u && u < n && 0 <= v && v < n, "edge endpoint out of range");
-    DC_REQUIRE(u != v, "self-loops are not allowed in simple graphs");
-    ++g.offsets_[static_cast<std::size_t>(u) + 1];
-    ++g.offsets_[static_cast<std::size_t>(v) + 1];
-  }
-  for (int v = 0; v < n; ++v) g.offsets_[v + 1] += g.offsets_[v];
-  // Counting sort: scatter both orientations into their rows, then sort
-  // each row and drop its duplicates, compacting the rows leftwards.
-  g.adj_.resize(edges.size() * 2);
-  std::vector<int> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    g.adj_[static_cast<std::size_t>(cursor[u]++)] = v;
-    g.adj_[static_cast<std::size_t>(cursor[v]++)] = u;
-  }
-  auto first = g.adj_.begin();
-  auto out = first;
-  for (int v = 0; v < n; ++v) {
-    const auto last = g.adj_.begin() + g.offsets_[v + 1];
-    std::sort(first, last);
-    const auto row_end = std::unique(first, last);
-    out = out == first ? row_end : std::copy(first, row_end, out);
-    g.offsets_[v + 1] = static_cast<int>(out - g.adj_.begin());
-    first = last;
-  }
-  g.adj_.erase(out, g.adj_.end());
-  g.adj_.shrink_to_fit();
-  g.max_degree_ = 0;
-  g.min_degree_ = n > 0 ? n : 0;
+  // Both orientations of every edge; the count pass meets a bad edge first.
+  g.rows_ = bucket_rows(n, 2 * edges.size(), [&](const auto& emit) {
+    for (const auto& [u, v] : edges) {
+      DC_REQUIRE(0 <= u && u < n && 0 <= v && v < n,
+                 "edge endpoint out of range");
+      DC_REQUIRE(u != v, "self-loops are not allowed in simple graphs");
+      emit(u, v);
+      emit(v, u);
+    }
+  });
+  sort_unique_rows(g.rows_);
+  g.min_degree_ = n;
   for (int v = 0; v < n; ++v) {
     g.max_degree_ = std::max(g.max_degree_, g.degree(v));
     g.min_degree_ = std::min(g.min_degree_, g.degree(v));
   }
-  if (n == 0) g.min_degree_ = 0;
   return g;
 }
 

@@ -61,59 +61,11 @@ VertexPartition VertexPartition::renumbered(
   VertexPartition part = contiguous(n, num_shards);
   part.to_new_ = std::move(to_new);
   part.to_old_ = std::move(to_old);
-  auto owned = std::make_shared<std::vector<std::vector<int>>>(
-      static_cast<std::size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    (*owned)[static_cast<std::size_t>(s)].reserve(
-        static_cast<std::size_t>(part.size(s)));
-  }
-  // Owned ids ascend in *original* id: owned_vertex(s, i) enumerates a
-  // shard in id order under every layout (GraphView, gather_colors).
-  for (int v = 0; v < n; ++v) {
-    (*owned)[static_cast<std::size_t>(part.shard_of(v))].push_back(v);
-  }
-  part.owned_ = std::move(owned);
   return part;
 }
 
 int VertexPartition::resolve_num_shards(int requested) {
   return std::max(1, requested);
-}
-
-GraphView::GraphView(const Graph& g, const VertexPartition& part, int shard)
-    : g_(&g), part_(part), shard_(shard) {
-  DC_REQUIRE(part.num_vertices() == g.num_vertices(),
-             "partition does not span the graph");
-  DC_REQUIRE(0 <= shard && shard < part.num_shards(), "shard out of range");
-  lo_ = part.begin(shard);
-  hi_ = part.end(shard);
-  cross_.assign(static_cast<std::size_t>(part.num_shards()), 0);
-  std::vector<char> in_halo(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (int i = 0; i < part.size(shard); ++i) {
-    const int v = part.owned_vertex(shard, i);
-    for (int u : g.neighbors(v)) {
-      if (owns(u)) {
-        // Counted once per undirected internal edge (from its smaller end).
-        if (v < u) ++internal_edges_;
-      } else {
-        // Each halo vertex is pushed once, at its first cut edge.
-        if (!in_halo[static_cast<std::size_t>(u)]) {
-          in_halo[static_cast<std::size_t>(u)] = 1;
-          halo_.push_back(u);
-        }
-        ++cross_[static_cast<std::size_t>(part.shard_of(u))];
-      }
-    }
-  }
-  std::sort(halo_.begin(), halo_.end());
-}
-
-std::vector<GraphView> build_graph_views(const Graph& g,
-                                         const VertexPartition& part) {
-  std::vector<GraphView> views;
-  views.reserve(static_cast<std::size_t>(part.num_shards()));
-  for (int s = 0; s < part.num_shards(); ++s) views.emplace_back(g, part, s);
-  return views;
 }
 
 }  // namespace deltacol

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 
 #include "runtime/thread_pool.h"
 #include "util/check.h"
@@ -81,34 +80,21 @@ std::vector<bool> luby_mis_over_sets(const Graph& g,
   DC_REQUIRE(rounds_per_step >= 1, "rounds_per_step must be >= 1");
   const int n = g.num_vertices();
   const int k = static_cast<int>(sets.size());
-  // Membership as a CSR built by counting sort: the indices of the sets
-  // containing v, ascending, are member_of[offset[v] .. offset[v + 1]).
-  std::vector<int> offset(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& set : sets) {
-    for (int v : set) {
-      DC_REQUIRE(0 <= v && v < n, "set member out of range");
-      ++offset[static_cast<std::size_t>(v) + 1];
-    }
-  }
-  std::vector<int> members;  // vertices in some set, ascending
-  for (int v = 0; v < n; ++v) {
-    if (offset[static_cast<std::size_t>(v) + 1] > 0) members.push_back(v);
-    offset[static_cast<std::size_t>(v) + 1] += offset[static_cast<std::size_t>(v)];
-  }
-  std::vector<int> member_of(static_cast<std::size_t>(offset.back()));
-  {
-    std::vector<int> cursor(offset.begin(), offset.end() - 1);
+  // Row v: the indices of the sets containing v, ascending.
+  std::size_t num_pairs = 0;
+  for (const auto& set : sets) num_pairs += set.size();
+  const Rows sets_of = bucket_rows(n, num_pairs, [&](const auto& emit) {
     for (int i = 0; i < k; ++i) {
       for (int v : sets[static_cast<std::size_t>(i)]) {
-        member_of[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = i;
+        DC_REQUIRE(0 <= v && v < n, "set member out of range");
+        emit(v, i);
       }
     }
+  });
+  std::vector<int> members;  // vertices in some set, ascending
+  for (int v = 0; v < n; ++v) {
+    if (sets_of.degree(v) > 0) members.push_back(v);
   }
-  const auto sets_of = [&](int v) {
-    const auto vi = static_cast<std::size_t>(v);
-    return std::span<const int>(member_of.data() + offset[vi],
-                                static_cast<std::size_t>(offset[vi + 1] - offset[vi]));
-  };
 
   std::vector<bool> in_set(static_cast<std::size_t>(k), false);
   std::vector<char> active(static_cast<std::size_t>(k), 1);
@@ -139,7 +125,7 @@ std::vector<bool> luby_mis_over_sets(const Graph& g,
     pooled_for(pool, 0, num_members, [&](int m) {
       const int v = members[static_cast<std::size_t>(m)];
       int best = -1;
-      for (int i : sets_of(v)) {
+      for (int i : sets_of[v]) {
         if (active[static_cast<std::size_t>(i)] && precedes(i, best)) best = i;
       }
       own_min[static_cast<std::size_t>(v)] = best;

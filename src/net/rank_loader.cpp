@@ -1,7 +1,9 @@
 #include "net/rank_loader.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -11,44 +13,27 @@
 
 namespace deltacol {
 
-namespace {
-
-CsrSlice slice_from_rows(int n_global, int lo, int hi,
-                         std::vector<std::vector<int>> rows) {
-  CsrSlice slice;
-  slice.n_global = n_global;
-  slice.lo = lo;
-  slice.hi = hi;
-  slice.offsets.assign(1, 0);
-  slice.offsets.reserve(static_cast<std::size_t>(hi - lo) + 1);
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    slice.targets.insert(slice.targets.end(), row.begin(), row.end());
-    slice.offsets.push_back(static_cast<std::int64_t>(slice.targets.size()));
-  }
-  return slice;
-}
-
-}  // namespace
-
 CsrSlice slice_of(const Graph& g, const VertexPartition& part, int shard) {
   DC_REQUIRE(part.num_vertices() == g.num_vertices(),
              "partition was built for a different graph");
   DC_REQUIRE(shard >= 0 && shard < part.num_shards(), "shard out of range");
-  const int lo = part.begin(shard);
-  const int hi = part.end(shard);
-  std::vector<std::vector<int>> rows(static_cast<std::size_t>(hi - lo));
-  for (int p = lo; p < hi; ++p) {
-    const int v = part.vertex_at(p);
-    auto& row = rows[static_cast<std::size_t>(p - lo)];
-    const auto nbrs = g.neighbors(v);
-    row.reserve(nbrs.size());
-    for (int u : nbrs) row.push_back(part.position_of(u));
+  CsrSlice slice;
+  slice.n_global = g.num_vertices();
+  slice.lo = part.begin(shard);
+  slice.hi = part.end(shard);
+  std::size_t num_pairs = 0;
+  for (int p = slice.lo; p < slice.hi; ++p) {
+    num_pairs += static_cast<std::size_t>(g.degree(part.vertex_at(p)));
   }
-  // slice_from_rows re-sorts: original-id adjacency order is not layout
-  // order under a renumbered partition.
-  return slice_from_rows(g.num_vertices(), lo, hi, std::move(rows));
+  slice.rows = bucket_rows(slice.num_owned(), num_pairs, [&](const auto& emit) {
+    for (int p = slice.lo; p < slice.hi; ++p) {
+      for (int u : g.neighbors(part.vertex_at(p))) {
+        emit(p - slice.lo, part.position_of(u));
+      }
+    }
+  });
+  sort_unique_rows(slice.rows);  // layout order is not original-id order
+  return slice;
 }
 
 namespace {
@@ -80,29 +65,11 @@ CsrSlice stream_slice(std::istream& in, int shard, MakePart&& make_part) {
         if (slice.owns(pu)) ends.emplace_back(pu - slice.lo, pv);
         if (slice.owns(pv)) ends.emplace_back(pv - slice.lo, pu);
       });
-  // Counting sort by row, then sort each row and drop its duplicates,
-  // compacting the rows leftwards.
-  auto& offsets = slice.offsets;
-  offsets.assign(static_cast<std::size_t>(slice.num_owned()) + 1, 0);
-  for (const auto& e : ends) ++offsets[static_cast<std::size_t>(e.first) + 1];
-  for (std::size_t r = 1; r < offsets.size(); ++r) offsets[r] += offsets[r - 1];
-  slice.targets.resize(ends.size());
-  std::vector<std::int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [row, target] : ends) {
-    slice.targets[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(row)]++)] = target;
-  }
-  auto first = slice.targets.begin();
-  auto out = first;
-  for (std::size_t r = 1; r < offsets.size(); ++r) {
-    const auto last = slice.targets.begin() + offsets[r];
-    std::sort(first, last);
-    const auto row_end = std::unique(first, last);
-    out = out == first ? row_end : std::copy(first, row_end, out);
-    offsets[r] = out - slice.targets.begin();
-    first = last;
-  }
-  slice.targets.erase(out, slice.targets.end());
+  slice.rows = bucket_rows(
+      slice.num_owned(), ends.size(), [&](const auto& emit) {
+        for (const auto& [row, target] : ends) emit(row, target);
+      });
+  sort_unique_rows(slice.rows);
   return slice;
 }
 
@@ -140,7 +107,7 @@ CsrSlice load_edge_list_slice(const std::string& path,
 
 std::vector<int> halo_of(const CsrSlice& slice) {
   std::vector<int> halo;
-  for (int t : slice.targets) {
+  for (int t : slice.rows.targets) {
     if (!slice.owns(t)) halo.push_back(t);
   }
   std::sort(halo.begin(), halo.end());
@@ -148,8 +115,8 @@ std::vector<int> halo_of(const CsrSlice& slice) {
   return halo;
 }
 
-std::vector<HaloNeighborhood> exchange_halo_adjacency(
-    SocketTransport& transport, const CsrSlice& slice) {
+HaloRows exchange_halo_adjacency(SocketTransport& transport,
+                                 const CsrSlice& slice) {
   const int world = transport.num_shards();
   const int self = transport.local_shard();
   const VertexPartition part =
@@ -164,73 +131,108 @@ std::vector<HaloNeighborhood> exchange_halo_adjacency(
     const std::vector<std::int64_t> zeros(static_cast<std::size_t>(world), 0);
     return transport.exchange_owned(std::move(to_peers), zeros, zeros).slots;
   };
+  // Decodes every peer's payload with read(peer, reader); a WireError names
+  // the peer.
+  const auto read_each = [&](const char* what,
+                             const std::vector<WireBuf>& payloads,
+                             const auto& read) {
+    for (int peer = 0; peer < world; ++peer) {
+      if (peer == self) continue;
+      WireReader r(payloads[static_cast<std::size_t>(peer)]);
+      try {
+        read(peer, r);
+      } catch (const WireError& e) {
+        throw WireError(std::string(what) + " from rank " +
+                        std::to_string(peer) + ": " + e.what());
+      }
+    }
+  };
 
-  // Trip 1: tell each owner which of its vertices sit in our halo.
-  using IdList = std::vector<std::uint32_t>;
-  const std::vector<int> halo = halo_of(slice);
-  std::vector<IdList> wanted(static_cast<std::size_t>(world));
-  for (int v : halo) {
-    wanted[static_cast<std::size_t>(part.shard_of(v))].push_back(
+  // Trip 1: ask each owner for its vertices of our halo, as bare u32 ids.
+  // The halo is sorted and the owners' ranges ascend, so the replies, read
+  // in owner order, come back in halo order.
+  HaloRows out;
+  out.ids = halo_of(slice);
+  std::vector<WireWriter> ask(static_cast<std::size_t>(world));
+  for (int v : out.ids) {
+    ask[static_cast<std::size_t>(part.shard_of(v))].put_u32(
         static_cast<std::uint32_t>(v));
   }
+  std::vector<std::size_t> asked(static_cast<std::size_t>(world));
   std::vector<WireBuf> request_row(static_cast<std::size_t>(world));
-  for (int d = 0; d < world; ++d) {
-    if (d == self) continue;
-    WireWriter w;
-    WireCodec<IdList>::encode(wanted[static_cast<std::size_t>(d)], w);
-    request_row[static_cast<std::size_t>(d)] = w.take();
+  for (std::size_t d = 0; d < ask.size(); ++d) {
+    asked[d] = ask[d].size() / 4;
+    request_row[d] = ask[d].take();
   }
   const std::vector<WireBuf> requests = exchange(std::move(request_row));
 
-  // Trip 2: answer every peer's request against our owned rows, then
-  // collect the answers addressed to us. Reply payload = vector of
-  // (vertex, adjacency).
-  using Reply = std::vector<std::pair<std::uint32_t, IdList>>;
+  // Trip 2: answer every request with one flat CSR of our rows, in request
+  // order: the count and the degrees, then the adjacency.
   std::vector<WireBuf> reply_row(static_cast<std::size_t>(world));
-  for (int requester = 0; requester < world; ++requester) {
-    if (requester == self) continue;
-    WireReader r(requests[static_cast<std::size_t>(requester)]);
-    const IdList asked = WireCodec<IdList>::decode(r);
-    DC_REQUIRE(r.done(), "trailing bytes in halo request");
-    Reply reply;
-    reply.reserve(asked.size());
-    for (std::uint32_t gv : asked) {
-      const int v = static_cast<int>(gv);
-      DC_REQUIRE(slice.owns(v), "halo request for a vertex we do not own");
-      const auto nbrs = slice.neighbors(v);
-      IdList adj;
-      adj.reserve(nbrs.size());
-      for (int t : nbrs) adj.push_back(static_cast<std::uint32_t>(t));
-      reply.emplace_back(gv, std::move(adj));
+  read_each("halo request", requests, [&](int requester, WireReader& r) {
+    if (r.remaining() % 4 != 0) {
+      throw WireError("length check failed: " + std::to_string(r.remaining()) +
+                      " bytes are not whole ids");
     }
+    const auto count = static_cast<std::uint32_t>(r.remaining() / 4);
+    WireReader ids = r;  // read twice: for the degrees, then the rows
     WireWriter w;
-    WireCodec<Reply>::encode(reply, w);
+    w.put_u32(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t id = r.get_u32();
+      if (id < static_cast<std::uint32_t>(slice.lo) ||
+          id >= static_cast<std::uint32_t>(slice.hi)) {
+        throw WireError("owner check failed: vertex " + std::to_string(id) +
+                        " is not this rank's");
+      }
+      w.put_u32(static_cast<std::uint32_t>(slice.degree(static_cast<int>(id))));
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      for (int t : slice.neighbors(static_cast<int>(ids.get_u32()))) {
+        w.put_u32(static_cast<std::uint32_t>(t));
+      }
+    }
     reply_row[static_cast<std::size_t>(requester)] = w.take();
-  }
+  });
   const std::vector<WireBuf> replies = exchange(std::move(reply_row));
 
-  std::vector<HaloNeighborhood> out;
-  out.reserve(halo.size());
-  for (int owner = 0; owner < world; ++owner) {
-    if (owner == self) continue;
-    WireReader r(replies[static_cast<std::size_t>(owner)]);
-    const Reply reply = WireCodec<Reply>::decode(r);
-    DC_REQUIRE(r.done(), "trailing bytes in halo reply");
-    DC_REQUIRE(reply.size() == wanted[static_cast<std::size_t>(owner)].size(),
-               "halo reply does not answer every request");
-    for (const auto& [gv, adj] : reply) {
-      HaloNeighborhood hn;
-      hn.vertex = static_cast<int>(gv);
-      hn.neighbors.reserve(adj.size());
-      for (std::uint32_t t : adj) hn.neighbors.push_back(static_cast<int>(t));
-      out.push_back(std::move(hn));
+  read_each("halo reply", replies, [&](int owner, WireReader& r) {
+    const std::uint32_t count = r.get_u32();
+    const std::size_t want = asked[static_cast<std::size_t>(owner)];
+    if (count != want || r.remaining() / 4 < count) {
+      throw WireError("degree count check failed: " + std::to_string(count) +
+                      " degrees in " + std::to_string(r.remaining()) +
+                      " bytes for " + std::to_string(want) +
+                      " requested vertices");
     }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const HaloNeighborhood& a, const HaloNeighborhood& b) {
-              return a.vertex < b.vertex;
-            });
-  DC_ENSURE(out.size() == halo.size(), "halo exchange lost a vertex");
+    // The degrees may sum to no more entries than follow them, nor past an
+    // int offset.
+    const std::uint64_t base = out.rows.targets.size();
+    const std::uint64_t follow = r.remaining() / 4 - count;
+    const std::uint64_t limit = std::min<std::uint64_t>(
+        base + follow, std::numeric_limits<int>::max());
+    std::uint64_t entries = base;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      entries += r.get_u32();
+      if (entries > limit) {
+        throw WireError("adjacency check failed: the degrees sum past the " +
+                        std::to_string(follow) + " entries that follow");
+      }
+      out.rows.offsets.push_back(static_cast<int>(entries));
+    }
+    for (std::uint64_t j = base; j < entries; ++j) {
+      const std::uint32_t t = r.get_u32();
+      if (t >= static_cast<std::uint32_t>(slice.n_global)) {
+        throw WireError("target check failed: vertex " + std::to_string(t) +
+                        " is not in the graph");
+      }
+      out.rows.targets.push_back(static_cast<int>(t));
+    }
+    if (!r.done()) {
+      throw WireError("length check failed: " + std::to_string(r.remaining()) +
+                      " trailing bytes after the adjacency");
+    }
+  });
   return out;
 }
 

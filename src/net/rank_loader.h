@@ -3,7 +3,7 @@
 /// only its own contiguous CSR slice and learns about the boundary (halo)
 /// by asking the owners over the wire.
 ///
-/// Three pieces:
+/// Three pieces, all flat CSR rows (graph/graph.h `Rows`):
 ///
 ///   * `CsrSlice` — the owned rows [lo, hi) of the global CSR, with global
 ///     neighbor ids. `slice_of` cuts one from an in-memory Graph (the
@@ -11,17 +11,16 @@
 ///     format (graph/io.h) and keeps only edges touching the owned range, so
 ///     a rank never holds the full graph.
 ///   * `halo_of` — the sorted global ids of non-owned endpoints reachable
-///     from the slice, exactly the halo table `GraphView` builds centrally.
+///     from the slice.
 ///   * `exchange_halo_adjacency` — two `SocketTransport::exchange_owned`
-///     trips (request halo ids from their owners, owners reply with the full
-///     adjacency of each requested vertex), giving every rank the one-hop
+///     trips (request halo ids from their owners, owners reply with one flat
+///     CSR of the requested rows), giving every rank the one-hop
 ///     neighborhoods of its halo without any rank loading remote rows from
-///     disk. Payloads go through the WireCodec vector/pair combinators, so
-///     this is also a live end-to-end exercise of the codec family.
+///     disk.
 ///
-/// tests/test_socket_transport.cpp checks slice + halo against the
-/// centrally built `GraphView` on the generator zoo, and the mpi-like
-/// launcher prints per-rank slice statistics from this path.
+/// tests/test_socket_transport.cpp checks slices and halo rows against the
+/// full graph on the generator zoo, and the mpi-like launcher prints
+/// per-rank slice statistics from this path.
 ///
 /// This loader is the data-side half of a distributed run (DESIGN.md §6,
 /// "Distributed rounds"): a rank that loads only its slice holds
@@ -30,8 +29,9 @@
 /// materializes on a rank until the end-of-run `gather_colors`.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,10 +41,9 @@
 
 namespace deltacol {
 
-/// The owned rows [lo, hi) of the global CSR. `offsets` has hi-lo+1 entries
-/// (local indexing: owned vertex v lives at row v-lo); `targets` holds
-/// sorted **global** neighbor ids, so cross-shard edges are visible as
-/// targets outside [lo, hi).
+/// The owned rows [lo, hi) of the global CSR: row v - lo of `rows` holds
+/// owned vertex v's sorted **global** neighbor ids, so cross-shard edges
+/// are visible as targets outside [lo, hi).
 ///
 /// **Coordinates.** Slices live in the partition's *layout* space, where
 /// ownership is contiguous by construction: for the contiguous partition
@@ -57,20 +56,13 @@ struct CsrSlice {
   int n_global = 0;
   int lo = 0;
   int hi = 0;
-  std::vector<std::int64_t> offsets{0};
-  std::vector<int> targets;
+  Rows rows;
 
   int num_owned() const { return hi - lo; }
   bool owns(int v) const { return v >= lo && v < hi; }
-  int degree(int v) const {
-    return static_cast<int>(offsets[static_cast<std::size_t>(v - lo) + 1] -
-                            offsets[static_cast<std::size_t>(v - lo)]);
-  }
+  int degree(int v) const { return rows.degree(v - lo); }
   /// Sorted global neighbor ids of owned vertex \p v.
-  std::span<const int> neighbors(int v) const {
-    return {targets.data() + offsets[static_cast<std::size_t>(v - lo)],
-            static_cast<std::size_t>(degree(v))};
-  }
+  std::span<const int> neighbors(int v) const { return rows[v - lo]; }
 };
 
 /// Cuts shard \p shard's slice from an in-memory graph (reference path).
@@ -81,8 +73,8 @@ CsrSlice slice_of(const Graph& g, const VertexPartition& part, int shard);
 /// Streams the graph/io.h edge-list format and keeps only the rows owned by
 /// \p shard under the contiguous partition of n into \p num_shards. Any
 /// rank's slice of a file equals `slice_of` on the fully loaded graph. The
-/// kept (row, target) pairs are counting-sorted into one flat CSR, then
-/// each row is sorted and de-duplicated, so repeated edges merge.
+/// kept (row, target) pairs go through bucket_rows and sort_unique_rows, so
+/// repeated edges merge.
 CsrSlice load_edge_list_slice(std::istream& in, int num_shards, int shard);
 CsrSlice load_edge_list_slice(const std::string& path, int num_shards,
                               int shard);
@@ -97,21 +89,25 @@ CsrSlice load_edge_list_slice(std::istream& in, const VertexPartition& part,
 CsrSlice load_edge_list_slice(const std::string& path,
                               const VertexPartition& part, int shard);
 
-/// Sorted global ids of non-owned endpoints reachable from the slice — the
-/// same set as GraphView::halo() for this shard.
+/// Sorted global ids of non-owned endpoints reachable from the slice.
 std::vector<int> halo_of(const CsrSlice& slice);
 
-/// One halo vertex's owner-provided adjacency.
-struct HaloNeighborhood {
-  int vertex = 0;                // global id (a member of halo_of(slice))
-  std::vector<int> neighbors;    // its full sorted global adjacency
+/// A slice's halo with its rows: `ids` is halo_of(slice), and rows[i] is
+/// ids[i]'s full sorted adjacency in the slice's coordinates.
+struct HaloRows {
+  std::vector<int> ids;
+  Rows rows;
+
+  std::size_t size() const { return ids.size(); }
 };
 
-/// Fetches the full adjacency of every halo vertex from its owning rank over
-/// \p transport (two exchange_owned trips; see file comment). Every rank in
-/// the transport's world must call this collectively with its own slice.
-/// Results come back sorted by vertex id, aligned with halo_of(slice).
-std::vector<HaloNeighborhood> exchange_halo_adjacency(
-    SocketTransport& transport, const CsrSlice& slice);
+/// Fetches the rows of the slice's halo from their owners over \p transport;
+/// every rank of the world calls it collectively with its own slice. Each
+/// owner answers with one flat CSR (a u32 count and the degrees, then the
+/// adjacency; no ids echoed), and the replies concatenate in halo_of order.
+/// A malformed request or reply throws WireError naming the peer and the
+/// failed check.
+HaloRows exchange_halo_adjacency(SocketTransport& transport,
+                                 const CsrSlice& slice);
 
 }  // namespace deltacol

@@ -496,14 +496,14 @@ void SocketTransport::gather_colors(const VertexPartition& part,
              "gather_colors: value array does not span the partition");
   if (world_ == 1) return;
 
-  // Body: u32 owned count, count×u32 values in owned order (ascending
-  // original id — graph/partition.h). The same body goes to every peer.
+  // Body: u32 owned count, count×u32 values in layout order (the owned
+  // range [begin, end) — graph/partition.h). The same body goes to every
+  // peer.
   WireWriter w;
-  const int owned = part.size(rank_);
-  w.put_u32(static_cast<std::uint32_t>(owned));
-  for (int i = 0; i < owned; ++i) {
+  w.put_u32(static_cast<std::uint32_t>(part.size(rank_)));
+  for (int p = part.begin(rank_); p < part.end(rank_); ++p) {
     w.put_u32(static_cast<std::uint32_t>(
-        values[static_cast<std::size_t>(part.owned_vertex(rank_, i))]));
+        values[static_cast<std::size_t>(part.vertex_at(p))]));
   }
   const WireBuf body = w.take();
   all_to_all(kGatherMagic,
@@ -515,8 +515,8 @@ void SocketTransport::gather_colors(const VertexPartition& part,
       throw WireError("count check failed: " + std::to_string(count) +
                       " values, the rank owns " + std::to_string(part.size(s)));
     }
-    for (int i = 0; i < part.size(s); ++i) {
-      values[static_cast<std::size_t>(part.owned_vertex(s, i))] =
+    for (int p = part.begin(s); p < part.end(s); ++p) {
+      values[static_cast<std::size_t>(part.vertex_at(p))] =
           static_cast<int>(r.get_u32());
     }
     if (!r.done()) {

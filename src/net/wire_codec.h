@@ -25,7 +25,6 @@
 ///   | bool              | 1                  | 1 byte (0/1)                |
 ///   | i32 / u32         | 32                 | 4 bytes, little-endian      |
 ///   | i64 / u64         | 64                 | 8 bytes, little-endian      |
-///   | pair<A, B>        | sum of the fields  | concat                      |
 ///   | vector<T>         | 32 + the elements  | u32 prefix + elements       |
 ///
 /// i.e. the encoded payload of any registered message is exactly the sum of
@@ -42,9 +41,7 @@
 ///
 /// A distributed engine round (runtime/sync_engine.h →
 /// `SocketTransport::exchange_owned`) ships one edge frame per peer
-/// (`encode_edge_frame` / `decode_edge_frame` below); the halo exchange
-/// (net/rank_loader.h) ships its requests and replies through the
-/// vector/pair combinators.
+/// (`encode_edge_frame` / `decode_edge_frame` below).
 #pragma once
 
 #include <bit>
@@ -198,23 +195,6 @@ struct WireCodec<std::int64_t> {
 };
 
 // --- composite payloads ----------------------------------------------------
-
-template <typename A, typename B>
-struct WireCodec<std::pair<A, B>> {
-  static std::int64_t bits(const std::pair<A, B>& p) {
-    return message_bits(p.first) + message_bits(p.second);
-  }
-  static void encode(const std::pair<A, B>& p, WireWriter& w) {
-    WireCodec<A>::encode(p.first, w);
-    WireCodec<B>::encode(p.second, w);
-  }
-  static std::pair<A, B> decode(WireReader& r) {
-    // Sequenced explicitly: argument evaluation order is unspecified.
-    A a = WireCodec<A>::decode(r);
-    B b = WireCodec<B>::decode(r);
-    return {std::move(a), std::move(b)};
-  }
-};
 
 /// Variable-length payload: 32-bit length prefix + the elements.
 template <typename T>

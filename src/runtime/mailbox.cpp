@@ -17,17 +17,21 @@ ShardRuntime::ShardRuntime(const Graph& g, VertexPartition part,
                            ThreadPool* /*pool*/,
                            std::unique_ptr<SocketTransport> transport)
     : part_(std::move(part)),
-      views_(build_graph_views(g, part_)),
+      edges_(static_cast<std::size_t>(part_.num_shards()) *
+                 static_cast<std::size_t>(part_.num_shards()),
+             0),
       transport_(std::move(transport)),
-      sent_(static_cast<std::size_t>(part_.num_shards()) *
-                static_cast<std::size_t>(part_.num_shards()),
-            0),
-      sent_bits_(sent_.size(), 0) {
+      sent_(edges_.size(), 0),
+      sent_bits_(edges_.size(), 0) {
   DC_REQUIRE(part_.num_vertices() == g.num_vertices(),
              "partition does not span the graph");
   DC_REQUIRE(transport_ == nullptr ||
                  transport_->num_shards() == part_.num_shards(),
              "transport shard count disagrees with the partition");
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const int src = part_.shard_of(v);
+    for (int u : g.neighbors(v)) ++edges_[slot_index(src, part_.shard_of(u))];
+  }
 }
 
 SocketTransport& ShardRuntime::transport() const {

@@ -3,14 +3,15 @@
 /// "The message engine and the shard layer"). The message engine that
 /// drives it is runtime/sync_engine.h.
 ///
-/// `ShardRuntime` is one graph's shard bundle: the partition, each shard's
-/// view, an optional `SocketTransport` (net/socket_transport.h) and
-/// cumulative message-volume counters per (owner of sender, owner of
-/// receiver), in messages AND in wire bits (message_bits, net/wire_codec.h)
-/// — the CONGEST metrics bench_e16 reports. Without a transport every shard
-/// runs in this process and the runtime only keeps the accounting; with one,
-/// this OS process owns shard `local_shard()` and the engine moves its
-/// cross-rank messages over the transport.
+/// `ShardRuntime` is one graph's shard bundle: the partition, the directed
+/// edge counts between its shards, an optional `SocketTransport`
+/// (net/socket_transport.h) and cumulative message-volume counters per
+/// (owner of sender, owner of receiver), in messages AND in wire bits
+/// (message_bits, net/wire_codec.h) — the CONGEST metrics bench_e16
+/// reports. Without a transport every shard runs in this process and the
+/// runtime only keeps the accounting; with one, this OS process owns shard
+/// `local_shard()` and the engine moves its cross-rank messages over the
+/// transport.
 ///
 /// The header keeps its historical name because the repository benchmark
 /// (perfbench/) includes it.
@@ -30,10 +31,10 @@ namespace deltacol {
 /// ShardRuntime::set_exchange_policy.
 enum class ExchangePolicy { kOwnerRouted };
 
-/// One graph's shard bundle: the deterministic partition, each shard's
-/// GraphView, the transport of a distributed rank, and cumulative
+/// One graph's shard bundle: the deterministic partition, the S×S edge
+/// counts, the transport of a distributed rank, and cumulative
 /// message-volume accounting. Engines hold a (mutable) pointer;
-/// construction is O(n + m) once.
+/// construction is one O(n + m) pass.
 ///
 /// The constructors' `pool` is unused — the engine takes its pool directly
 /// (runtime/sync_engine.h) — and stays only so the repository benchmark
@@ -51,8 +52,11 @@ class ShardRuntime {
 
   int num_shards() const { return part_.num_shards(); }
   const VertexPartition& partition() const { return part_; }
-  const GraphView& view(int shard) const {
-    return views_[static_cast<std::size_t>(shard)];
+  /// Directed edges from shard src's vertices to shard dst's: the messages
+  /// of one dense all-neighbors round, and for src != dst the length of the
+  /// engine's edge frames between the two ranks (runtime/sync_engine.h).
+  std::int64_t edges_between(int src, int dst) const {
+    return edges_[slot_index(src, dst)];
   }
   /// The shard this OS process owns (the transport's rank), or -1 when
   /// every shard runs in process. When >= 0, the engine holds state and
@@ -97,9 +101,9 @@ class ShardRuntime {
   std::int64_t cross_shard_bits() const;
 
   /// Zeroes every cumulative counter (messages, bits, rounds) so one
-  /// runtime — whose partition/view/transport construction is O(n + m) —
-  /// can be reused across independent workloads with per-workload
-  /// accounting. Views, partition and transport are untouched.
+  /// runtime — whose construction is O(n + m) — can be reused across
+  /// independent workloads with per-workload accounting. The partition,
+  /// the edge counts and the transport are untouched.
   void reset_counters();
 
  private:
@@ -110,7 +114,7 @@ class ShardRuntime {
   }
 
   VertexPartition part_;
-  std::vector<GraphView> views_;
+  std::vector<std::int64_t> edges_;  // row-major (src, dst), directed
   std::unique_ptr<SocketTransport> transport_;  // null: every shard local
   std::vector<std::int64_t> sent_;       // row-major (src, dst), cumulative
   std::vector<std::int64_t> sent_bits_;  // same shape, message_bits

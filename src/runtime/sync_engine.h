@@ -185,7 +185,7 @@ class SyncEngine {
       local_ = shards_->local_shard();
       if (local_ >= 0) {
         owned_base_ = shards_->partition().begin(local_);
-        count = shards_->view(local_).num_owned();
+        count = shards_->partition().size(local_);
       }
     }
     states_.resize(at(count));
@@ -196,11 +196,12 @@ class SyncEngine {
     target_.resize(at(offsets_.back()));
     int num_slots = offsets_.back();
     if (owner_local_state()) {
-      const GraphView& view = shards_->view(local_);
       peer_begin_.assign(at(shards_->num_shards()) + 1, 0);
       for (int d = 0; d < shards_->num_shards(); ++d) {
         peer_begin_[at(d)] = num_slots;
-        if (d != local_) num_slots += static_cast<int>(view.cross_edges(d));
+        if (d != local_) {
+          num_slots += static_cast<int>(shards_->edges_between(local_, d));
+        }
       }
       peer_begin_.back() = num_slots;
     }
@@ -319,7 +320,7 @@ class SyncEngine {
     for (int d = 0; owner_local_state() && d < num_shards; ++d) {
       if (d == local_) continue;
       peer_inbox_[at(d)].reserve(
-          static_cast<std::size_t>(shards_->view(d).cross_edges(local_)));
+          static_cast<std::size_t>(shards_->edges_between(d, local_)));
     }
     for (int x = 0; x < graph_.num_vertices(); ++x) {
       const int sx = owner(x);
@@ -346,9 +347,9 @@ class SyncEngine {
       if (d == local_) continue;
       DC_ENSURE(next[at(d)] == peer_begin_[at(d) + 1] &&
                     static_cast<std::int64_t>(peer_inbox_[at(d)].size()) ==
-                        shards_->view(d).cross_edges(local_),
+                        shards_->edges_between(d, local_),
                 "distributed engine: cross-edge lists disagree with the "
-                "shard views");
+                "shard runtime's edge counts");
     }
   }
 

@@ -2,6 +2,7 @@
 // valid Delta-coloring (Theorems 1, 3, 4, 21 + baselines).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/api.h"
@@ -168,12 +169,39 @@ TEST(Algorithms, RejectsOutOfRangeRadiusOptionsBeforeAnyAttempt) {
     EXPECT_NE(radius_msg.find("dcc_radius"), std::string::npos) << radius_msg;
   }
 
+  // The marking options too: an explicit backoff in [0, 3) and a
+  // selection_prob above 1 or NaN, each named with its value.
+  for (const Algorithm alg :
+       {Algorithm::kRandomizedLarge, Algorithm::kRandomizedSmall}) {
+    for (const int backoff : {0, 2}) {
+      DeltaColoringOptions opt;
+      opt.backoff = backoff;
+      const std::string msg = message(alg, opt);
+      EXPECT_NE(msg.find("backoff must be negative (auto) or at least 3, got " +
+                         std::to_string(backoff)),
+                std::string::npos)
+          << msg;
+    }
+    for (const double p : {1.5, std::nan("")}) {
+      DeltaColoringOptions opt;
+      opt.selection_prob = p;
+      const std::string msg = message(alg, opt);
+      EXPECT_NE(msg.find("selection_prob must be negative (auto) or in "
+                         "[0, 1], got " +
+                         std::to_string(p)),
+                std::string::npos)
+          << msg;
+    }
+  }
+
   // The smallest valid values still color.
   Rng rng(59);
   const Graph g = random_regular(400, 4, rng);
   DeltaColoringOptions smallest;
   smallest.small_variant_radius_cap = 2;
   smallest.dcc_radius = 1;
+  smallest.backoff = 3;
+  smallest.selection_prob = 0;
   for (const Algorithm alg :
        {Algorithm::kRandomizedLarge, Algorithm::kRandomizedSmall}) {
     const auto res = delta_color(g, alg, smallest);

@@ -1,7 +1,7 @@
 // The message engine over the shard runtime (runtime/sync_engine.h +
 // runtime/mailbox.h): one flood round delivers exactly the adjacency and
-// tallies per-(sender owner, receiver owner) volume equal to the GraphView
-// edge counts; Luby is bit-identical for every shards x threads x B shape;
+// tallies per-(sender owner, receiver owner) volume equal to the runtime's
+// edge counts (ShardRuntime::edges_between); Luby is bit-identical for every shards x threads x B shape;
 // and the frozen Luby goldens — MIS hash and ledger per zoo workload x B,
 // plus the full per-slot message and bit matrices — that every (S, T,
 // partition) shape must reproduce.
@@ -27,7 +27,7 @@ namespace {
 
 // One dense flood round through the sharded engine: every node sends its id
 // to every neighbor. Pins (a) inbox contents = sorted neighbor list,
-// (b) per-slot volume = GraphView cross/internal edge counts.
+// (b) per-slot volume = the runtime's edge counts.
 TEST(ShardedEngine, FloodRoundDeliversExactlyTheAdjacency) {
   Rng rng(7);
   const Graph g = random_graph_max_degree(120, 6, 1.8, rng);
@@ -61,18 +61,15 @@ TEST(ShardedEngine, FloodRoundDeliversExactlyTheAdjacency) {
     }
     EXPECT_EQ(ledger.total(), 1);
     // Volume accounting: one round, 2m messages, split per slot exactly as
-    // the views count internal/cross edges.
+    // the runtime counts the edges between shards.
     EXPECT_EQ(shards.rounds_recorded(), 1);
     EXPECT_EQ(shards.total_messages(), 2 * g.num_edges());
     std::int64_t cross = 0;
     for (int s = 0; s < shards.num_shards(); ++s) {
-      const GraphView& view = shards.view(s);
-      EXPECT_EQ(shards.slot_messages(s, s), 2 * view.internal_edges());
       for (int d = 0; d < shards.num_shards(); ++d) {
-        if (d == s) continue;
-        EXPECT_EQ(shards.slot_messages(s, d), view.cross_edges(d))
+        EXPECT_EQ(shards.slot_messages(s, d), shards.edges_between(s, d))
             << s << " -> " << d;
-        cross += shards.slot_messages(s, d);
+        if (d != s) cross += shards.slot_messages(s, d);
       }
     }
     EXPECT_EQ(shards.cross_shard_messages(), cross);

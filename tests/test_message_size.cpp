@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mis/luby_sync.h"
@@ -24,14 +23,6 @@ TEST(MessageBits, ScalarTable) {
   EXPECT_EQ(message_bits(std::uint32_t{0xffffffffu}), 32);
   EXPECT_EQ(message_bits(std::int64_t{0}), 64);
   EXPECT_EQ(message_bits(std::uint64_t{0}), 64);
-}
-
-TEST(MessageBits, PairSumsItsFields) {
-  EXPECT_EQ(message_bits(std::pair<bool, std::uint64_t>{true, 7}), 65);
-  EXPECT_EQ(message_bits(std::pair<std::int32_t, std::int32_t>{1, 2}), 64);
-  EXPECT_EQ(
-      message_bits(std::pair<std::int64_t, std::pair<bool, bool>>{3, {0, 1}}),
-      66);
 }
 
 TEST(MessageBits, VectorChargesPrefixPlusElements) {

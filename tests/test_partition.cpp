@@ -1,11 +1,14 @@
 // The shard data layer (graph/partition.h): the contiguous deterministic
 // VertexPartition (boundary cases: more shards than vertices/components,
-// singleton and empty shards, the O(1) shard_of closed form) and GraphView
-// halo tables / cross-edge counts pinned against the global adjacency,
-// under the contiguous and the cluster partition.
+// singleton and empty shards, the O(1) shard_of closed form), and each
+// shard's halo (halo_of(slice_of(...)), net/rank_loader.h) and the
+// runtime's directed edge counts (ShardRuntime::edges_between) pinned
+// against the global adjacency, under the contiguous and the cluster
+// partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -13,6 +16,8 @@
 #include "graph/ops.h"
 #include "graph/partition.h"
 #include "graph/renumber.h"
+#include "net/rank_loader.h"
+#include "runtime/mailbox.h"
 #include "util/rng.h"
 
 namespace deltacol {
@@ -71,16 +76,42 @@ TEST(VertexPartition, ResolveNumShards) {
   EXPECT_EQ(VertexPartition::resolve_num_shards(7), 7);
 }
 
-// Brute-force halo of one shard straight from the global adjacency.
-std::vector<int> reference_halo(const Graph& g, const GraphView& view) {
+// The owner of v found by scanning the layout ranges, independent of
+// shard_of's closed form.
+int scan_owner(const VertexPartition& p, int v) {
+  const int pos = p.position_of(v);
+  int d = 0;
+  while (!(p.begin(d) <= pos && pos < p.end(d))) ++d;
+  return d;
+}
+
+// Brute-force halo of shard s, in layout ids, straight from the global
+// adjacency.
+std::vector<int> reference_halo(const Graph& g, const VertexPartition& p,
+                                int s) {
   std::set<int> halo;
   for (int v = 0; v < g.num_vertices(); ++v) {
-    if (!view.owns(v)) continue;
+    if (scan_owner(p, v) != s) continue;
     for (int u : g.neighbors(v)) {
-      if (!view.owns(u)) halo.insert(u);
+      if (scan_owner(p, u) != s) halo.insert(p.position_of(u));
     }
   }
   return {halo.begin(), halo.end()};
+}
+
+// Brute-force directed edge counts, row-major (src, dst).
+std::vector<std::int64_t> reference_edge_counts(const Graph& g,
+                                                const VertexPartition& p) {
+  const int num_shards = p.num_shards();
+  std::vector<std::int64_t> counts(
+      static_cast<std::size_t>(num_shards * num_shards), 0);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    for (int u : g.neighbors(v)) {
+      ++counts[static_cast<std::size_t>(scan_owner(p, v) * num_shards +
+                                        scan_owner(p, u))];
+    }
+  }
+  return counts;
 }
 
 // The contiguous partition and the cluster layout, whose shards own ids
@@ -90,128 +121,107 @@ std::vector<VertexPartition> both_partitions(const Graph& g, int num_shards) {
           make_partition(g, num_shards, PartitionStrategy::kCluster)};
 }
 
-TEST(GraphView, HaloMatchesGlobalAdjacency) {
+const char* kind_of(const VertexPartition& p) {
+  return p.is_contiguous() ? "contiguous" : "cluster";
+}
+
+// Every shard's halo_of(slice_of(...)) equals the brute-force halo, and no
+// halo vertex is owned by its own shard.
+void expect_halos_match(const Graph& g, const VertexPartition& p) {
+  for (int s = 0; s < p.num_shards(); ++s) {
+    const CsrSlice slice = slice_of(g, p, s);
+    const std::vector<int> halo = halo_of(slice);
+    EXPECT_EQ(halo, reference_halo(g, p, s)) << kind_of(p) << " shard " << s;
+    for (int h : halo) EXPECT_FALSE(slice.owns(h)) << kind_of(p);
+  }
+}
+
+TEST(ShardSlices, HaloMatchesGlobalAdjacency) {
   Rng rng(11);
   const Graph g = random_graph_max_degree(300, 7, 2.0, rng);
   for (int num_shards : {1, 2, 3, 8}) {
     for (const VertexPartition& p : both_partitions(g, num_shards)) {
-      const char* kind = p.is_contiguous() ? "contiguous" : "cluster";
-      const auto views = build_graph_views(g, p);
-      ASSERT_EQ(static_cast<int>(views.size()), num_shards);
-      for (int s = 0; s < num_shards; ++s) {
-        const GraphView& view = views[static_cast<std::size_t>(s)];
-        const auto expect = reference_halo(g, view);
-        const auto halo = view.halo();
-        ASSERT_EQ(halo.size(), expect.size()) << kind << " shard " << s;
-        for (std::size_t i = 0; i < expect.size(); ++i) {
-          EXPECT_EQ(halo[i], expect[i])
-              << kind << " shard " << s << " entry " << i;
-        }
-        // Owned vertices are never in their own halo.
-        for (int i = 0; i < view.num_owned(); ++i) {
-          EXPECT_FALSE(std::binary_search(halo.begin(), halo.end(),
-                                          view.owned_vertex(i)))
-              << kind;
-        }
-      }
+      expect_halos_match(g, p);
     }
   }
 }
 
-TEST(GraphView, EdgeCountsPartitionTheGlobalEdgeSet) {
+TEST(ShardEdgeCounts, PartitionTheGlobalEdgeSet) {
   Rng rng(13);
   const Graph g = random_regular(240, 6, rng);
   for (int num_shards : {1, 2, 5, 8}) {
-    const VertexPartition p =
-        VertexPartition::contiguous(g.num_vertices(), num_shards);
-    const auto views = build_graph_views(g, p);
-    std::int64_t internal = 0;
-    std::int64_t cross_directed = 0;
-    for (const auto& view : views) {
-      internal += view.internal_edges();
-      for (int d = 0; d < num_shards; ++d) {
-        cross_directed += view.cross_edges(d);
+    for (const VertexPartition& p : both_partitions(g, num_shards)) {
+      const ShardRuntime rt(g, p, nullptr);
+      std::int64_t total = 0;
+      for (int s = 0; s < num_shards; ++s) {
+        for (int d = 0; d < num_shards; ++d) {
+          total += rt.edges_between(s, d);
+          // Undirected edges: as many s -> d as d -> s.
+          EXPECT_EQ(rt.edges_between(s, d), rt.edges_between(d, s))
+              << kind_of(p);
+        }
       }
-      // A shard never counts itself as a cross destination.
-      EXPECT_EQ(view.cross_edges(view.shard()), 0);
-    }
-    // Every undirected edge is either internal to exactly one shard or
-    // contributes one directed cross edge at each endpoint's shard.
-    EXPECT_EQ(2 * internal + cross_directed, 2 * g.num_edges())
-        << num_shards << " shards";
-    if (num_shards == 1) {
-      EXPECT_EQ(cross_directed, 0);
-      EXPECT_EQ(internal, g.num_edges());
+      // Every undirected edge counts once from each end.
+      EXPECT_EQ(total, 2 * g.num_edges())
+          << kind_of(p) << " " << num_shards << " shards";
+      if (num_shards == 1) {
+        EXPECT_EQ(rt.edges_between(0, 0), 2 * g.num_edges());
+      }
     }
   }
 }
 
-TEST(GraphView, CrossEdgeDestinationsMatchBruteForce) {
+TEST(ShardEdgeCounts, MatchBruteForce) {
   Rng rng(17);
   const Graph g = random_graph_max_degree(150, 5, 1.7, rng);
   const int num_shards = 4;
   for (const VertexPartition& p : both_partitions(g, num_shards)) {
-    const char* kind = p.is_contiguous() ? "contiguous" : "cluster";
-    const auto views = build_graph_views(g, p);
-    // The shard whose view owns u, found by asking every view.
-    const auto owner = [&](int u) {
-      int d = 0;
-      while (!views[static_cast<std::size_t>(d)].owns(u)) ++d;
-      return d;
-    };
+    const ShardRuntime rt(g, p, nullptr);
+    const auto expect = reference_edge_counts(g, p);
     for (int s = 0; s < num_shards; ++s) {
-      std::vector<std::int64_t> expect(static_cast<std::size_t>(num_shards),
-                                       0);
-      for (int v = 0; v < g.num_vertices(); ++v) {
-        if (!views[static_cast<std::size_t>(s)].owns(v)) continue;
-        for (int u : g.neighbors(v)) {
-          const int d = owner(u);
-          if (d != s) ++expect[static_cast<std::size_t>(d)];
-        }
-      }
       for (int d = 0; d < num_shards; ++d) {
-        EXPECT_EQ(views[static_cast<std::size_t>(s)].cross_edges(d),
-                  expect[static_cast<std::size_t>(d)])
-            << kind << " shard " << s << " -> " << d;
+        EXPECT_EQ(rt.edges_between(s, d),
+                  expect[static_cast<std::size_t>(s * num_shards + d)])
+            << kind_of(p) << " shard " << s << " -> " << d;
       }
     }
   }
 }
 
-TEST(GraphView, EmptyShardsHaveEmptyViews) {
+TEST(ShardSlices, EmptyShardsHaveEmptySlices) {
   // More shards than vertices (and than components): empty shards must
-  // build fine with empty halos and zero counts.
+  // build fine with no rows, empty halos and zero counts.
   Rng rng(19);
   const Graph g = random_regular(6, 3, rng);
-  const VertexPartition p = VertexPartition::contiguous(g.num_vertices(), 9);
-  const auto views = build_graph_views(g, p);
-  int empty = 0;
-  for (const auto& view : views) {
-    if (view.num_owned() == 0) {
+  for (const VertexPartition& p : both_partitions(g, 9)) {
+    const ShardRuntime rt(g, p, nullptr);
+    int empty = 0;
+    for (int s = 0; s < 9; ++s) {
+      const CsrSlice slice = slice_of(g, p, s);
+      if (slice.num_owned() != 0) continue;
       ++empty;
-      EXPECT_TRUE(view.halo().empty());
-      EXPECT_EQ(view.internal_edges(), 0);
-      for (int d = 0; d < 9; ++d) EXPECT_EQ(view.cross_edges(d), 0);
+      EXPECT_EQ(slice.rows.size(), 0) << kind_of(p);
+      EXPECT_TRUE(slice.rows.targets.empty()) << kind_of(p);
+      EXPECT_TRUE(halo_of(slice).empty()) << kind_of(p);
+      for (int d = 0; d < 9; ++d) {
+        EXPECT_EQ(rt.edges_between(s, d), 0) << kind_of(p);
+        EXPECT_EQ(rt.edges_between(d, s), 0) << kind_of(p);
+      }
     }
+    EXPECT_EQ(empty, 3) << kind_of(p);
+    expect_halos_match(g, p);
   }
-  EXPECT_EQ(empty, 3);
 }
 
-TEST(GraphView, MoreShardsThanComponents) {
+TEST(ShardSlices, MoreShardsThanComponents) {
   // Two components, eight shards: the partition is id-based, so shards cut
   // straight through components; halos still reconstruct exactly.
   Rng rng(23);
   const Graph a = random_regular(40, 4, rng);
   const Graph b = random_regular(30, 3, rng);
   const Graph g = disjoint_union(a, b);
-  const VertexPartition p = VertexPartition::contiguous(g.num_vertices(), 8);
-  const auto views = build_graph_views(g, p);
-  for (const auto& view : views) {
-    const auto expect = reference_halo(g, view);
-    ASSERT_EQ(view.halo().size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(view.halo()[i], expect[i]);
-    }
+  for (const VertexPartition& p : both_partitions(g, 8)) {
+    expect_halos_match(g, p);
   }
 }
 

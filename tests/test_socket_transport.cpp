@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -396,13 +397,18 @@ TEST(RankLoader, StreamedSliceMatchesInMemorySlice) {
       EXPECT_EQ(streamed.n_global, direct.n_global) << w.name;
       EXPECT_EQ(streamed.lo, direct.lo) << w.name;
       EXPECT_EQ(streamed.hi, direct.hi) << w.name;
-      EXPECT_EQ(streamed.offsets, direct.offsets) << w.name;
-      EXPECT_EQ(streamed.targets, direct.targets) << w.name;
-      // And the slice-derived halo is exactly the GraphView ghost table.
-      const GraphView view(w.graph, part, r);
-      const std::vector<int> halo = halo_of(streamed);
-      EXPECT_TRUE(std::equal(halo.begin(), halo.end(), view.halo().begin(),
-                             view.halo().end()))
+      EXPECT_EQ(streamed.rows.offsets, direct.rows.offsets) << w.name;
+      EXPECT_EQ(streamed.rows.targets, direct.rows.targets) << w.name;
+      // And the slice-derived halo is every non-owned neighbor of an owned
+      // vertex, straight from the graph.
+      std::set<int> expect;
+      for (int v = streamed.lo; v < streamed.hi; ++v) {
+        for (int u : w.graph.neighbors(v)) {
+          if (!streamed.owns(u)) expect.insert(u);
+        }
+      }
+      EXPECT_EQ(halo_of(streamed),
+                std::vector<int>(expect.begin(), expect.end()))
           << w.name;
     }
   }
@@ -442,37 +448,119 @@ TEST(RankLoader, StreamedSliceOfRepeatedEdgesMatchesSliceOf) {
           EXPECT_EQ(slice.n_global, direct.n_global) << tag;
           EXPECT_EQ(slice.lo, direct.lo) << tag;
           EXPECT_EQ(slice.hi, direct.hi) << tag;
-          EXPECT_EQ(slice.offsets, direct.offsets) << tag;
-          EXPECT_EQ(slice.targets, direct.targets) << tag;
+          EXPECT_EQ(slice.rows.offsets, direct.rows.offsets) << tag;
+          EXPECT_EQ(slice.rows.targets, direct.rows.targets) << tag;
         }
       }
     }
   }
 }
 
+// Both partitions, with in-memory and with streamed slices (the cluster
+// partition with streamed slices is the repository benchmark's setup): every
+// halo row arrives equal to the full graph's adjacency, in halo_of order.
 TEST(RankLoader, HaloAdjacencyArrivesIntactOverTheWire) {
+  const std::string path = ::testing::TempDir() + "deltacol_halo_zoo.el";
   for (const auto& w : generator_zoo()) {
+    save_edge_list(path, w.graph);
+    for (PartitionStrategy strategy :
+         {PartitionStrategy::kContiguous, PartitionStrategy::kCluster}) {
+      const VertexPartition part = make_partition(w.graph, 2, strategy);
+      for (const bool streamed : {false, true}) {
+        const std::string tag =
+            w.name + " " + partition_strategy_name(strategy) +
+            (streamed ? " streamed" : " in-memory");
+        auto [t0, t1] = loopback_pair();
+        run_ranks(2, [&](int r) {
+          const CsrSlice mine = streamed
+                                    ? load_edge_list_slice(path, part, r)
+                                    : slice_of(w.graph, part, r);
+          const HaloRows fetched =
+              exchange_halo_adjacency(r == 0 ? *t0 : *t1, mine);
+          if (fetched.ids != halo_of(mine) ||
+              fetched.rows.size() != static_cast<int>(fetched.size())) {
+            throw std::runtime_error("halo ids mismatch on " + tag);
+          }
+          for (std::size_t i = 0; i < fetched.size(); ++i) {
+            std::vector<int> expect;
+            for (int u : w.graph.neighbors(part.vertex_at(fetched.ids[i]))) {
+              expect.push_back(part.position_of(u));
+            }
+            std::sort(expect.begin(), expect.end());
+            const auto got = fetched.rows[static_cast<int>(i)];
+            if (!std::equal(expect.begin(), expect.end(), got.begin(),
+                            got.end())) {
+              throw std::runtime_error("halo adjacency mismatch on " + tag);
+            }
+          }
+        });
+      }
+    }
+  }
+}
+
+// A hand-driven rank 1 answers rank 0's halo request on a 6-cycle (rank 0
+// owns 0..2 and asks for 3 and 5) with a well-formed reply, then with four
+// malformed ones; each malformed reply throws a WireError naming rank 1 and
+// the failed check.
+TEST(RankLoader, MalformedHaloRepliesNameTheFailedCheck) {
+  const Graph g = cycle_graph(6);
+  const CsrSlice slice0 = slice_of(g, VertexPartition::contiguous(6, 2), 0);
+  const auto reply = [](std::vector<std::uint32_t> fields, bool extra_byte) {
+    WireWriter w;
+    for (std::uint32_t f : fields) w.put_u32(f);
+    if (extra_byte) w.put_u8(0);
+    return w.take();
+  };
+  // Runs rank 0's exchange against `bytes` as rank 1's reply; returns
+  // rank 0's error ("" when the exchange succeeds) and its result.
+  const auto drive = [&](const WireBuf& bytes, HaloRows* got) {
     auto [t0, t1] = loopback_pair();
-    const VertexPartition part =
-        VertexPartition::contiguous(w.graph.num_vertices(), 2);
+    std::string error;
     run_ranks(2, [&](int r) {
-      const CsrSlice mine = slice_of(w.graph, part, r);
-      const auto fetched =
-          exchange_halo_adjacency(r == 0 ? *t0 : *t1, mine);
-      const std::vector<int> halo = halo_of(mine);
-      if (fetched.size() != halo.size()) {
-        throw std::runtime_error("halo size mismatch on " + w.name);
-      }
-      for (std::size_t i = 0; i < fetched.size(); ++i) {
-        const auto expect = w.graph.neighbors(fetched[i].vertex);
-        if (fetched[i].vertex != halo[i] ||
-            !std::equal(expect.begin(), expect.end(),
-                        fetched[i].neighbors.begin(),
-                        fetched[i].neighbors.end())) {
-          throw std::runtime_error("halo adjacency mismatch on " + w.name);
+      if (r == 0) {
+        try {
+          *got = exchange_halo_adjacency(*t0, slice0);
+        } catch (const WireError& e) {
+          error = e.what();
         }
+        return;
       }
+      const std::vector<std::int64_t> zeros(2, 0);
+      std::vector<WireBuf> request(2);
+      request[0] = reply({}, false);  // rank 1 asks for nothing
+      t1->exchange_owned(std::move(request), zeros, zeros);
+      std::vector<WireBuf> answer(2);
+      answer[0] = bytes;
+      t1->exchange_owned(std::move(answer), zeros, zeros);
     });
+    return error;
+  };
+
+  // count, degrees, then the adjacency: 3 ~ {2, 4} and 5 ~ {0, 4}.
+  HaloRows good;
+  EXPECT_EQ(drive(reply({2, 2, 2, 2, 4, 0, 4}, false), &good), "");
+  EXPECT_EQ(good.ids, (std::vector<int>{3, 5}));
+  EXPECT_EQ(good.rows.offsets, (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(good.rows.targets, (std::vector<int>{2, 4, 0, 4}));
+
+  struct Fault {
+    std::string check;
+    WireBuf bytes;
+  };
+  const std::vector<Fault> faults = {
+      {"adjacency", reply({2, 2, 3, 2, 4, 0, 4}, false)},  // sum past it
+      {"degree count", reply({1, 2, 2, 4}, false)},        // one for two
+      {"length", reply({2, 2, 2, 2, 4, 0, 4}, true)},      // trailing byte
+      {"target", reply({2, 2, 2, 2, 4, 0, 6}, false)},     // 6 is not in C6
+  };
+  for (const Fault& f : faults) {
+    HaloRows unused;
+    const std::string error = drive(f.bytes, &unused);
+    EXPECT_NE(error.find("halo reply from rank 1"), std::string::npos)
+        << f.check << ": " << error;
+    EXPECT_NE(error.find(f.check + " check failed"), std::string::npos)
+        << f.check << ": " << error;
   }
 }
 
@@ -854,7 +942,7 @@ TEST(SocketTransport, LubyBitIdenticalToInProcessAcrossTheZoo) {
             if (d == r) continue;
             expected_payload +=
                 golden.rounds_recorded *
-                    ((golden_rt.view(r).cross_edges(d) + 7) / 8) +
+                    ((golden_rt.edges_between(r, d) + 7) / 8) +
                 golden_rt.slot_messages(r, d) * kLubyPayloadBytes;
           }
           const ShardRuntime& rt = *rts[static_cast<std::size_t>(r)];

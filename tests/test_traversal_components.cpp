@@ -95,6 +95,45 @@ TEST(Components, CountsComponents) {
   EXPECT_TRUE(is_connected(cycle_graph(5)));
 }
 
+// Component ids are dense and ascend with each component's lowest vertex:
+// checked against a union-find labeling on sparse random graphs with many
+// components, isolated vertices included.
+TEST(Components, IdsAscendWithEachComponentsLowestVertex) {
+  Rng rng(5);
+  const int n = 500;
+  for (int num_edges : {100, 250, 400}) {
+    std::vector<Edge> edges;
+    while (static_cast<int>(edges.size()) < num_edges) {
+      const int u = rng.next_int(0, n - 1);
+      const int v = rng.next_int(0, n - 1);
+      if (u != v) edges.emplace_back(u, v);
+    }
+    const Graph g = Graph::from_edges(n, edges);
+    std::vector<int> parent(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) parent[static_cast<std::size_t>(v)] = v;
+    const auto find = [&](int v) {
+      while (parent[static_cast<std::size_t>(v)] != v) {
+        v = parent[static_cast<std::size_t>(v)];
+      }
+      return v;
+    };
+    for (const auto& [u, v] : g.edge_list()) {
+      parent[static_cast<std::size_t>(find(u))] = find(v);
+    }
+    std::vector<int> id_of_root(static_cast<std::size_t>(n), -1);
+    std::vector<int> expect(static_cast<std::size_t>(n));
+    int count = 0;
+    for (int v = 0; v < n; ++v) {
+      int& id = id_of_root[static_cast<std::size_t>(find(v))];
+      if (id == -1) id = count++;
+      expect[static_cast<std::size_t>(v)] = id;
+    }
+    const auto cc = connected_components(g);
+    EXPECT_EQ(cc.count, count) << num_edges;
+    EXPECT_EQ(cc.component, expect) << num_edges;
+  }
+}
+
 // Brute-force articulation test: v is articulation iff removing it
 // increases the number of components restricted to its component.
 std::vector<bool> brute_articulations(const Graph& g) {
